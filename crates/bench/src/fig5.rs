@@ -11,8 +11,9 @@
 use serde::Serialize;
 
 use hnp_baselines::{
-    LstmPrefetcher, LstmPrefetcherConfig, MarkovConfig, MarkovPrefetcher, StrideConfig,
-    StridePrefetcher, TransformerPrefetcher, TransformerPrefetcherConfig,
+    LstmPrefetcher, LstmPrefetcherConfig, MarkovConfig, MarkovPrefetcher, NextNConfig,
+    NextNPrefetcher, StrideConfig, StridePrefetcher, TransformerPrefetcher,
+    TransformerPrefetcherConfig,
 };
 use hnp_core::{ClsConfig, ClsPrefetcher};
 use hnp_memsim::{NoPrefetcher, Prefetcher, SimConfig, Simulator};
@@ -79,8 +80,14 @@ pub fn prefetcher_names() -> Vec<&'static str> {
     ]
 }
 
-fn build_prefetcher(name: &str, seed: u64) -> Box<dyn Prefetcher> {
-    match name {
+/// Builds a prefetcher by name, with default configs and the learned
+/// models seeded by `seed`: the one name→model table behind the Fig.-5
+/// harness and `hnpctl`. Names are `none`, `next-n` and those of
+/// [`prefetcher_names`].
+pub fn build_prefetcher(name: &str, seed: u64) -> Result<Box<dyn Prefetcher>, String> {
+    Ok(match name {
+        "none" => Box::new(NoPrefetcher),
+        "next-n" => Box::new(NextNPrefetcher::with_config(NextNConfig::default())),
         "stride" => Box::new(StridePrefetcher::with_config(StrideConfig::default())),
         "markov" => Box::new(MarkovPrefetcher::with_config(MarkovConfig::default())),
         "lstm" => Box::new(LstmPrefetcher::new(LstmPrefetcherConfig {
@@ -99,8 +106,8 @@ fn build_prefetcher(name: &str, seed: u64) -> Box<dyn Prefetcher> {
             seed,
             ..ClsConfig::default()
         })),
-        other => panic!("unknown prefetcher {other}"),
-    }
+        other => return Err(format!("unknown prefetcher {other:?}")),
+    })
 }
 
 /// Runs one application against one prefetcher (plus the baseline).
@@ -119,7 +126,7 @@ pub fn run_app(app: AppWorkload, prefetcher_name: &str, opts: &Fig5Options) -> F
     let obs = Registry::new();
     obs.attach(counters.clone());
     let sim = Simulator::new(cfg.with_observer(obs));
-    let mut p = build_prefetcher(prefetcher_name, opts.seed);
+    let mut p = build_prefetcher(prefetcher_name, opts.seed).unwrap_or_else(|e| panic!("{e}"));
     let rep = sim.run(&trace, p.as_mut());
     // The report and the counters are two independent folds of the same
     // event stream; a mismatch means an emission site drifted.
@@ -206,10 +213,9 @@ mod tests {
     }
 
     #[test]
-    fn unknown_prefetcher_panics() {
-        let result = std::panic::catch_unwind(|| {
-            build_prefetcher("nope", 0);
-        });
-        assert!(result.is_err());
+    fn unknown_prefetcher_is_an_error() {
+        let err = build_prefetcher("nope", 0).err();
+        assert_eq!(err.as_deref(), Some("unknown prefetcher \"nope\""));
+        assert!(build_prefetcher("next-n", 0).is_ok());
     }
 }

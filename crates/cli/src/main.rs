@@ -29,12 +29,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use args::Args;
-use hnp_baselines::{
-    LstmPrefetcher, LstmPrefetcherConfig, MarkovConfig, MarkovPrefetcher, NextNConfig,
-    NextNPrefetcher, StrideConfig, StridePrefetcher, TransformerPrefetcher,
-    TransformerPrefetcherConfig,
-};
-use hnp_core::{ClsConfig, ClsPrefetcher};
+use hnp_bench::fig5::build_prefetcher;
 use hnp_lint as lint;
 use hnp_memsim::{NoPrefetcher, Prefetcher, ResilientPrefetcher, SimConfig, Simulator};
 use hnp_obs::{jsonl_kind, jsonl_u64, Counters, Histogram, JsonlExporter, Metric, Registry};
@@ -124,33 +119,6 @@ fn workload(name: &str, accesses: usize, seed: u64) -> Result<Trace, String> {
     Ok(pattern.generate(accesses, seed))
 }
 
-/// Builds a prefetcher by name.
-fn prefetcher(name: &str, seed: u64) -> Result<Box<dyn Prefetcher>, String> {
-    Ok(match name {
-        "none" => Box::new(NoPrefetcher),
-        "stride" => Box::new(StridePrefetcher::with_config(StrideConfig::default())),
-        "markov" => Box::new(MarkovPrefetcher::with_config(MarkovConfig::default())),
-        "next-n" => Box::new(NextNPrefetcher::with_config(NextNConfig::default())),
-        "lstm" => Box::new(LstmPrefetcher::new(LstmPrefetcherConfig {
-            seed,
-            ..LstmPrefetcherConfig::default()
-        })),
-        "transformer" => Box::new(TransformerPrefetcher::new(TransformerPrefetcherConfig {
-            seed,
-            ..TransformerPrefetcherConfig::default()
-        })),
-        "hebbian" => Box::new(ClsPrefetcher::new(ClsConfig {
-            seed,
-            ..ClsConfig::hebbian_only()
-        })),
-        "cls-hebbian" => Box::new(ClsPrefetcher::new(ClsConfig {
-            seed,
-            ..ClsConfig::default()
-        })),
-        other => return Err(format!("unknown prefetcher {other:?}")),
-    })
-}
-
 fn load_trace(args: &Args) -> Result<Trace, String> {
     // `--trace FILE`, or the first positional argument.
     let path = match args.options.get("trace") {
@@ -221,7 +189,7 @@ fn cmd_sim(args: &Args) -> Result<(), String> {
         reg.attach(exporter.clone());
     }
     let sim = Simulator::new(cfg.with_observer(reg));
-    let mut p = prefetcher(name, seed)?;
+    let mut p = build_prefetcher(name, seed)?;
     let rep = sim.run(&trace, p.as_mut());
     if !obs_path.is_empty() {
         std::fs::write(obs_path, exporter.render())
@@ -282,7 +250,7 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
     reg.attach(stalls.clone());
     reg.attach(leads.clone());
     let sim = Simulator::new(sim_cfg_for(&trace, args)?.with_observer(reg));
-    let mut p = prefetcher(name, seed)?;
+    let mut p = build_prefetcher(name, seed)?;
     let rep = sim.run(&trace, p.as_mut());
     println!("prefetcher:      {}", rep.prefetcher);
     println!("event counters:");
@@ -383,7 +351,7 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
         "hebbian",
         "cls-hebbian",
     ] {
-        let mut p = prefetcher(name, seed)?;
+        let mut p = build_prefetcher(name, seed)?;
         let rep = sim.run(&trace, p.as_mut());
         println!(
             "{:<14} {:>9.1}% {:>10} {:>9.2}",
@@ -414,7 +382,7 @@ fn cmd_faults(args: &Args) -> Result<(), String> {
         FaultSchedule::parse(spec)?
     };
     let make = |seed: u64| -> Result<Box<dyn Prefetcher>, String> {
-        let inner = prefetcher(pname, seed)?;
+        let inner = build_prefetcher(pname, seed)?;
         Ok(if resilient {
             Box::new(ResilientPrefetcher::new(inner))
         } else {

@@ -7,6 +7,8 @@ pub struct BitSet {
     len: usize,
 }
 
+// `len` is bit capacity, so an `is_empty` would mislead; see `none_set`.
+#[allow(clippy::len_without_is_empty)]
 impl BitSet {
     /// Creates an empty bitset over `len` bits.
     pub fn new(len: usize) -> Self {
@@ -41,12 +43,6 @@ impl BitSet {
     /// `is_empty() ⇔ len() == 0` for callers.)
     pub fn none_set(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
-    }
-
-    /// Deprecated alias of [`BitSet::none_set`].
-    #[deprecated(note = "renamed to `none_set`: `len()` is bit capacity, not set-bit count")]
-    pub fn is_empty(&self) -> bool {
-        self.none_set()
     }
 
     /// The backing `u64` words, least-significant bits first: bit `i`

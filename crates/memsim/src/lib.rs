@@ -9,6 +9,8 @@
 //! * [`evict`] — LRU / FIFO / CLOCK / random residency policies;
 //! * [`memory`] — the resident-page store;
 //! * [`prefetcher`] — the prefetcher interface and feedback events;
+//! * [`ledger`] — the book of outstanding prefetches every driver
+//!   (this simulator, `hnp-systems`, `hnp-serve`) keeps;
 //! * [`deltas`] — the bounded delta vocabulary and miss-history
 //!   window shared by the learned prefetchers;
 //! * [`sim`] — the driver loop and metrics (misses removed, accuracy,
@@ -26,6 +28,7 @@
 pub mod checkpoint;
 pub mod deltas;
 pub mod evict;
+pub mod ledger;
 pub mod memory;
 pub mod prefetcher;
 pub mod resilient;
@@ -34,6 +37,7 @@ pub mod sim;
 pub use checkpoint::CheckpointCursor;
 pub use deltas::{DeltaVocab, MissHistory};
 pub use evict::EvictionPolicy;
+pub use ledger::PrefetchLedger;
 pub use prefetcher::PrefetchFeedback;
 pub use prefetcher::{DemuxPrefetcher, MissEvent, NoPrefetcher, Prefetcher};
 pub use resilient::{HealthState, ResilienceStats, ResilientConfig, ResilientPrefetcher};

@@ -16,8 +16,6 @@
 //! latency hiding). This is what makes §5.2's "a perfect but slow
 //! model always prefetches too late" measurable.
 
-use std::collections::BTreeMap;
-
 use serde::Serialize;
 
 use hnp_obs::{Event, FeedbackKind, Registry};
@@ -25,6 +23,7 @@ use hnp_trace::Trace;
 
 use crate::checkpoint::CheckpointCursor;
 use crate::evict::EvictionPolicy;
+use crate::ledger::PrefetchLedger;
 use crate::memory::LocalMemory;
 use crate::prefetcher::{MissEvent, Prefetcher};
 
@@ -277,8 +276,8 @@ impl Simulator {
     ) -> (SimReport, Vec<usize>) {
         let mut cursor = CheckpointCursor::at(checkpoints.iter().map(|&c| c as u64));
         let mut memory = LocalMemory::new(self.cfg.capacity_pages, self.cfg.eviction);
-        // In-flight prefetches: page -> arrival tick.
-        let mut inflight: BTreeMap<u64, u64> = BTreeMap::new();
+        // In-flight prefetches, due at their arrival tick.
+        let mut inflight = PrefetchLedger::new();
         let mut now: u64 = 0;
         let mut report = SimReport {
             prefetcher: prefetcher.name().to_string(),
@@ -301,28 +300,11 @@ impl Simulator {
             }
             let page = access.page(shift);
             now += 1;
-            // Land arrived prefetches. BTreeMap iterates in page
-            // order, so arrival order cannot leak hash randomness
-            // into eviction order — determinism.
-            if !inflight.is_empty() {
-                let arrived: Vec<u64> = inflight
-                    .iter()
-                    .filter(|&(_, &t)| t <= now)
-                    .map(|(&p, _)| p)
-                    .collect();
-                for p in arrived {
-                    inflight.remove(&p);
-                    Self::insert_accounting(
-                        obs,
-                        &mut memory,
-                        &mut report,
-                        prefetcher,
-                        p,
-                        true,
-                        now,
-                    );
-                }
-            }
+            // Land arrived prefetches, in page order (the ledger's
+            // drain contract), so eviction order is deterministic.
+            inflight.drain_due(now, |p| {
+                Self::insert_accounting(obs, &mut memory, &mut report, prefetcher, p, true, now);
+            });
             // Demand path.
             if memory.contains(page) {
                 let first_touch_of_prefetch = memory
@@ -346,12 +328,11 @@ impl Simulator {
                 dispatch(obs, &mut report, prefetcher, Event::Hit { tick: now, page });
                 continue;
             }
-            if let Some(&arrival) = inflight.get(&page) {
+            if let Some(arrival) = inflight.take(page) {
                 // Late prefetch: wait out the remainder.
                 let remaining = arrival.saturating_sub(now);
                 let miss_tick = now;
                 now += remaining;
-                inflight.remove(&page);
                 dispatch(
                     obs,
                     &mut report,
@@ -407,7 +388,7 @@ impl Simulator {
                 if accepted >= self.cfg.max_issue_per_miss {
                     break;
                 }
-                if memory.contains(cand) || inflight.contains_key(&cand) {
+                if memory.contains(cand) || inflight.contains(cand) {
                     continue;
                 }
                 if inflight.len() >= self.cfg.max_inflight {
@@ -422,7 +403,7 @@ impl Simulator {
                     );
                     continue;
                 }
-                inflight.insert(cand, arrival);
+                inflight.issue(cand, arrival);
                 dispatch(
                     obs,
                     &mut report,

@@ -23,7 +23,7 @@ use std::thread;
 
 use serde::Serialize;
 
-use hnp_memsim::{CheckpointCursor, MissEvent, PrefetchFeedback};
+use hnp_memsim::{CheckpointCursor, MissEvent, PrefetchFeedback, PrefetchLedger};
 use hnp_obs::{Event, FaultKind, Registry};
 
 use crate::shard::{shard_of, Offer, ShardQueue};
@@ -258,8 +258,9 @@ enum FromWorker {
 /// Live per-tenant state, owned by exactly one worker.
 struct TenantState {
     model: TenantModel,
-    /// Outstanding predictions: page → request-sequence issued at.
-    predictions: BTreeMap<u64, u64>,
+    /// Outstanding predictions, due (expired) once more than
+    /// `pred_horizon` requests have passed since issue.
+    predictions: PrefetchLedger,
     seq: u64,
     requests: u64,
     covered: u64,
@@ -271,7 +272,7 @@ impl TenantState {
     fn fresh(model: TenantModel) -> Self {
         Self {
             model,
-            predictions: BTreeMap::new(),
+            predictions: PrefetchLedger::new(),
             seq: 0,
             requests: 0,
             covered: 0,
@@ -284,18 +285,12 @@ impl TenantState {
     /// consult the model and refill it.
     fn process(&mut self, page: u64, pred: &CoverageParams) {
         self.seq += 1;
-        while let Some((&p, &at)) = self
-            .predictions
-            .iter()
-            .find(|&(_, &at)| self.seq.saturating_sub(at) > pred.horizon)
-        {
-            let _ = at;
-            self.predictions.remove(&p);
+        self.predictions.drain_due(self.seq, |p| {
             self.model
                 .on_feedback(&PrefetchFeedback::Unused { page: p });
             self.expired += 1;
-        }
-        if self.predictions.remove(&page).is_some() {
+        });
+        if self.predictions.take(page).is_some() {
             self.model.on_feedback(&PrefetchFeedback::Useful { page });
             self.covered += 1;
         }
@@ -308,8 +303,9 @@ impl TenantState {
             if self.predictions.len() >= pred.window {
                 break;
             }
-            if cand != page && !self.predictions.contains_key(&cand) {
-                self.predictions.insert(cand, self.seq);
+            if cand != page && !self.predictions.contains(cand) {
+                let due = self.seq.saturating_add(pred.horizon).saturating_add(1);
+                self.predictions.issue(cand, due);
                 self.issued += 1;
             }
         }

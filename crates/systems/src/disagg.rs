@@ -15,26 +15,18 @@
 //!   nodes' miss streams interleaved (stream-tagged), as a resource-
 //!   constrained alternative.
 
+use std::collections::BTreeSet;
+
 use serde::Serialize;
 
 use hnp_memsim::memory::LocalMemory;
 use hnp_memsim::prefetcher::{MissEvent, Prefetcher};
-use hnp_memsim::EvictionPolicy;
+use hnp_memsim::{EvictionPolicy, PrefetchLedger};
 use hnp_obs::{Event, FaultKind as ObsFaultKind, FeedbackKind, Registry};
 use hnp_trace::Trace;
 
 use crate::fault::FaultInjector;
-
-/// The single prefetcher notification point: every occurrence the
-/// prefetcher is entitled to see goes through here as a typed event,
-/// mirrored into the observer registry. Observer-only events (misses,
-/// issue decisions, non-crash faults) are emitted straight into the
-/// registry and never reach the prefetcher, preserving the legacy
-/// callback surface exactly.
-fn notify(obs: &Registry, prefetcher: &mut dyn Prefetcher, ev: Event) {
-    prefetcher.on_event(&ev);
-    obs.emit(&ev);
-}
+use crate::notify;
 
 /// Cluster parameters.
 #[derive(Debug, Clone)]
@@ -211,17 +203,39 @@ impl DisaggReport {
 /// Per-node simulation state.
 struct NodeState {
     memory: LocalMemory,
-    /// In-flight prefetches: (page, arrival tick).
-    inflight: Vec<(u64, u64)>,
-    /// Prefetch transfers a lossy link already killed: (page, tick at
-    /// which the loss is discovered). The dead transfer crossed the
-    /// switch, so it holds its occupancy slot — and counts against
-    /// `max_inflight` — until its scheduled arrival.
-    doomed: Vec<(u64, u64)>,
+    /// Outstanding prefetch transfers, due at their scheduled arrival.
+    inflight: PrefetchLedger,
+    /// The outstanding transfers a lossy link already killed. The dead
+    /// transfer crossed the switch, so it holds its occupancy slot —
+    /// and counts against `max_inflight` — until its scheduled arrival,
+    /// where the node discovers the loss.
+    doomed: BTreeSet<u64>,
     cursor: usize,
     /// Tick at which this node finishes its current stall.
     busy_until: u64,
     report: NodeReport,
+}
+
+impl NodeState {
+    /// Cancels every outstanding transfer, killed or not (crash, or a
+    /// connection reset after a timeout), telling the model about each
+    /// one in page order.
+    fn cancel_all(&mut self, obs: &Registry, pf: &mut dyn Prefetcher, now: u64) {
+        self.report.prefetches_cancelled += self.inflight.len();
+        self.doomed.clear();
+        self.inflight.drain_all(|page| {
+            notify(
+                obs,
+                pf,
+                Event::Feedback {
+                    tick: now,
+                    page,
+                    kind: FeedbackKind::Cancelled,
+                    remaining: 0,
+                },
+            );
+        });
+    }
 }
 
 /// The cluster simulator.
@@ -324,8 +338,8 @@ impl DisaggregatedCluster {
                     ((t.footprint_pages() as f64 * self.cfg.local_capacity_frac) as usize).max(1);
                 NodeState {
                     memory: LocalMemory::new(cap, EvictionPolicy::Lru),
-                    inflight: Vec::new(),
-                    doomed: Vec::new(),
+                    inflight: PrefetchLedger::new(),
+                    doomed: BTreeSet::new(),
                     cursor: 0,
                     busy_until: 0,
                     report: NodeReport {
@@ -353,10 +367,7 @@ impl DisaggregatedCluster {
             // Shared-switch occupancy snapshot for this round: nodes
             // mid-demand-fetch plus all in-flight prefetches.
             let mut occupancy = nodes.iter().filter(|n| n.busy_until > now).count()
-                + nodes
-                    .iter()
-                    .map(|n| n.inflight.len() + n.doomed.len())
-                    .sum::<usize>();
+                + nodes.iter().map(|n| n.inflight.len()).sum::<usize>();
             for (i, node) in nodes.iter_mut().enumerate() {
                 let trace = &traces[i];
                 if node.cursor >= trace.len() {
@@ -370,19 +381,7 @@ impl DisaggregatedCluster {
                 // and hold the node down until the event ends.
                 if let Some(restart) = injector.take_crash(i, now) {
                     node.report.restarts += 1;
-                    node.report.prefetches_cancelled += node.inflight.len() + node.doomed.len();
-                    for (page, _) in node.inflight.drain(..).chain(node.doomed.drain(..)) {
-                        notify(
-                            obs,
-                            pf,
-                            Event::Feedback {
-                                tick: now,
-                                page,
-                                kind: FeedbackKind::Cancelled,
-                                remaining: 0,
-                            },
-                        );
-                    }
+                    node.cancel_all(obs, pf, now);
                     node.memory.flush();
                     notify(
                         obs,
@@ -398,52 +397,33 @@ impl DisaggregatedCluster {
                 if node.busy_until > now {
                     continue; // Still stalled on the link.
                 }
-                // Land arrived prefetches (sorted for determinism).
-                node.inflight.sort_unstable();
-                let mut rest = Vec::new();
-                for &(page, arrival) in &node.inflight {
-                    if arrival <= now {
-                        if let Some((_, meta)) = node.memory.insert(page, true, now) {
-                            if meta.prefetched && !meta.touched {
-                                notify(
-                                    obs,
-                                    pf,
-                                    Event::Feedback {
-                                        tick: now,
-                                        page,
-                                        kind: FeedbackKind::Unused,
-                                        remaining: 0,
-                                    },
-                                );
-                            }
-                        }
-                    } else {
-                        rest.push((page, arrival));
-                    }
-                }
-                node.inflight = rest;
-                // Lossy-killed transfers reach their arrival deadline:
-                // the node discovers the loss and releases the slot.
-                node.doomed.sort_unstable();
-                let mut rest = Vec::new();
-                for &(page, arrival) in &node.doomed {
-                    if arrival <= now {
+                // Land arrived prefetches in page order. A transfer
+                // the lossy link killed reaches its arrival deadline
+                // instead: the node discovers the loss and releases
+                // the slot.
+                node.inflight.drain_due(now, |page| {
+                    let kind = if node.doomed.remove(&page) {
                         node.report.prefetches_cancelled += 1;
-                        notify(
-                            obs,
-                            pf,
-                            Event::Feedback {
-                                tick: now,
-                                page,
-                                kind: FeedbackKind::Cancelled,
-                                remaining: 0,
-                            },
-                        );
+                        FeedbackKind::Cancelled
                     } else {
-                        rest.push((page, arrival));
-                    }
-                }
-                node.doomed = rest;
+                        match node.memory.insert(page, true, now) {
+                            Some((_, meta)) if meta.prefetched && !meta.touched => {
+                                FeedbackKind::Unused
+                            }
+                            _ => return,
+                        }
+                    };
+                    notify(
+                        obs,
+                        pf,
+                        Event::Feedback {
+                            tick: now,
+                            page,
+                            kind,
+                            remaining: 0,
+                        },
+                    );
+                });
                 // One access this round.
                 let access = trace.accesses()[node.cursor];
                 let page = access.page(trace.page_shift());
@@ -474,11 +454,12 @@ impl DisaggregatedCluster {
                 }
                 // Fault: one page at a time, node stalls for the link.
                 node.report.misses += 1;
-                let in_flight_hit = node.inflight.iter().position(|&(p, _)| p == page);
+                let pending = node.inflight.take(page);
+                let lost = pending.is_some() && node.doomed.remove(&page);
+                let late = pending.is_some() && !lost;
                 let mut timed_out = false;
-                let mut stall = match in_flight_hit {
-                    Some(idx) => {
-                        let (_, arrival) = node.inflight.swap_remove(idx);
+                let mut stall = match pending {
+                    Some(arrival) if !lost => {
                         let remaining = arrival.saturating_sub(now);
                         // Lateness is the resilience layer's signal
                         // that transfers are queueing; fault-free runs
@@ -498,21 +479,20 @@ impl DisaggregatedCluster {
                         }
                         remaining
                     }
-                    None => {
+                    _ => {
                         // A demand hit on a transfer the lossy link
                         // already killed: the node waits out the
                         // promised arrival, discovers the loss, and
                         // only then falls back to a fresh fetch.
                         let mut total = 0u64;
-                        if let Some(idx) = node.doomed.iter().position(|&(p, _)| p == page) {
-                            let (pg, arrival) = node.doomed.swap_remove(idx);
+                        if let Some(arrival) = pending {
                             node.report.prefetches_cancelled += 1;
                             notify(
                                 obs,
                                 pf,
                                 Event::Feedback {
                                     tick: now,
-                                    page: pg,
+                                    page,
                                     kind: FeedbackKind::Cancelled,
                                     remaining: 0,
                                 },
@@ -565,19 +545,7 @@ impl DisaggregatedCluster {
                 // transport-level reset stays below its horizon.
                 // Local memory survives the reset.
                 if timed_out {
-                    node.report.prefetches_cancelled += node.inflight.len() + node.doomed.len();
-                    for (pg, _) in node.inflight.drain(..).chain(node.doomed.drain(..)) {
-                        notify(
-                            obs,
-                            pf,
-                            Event::Feedback {
-                                tick: now,
-                                page: pg,
-                                kind: FeedbackKind::Cancelled,
-                                remaining: 0,
-                            },
-                        );
-                    }
+                    node.cancel_all(obs, pf, now);
                 }
                 // Demand fetches queue behind a saturated switch.
                 if slots > 0 && occupancy > slots {
@@ -588,12 +556,11 @@ impl DisaggregatedCluster {
                 obs.emit(&Event::Miss {
                     tick: now,
                     page,
-                    late: in_flight_hit.is_some(),
+                    late,
                     stall,
                 });
                 node.busy_until = now + stall;
-                node.memory
-                    .insert(page, in_flight_hit.is_some(), now + stall);
+                node.memory.insert(page, late, now + stall);
                 node.memory.touch(page);
                 // Consult the prefetcher at fault time.
                 let miss = MissEvent {
@@ -607,10 +574,12 @@ impl DisaggregatedCluster {
                     if accepted >= self.cfg.max_issue_per_miss {
                         break;
                     }
-                    if node.memory.contains(cand) || node.inflight.iter().any(|&(p, _)| p == cand) {
+                    // A killed transfer is still outstanding until the
+                    // node discovers the loss, so it is not issued twice.
+                    if node.memory.contains(cand) || node.inflight.contains(cand) {
                         continue;
                     }
-                    if node.inflight.len() + node.doomed.len() >= self.cfg.max_inflight {
+                    if node.inflight.len() >= self.cfg.max_inflight {
                         break;
                     }
                     // Prefetches never queue at a healthy switch: its
@@ -631,6 +600,9 @@ impl DisaggregatedCluster {
                             continue;
                         }
                     }
+                    node.inflight.issue(cand, arrival);
+                    occupancy += 1;
+                    accepted += 1;
                     // A lossy link eats prefetches mid-flight: the
                     // dead transfer still crosses the switch, so it
                     // holds its slot and issue budget until its
@@ -638,25 +610,20 @@ impl DisaggregatedCluster {
                     // loss and tells the model so it can back off
                     // (hnp_memsim::resilient reacts to these).
                     if injector.transfer_dropped(now) {
-                        node.doomed.push((cand, arrival));
+                        node.doomed.insert(cand);
                         obs.emit(&Event::Fault {
                             tick: now,
                             domain: i as u64,
                             kind: ObsFaultKind::Drop,
                         });
-                        occupancy += 1;
-                        accepted += 1;
                         continue;
                     }
-                    node.inflight.push((cand, arrival));
                     node.report.prefetches_issued += 1;
                     obs.emit(&Event::PrefetchIssued {
                         tick: now,
                         page: cand,
                         arrival,
                     });
-                    occupancy += 1;
-                    accepted += 1;
                 }
             }
             if all_done {
@@ -812,6 +779,48 @@ mod tests {
         );
         let dropped_free: usize = rep_free.nodes.iter().map(|n| n.prefetches_dropped).sum();
         assert_eq!(dropped_free, 0, "uncontended switch drops nothing");
+    }
+
+    #[test]
+    fn lost_transfer_is_not_reissued_while_outstanding() {
+        /// Suggests the same far-away page on every miss.
+        struct SamePage;
+        impl Prefetcher for SamePage {
+            fn name(&self) -> &str {
+                "same-page"
+            }
+            fn on_miss(&mut self, _miss: &MissEvent) -> Vec<u64> {
+                vec![1 << 40]
+            }
+        }
+        // The first miss falls in a 100 %-loss window: its demand fetch
+        // retries until the window closes, and its prefetch dies. A
+        // browned-out switch queues that dead transfer so long that it
+        // is still outstanding at every later miss of the run.
+        let counters = hnp_obs::Counters::new();
+        let obs = Registry::new();
+        obs.attach(counters.clone());
+        let cluster = DisaggregatedCluster::new(DisaggConfig {
+            max_retries: 64,
+            contention_penalty: 1_000_000,
+            obs,
+            ..DisaggConfig::default()
+        });
+        let schedule = crate::FaultSchedule::none()
+            .with_lossy_link(0, 5_000, 1.0)
+            .with_brownout(0, u64::MAX, 1);
+        let trace = Trace::from_addrs((0..200).map(|k| k * 4096).collect());
+        let mut pfs: Vec<Box<dyn Prefetcher>> = vec![Box::new(SamePage)];
+        let mut inj = FaultInjector::new(schedule, 7);
+        let rep = cluster.run_decentralized_with_faults(&[trace], &mut pfs, &mut inj);
+        assert_eq!(
+            counters.get("fault_drop") + counters.get("prefetch_issued"),
+            1,
+            "one outstanding transfer of the page, however often it is suggested"
+        );
+        assert_eq!(rep.nodes[0].misses, 200);
+        assert_eq!(counters.get("fault_timeout"), 0);
+        assert_eq!(counters.get("feedback_cancelled"), 0, "nothing lands");
     }
 
     #[test]

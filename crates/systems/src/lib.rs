@@ -29,3 +29,16 @@ pub mod uvm;
 pub use disagg::{DisaggConfig, DisaggReport, DisaggregatedCluster};
 pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultSchedule, FaultStats};
 pub use uvm::{UvmConfig, UvmReport, UvmSim};
+
+use hnp_memsim::Prefetcher;
+use hnp_obs::{Event, Registry};
+
+/// The single prefetcher notification point of both simulators: every
+/// occurrence the prefetcher is entitled to see goes through here as a
+/// typed event, mirrored into the observer registry. Observer-only
+/// events (misses, issue decisions, non-crash faults) are emitted
+/// straight into the registry and never reach the prefetcher.
+fn notify(obs: &Registry, prefetcher: &mut dyn Prefetcher, ev: Event) {
+    prefetcher.on_event(&ev);
+    obs.emit(&ev);
+}

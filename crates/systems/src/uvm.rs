@@ -10,23 +10,18 @@
 //! streams interleaved — hence the paper's suggestion that UVM wants a
 //! *throughput*-optimized, wide prefetcher.
 
+use std::collections::BTreeSet;
+
 use serde::Serialize;
 
 use hnp_memsim::memory::LocalMemory;
 use hnp_memsim::prefetcher::{MissEvent, Prefetcher};
-use hnp_memsim::EvictionPolicy;
+use hnp_memsim::{EvictionPolicy, PrefetchLedger};
 use hnp_obs::{Event, FaultKind as ObsFaultKind, FeedbackKind, Registry};
 use hnp_trace::Trace;
 
 use crate::fault::FaultInjector;
-
-/// The single prefetcher notification point (see `disagg::notify`):
-/// prefetcher-visible occurrences are dispatched as typed events and
-/// mirrored into the observer registry.
-fn notify(obs: &Registry, prefetcher: &mut dyn Prefetcher, ev: Event) {
-    prefetcher.on_event(&ev);
-    obs.emit(&ev);
-}
+use crate::notify;
 
 /// UVM simulator parameters.
 #[derive(Debug, Clone)]
@@ -214,7 +209,7 @@ impl UvmSim {
     ) -> UvmReport {
         assert!(!warps.is_empty(), "no warps");
         let combined_footprint: usize = {
-            let mut pages = std::collections::BTreeSet::new();
+            let mut pages = BTreeSet::new();
             for w in warps {
                 pages.extend(w.pages());
             }
@@ -222,7 +217,7 @@ impl UvmSim {
         };
         let capacity = ((combined_footprint as f64 * self.cfg.capacity_frac) as usize).max(1);
         let mut memory = LocalMemory::new(capacity, EvictionPolicy::Lru);
-        let mut inflight: Vec<(u64, u64)> = Vec::new();
+        let mut inflight = PrefetchLedger::new();
         let mut cursors = vec![0usize; warps.len()];
         let mut now: u64 = 0;
         let mut report = UvmReport {
@@ -249,19 +244,7 @@ impl UvmSim {
             // state; the device stays down until the event ends.
             if let Some(restart) = injector.take_crash_any(now) {
                 report.restarts += 1;
-                report.prefetches_cancelled += inflight.len();
-                for (page, _) in inflight.drain(..) {
-                    notify(
-                        obs,
-                        prefetcher,
-                        Event::Feedback {
-                            tick: now,
-                            page,
-                            kind: FeedbackKind::Cancelled,
-                            remaining: 0,
-                        },
-                    );
-                }
+                cancel_all(obs, prefetcher, &mut inflight, &mut report, now);
                 memory.flush();
                 notify(
                     obs,
@@ -275,16 +258,9 @@ impl UvmSim {
                 now = now.max(restart);
             }
             // Land arrived prefetches.
-            inflight.sort_unstable();
-            let mut rest = Vec::new();
-            for &(page, arrival) in &inflight {
-                if arrival <= now {
-                    let _ = memory.insert(page, true, now);
-                } else {
-                    rest.push((page, arrival));
-                }
-            }
-            inflight = rest;
+            inflight.drain_due(now, |page| {
+                let _ = memory.insert(page, true, now);
+            });
             // One lockstep step: every unfinished warp issues its next
             // access.
             let mut faults: Vec<(usize, u64)> = Vec::new();
@@ -333,9 +309,7 @@ impl UvmSim {
             }
             // Service the fault batch: the whole GPU stalls while the
             // batch migrates together.
-            let mut batch_pages: Vec<u64> = faults.iter().map(|&(_, p)| p).collect();
-            batch_pages.sort_unstable();
-            batch_pages.dedup();
+            let mut batch_pages: BTreeSet<u64> = faults.iter().map(|&(_, p)| p).collect();
             report.fault_batches += 1;
             report.faults += batch_pages.len();
             report.max_batch = report.max_batch.max(batch_pages.len());
@@ -367,19 +341,7 @@ impl UvmSim {
                     // migration dies with it. The cancellations are
                     // the model's only signal — a transport-level
                     // reset stays below its horizon.
-                    report.prefetches_cancelled += inflight.len();
-                    for (pg, _) in inflight.drain(..) {
-                        notify(
-                            obs,
-                            prefetcher,
-                            Event::Feedback {
-                                tick: now,
-                                page: pg,
-                                kind: FeedbackKind::Cancelled,
-                                remaining: 0,
-                            },
-                        );
-                    }
+                    cancel_all(obs, prefetcher, &mut inflight, &mut report, now);
                     break;
                 }
                 report.retries += 1;
@@ -406,10 +368,9 @@ impl UvmSim {
                 });
                 // Deduplicate: only the first warp faulting a page
                 // reports it (the driver coalesces duplicate faults).
-                if !batch_pages.contains(&page) {
+                if !batch_pages.remove(&page) {
                     continue;
                 }
-                batch_pages.retain(|&p| p != page);
                 let miss = MissEvent {
                     page,
                     tick: now,
@@ -421,7 +382,7 @@ impl UvmSim {
                     if accepted >= self.cfg.max_issue_per_fault {
                         break;
                     }
-                    if memory.contains(cand) || inflight.iter().any(|&(p, _)| p == cand) {
+                    if memory.contains(cand) || inflight.contains(cand) {
                         continue;
                     }
                     if inflight.len() >= self.cfg.max_inflight {
@@ -449,7 +410,7 @@ impl UvmSim {
                         );
                         continue;
                     }
-                    inflight.push((cand, arrival));
+                    inflight.issue(cand, arrival);
                     report.prefetches_issued += 1;
                     obs.emit(&Event::PrefetchIssued {
                         tick: now,
@@ -472,6 +433,30 @@ impl UvmSim {
         });
         report
     }
+}
+
+/// Cancels every outstanding prefetch (device reset or interconnect
+/// teardown), telling the model about each one in page order.
+fn cancel_all(
+    obs: &Registry,
+    prefetcher: &mut dyn Prefetcher,
+    inflight: &mut PrefetchLedger,
+    report: &mut UvmReport,
+    now: u64,
+) {
+    report.prefetches_cancelled += inflight.len();
+    inflight.drain_all(|page| {
+        notify(
+            obs,
+            prefetcher,
+            Event::Feedback {
+                tick: now,
+                page,
+                kind: FeedbackKind::Cancelled,
+                remaining: 0,
+            },
+        );
+    });
 }
 
 #[cfg(test)]
