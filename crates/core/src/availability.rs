@@ -192,15 +192,25 @@ mod tests {
         let handle = dep.live_handle();
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
+        // Training starts only after the reader's first inference, so
+        // the two really overlap however the threads are scheduled.
+        let started = Arc::new(std::sync::Barrier::new(2));
+        let started2 = Arc::clone(&started);
         let reader = std::thread::spawn(move || {
             let mut inferences = 0u64;
-            while !stop2.load(std::sync::atomic::Ordering::Relaxed) {
-                let mut live = handle.lock();
-                let _ = live.infer_advance(&[1], 1);
+            loop {
+                let _ = handle.lock().infer_advance(&[1], 1);
                 inferences += 1;
+                if inferences == 1 {
+                    started2.wait();
+                }
+                if stop2.load(std::sync::atomic::Ordering::Relaxed) {
+                    break;
+                }
             }
             inferences
         });
+        started.wait();
         for i in 0..2000usize {
             dep.step(&[(i % 8) as u32], (i % 8).min(15));
         }

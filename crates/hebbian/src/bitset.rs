@@ -53,6 +53,16 @@ impl BitSet {
         &self.words
     }
 
+    /// Overwrites every word with `words` (as returned by
+    /// [`BitSet::words`] on a set of the same capacity).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the word counts differ.
+    pub(crate) fn copy_words_from(&mut self, words: &[u64]) {
+        self.words.copy_from_slice(words);
+    }
+
     /// Sets bit `i`.
     ///
     /// # Panics

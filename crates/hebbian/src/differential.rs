@@ -162,3 +162,227 @@ mod network_level {
         }
     }
 }
+
+/// Pre-optimization `top_predictions`: every output packed into one
+/// `u64` (bit-inverted sign-biased score high, index low), so "score
+/// desc, index asc" is a primitive ascending sort; sorted in full and
+/// truncated to `width`.
+fn top_k_ref(scores: &[i32], width: usize) -> Vec<usize> {
+    let mut keyed: Vec<u64> = scores
+        .iter()
+        .enumerate()
+        .map(|(i, &s)| (!(s as u32 ^ 0x8000_0000) as u64) << 32 | i as u64)
+        .collect();
+    keyed.sort_unstable();
+    keyed.truncate(width);
+    keyed
+        .iter()
+        .map(|&key| (key & 0xffff_ffff) as usize)
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The bounded top-k selection equals the full packed-key sort on
+    /// tie-heavy, extreme and empty score vectors, at every width, and
+    /// ignores whatever its reused output buffer held before.
+    #[test]
+    fn top_k_matches_packed_sort(
+        raw in proptest::collection::vec((0u8..8, any::<i32>()), 0..150),
+        width in 0usize..160,
+        stale in proptest::collection::vec(0usize..500, 0..8),
+    ) {
+        // Mostly a narrow tie-heavy band, sometimes the extremes or an
+        // arbitrary value.
+        let scores: Vec<i32> = raw
+            .iter()
+            .map(|&(kind, v)| match kind {
+                0 => i32::MIN,
+                1 => i32::MAX,
+                2 => v,
+                _ => v % 4,
+            })
+            .collect();
+        let mut out = stale;
+        crate::kwta::top_k_into(&scores, width, &mut out);
+        prop_assert_eq!(out, top_k_ref(&scores, width));
+    }
+}
+
+/// The hidden-winner memo against a network that recomputes layer 1
+/// on every pass: any sequence of public calls must give bit-identical
+/// outcomes, ops, stats, recurrent state and exported state.
+mod memo_equivalence {
+    use proptest::prelude::*;
+
+    use crate::network::{
+        HebbianConfig, HebbianNetwork, HebbianOutcome, HiddenLearning, NetState, RecurrentStyle,
+    };
+    use crate::LrScale;
+
+    const PATTERN_BITS: u32 = 16;
+    const RECURRENT_BITS: u32 = 32;
+
+    /// One public call, decoded from a generated tuple (see [`op`]).
+    #[derive(Debug)]
+    enum Op {
+        Train(Vec<u32>, usize),
+        /// Scaled update at `numer / 10` (stochastic below 10), with
+        /// the anti-Hebbian flag.
+        TrainOpts(Vec<u32>, usize, u32, bool),
+        Infer(Vec<u32>, usize),
+        InferAdvance(Vec<u32>, usize),
+        Rollout(Vec<u32>, usize, usize),
+        SetRecurrent(Vec<u32>),
+        Export,
+        Import,
+    }
+
+    type RawOp = (u8, Vec<u32>, usize, usize, Vec<u32>);
+
+    /// Raw draws: an op kind, a pattern from a small pool so input
+    /// sets repeat (memo hits) with duplicate bits allowed (never
+    /// memoized), a target and rate, a flag and rollout shape, and
+    /// recurrent bits.
+    fn op() -> impl Strategy<Value = RawOp> {
+        (
+            0u8..16,
+            proptest::collection::vec(0u32..5, 0..4),
+            0usize..160,
+            0usize..32,
+            proptest::collection::vec(0u32..RECURRENT_BITS, 0..6),
+        )
+    }
+
+    fn decode((kind, p, target_rate, flag_shape, bits): RawOp) -> Op {
+        let (target, numer) = (target_rate % 16, (target_rate / 16) as u32);
+        let (flag, shape) = (flag_shape % 2 == 1, flag_shape / 2);
+        match kind {
+            0..=3 => Op::Train(p, target),
+            4 | 5 => Op::TrainOpts(p, target, numer, flag),
+            6 | 7 => Op::Infer(p, target),
+            8 | 9 => Op::InferAdvance(p, target),
+            10 | 11 => Op::Rollout(p, 1 + shape % 3, 1 + shape / 4),
+            12 => Op::SetRecurrent(bits),
+            13 => Op::Export,
+            _ => Op::Import,
+        }
+    }
+
+    fn outcome_bits(o: &HebbianOutcome) -> (usize, u32, bool, usize) {
+        (o.predicted, o.confidence.to_bits(), o.correct, o.ops)
+    }
+
+    /// Rollout re-encoding: two bits per token, a duplicate for even
+    /// tokens.
+    fn encode(tok: usize) -> Vec<u32> {
+        let t = tok as u32 % PATTERN_BITS;
+        vec![t, (t & !1) % PATTERN_BITS]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn memo_is_invisible(
+            learning in 0usize..3,
+            trace in any::<bool>(),
+            ops in proptest::collection::vec(op(), 1..120),
+        ) {
+            let cfg = HebbianConfig {
+                hidden_learning: [
+                    HiddenLearning::Fixed,
+                    HiddenLearning::ErrorGated,
+                    HiddenLearning::Always,
+                ][learning],
+                recurrent_style: if trace {
+                    RecurrentStyle::WinnerTrace
+                } else {
+                    RecurrentStyle::PatternCode
+                },
+                ..HebbianConfig::tiny()
+            };
+            let mut memo = HebbianNetwork::new(cfg.clone());
+            let mut reference = HebbianNetwork::without_memo(cfg);
+            let mut saved: Option<NetState> = None;
+            for op in ops.into_iter().map(decode) {
+                match &op {
+                    Op::Train(p, t) => prop_assert_eq!(
+                        outcome_bits(&memo.train_step(p, *t)),
+                        outcome_bits(&reference.train_step(p, *t))
+                    ),
+                    Op::TrainOpts(p, t, n, anti) => {
+                        let scale = LrScale::from_ratio(*n, 10);
+                        prop_assert_eq!(
+                            outcome_bits(&memo.train_step_opts(p, *t, scale, *anti)),
+                            outcome_bits(&reference.train_step_opts(p, *t, scale, *anti))
+                        )
+                    }
+                    Op::Infer(p, t) => prop_assert_eq!(
+                        outcome_bits(&memo.infer(p, *t)),
+                        outcome_bits(&reference.infer(p, *t))
+                    ),
+                    Op::InferAdvance(p, t) => prop_assert_eq!(
+                        outcome_bits(&memo.infer_advance(p, *t)),
+                        outcome_bits(&reference.infer_advance(p, *t))
+                    ),
+                    Op::Rollout(p, steps, width) => {
+                        let (a, ca) = memo.rollout_top_k_with_confidence(p, *steps, *width, encode);
+                        let (b, cb) =
+                            reference.rollout_top_k_with_confidence(p, *steps, *width, encode);
+                        prop_assert_eq!(a, b);
+                        prop_assert_eq!(ca.to_bits(), cb.to_bits());
+                    }
+                    Op::SetRecurrent(bits) => {
+                        memo.set_recurrent_state(bits);
+                        reference.set_recurrent_state(bits);
+                    }
+                    Op::Export => {
+                        let state = memo.export_state();
+                        prop_assert_eq!(&state, &reference.export_state());
+                        saved = Some(state);
+                    }
+                    Op::Import => {
+                        if let Some(state) = &saved {
+                            prop_assert_eq!(memo.import_state(state), Ok(()));
+                            prop_assert_eq!(reference.import_state(state), Ok(()));
+                        }
+                    }
+                }
+                prop_assert_eq!(memo.top_predictions(3), reference.top_predictions(3));
+                prop_assert_eq!(memo.recurrent_state(), reference.recurrent_state());
+                prop_assert_eq!(memo.stats(), reference.stats());
+            }
+            prop_assert_eq!(memo.export_state(), reference.export_state());
+            prop_assert_eq!(reference.memo_hits(), 0);
+        }
+    }
+
+    /// The property above is vacuous unless the memo answers lookups:
+    /// a repeated input set must hit, for either recurrent style, and
+    /// duplicate bits must bypass the table.
+    #[test]
+    fn repeated_inputs_hit_the_memo() {
+        let mut net = HebbianNetwork::new(HebbianConfig::tiny());
+        for i in 0..64u32 {
+            net.train_step(&[i % 4], (i as usize + 1) % 4);
+        }
+        // The pattern-code orbit has the cycle's period: after the
+        // first lap every input set repeats.
+        assert!(net.memo_hits() >= 56, "{} hits", net.memo_hits());
+
+        let mut net = HebbianNetwork::new(HebbianConfig {
+            recurrent_style: RecurrentStyle::WinnerTrace,
+            ..HebbianConfig::tiny()
+        });
+        net.train_step(&[1], 2);
+        let hits = net.memo_hits();
+        net.infer(&[1], 2);
+        net.infer(&[1], 2);
+        assert_eq!(net.memo_hits(), hits + 1);
+        net.infer(&[1, 1], 2);
+        net.infer(&[1, 1], 2);
+        assert_eq!(net.memo_hits(), hits + 1, "duplicate bits bypass the memo");
+    }
+}

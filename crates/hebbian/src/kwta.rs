@@ -3,7 +3,8 @@
 //! The paper's networks are "sparse in their representations, in that
 //! only 1-25 % of the network's hidden layer neurons are activated on
 //! an input". k-WTA implements that: the `k` highest-scoring units
-//! fire, the rest are silent.
+//! fire, the rest are silent. [`top_k_into`] ranks the output layer's
+//! scores for multi-candidate predictions.
 
 /// Returns the indices of the `k` highest scores, ascending by index.
 ///
@@ -89,6 +90,35 @@ pub fn k_winners_into(scores: &[i32], k: usize, scratch: &mut Vec<u64>, winners:
     scratch.select_nth_unstable_by(k - 1, |a, b| b.cmp(a));
     winners.extend(scratch[..k].iter().map(|&key| !(key as u32)));
     winners.sort_unstable();
+}
+
+/// Writes into `out` (cleared first) the indices of the `width`
+/// highest scores, ordered by score descending, ties toward the lower
+/// index. `out` ends empty for `width == 0` and holds every index
+/// for `width >= scores.len()`.
+///
+/// Bounded selection: one pass keeps `out` as the best candidates so
+/// far, so most scores cost a single compare against the weakest kept
+/// one. No sort, and no allocation once `out` can hold
+/// `min(width, scores.len())` entries.
+pub fn top_k_into(scores: &[i32], width: usize, out: &mut Vec<usize>) {
+    out.clear();
+    let width = width.min(scores.len());
+    if width == 0 {
+        return;
+    }
+    for (i, &s) in scores.iter().enumerate() {
+        if out.len() == width {
+            // Indices arrive ascending, so a tie never displaces a
+            // kept candidate.
+            if s <= scores[out[width - 1]] {
+                continue;
+            }
+            out.pop();
+        }
+        let at = out.partition_point(|&j| scores[j] >= s);
+        out.insert(at, i);
+    }
 }
 
 /// Pre-optimization reference: full sort of all indices, take the top

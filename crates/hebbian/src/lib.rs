@@ -27,6 +27,7 @@ pub mod bitset;
 mod differential;
 pub mod kwta;
 pub mod lr;
+mod memo;
 pub mod network;
 pub mod sparse;
 

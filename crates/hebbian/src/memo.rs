@@ -1,0 +1,167 @@
+//! Memo of the fixed hidden layer's winner sets (DESIGN.md §12.4).
+//!
+//! While layer 1 does not change, the k-WTA winner set of a forward
+//! pass is a pure function of the active-input set. Online prefetching
+//! presents the same few hundred input sets over and over, so
+//! [`HebbianNetwork`](crate::HebbianNetwork) keeps the last winner set
+//! seen for each input set in a direct-mapped table and skips layer 1
+//! and k-WTA on a hit.
+//!
+//! Exactness: every lookup compares the full key, so a hit never
+//! returns another input set's winners; every layer-1 change bumps
+//! the generation, so a hit never returns winners of older weights.
+
+/// Table slots; a power of two so the hash's top bits index it.
+const SLOT_BITS: u32 = 10;
+const SLOTS: usize = 1 << SLOT_BITS;
+
+/// A remembered layer-1 result.
+pub(crate) struct Hit<'a> {
+    /// Winner bitset words over the hidden layer.
+    pub winners: &'a [u64],
+    /// Score-ordered winner-trace prefix (empty unless the network
+    /// uses `RecurrentStyle::WinnerTrace`).
+    pub trace: &'a [u32],
+    /// Layer-1 ops of the pass that computed the entry.
+    pub layer1_ops: usize,
+}
+
+/// Fixed-capacity, direct-mapped table from active-input set to
+/// hidden winners. Every buffer is allocated at construction; lookups
+/// and stores never allocate.
+#[derive(Clone)]
+pub(crate) struct HiddenMemo {
+    key_words: usize,
+    winner_words: usize,
+    trace_len: usize,
+    /// Layer-1 generation; slots stamped with another one are stale.
+    generation: u64,
+    /// Per-slot generation stamp; 0 marks a never-filled slot.
+    stamps: Vec<u64>,
+    keys: Vec<u64>,
+    winners: Vec<u64>,
+    traces: Vec<u32>,
+    layer1_ops: Vec<usize>,
+    /// Disables lookups, so every pass recomputes layer 1: the
+    /// reference path of the differential tests.
+    #[cfg(test)]
+    pub bypass: bool,
+    /// Lookups answered from the table.
+    #[cfg(test)]
+    pub hits: u64,
+}
+
+impl HiddenMemo {
+    /// A table for keys of `input_bits`, winner sets over `hidden`
+    /// units, and trace prefixes of `trace_len` entries.
+    pub fn new(input_bits: usize, hidden: usize, trace_len: usize) -> Self {
+        let key_words = input_bits.div_ceil(64);
+        let winner_words = hidden.div_ceil(64);
+        Self {
+            key_words,
+            winner_words,
+            trace_len,
+            generation: 1,
+            stamps: vec![0; SLOTS],
+            keys: vec![0; SLOTS * key_words],
+            winners: vec![0; SLOTS * winner_words],
+            traces: vec![0; SLOTS * trace_len],
+            layer1_ops: vec![0; SLOTS],
+            #[cfg(test)]
+            bypass: false,
+            #[cfg(test)]
+            hits: 0,
+        }
+    }
+
+    /// Forgets every entry: layer 1 changed. O(1) — stale slots are
+    /// recognised by their stamp and overwritten on their next store.
+    pub fn invalidate(&mut self) {
+        self.generation += 1;
+    }
+
+    /// The entry for `key` (active-input bitset words), if present and
+    /// current.
+    pub fn get(&mut self, key: &[u64]) -> Option<Hit<'_>> {
+        #[cfg(test)]
+        if self.bypass {
+            return None;
+        }
+        let s = slot_of(key);
+        let k = s * self.key_words;
+        if self.stamps[s] != self.generation || self.keys[k..k + self.key_words] != *key {
+            return None;
+        }
+        #[cfg(test)]
+        {
+            self.hits += 1;
+        }
+        let w = s * self.winner_words;
+        let t = s * self.trace_len;
+        Some(Hit {
+            winners: &self.winners[w..w + self.winner_words],
+            trace: &self.traces[t..t + self.trace_len],
+            layer1_ops: self.layer1_ops[s],
+        })
+    }
+
+    /// Records the layer-1 result for `key`, evicting whatever shared
+    /// its slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slice length does not match the table geometry.
+    pub fn put(&mut self, key: &[u64], winners: &[u64], trace: &[u32], layer1_ops: usize) {
+        assert_eq!(trace.len(), self.trace_len, "trace prefix length");
+        let s = slot_of(key);
+        self.stamps[s] = self.generation;
+        self.keys[s * self.key_words..(s + 1) * self.key_words].copy_from_slice(key);
+        self.winners[s * self.winner_words..(s + 1) * self.winner_words].copy_from_slice(winners);
+        self.traces[s * self.trace_len..(s + 1) * self.trace_len].copy_from_slice(trace);
+        self.layer1_ops[s] = layer1_ops;
+    }
+}
+
+/// Deterministic multiplicative hash of the key words; the top
+/// `SLOT_BITS` bits pick the slot.
+fn slot_of(key: &[u64]) -> usize {
+    let h = key.iter().fold(0u64, |h, &w| {
+        (h.rotate_left(5) ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+    });
+    (h >> (64 - SLOT_BITS)) as usize
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn hit_requires_same_key_and_generation() {
+        let mut m = HiddenMemo::new(70, 130, 2);
+        let key = [0b1011u64, 1];
+        assert!(m.get(&key).is_none());
+        m.put(&key, &[7, 0, 9], &[3, 1], 42);
+        let hit = m.get(&key).expect("stored");
+        assert_eq!(
+            (hit.winners, hit.trace, hit.layer1_ops),
+            (&[7, 0, 9][..], &[3, 1][..], 42)
+        );
+        assert!(m.get(&[0b1011, 0]).is_none(), "different key");
+        m.invalidate();
+        assert!(m.get(&key).is_none(), "stale generation");
+    }
+
+    #[test]
+    fn colliding_keys_evict_each_other() {
+        let mut m = HiddenMemo::new(64, 64, 0);
+        let a = [1u64];
+        let b = (2u64..)
+            .map(|w| [w])
+            .find(|k| slot_of(k) == slot_of(&a))
+            .expect("some key collides");
+        m.put(&a, &[1], &[], 1);
+        m.put(&b, &[2], &[], 2);
+        assert!(m.get(&a).is_none());
+        assert_eq!(m.get(&b).expect("newest wins").winners, &[2]);
+    }
+}

@@ -15,7 +15,8 @@ use rand::{Rng, RngCore, SeedableRng};
 use crate::lr::LrScale;
 
 use crate::bitset::BitSet;
-use crate::kwta::k_winners_into;
+use crate::kwta::{k_winners_into, top_k_into};
+use crate::memo::HiddenMemo;
 use crate::sparse::SparseLayer;
 
 /// How (and whether) the input-to-hidden layer learns.
@@ -245,24 +246,6 @@ pub struct HebbianOutcome {
     pub ops: usize,
 }
 
-/// Size of the intersection of two ascending-sorted index slices
-/// (two-pointer sweep; both come from `k_winners`, which sorts).
-fn sorted_intersection(a: &[u32], b: &[u32]) -> u64 {
-    let (mut i, mut j, mut n) = (0usize, 0usize, 0u64);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                n += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    n
-}
-
 /// The sparse Hebbian prefetch network.
 #[derive(Clone)]
 pub struct HebbianNetwork {
@@ -294,18 +277,23 @@ pub struct HebbianNetwork {
     winners_buf: Vec<u32>,
     /// Packed-key workspace for [`k_winners_into`].
     kwta_scratch: Vec<u64>,
-    /// Winner bitset over the hidden space (Eq.-1 update input).
+    /// Current step's winner set as a bitset over the hidden space
+    /// (Eq.-1 update input, overlap statistic).
     winner_set: BitSet,
-    /// Active-input bitset over the input space (hidden-learning
-    /// update input).
+    /// Current step's active-input set over the input space (memo
+    /// key, hidden-learning update input).
     active_set: BitSet,
+    /// Winner sets of recently seen input sets under the current
+    /// layer-1 weights (DESIGN.md §12.4).
+    memo: HiddenMemo,
     /// Next recurrent state under construction (swapped with
     /// `recurrent` at the end of each advancing step).
     recurrent_scratch: Vec<u32>,
-    /// Winner-trace ordering workspace (`RecurrentStyle::WinnerTrace`).
+    /// Current step's strongest winners, score-ordered and truncated
+    /// to `recurrent_sample` (`RecurrentStyle::WinnerTrace` only).
     trace_scratch: Vec<u32>,
-    /// Previous step's winner set (sorted), for overlap tracking.
-    prev_winners: Vec<u32>,
+    /// Previous step's winner set, for overlap tracking.
+    prev_winners: BitSet,
     /// Instrumentation counters (read via [`HebbianNetwork::stats`]).
     stats: NetStats,
 }
@@ -370,7 +358,12 @@ impl HebbianNetwork {
                 slots
             })
             .collect();
+        let trace_len = match cfg.recurrent_style {
+            RecurrentStyle::PatternCode => 0,
+            RecurrentStyle::WinnerTrace => cfg.recurrent_sample.min(cfg.hidden_active),
+        };
         Self {
+            memo: HiddenMemo::new(input_dim, cfg.hidden, trace_len),
             hidden_scores: vec![0; cfg.hidden],
             out_scores: vec![0; cfg.outputs],
             active_buf: Vec::new(),
@@ -386,10 +379,25 @@ impl HebbianNetwork {
             pattern_code_map,
             recurrent: Vec::new(),
             rng,
-            prev_winners: Vec::new(),
+            prev_winners: BitSet::new(cfg.hidden),
             stats: NetStats::default(),
             cfg,
         }
+    }
+
+    /// A network whose every pass recomputes layer 1: the reference
+    /// the hidden-winner memo is differential-tested against.
+    #[cfg(test)]
+    pub(crate) fn without_memo(cfg: HebbianConfig) -> Self {
+        let mut net = Self::new(cfg);
+        net.memo.bypass = true;
+        net
+    }
+
+    /// Lookups the hidden-winner memo has answered.
+    #[cfg(test)]
+    pub(crate) fn memo_hits(&self) -> u64 {
+        self.memo.hits
     }
 
     /// Instrumentation counters accumulated since construction (or the
@@ -457,7 +465,7 @@ impl HebbianNetwork {
             layer1_weights: self.layer1.weights().to_vec(),
             layer2_weights: self.layer2.weights().to_vec(),
             recurrent: self.recurrent.clone(),
-            prev_winners: self.prev_winners.clone(),
+            prev_winners: self.prev_winners.iter().map(|w| w as u32).collect(),
             stats: self.stats,
             rng_key: key,
         }
@@ -485,8 +493,12 @@ impl HebbianNetwork {
         }
         self.layer1.set_weights(&state.layer1_weights);
         self.layer2.set_weights(&state.layer2_weights);
+        self.memo.invalidate();
         self.recurrent = state.recurrent.clone();
-        self.prev_winners = state.prev_winners.clone();
+        self.prev_winners.clear();
+        for &w in &state.prev_winners {
+            self.prev_winners.insert(w as usize);
+        }
         self.stats = state.stats;
         self.rng = StdRng::seed_from_u64(state.rng_key);
         Ok(())
@@ -512,13 +524,51 @@ impl HebbianNetwork {
 
     /// Forward pass over `self.active_buf` (see
     /// [`fill_active_inputs`](Self::fill_active_inputs)): returns ops.
-    /// Afterwards `self.winners_buf` holds the winner set sorted by
-    /// index, and `self.hidden_scores` / `self.out_scores` the raw
-    /// scores.
+    /// Afterwards `self.winners_buf` / `self.winner_set` hold the
+    /// winner set, `self.trace_scratch` its trace prefix, and
+    /// `self.out_scores` the raw output scores.
     fn forward(&mut self) -> usize {
-        self.hidden_scores.iter_mut().for_each(|s| *s = 0);
         self.out_scores.iter_mut().for_each(|s| *s = 0);
-        let mut ops = self
+        let mut ops = self.hidden_forward();
+        // Selection cost: one compare per hidden unit plus heap-ish
+        // bookkeeping; counted as 2 ops per unit.
+        ops += 2 * self.cfg.hidden;
+        ops += self.layer2.forward(&self.winners_buf, &mut self.out_scores);
+        ops += self.cfg.outputs; // Argmax scan.
+        self.stats.steps += 1;
+        self.stats.overlap_sum += self.winner_set.overlap(&self.prev_winners) as u64;
+        self.stats.winner_slots += self.winners_buf.len() as u64;
+        self.prev_winners.copy_words_from(self.winner_set.words());
+        ops
+    }
+
+    /// Layer 1 and k-WTA over `self.active_buf`, or their memoized
+    /// result when layer 1 has already seen this input set. Fills
+    /// `winners_buf`, `winner_set`, `active_set` and `trace_scratch`;
+    /// returns the layer-1 ops, which a hit reports as if computed —
+    /// they count the specified network's work, not the wall time.
+    /// On a hit `hidden_scores` is stale; nothing reads it afterwards.
+    fn hidden_forward(&mut self) -> usize {
+        self.active_set.clear();
+        for &i in &self.active_buf {
+            self.active_set.insert(i as usize);
+        }
+        // A duplicated input adds its weights twice, so the set is a
+        // faithful key only when the list has no duplicates.
+        let memoizable = self.active_set.count() == self.active_buf.len();
+        if memoizable {
+            if let Some(hit) = self.memo.get(self.active_set.words()) {
+                self.winner_set.copy_words_from(hit.winners);
+                self.winners_buf.clear();
+                self.winners_buf
+                    .extend(self.winner_set.iter().map(|w| w as u32));
+                self.trace_scratch.clear();
+                self.trace_scratch.extend_from_slice(hit.trace);
+                return hit.layer1_ops;
+            }
+        }
+        self.hidden_scores.iter_mut().for_each(|s| *s = 0);
+        let ops = self
             .layer1
             .forward(&self.active_buf, &mut self.hidden_scores);
         k_winners_into(
@@ -527,16 +577,26 @@ impl HebbianNetwork {
             &mut self.kwta_scratch,
             &mut self.winners_buf,
         );
-        // Selection cost: one compare per hidden unit plus heap-ish
-        // bookkeeping; counted as 2 ops per unit.
-        ops += 2 * self.cfg.hidden;
-        ops += self.layer2.forward(&self.winners_buf, &mut self.out_scores);
-        ops += self.cfg.outputs; // Argmax scan.
-        self.stats.steps += 1;
-        self.stats.overlap_sum += sorted_intersection(&self.winners_buf, &self.prev_winners);
-        self.stats.winner_slots += self.winners_buf.len() as u64;
-        self.prev_winners.clear();
-        self.prev_winners.extend_from_slice(&self.winners_buf);
+        self.winner_set.clear();
+        for &w in &self.winners_buf {
+            self.winner_set.insert(w as usize);
+        }
+        self.trace_scratch.clear();
+        if self.cfg.recurrent_style == RecurrentStyle::WinnerTrace {
+            self.trace_scratch.extend_from_slice(&self.winners_buf);
+            let scores = &self.hidden_scores;
+            self.trace_scratch
+                .sort_by(|&a, &b| scores[b as usize].cmp(&scores[a as usize]).then(a.cmp(&b)));
+            self.trace_scratch.truncate(self.cfg.recurrent_sample);
+        }
+        if memoizable {
+            self.memo.put(
+                self.active_set.words(),
+                self.winner_set.words(),
+                &self.trace_scratch,
+                ops,
+            );
+        }
         ops
     }
 
@@ -565,8 +625,8 @@ impl HebbianNetwork {
     }
 
     /// Advances the recurrent state after a step on `pattern` with the
-    /// hidden winners in `self.winners_buf`, per the configured
-    /// [`RecurrentStyle`]. Builds the next state in
+    /// hidden winners' trace prefix in `self.trace_scratch`, per the
+    /// configured [`RecurrentStyle`]. Builds the next state in
     /// `self.recurrent_scratch` and swaps — no allocation once both
     /// vectors are at capacity.
     fn advance_recurrent(&mut self, pattern: &[u32]) {
@@ -582,12 +642,6 @@ impl HebbianNetwork {
                 }
             }
             RecurrentStyle::WinnerTrace => {
-                self.trace_scratch.clear();
-                self.trace_scratch.extend_from_slice(&self.winners_buf);
-                let scores = &self.hidden_scores;
-                self.trace_scratch
-                    .sort_by(|&a, &b| scores[b as usize].cmp(&scores[a as usize]).then(a.cmp(&b)));
-                self.trace_scratch.truncate(self.cfg.recurrent_sample);
                 for &w in &self.trace_scratch {
                     self.recurrent_scratch.push(self.recurrent_map[w as usize]);
                 }
@@ -631,23 +685,13 @@ impl HebbianNetwork {
     /// The classes of the `width` highest output scores, descending.
     /// Call after any `infer*`/`train*` step to read multi-candidate
     /// predictions (§5.2's prefetch width).
+    /// Ties go to the lower class index; `width == 0` yields nothing.
     pub fn top_predictions(&self, width: usize) -> Vec<usize> {
-        // Packed keys (bit-inverted sign-biased score high, index low)
-        // make "score desc, index asc" a primitive ascending sort —
-        // rollout calls this every lookahead step, and an indirect
-        // comparator over `out_scores` was its single largest cost.
-        let mut keyed: Vec<u64> = self
-            .out_scores
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| (!(s as u32 ^ 0x8000_0000) as u64) << 32 | i as u64)
-            .collect();
-        keyed.sort_unstable();
-        keyed.truncate(width);
-        keyed
-            .iter()
-            .map(|&key| (key & 0xffff_ffff) as usize)
-            .collect()
+        // Rollout calls this every lookahead step: select straight
+        // into the step's result instead of sorting every output.
+        let mut top = Vec::with_capacity(width.min(self.out_scores.len()));
+        top_k_into(&self.out_scores, width, &mut top);
+        top
     }
 
     /// One online training step with the base integer step size.
@@ -722,17 +766,10 @@ impl HebbianNetwork {
                 HiddenLearning::Always => true,
             };
             if update_hidden {
-                self.active_set.clear();
-                for &i in &self.active_buf {
-                    self.active_set.insert(i as usize);
-                }
                 for &w in &self.winners_buf {
                     ops += self.layer1.hebbian_update(w, &self.active_set, step, ltd);
                 }
-            }
-            self.winner_set.clear();
-            for &w in &self.winners_buf {
-                self.winner_set.insert(w as usize);
+                self.memo.invalidate();
             }
             ops += self
                 .layer2

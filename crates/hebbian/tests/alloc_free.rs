@@ -2,7 +2,8 @@
 //!
 //! The kernel refactor's contract is that once the network's scratch
 //! buffers have warmed up, `train_step`, `infer`, and
-//! `infer_advance` perform **zero** heap allocation. A counting
+//! `infer_advance` perform **zero** heap allocation — whether the
+//! hidden-winner memo hits, misses, or evicts. A counting
 //! global allocator makes that a hard test instead of a code-review
 //! claim.
 //!
@@ -68,6 +69,23 @@ fn steady_state_kernels_do_not_allocate() {
         after - before,
         0,
         "hot path allocated {} times across 600 steady-state calls",
+        after - before
+    );
+
+    // Eviction: 4096 distinct input sets, four times the hidden-winner
+    // memo's slots, so most passes miss and overwrite a slot.
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for i in 0..4096u32 {
+        let pattern = [i % 64, 64 + (i / 64) % 64];
+        net.train_step(&pattern, (i as usize + 1) % outputs);
+        net.infer(&pattern, (i as usize + 1) % outputs);
+        net.infer_advance(&pattern, (i as usize + 1) % outputs);
+    }
+    let after = ALLOCS.load(Ordering::Relaxed);
+    assert_eq!(
+        after - before,
+        0,
+        "memo eviction path allocated {} times",
         after - before
     );
 }
