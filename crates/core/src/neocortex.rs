@@ -116,23 +116,19 @@ impl Neocortex {
     }
 
     /// A replay training step that reinstates a stored recurrent
-    /// context: the live recurrent state is saved, the episode's
-    /// context installed, the scaled (anti-free) update applied, and
-    /// the live state restored. Replaying under the *current* context
-    /// would potentiate the old target on the wrong winner set and
-    /// erode the true association.
+    /// context: the episode's context is installed, the scaled
+    /// (anti-free) update applied, and the live state restored
+    /// ([`HebbianNetwork::replay_step`]). Replaying under the
+    /// *current* context would potentiate the old target on the wrong
+    /// winner set and erode the true association.
     pub fn replay_train(
         &mut self,
         pattern: &[u32],
         target: usize,
         scale: LrScale,
         recurrent: &[u32],
-    ) -> HebbianOutcome {
-        let saved = self.net.recurrent_state().to_vec();
-        self.net.set_recurrent_state(recurrent);
-        let out = self.net.train_step_opts(pattern, target, scale, false);
-        self.net.set_recurrent_state(&saved);
-        out
+    ) {
+        self.net.replay_step(pattern, recurrent, target, scale);
     }
 
     /// The current recurrent-context bits (stored into episodes).

@@ -81,6 +81,10 @@ proptest! {
         prop_assert_eq!(&fast_scores, &ref_scores, "forward scores diverged");
         let expected_ops: usize = probe_sorted.iter().map(|&i| fast.fan_out(i)).sum();
         prop_assert_eq!(ops_count, expected_ops, "forward ops count");
+        let probe_set = BitSet::from_indices(INPUTS, &probe_sorted);
+        for (o, &score) in ref_scores.iter().enumerate() {
+            prop_assert_eq!(fast.row_score(o as u32, &probe_set), score, "row gather");
+        }
     }
 
     /// The scratch-buffer k-WTA equals both the allocating wrapper and
@@ -210,9 +214,13 @@ proptest! {
     }
 }
 
-/// The hidden-winner memo against a network that recomputes layer 1
-/// on every pass: any sequence of public calls must give bit-identical
-/// outcomes, ops, stats, recurrent state and exported state.
+/// The hidden-winner memo and its cached output scores against a
+/// network that recomputes layer 1 and scatters layer 2 on every pass:
+/// any sequence of public calls must give bit-identical outcomes, ops,
+/// output scores, stats, recurrent state and exported state.
+/// `replay_step` (draw first, layer 1 only on a rejected draw) is held
+/// to the save / `set_recurrent_state` / `train_step_opts` / restore
+/// sequence it replaces.
 mod memo_equivalence {
     use proptest::prelude::*;
 
@@ -235,6 +243,8 @@ mod memo_equivalence {
         InferAdvance(Vec<u32>, usize),
         Rollout(Vec<u32>, usize, usize),
         SetRecurrent(Vec<u32>),
+        /// Replay at `numer / 10` under the given recurrent context.
+        Replay(Vec<u32>, usize, u32, Vec<u32>),
         Export,
         Import,
     }
@@ -247,7 +257,7 @@ mod memo_equivalence {
     /// recurrent bits.
     fn op() -> impl Strategy<Value = RawOp> {
         (
-            0u8..16,
+            0u8..18,
             proptest::collection::vec(0u32..5, 0..4),
             0usize..160,
             0usize..32,
@@ -265,7 +275,8 @@ mod memo_equivalence {
             8 | 9 => Op::InferAdvance(p, target),
             10 | 11 => Op::Rollout(p, 1 + shape % 3, 1 + shape / 4),
             12 => Op::SetRecurrent(bits),
-            13 => Op::Export,
+            13 | 14 => Op::Replay(p, target, numer, bits),
+            15 => Op::Export,
             _ => Op::Import,
         }
     }
@@ -306,6 +317,7 @@ mod memo_equivalence {
             let mut memo = HebbianNetwork::new(cfg.clone());
             let mut reference = HebbianNetwork::without_memo(cfg);
             let mut saved: Option<NetState> = None;
+            let mut scores_exact = true;
             for op in ops.into_iter().map(decode) {
                 match &op {
                     Op::Train(p, t) => prop_assert_eq!(
@@ -338,6 +350,14 @@ mod memo_equivalence {
                         memo.set_recurrent_state(bits);
                         reference.set_recurrent_state(bits);
                     }
+                    Op::Replay(p, t, n, bits) => {
+                        let scale = LrScale::from_ratio(*n, 10);
+                        memo.replay_step(p, bits, *t, scale);
+                        let saved = reference.recurrent_state().to_vec();
+                        reference.set_recurrent_state(bits);
+                        reference.train_step_opts(p, *t, scale, false);
+                        reference.set_recurrent_state(&saved);
+                    }
                     Op::Export => {
                         let state = memo.export_state();
                         prop_assert_eq!(&state, &reference.export_state());
@@ -350,12 +370,23 @@ mod memo_equivalence {
                         }
                     }
                 }
-                prop_assert_eq!(memo.top_predictions(3), reference.top_predictions(3));
+                // A rejected replay draw skips layer 2, so the output
+                // scores stay unspecified until the next forward pass.
+                scores_exact = match op {
+                    Op::Replay(..) => false,
+                    Op::SetRecurrent(_) | Op::Export | Op::Import => scores_exact,
+                    _ => true,
+                };
+                if scores_exact {
+                    prop_assert_eq!(memo.out_scores(), reference.out_scores());
+                    prop_assert_eq!(memo.top_predictions(3), reference.top_predictions(3));
+                }
                 prop_assert_eq!(memo.recurrent_state(), reference.recurrent_state());
                 prop_assert_eq!(memo.stats(), reference.stats());
             }
             prop_assert_eq!(memo.export_state(), reference.export_state());
             prop_assert_eq!(reference.memo_hits(), 0);
+            prop_assert_eq!(reference.incremental_hits() + reference.score_fallbacks(), 0);
         }
     }
 
@@ -384,5 +415,47 @@ mod memo_equivalence {
         net.infer(&[1, 1], 2);
         net.infer(&[1, 1], 2);
         assert_eq!(net.memo_hits(), hits + 1, "duplicate bits bypass the memo");
+    }
+
+    /// The cached-score property is vacuous unless hits take both
+    /// paths: one changed row is refreshed in place, many changed rows
+    /// cost more than the scatter and fall back to it. Scores match
+    /// the memo-free network either way.
+    #[test]
+    fn changed_rows_refresh_incrementally_or_fall_back() {
+        let cfg = HebbianConfig::tiny();
+        let mut memo = HebbianNetwork::new(cfg.clone());
+        let mut reference = HebbianNetwork::without_memo(cfg);
+        // Trains `targets` on another input from an empty recurrent
+        // state, then probes `[1]` from one, so the probe presents the
+        // same input set every time; returns the probe's (incremental,
+        // fallback) counts.
+        let mut step = |targets: &[usize]| {
+            for net in [&mut memo, &mut reference] {
+                for &t in targets {
+                    net.reset_state();
+                    net.train_step(&[2], t);
+                }
+                net.reset_state();
+            }
+            let before = (memo.incremental_hits(), memo.score_fallbacks());
+            memo.infer(&[1], 0);
+            reference.infer(&[1], 0);
+            assert_eq!(memo.out_scores(), reference.out_scores());
+            (
+                memo.incremental_hits() - before.0,
+                memo.score_fallbacks() - before.1,
+            )
+        };
+        assert_eq!(step(&[]), (0, 0), "first probe fills the slot");
+        assert_eq!(step(&[]), (1, 0), "nothing changed");
+        // Fresh weights score zero, so the first update has no
+        // anti-Hebbian competitor: exactly one row changes.
+        assert_eq!(step(&[3]), (1, 0), "one row refreshed");
+        assert_eq!(
+            step(&[0, 1, 2, 4, 5, 6, 7, 8]),
+            (0, 1),
+            "eight rows fall back"
+        );
     }
 }

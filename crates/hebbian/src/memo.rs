@@ -7,9 +7,16 @@
 //! seen for each input set in a direct-mapped table and skips layer 1
 //! and k-WTA on a hit.
 //!
+//! Each slot also caches the layer-2 output scores of its winner set,
+//! stamped with the network's layer-2 update clock, so a hit can
+//! refresh only the output rows that changed since (DESIGN.md §12.4).
+//!
 //! Exactness: every lookup compares the full key, so a hit never
 //! returns another input set's winners; every layer-1 change bumps
-//! the generation, so a hit never returns winners of older weights.
+//! the generation, so a hit never returns winners of older weights;
+//! every store of new winners drops the slot's cached scores, so
+//! scores are only ever returned for the winners they were computed
+//! from.
 
 /// Table slots; a power of two so the hash's top bits index it.
 const SLOT_BITS: u32 = 10;
@@ -24,16 +31,30 @@ pub(crate) struct Hit<'a> {
     pub trace: &'a [u32],
     /// Layer-1 ops of the pass that computed the entry.
     pub layer1_ops: usize,
+    /// The slot holding the entry, for [`HiddenMemo::scores`] and
+    /// [`HiddenMemo::put_scores`].
+    pub slot: usize,
+}
+
+/// Layer-2 output scores cached with an entry.
+pub(crate) struct CachedScores<'a> {
+    /// One score per output class.
+    pub scores: &'a [i32],
+    /// Layer-2 ops of the full scatter that produced them.
+    pub layer2_ops: usize,
+    /// Layer-2 update clock at which the scores were exact.
+    pub clock: u64,
 }
 
 /// Fixed-capacity, direct-mapped table from active-input set to
-/// hidden winners. Every buffer is allocated at construction; lookups
-/// and stores never allocate.
+/// hidden winners and their output scores. Every buffer is allocated
+/// at construction; lookups and stores never allocate.
 #[derive(Clone)]
 pub(crate) struct HiddenMemo {
     key_words: usize,
     winner_words: usize,
     trace_len: usize,
+    outputs: usize,
     /// Layer-1 generation; slots stamped with another one are stale.
     generation: u64,
     /// Per-slot generation stamp; 0 marks a never-filled slot.
@@ -42,6 +63,11 @@ pub(crate) struct HiddenMemo {
     winners: Vec<u64>,
     traces: Vec<u32>,
     layer1_ops: Vec<usize>,
+    out_scores: Vec<i32>,
+    layer2_ops: Vec<usize>,
+    /// Per-slot layer-2 clock of the cached scores; 0 marks a slot
+    /// whose winners have no scores yet.
+    score_clocks: Vec<u64>,
     /// Disables lookups, so every pass recomputes layer 1: the
     /// reference path of the differential tests.
     #[cfg(test)]
@@ -53,20 +79,25 @@ pub(crate) struct HiddenMemo {
 
 impl HiddenMemo {
     /// A table for keys of `input_bits`, winner sets over `hidden`
-    /// units, and trace prefixes of `trace_len` entries.
-    pub fn new(input_bits: usize, hidden: usize, trace_len: usize) -> Self {
+    /// units, trace prefixes of `trace_len` entries, and scores over
+    /// `outputs` classes.
+    pub fn new(input_bits: usize, hidden: usize, trace_len: usize, outputs: usize) -> Self {
         let key_words = input_bits.div_ceil(64);
         let winner_words = hidden.div_ceil(64);
         Self {
             key_words,
             winner_words,
             trace_len,
+            outputs,
             generation: 1,
             stamps: vec![0; SLOTS],
             keys: vec![0; SLOTS * key_words],
             winners: vec![0; SLOTS * winner_words],
             traces: vec![0; SLOTS * trace_len],
             layer1_ops: vec![0; SLOTS],
+            out_scores: vec![0; SLOTS * outputs],
+            layer2_ops: vec![0; SLOTS],
+            score_clocks: vec![0; SLOTS],
             #[cfg(test)]
             bypass: false,
             #[cfg(test)]
@@ -102,23 +133,55 @@ impl HiddenMemo {
             winners: &self.winners[w..w + self.winner_words],
             trace: &self.traces[t..t + self.trace_len],
             layer1_ops: self.layer1_ops[s],
+            slot: s,
         })
     }
 
     /// Records the layer-1 result for `key`, evicting whatever shared
-    /// its slot.
+    /// its slot, and returns the slot. The entry has no cached scores
+    /// until [`put_scores`](Self::put_scores).
     ///
     /// # Panics
     ///
     /// Panics if a slice length does not match the table geometry.
-    pub fn put(&mut self, key: &[u64], winners: &[u64], trace: &[u32], layer1_ops: usize) {
+    pub fn put(&mut self, key: &[u64], winners: &[u64], trace: &[u32], layer1_ops: usize) -> usize {
         assert_eq!(trace.len(), self.trace_len, "trace prefix length");
         let s = slot_of(key);
         self.stamps[s] = self.generation;
+        self.score_clocks[s] = 0;
         self.keys[s * self.key_words..(s + 1) * self.key_words].copy_from_slice(key);
         self.winners[s * self.winner_words..(s + 1) * self.winner_words].copy_from_slice(winners);
         self.traces[s * self.trace_len..(s + 1) * self.trace_len].copy_from_slice(trace);
         self.layer1_ops[s] = layer1_ops;
+        s
+    }
+
+    /// The output scores cached with the entry in `slot` (as returned
+    /// by [`get`](Self::get) or [`put`](Self::put)), if any.
+    pub fn scores(&self, slot: usize) -> Option<CachedScores<'_>> {
+        let clock = self.score_clocks[slot];
+        if clock == 0 {
+            return None;
+        }
+        let o = slot * self.outputs;
+        Some(CachedScores {
+            scores: &self.out_scores[o..o + self.outputs],
+            layer2_ops: self.layer2_ops[slot],
+            clock,
+        })
+    }
+
+    /// Caches `scores`, exact at layer-2 clock `clock` (nonzero), with
+    /// the entry in `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scores` does not match the table geometry.
+    pub fn put_scores(&mut self, slot: usize, scores: &[i32], layer2_ops: usize, clock: u64) {
+        debug_assert!(clock > 0, "clock 0 marks an empty score cache");
+        self.out_scores[slot * self.outputs..(slot + 1) * self.outputs].copy_from_slice(scores);
+        self.layer2_ops[slot] = layer2_ops;
+        self.score_clocks[slot] = clock;
     }
 }
 
@@ -137,7 +200,7 @@ mod tests {
 
     #[test]
     fn hit_requires_same_key_and_generation() {
-        let mut m = HiddenMemo::new(70, 130, 2);
+        let mut m = HiddenMemo::new(70, 130, 2, 3);
         let key = [0b1011u64, 1];
         assert!(m.get(&key).is_none());
         m.put(&key, &[7, 0, 9], &[3, 1], 42);
@@ -153,7 +216,7 @@ mod tests {
 
     #[test]
     fn colliding_keys_evict_each_other() {
-        let mut m = HiddenMemo::new(64, 64, 0);
+        let mut m = HiddenMemo::new(64, 64, 0, 1);
         let a = [1u64];
         let b = (2u64..)
             .map(|w| [w])
@@ -163,5 +226,23 @@ mod tests {
         m.put(&b, &[2], &[], 2);
         assert!(m.get(&a).is_none());
         assert_eq!(m.get(&b).expect("newest wins").winners, &[2]);
+    }
+
+    #[test]
+    fn new_winners_drop_cached_scores() {
+        let mut m = HiddenMemo::new(64, 64, 0, 2);
+        let s = m.put(&[1], &[1], &[], 1);
+        assert!(m.scores(s).is_none(), "a fresh entry has no scores");
+        m.put_scores(s, &[5, -3], 9, 4);
+        let hit = m.get(&[1]).expect("stored");
+        assert_eq!(hit.slot, s);
+        let cached = m.scores(s).expect("cached");
+        assert_eq!(
+            (cached.scores, cached.layer2_ops, cached.clock),
+            (&[5, -3][..], 9, 4)
+        );
+        m.invalidate();
+        assert_eq!(m.put(&[1], &[2], &[], 1), s);
+        assert!(m.scores(s).is_none(), "re-stored winners drop the scores");
     }
 }

@@ -284,8 +284,20 @@ pub struct HebbianNetwork {
     /// key, hidden-learning update input).
     active_set: BitSet,
     /// Winner sets of recently seen input sets under the current
-    /// layer-1 weights (DESIGN.md §12.4).
+    /// layer-1 weights, with their output scores (DESIGN.md §12.4).
     memo: HiddenMemo,
+    /// Layer-2 update clock: bumped by every Eq.-1 update of an
+    /// output row. Starts at 1; the memo reads 0 as "no scores".
+    layer2_clock: u64,
+    /// Per output row, the clock value of its last update.
+    row_changed: Vec<u64>,
+    /// Memo hits whose cached scores were refreshed row by row.
+    #[cfg(test)]
+    incremental_hits: u64,
+    /// Memo hits whose cached scores were too stale to refresh, so
+    /// layer 2 was scattered in full.
+    #[cfg(test)]
+    score_fallbacks: u64,
     /// Next recurrent state under construction (swapped with
     /// `recurrent` at the end of each advancing step).
     recurrent_scratch: Vec<u32>,
@@ -363,7 +375,13 @@ impl HebbianNetwork {
             RecurrentStyle::WinnerTrace => cfg.recurrent_sample.min(cfg.hidden_active),
         };
         Self {
-            memo: HiddenMemo::new(input_dim, cfg.hidden, trace_len),
+            memo: HiddenMemo::new(input_dim, cfg.hidden, trace_len, cfg.outputs),
+            layer2_clock: 1,
+            row_changed: vec![0; cfg.outputs],
+            #[cfg(test)]
+            incremental_hits: 0,
+            #[cfg(test)]
+            score_fallbacks: 0,
             hidden_scores: vec![0; cfg.hidden],
             out_scores: vec![0; cfg.outputs],
             active_buf: Vec::new(),
@@ -400,6 +418,24 @@ impl HebbianNetwork {
         self.memo.hits
     }
 
+    /// Memo hits served from cached scores plus a few refreshed rows.
+    #[cfg(test)]
+    pub(crate) fn incremental_hits(&self) -> u64 {
+        self.incremental_hits
+    }
+
+    /// Memo hits with cached scores that fell back to a full scatter.
+    #[cfg(test)]
+    pub(crate) fn score_fallbacks(&self) -> u64 {
+        self.score_fallbacks
+    }
+
+    /// Raw output scores of the last forward pass.
+    #[cfg(test)]
+    pub(crate) fn out_scores(&self) -> &[i32] {
+        &self.out_scores
+    }
+
     /// Instrumentation counters accumulated since construction (or the
     /// last [`HebbianNetwork::reset_stats`]).
     pub fn stats(&self) -> NetStats {
@@ -432,8 +468,10 @@ impl HebbianNetwork {
         &self.recurrent
     }
 
-    /// Overwrites the recurrent state — replay reinstates the context
-    /// bits that were active when an episode was recorded.
+    /// Overwrites the recurrent state (ascending, duplicates dropped)
+    /// — replay reinstates the context bits that were active when an
+    /// episode was recorded. Builds in `recurrent_scratch`, where the
+    /// previous state is left; no allocation once it has capacity.
     ///
     /// # Panics
     ///
@@ -443,10 +481,9 @@ impl HebbianNetwork {
             bits.iter().all(|&b| (b as usize) < self.cfg.recurrent_bits),
             "recurrent bit out of range"
         );
-        let mut v = bits.to_vec();
-        v.sort_unstable();
-        v.dedup();
-        self.recurrent = v;
+        self.recurrent_scratch.clear();
+        self.recurrent_scratch.extend_from_slice(bits);
+        self.swap_in_recurrent_scratch();
     }
 
     /// Captures the complete learned state for snapshotting.
@@ -494,7 +531,7 @@ impl HebbianNetwork {
         self.layer1.set_weights(&state.layer1_weights);
         self.layer2.set_weights(&state.layer2_weights);
         self.memo.invalidate();
-        self.recurrent = state.recurrent.clone();
+        self.set_recurrent_state(&state.recurrent);
         self.prev_winners.clear();
         for &w in &state.prev_winners {
             self.prev_winners.insert(w as usize);
@@ -528,27 +565,88 @@ impl HebbianNetwork {
     /// winner set, `self.trace_scratch` its trace prefix, and
     /// `self.out_scores` the raw output scores.
     fn forward(&mut self) -> usize {
-        self.out_scores.iter_mut().for_each(|s| *s = 0);
-        let mut ops = self.hidden_forward();
+        let (mut ops, slot) = self.hidden_forward();
         // Selection cost: one compare per hidden unit plus heap-ish
         // bookkeeping; counted as 2 ops per unit.
         ops += 2 * self.cfg.hidden;
-        ops += self.layer2.forward(&self.winners_buf, &mut self.out_scores);
+        ops += self.output_forward(slot);
         ops += self.cfg.outputs; // Argmax scan.
+        self.track_winners();
+        ops
+    }
+
+    /// Counts the step in `NetStats` and makes the current winner set
+    /// the previous one.
+    fn track_winners(&mut self) {
         self.stats.steps += 1;
         self.stats.overlap_sum += self.winner_set.overlap(&self.prev_winners) as u64;
         self.stats.winner_slots += self.winners_buf.len() as u64;
         self.prev_winners.copy_words_from(self.winner_set.words());
+    }
+
+    /// Layer 2 over the current winners into `self.out_scores`;
+    /// returns the ops of the full scatter. When the winners came from
+    /// memo `slot` and it caches their scores, only the output rows
+    /// updated since are recomputed — unless so many changed that the
+    /// row gathers (`fan_in` each) would cost more than the scatter.
+    /// Either way the slot is left holding the current scores.
+    fn output_forward(&mut self, slot: Option<usize>) -> usize {
+        let Some(slot) = slot else {
+            return self.scatter_outputs();
+        };
+        if let Some(cached) = self.memo.scores(slot) {
+            let (since, ops) = (cached.clock, cached.layer2_ops);
+            let changed = self.row_changed.iter().filter(|&&c| c > since).count();
+            if changed * self.layer2.fan_in() <= ops {
+                #[cfg(test)]
+                {
+                    self.incremental_hits += 1;
+                }
+                self.out_scores.copy_from_slice(cached.scores);
+                if changed > 0 {
+                    for (o, &c) in self.row_changed.iter().enumerate() {
+                        if c > since {
+                            self.out_scores[o] = self.layer2.row_score(o as u32, &self.winner_set);
+                        }
+                    }
+                    self.memo
+                        .put_scores(slot, &self.out_scores, ops, self.layer2_clock);
+                }
+                return ops;
+            }
+            #[cfg(test)]
+            {
+                self.score_fallbacks += 1;
+            }
+        }
+        let ops = self.scatter_outputs();
+        self.memo
+            .put_scores(slot, &self.out_scores, ops, self.layer2_clock);
         ops
+    }
+
+    /// Full layer-2 scatter of the current winners; returns its ops.
+    fn scatter_outputs(&mut self) -> usize {
+        self.out_scores.iter_mut().for_each(|s| *s = 0);
+        self.layer2.forward(&self.winners_buf, &mut self.out_scores)
+    }
+
+    /// Records an Eq.-1 update of output row `row` on the layer-2
+    /// clock, so cached scores refresh that row.
+    fn mark_row_changed(&mut self, row: usize) {
+        self.layer2_clock += 1;
+        self.row_changed[row] = self.layer2_clock;
     }
 
     /// Layer 1 and k-WTA over `self.active_buf`, or their memoized
     /// result when layer 1 has already seen this input set. Fills
     /// `winners_buf`, `winner_set`, `active_set` and `trace_scratch`;
     /// returns the layer-1 ops, which a hit reports as if computed —
-    /// they count the specified network's work, not the wall time.
+    /// they count the specified network's work, not the wall time —
+    /// and the memo slot now holding the winners (none for an input
+    /// list with duplicate bits).
     /// On a hit `hidden_scores` is stale; nothing reads it afterwards.
-    fn hidden_forward(&mut self) -> usize {
+    fn hidden_forward(&mut self) -> (usize, Option<usize>) {
         self.active_set.clear();
         for &i in &self.active_buf {
             self.active_set.insert(i as usize);
@@ -564,7 +662,7 @@ impl HebbianNetwork {
                     .extend(self.winner_set.iter().map(|w| w as u32));
                 self.trace_scratch.clear();
                 self.trace_scratch.extend_from_slice(hit.trace);
-                return hit.layer1_ops;
+                return (hit.layer1_ops, Some(hit.slot));
             }
         }
         self.hidden_scores.iter_mut().for_each(|s| *s = 0);
@@ -589,15 +687,15 @@ impl HebbianNetwork {
                 .sort_by(|&a, &b| scores[b as usize].cmp(&scores[a as usize]).then(a.cmp(&b)));
             self.trace_scratch.truncate(self.cfg.recurrent_sample);
         }
-        if memoizable {
+        let slot = memoizable.then(|| {
             self.memo.put(
                 self.active_set.words(),
                 self.winner_set.words(),
                 &self.trace_scratch,
                 ops,
-            );
-        }
-        ops
+            )
+        });
+        (ops, slot)
     }
 
     /// Normalized non-negative score share of `class`. The division
@@ -647,6 +745,12 @@ impl HebbianNetwork {
                 }
             }
         }
+        self.swap_in_recurrent_scratch();
+    }
+
+    /// Sorts and dedups `self.recurrent_scratch` and swaps it in as
+    /// the recurrent state; the old state is left in the scratch.
+    fn swap_in_recurrent_scratch(&mut self) {
         self.recurrent_scratch.sort_unstable();
         self.recurrent_scratch.dedup();
         std::mem::swap(&mut self.recurrent, &mut self.recurrent_scratch);
@@ -741,61 +845,8 @@ impl HebbianNetwork {
         let mut ops = self.forward();
         let predicted = self.argmax_out();
         let outcome_conf = self.confidence_of(target);
-
-        let apply = if scale.at_least_one() {
-            true
-        } else {
-            // Integer Bernoulli draw: the top 24 bits of `next_u32`
-            // are uniform in [0, 2^24), exactly the Q24 grid.
-            (self.rng.next_u32() >> 8) < scale.raw()
-        };
-        let ops_before_update = ops;
-        if apply {
-            let (step, ltd) = if scale.at_least_one() {
-                (
-                    scale.scale_step(self.cfg.step),
-                    scale.scale_step(self.cfg.ltd_step),
-                )
-            } else {
-                (self.cfg.step, self.cfg.ltd_step)
-            };
-            let mispredicted = predicted != target;
-            let update_hidden = match self.cfg.hidden_learning {
-                HiddenLearning::Fixed => false,
-                HiddenLearning::ErrorGated => mispredicted,
-                HiddenLearning::Always => true,
-            };
-            if update_hidden {
-                for &w in &self.winners_buf {
-                    ops += self.layer1.hebbian_update(w, &self.active_set, step, ltd);
-                }
-                self.memo.invalidate();
-            }
-            ops += self
-                .layer2
-                .hebbian_update(target as u32, &self.winner_set, step, ltd);
-            if anti_hebbian {
-                // Lateral-inhibition LTD: depress the strongest
-                // non-target output on the active winners, at LTD
-                // magnitude. This keeps clamped weights carrying
-                // frequency information — with an ambiguous context
-                // (e.g. a stride body vs. its wrap) both target rows
-                // would otherwise saturate at the clamp and confidence
-                // would stall at 1/n. Full-strength depression is
-                // avoided because a single ambiguous transition would
-                // then erode a dominant association every cycle.
-                let mut comp: Option<usize> = None;
-                for (i, &s) in self.out_scores.iter().enumerate() {
-                    if i != target && s > 0 && comp.is_none_or(|c| s > self.out_scores[c]) {
-                        comp = Some(i);
-                    }
-                }
-                if let Some(c) = comp {
-                    ops += self.layer2.anti_update(c as u32, &self.winner_set, ltd);
-                }
-            }
-            self.stats.weight_updates += 1;
-            self.stats.update_ops += (ops - ops_before_update) as u64;
+        if self.draw_update(scale) {
+            ops += self.apply_update(target, predicted, scale, anti_hebbian);
         }
         self.advance_recurrent(pattern);
         HebbianOutcome {
@@ -804,6 +855,117 @@ impl HebbianNetwork {
             correct: predicted == target,
             ops,
         }
+    }
+
+    /// One replay step: trains `pattern → target` at `scale` without
+    /// anti-Hebbian depression under the stored recurrent context
+    /// `recurrent`, then restores the live context.
+    ///
+    /// Weights, the RNG stream and [`NetStats`] end up exactly as after
+    /// saving the recurrent state, [`set_recurrent_state`]
+    /// (`recurrent`), [`train_step_opts`]`(pattern, target, scale,
+    /// false)` and restoring the state. But the Bernoulli draw comes
+    /// first — the forward pass consumes no RNG — so a rejected draw
+    /// (most replay steps, at a fractional rate) runs only layer 1 and
+    /// the winner statistics: nothing reads its output scores. No
+    /// allocation once the scratch buffers have capacity. Afterwards
+    /// [`top_predictions`](Self::top_predictions) is not meaningful.
+    ///
+    /// [`set_recurrent_state`]: Self::set_recurrent_state
+    /// [`train_step_opts`]: Self::train_step_opts
+    ///
+    /// # Panics
+    ///
+    /// Panics if `target` or a recurrent bit is out of range.
+    pub fn replay_step(
+        &mut self,
+        pattern: &[u32],
+        recurrent: &[u32],
+        target: usize,
+        scale: LrScale,
+    ) {
+        assert!(target < self.cfg.outputs, "target out of range");
+        // The live state waits in `recurrent_scratch`; nothing below
+        // advances the recurrent state, so nothing else writes there.
+        self.set_recurrent_state(recurrent);
+        self.fill_active_inputs(pattern);
+        if self.draw_update(scale) {
+            self.forward();
+            let predicted = self.argmax_out();
+            self.apply_update(target, predicted, scale, false);
+        } else {
+            self.hidden_forward();
+            self.track_winners();
+        }
+        std::mem::swap(&mut self.recurrent, &mut self.recurrent_scratch);
+    }
+
+    /// Whether a step at `scale` applies its update: always for
+    /// `scale >= 1`, else an integer Bernoulli draw — the top 24 bits
+    /// of `next_u32` are uniform in [0, 2^24), exactly the Q24 grid.
+    fn draw_update(&mut self, scale: LrScale) -> bool {
+        scale.at_least_one() || (self.rng.next_u32() >> 8) < scale.raw()
+    }
+
+    /// The Eq.-1 update of the current step (winners and active set
+    /// of the last forward pass, which predicted `predicted`); returns
+    /// its ops.
+    fn apply_update(
+        &mut self,
+        target: usize,
+        predicted: usize,
+        scale: LrScale,
+        anti_hebbian: bool,
+    ) -> usize {
+        let (step, ltd) = if scale.at_least_one() {
+            (
+                scale.scale_step(self.cfg.step),
+                scale.scale_step(self.cfg.ltd_step),
+            )
+        } else {
+            (self.cfg.step, self.cfg.ltd_step)
+        };
+        let mut ops = 0;
+        let mispredicted = predicted != target;
+        let update_hidden = match self.cfg.hidden_learning {
+            HiddenLearning::Fixed => false,
+            HiddenLearning::ErrorGated => mispredicted,
+            HiddenLearning::Always => true,
+        };
+        if update_hidden {
+            for &w in &self.winners_buf {
+                ops += self.layer1.hebbian_update(w, &self.active_set, step, ltd);
+            }
+            self.memo.invalidate();
+        }
+        ops += self
+            .layer2
+            .hebbian_update(target as u32, &self.winner_set, step, ltd);
+        self.mark_row_changed(target);
+        if anti_hebbian {
+            // Lateral-inhibition LTD: depress the strongest
+            // non-target output on the active winners, at LTD
+            // magnitude. This keeps clamped weights carrying
+            // frequency information — with an ambiguous context
+            // (e.g. a stride body vs. its wrap) both target rows
+            // would otherwise saturate at the clamp and confidence
+            // would stall at 1/n. Full-strength depression is
+            // avoided because a single ambiguous transition would
+            // then erode a dominant association every cycle.
+            let mut comp: Option<usize> = None;
+            for (i, &s) in self.out_scores.iter().enumerate() {
+                if i != target && s > 0 && comp.is_none_or(|c| s > self.out_scores[c]) {
+                    comp = Some(i);
+                }
+            }
+            if let Some(c) = comp {
+                ops += self.layer2.anti_update(c as u32, &self.winner_set, ltd);
+                self.mark_row_changed(c);
+            }
+        }
+        self.stats.weight_updates += 1;
+        self.stats.update_ops += ops as u64;
+        ops
     }
 
     /// Autoregressive rollout: predicts `steps` future classes starting

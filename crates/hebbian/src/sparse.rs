@@ -234,6 +234,39 @@ impl SparseLayer {
         ops
     }
 
+    /// The score [`forward`](Self::forward) would accumulate into
+    /// `output` from the inputs in `active_inputs`: the sum of the
+    /// row's weights from active sources. A gather over this output's
+    /// source mask ∧ the active words; the popcount of the mask below
+    /// a source is its rank in `slots_by_source`. Lets a caller
+    /// refresh a few rows of a cached score vector without
+    /// re-scattering every active input.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `output` is out of range or `active_inputs` has the
+    /// wrong capacity.
+    pub fn row_score(&self, output: u32, active_inputs: &BitSet) -> i32 {
+        assert!((output as usize) < self.outputs, "output out of range");
+        assert_eq!(active_inputs.len(), self.inputs, "bitset capacity mismatch");
+        let mask_base = output as usize * self.words_per_row;
+        let mut rank = output as usize * self.fan_in;
+        let mut score = 0i32;
+        let active = active_inputs.words();
+        for (w, &aw) in active.iter().enumerate().take(self.words_per_row) {
+            let sw = self.src_masks[mask_base + w];
+            let mut hits = sw & aw;
+            while hits != 0 {
+                let b = hits.trailing_zeros();
+                let below = (sw & ((1u64 << b) - 1)).count_ones() as usize;
+                score += self.weights[self.slots_by_source[rank + below] as usize] as i32;
+                hits &= hits - 1;
+            }
+            rank += sw.count_ones() as usize;
+        }
+        score
+    }
+
     /// Applies the paper's Eq.-1 Hebbian update for one active output:
     /// every incoming weight from an active input is incremented by
     /// `pot` (potentiation), every incoming weight from an inactive
@@ -566,6 +599,21 @@ mod tests {
             before[6],
             after[6]
         );
+    }
+
+    #[test]
+    fn row_score_equals_the_forward_scatter() {
+        let mut l = layer(150, 9, 0.25);
+        let active_vec: Vec<u32> = vec![0, 5, 63, 64, 100, 127, 128, 149];
+        let active = BitSet::from_indices(150, &active_vec);
+        for o in [2, 7] {
+            l.hebbian_update(o, &active, 3, 1);
+        }
+        let mut scores = vec![0i32; 9];
+        l.forward(&active_vec, &mut scores);
+        for (o, &s) in scores.iter().enumerate() {
+            assert_eq!(l.row_score(o as u32, &active), s, "row {o}");
+        }
     }
 
     #[test]

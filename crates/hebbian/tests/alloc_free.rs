@@ -1,9 +1,10 @@
 //! Steady-state allocation accounting for the per-miss hot path.
 //!
 //! The kernel refactor's contract is that once the network's scratch
-//! buffers have warmed up, `train_step`, `infer`, and
-//! `infer_advance` perform **zero** heap allocation — whether the
-//! hidden-winner memo hits, misses, or evicts. A counting
+//! buffers have warmed up, `train_step`, `infer`, `infer_advance`,
+//! `replay_step` and `set_recurrent_state` perform **zero** heap
+//! allocation — whether the hidden-winner memo hits, misses, or
+//! evicts, and whether a replay draw is accepted or rejected. A counting
 //! global allocator makes that a hard test instead of a code-review
 //! claim.
 //!
@@ -14,7 +15,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use hnp_hebbian::{HebbianConfig, HebbianNetwork};
+use hnp_hebbian::{HebbianConfig, HebbianNetwork, LrScale};
 
 struct Counting;
 
@@ -86,6 +87,35 @@ fn steady_state_kernels_do_not_allocate() {
         after - before,
         0,
         "memo eviction path allocated {} times",
+        after - before
+    );
+
+    // Replay: stored contexts installed and restored around draw-first
+    // steps at the replay rate (mostly rejected, some applied), mixed
+    // with online training and inference. The first lap warms up
+    // capacity for the widest context.
+    let replay = |net: &mut HebbianNetwork, i: u32| {
+        let pattern = [i % 61, (i * 7) % 61 + 61];
+        let context = [i % 128, (i * 3) % 128, (i * 11) % 128, i % 128];
+        let target = (i as usize + 1) % outputs;
+        net.replay_step(&pattern, &context, target, LrScale::from_ratio(1, 10));
+        net.train_step(&pattern, target);
+        net.set_recurrent_state(&context[..2]);
+        net.infer(&pattern, target);
+        net.infer_advance(&pattern, target);
+    };
+    for i in 0..64u32 {
+        replay(&mut net, i);
+    }
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for i in 0..400u32 {
+        replay(&mut net, i);
+    }
+    let after = ALLOCS.load(Ordering::Relaxed);
+    assert_eq!(
+        after - before,
+        0,
+        "replay path allocated {} times",
         after - before
     );
 }
