@@ -1,12 +1,11 @@
 //! Criterion benches of the simulation substrate itself: simulator
 //! throughput under different prefetchers, trace generation, and the
-//! hot inner structures (eviction, delta history).
+//! hot inner structures (the LRU page table, delta history).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use hnp_baselines::{MarkovConfig, MarkovPrefetcher, StrideConfig, StridePrefetcher};
 use hnp_core::{ClsConfig, ClsPrefetcher};
-use hnp_memsim::evict::EvictionPolicy;
 use hnp_memsim::memory::LocalMemory;
 use hnp_memsim::{NoPrefetcher, Prefetcher, SimConfig, Simulator};
 use hnp_trace::apps::AppWorkload;
@@ -54,7 +53,7 @@ fn bench_substrate(c: &mut Criterion) {
     });
     group.bench_function("lru_churn_10k", |b| {
         b.iter(|| {
-            let mut m = LocalMemory::new(512, EvictionPolicy::Lru);
+            let mut m = LocalMemory::new(512);
             for i in 0..10_000u64 {
                 let page = (i * 7) % 1024;
                 if !m.contains(page) {

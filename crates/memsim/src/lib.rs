@@ -6,8 +6,8 @@
 //! a [`prefetcher::Prefetcher`]; predicted pages are
 //! fetched ahead of demand subject to latency and bandwidth limits.
 //!
-//! * [`evict`] — LRU / FIFO / CLOCK / random residency policies;
-//! * [`memory`] — the resident-page store;
+//! * [`memory`] — the resident-page store: an LRU slab with one
+//!   open-addressed page index;
 //! * [`prefetcher`] — the prefetcher interface and feedback events;
 //! * [`ledger`] — the book of outstanding prefetches every driver
 //!   (this simulator, `hnp-systems`, `hnp-serve`) keeps;
@@ -27,7 +27,6 @@
 
 pub mod checkpoint;
 pub mod deltas;
-pub mod evict;
 pub mod ledger;
 pub mod memory;
 pub mod prefetcher;
@@ -36,7 +35,6 @@ pub mod sim;
 
 pub use checkpoint::CheckpointCursor;
 pub use deltas::{DeltaVocab, MissHistory};
-pub use evict::EvictionPolicy;
 pub use ledger::PrefetchLedger;
 pub use prefetcher::PrefetchFeedback;
 pub use prefetcher::{DemuxPrefetcher, MissEvent, NoPrefetcher, Prefetcher};

@@ -1,8 +1,10 @@
-//! The resident-page store: a capacity-bounded local memory.
-
-use std::collections::BTreeMap;
-
-use crate::evict::{EvictionPolicy, Evictor};
+//! The resident-page store: a capacity-bounded LRU local memory.
+//!
+//! Two arrays, both allocated at construction (DESIGN.md §6.2): a slab
+//! of `capacity` slots, each holding a page, its [`PageMeta`] and
+//! intrusive LRU links, and an open-addressed `page → slot` index with
+//! linear probing. Every operation is a short probe plus O(1) link
+//! updates, and none allocates.
 
 /// Metadata kept per resident page for prefetch accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -15,112 +17,245 @@ pub struct PageMeta {
     pub arrived: u64,
 }
 
-/// A capacity-bounded page memory with a pluggable eviction policy.
+/// "No slot": the end of the LRU or free list, or an empty index cell.
+const NIL: u32 = u32::MAX;
+
+/// One slab entry. Free slots chain through `next`.
+#[derive(Clone, Copy)]
+struct Slot {
+    page: u64,
+    meta: PageMeta,
+    /// Neighbour towards the head (more recent); `NIL` at the head.
+    prev: u32,
+    /// Neighbour towards the tail (less recent); `NIL` at the tail.
+    next: u32,
+}
+
+const UNUSED: Slot = Slot {
+    page: 0,
+    meta: PageMeta {
+        prefetched: false,
+        touched: false,
+        arrived: 0,
+    },
+    prev: NIL,
+    next: NIL,
+};
+
+/// A capacity-bounded page memory with LRU eviction.
 pub struct LocalMemory {
-    capacity: usize,
-    evictor: Box<dyn Evictor>,
-    meta: BTreeMap<u64, PageMeta>,
+    slots: Vec<Slot>,
+    /// `page → slot`; a power of two ≥ 2 × capacity cells, `NIL` = empty.
+    index: Vec<u32>,
+    /// `64 - log2(index.len())`: the hash keeps its top bits.
+    shift: u32,
+    /// Most recently used slot.
+    head: u32,
+    /// Least recently used slot: the next victim.
+    tail: u32,
+    /// First free slot; `NIL` when full.
+    free: u32,
+    len: usize,
 }
 
 impl LocalMemory {
-    /// Creates a memory of `capacity` pages with the given policy.
+    /// Creates an empty memory of `capacity` pages.
     ///
     /// # Panics
     ///
-    /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize, policy: EvictionPolicy) -> Self {
+    /// Panics if `capacity` is zero or does not fit a 32-bit slot number.
+    pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "capacity must be positive");
-        Self {
-            capacity,
-            evictor: policy.build(),
-            meta: BTreeMap::new(),
-        }
+        assert!(capacity < NIL as usize, "capacity must fit a u32 slot");
+        let cells = (2 * capacity).next_power_of_two();
+        let mut memory = Self {
+            slots: vec![UNUSED; capacity],
+            index: vec![NIL; cells],
+            shift: 64 - cells.trailing_zeros(),
+            head: NIL,
+            tail: NIL,
+            free: NIL,
+            len: 0,
+        };
+        memory.flush();
+        memory
     }
 
     /// Capacity in pages.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.slots.len()
     }
 
     /// Resident page count.
     pub fn len(&self) -> usize {
-        self.meta.len()
+        self.len
     }
 
     /// Whether nothing is resident.
     pub fn is_empty(&self) -> bool {
-        self.meta.is_empty()
+        self.len == 0
     }
 
     /// Whether `page` is resident.
     pub fn contains(&self, page: u64) -> bool {
-        self.meta.contains_key(&page)
+        self.find(page).is_ok()
     }
 
     /// Metadata of a resident page.
     pub fn meta(&self, page: u64) -> Option<&PageMeta> {
-        self.meta.get(&page)
+        let cell = self.find(page).ok()?;
+        Some(&self.slots[self.index[cell] as usize].meta)
     }
 
-    /// Records a demand access to a resident page; returns `false` if
-    /// the page is not resident. Marks prefetched pages as touched
-    /// (useful-prefetch accounting).
-    pub fn touch(&mut self, page: u64) -> bool {
-        match self.meta.get_mut(&page) {
-            Some(m) => {
-                m.touched = true;
-                self.evictor.on_access(page);
-                true
-            }
-            None => false,
+    /// Records a demand access: marks the page touched (useful-prefetch
+    /// accounting) and most recently used. Returns its metadata as it
+    /// was before the access, or `None` if the page is not resident.
+    pub fn touch(&mut self, page: u64) -> Option<PageMeta> {
+        let slot = self.index[self.find(page).ok()?];
+        let meta = &mut self.slots[slot as usize].meta;
+        let before = *meta;
+        meta.touched = true;
+        if self.head != slot {
+            self.unlink(slot);
+            self.push_front(slot);
         }
+        Some(before)
     }
 
-    /// Inserts `page`, evicting if full. Returns the evicted page's
-    /// number and metadata, if any. Inserting a resident page is a
-    /// no-op returning `None`.
+    /// Inserts `page` as most recently used, evicting the least
+    /// recently used page if full. Returns the evicted page's number
+    /// and metadata, if any. Inserting a resident page is a no-op
+    /// returning `None` that leaves the LRU order alone.
     pub fn insert(&mut self, page: u64, prefetched: bool, now: u64) -> Option<(u64, PageMeta)> {
         if self.contains(page) {
             return None;
         }
-        let evicted = if self.meta.len() >= self.capacity {
-            let victim = self.evictor.evict();
-            // The evictor only ever returns resident pages, whose
-            // metadata is inserted alongside them.
-            let m = self.meta.remove(&victim);
-            // hnp-lint: allow(panic_hygiene): evictor/meta stay in lockstep
-            let m = m.expect("victim must have metadata");
-            Some((victim, m))
+        let evicted = if self.free == NIL {
+            self.remove(self.slots[self.tail as usize].page)
         } else {
             None
         };
-        self.evictor.on_insert(page);
-        self.meta.insert(
+        let slot = self.free;
+        self.free = self.slots[slot as usize].next;
+        self.slots[slot as usize] = Slot {
             page,
-            PageMeta {
+            meta: PageMeta {
                 prefetched,
                 touched: false,
                 arrived: now,
             },
-        );
+            ..UNUSED
+        };
+        self.push_front(slot);
+        // `page` is not indexed, so the probe ends at the empty cell
+        // that is its place.
+        let (Ok(cell) | Err(cell)) = self.find(page);
+        self.index[cell] = slot;
+        self.len += 1;
         evicted
     }
 
     /// Invalidates a page (e.g. remote revocation in the disaggregated
     /// system). Returns its metadata if it was resident.
     pub fn invalidate(&mut self, page: u64) -> Option<PageMeta> {
-        self.evictor.remove(page);
-        self.meta.remove(&page)
+        self.remove(page).map(|(_, meta)| meta)
     }
 
     /// Drops every resident page (a node crash/restart loses local
-    /// memory). Capacity and policy survive; contents do not.
+    /// memory). Capacity survives; contents do not.
     pub fn flush(&mut self) {
-        let pages: Vec<u64> = self.meta.keys().copied().collect();
-        for page in pages {
-            self.evictor.remove(page);
+        self.index.fill(NIL);
+        let last = self.slots.len() - 1;
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            slot.next = if i == last { NIL } else { i as u32 + 1 };
         }
-        self.meta.clear();
+        self.free = 0;
+        self.head = NIL;
+        self.tail = NIL;
+        self.len = 0;
+    }
+
+    /// The home cell of `page`: the top bits of a multiplicative hash.
+    fn home(&self, page: u64) -> usize {
+        (page.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize
+    }
+
+    /// Probes for `page`: `Ok` with the cell holding it, or `Err` with
+    /// the empty cell that ends its probe run. The index is at most
+    /// half full, so an empty cell always exists.
+    fn find(&self, page: u64) -> Result<usize, usize> {
+        let mask = self.index.len() - 1;
+        let mut cell = self.home(page);
+        loop {
+            let slot = self.index[cell];
+            if slot == NIL {
+                return Err(cell);
+            }
+            if self.slots[slot as usize].page == page {
+                return Ok(cell);
+            }
+            cell = (cell + 1) & mask;
+        }
+    }
+
+    /// Unlinks, unindexes and frees a resident page's slot.
+    fn remove(&mut self, page: u64) -> Option<(u64, PageMeta)> {
+        let cell = self.find(page).ok()?;
+        let slot = self.index[cell];
+        self.unindex(cell);
+        self.unlink(slot);
+        self.slots[slot as usize].next = self.free;
+        self.free = slot;
+        self.len -= 1;
+        Some((page, self.slots[slot as usize].meta))
+    }
+
+    /// Empties `hole` by backward-shift deletion: each later member of
+    /// its probe run moves back into the hole unless its home cell lies
+    /// cyclically after the hole, so every page stays reachable from
+    /// its home without tombstones.
+    fn unindex(&mut self, mut hole: usize) {
+        let mask = self.index.len() - 1;
+        let mut cell = hole;
+        loop {
+            cell = (cell + 1) & mask;
+            let slot = self.index[cell];
+            if slot == NIL {
+                break;
+            }
+            let home = self.home(self.slots[slot as usize].page);
+            if cell.wrapping_sub(home) & mask >= cell.wrapping_sub(hole) & mask {
+                self.index[hole] = slot;
+                hole = cell;
+            }
+        }
+        self.index[hole] = NIL;
+    }
+
+    fn unlink(&mut self, slot: u32) {
+        let Slot { prev, next, .. } = self.slots[slot as usize];
+        if prev == NIL {
+            self.head = next;
+        } else {
+            self.slots[prev as usize].next = next;
+        }
+        if next == NIL {
+            self.tail = prev;
+        } else {
+            self.slots[next as usize].prev = prev;
+        }
+    }
+
+    fn push_front(&mut self, slot: u32) {
+        let s = &mut self.slots[slot as usize];
+        s.prev = NIL;
+        s.next = self.head;
+        if self.head == NIL {
+            self.tail = slot;
+        } else {
+            self.slots[self.head as usize].prev = slot;
+        }
+        self.head = slot;
     }
 }
 
@@ -130,7 +265,7 @@ mod tests {
 
     #[test]
     fn insert_until_capacity_then_evict() {
-        let mut m = LocalMemory::new(3, EvictionPolicy::Lru);
+        let mut m = LocalMemory::new(3);
         assert!(m.insert(1, false, 0).is_none());
         assert!(m.insert(2, false, 1).is_none());
         assert!(m.insert(3, false, 2).is_none());
@@ -143,39 +278,44 @@ mod tests {
 
     #[test]
     fn touch_refreshes_lru_order_and_marks_prefetch_used() {
-        let mut m = LocalMemory::new(2, EvictionPolicy::Lru);
+        let mut m = LocalMemory::new(2);
         m.insert(1, true, 0);
         m.insert(2, false, 1);
-        assert!(m.touch(1));
+        let before = m.touch(1).expect("resident");
+        assert!(before.prefetched && !before.touched, "pre-touch metadata");
         assert!(m.meta(1).unwrap().touched);
+        assert!(m.touch(1).unwrap().touched, "second touch sees the first");
         let (victim, meta) = m.insert(3, false, 2).unwrap();
         assert_eq!(victim, 2, "2 is now least recent");
         assert!(!meta.prefetched);
     }
 
     #[test]
-    fn touch_missing_page_is_false() {
-        let mut m = LocalMemory::new(2, EvictionPolicy::Lru);
-        assert!(!m.touch(99));
+    fn touch_missing_page_is_none() {
+        let mut m = LocalMemory::new(2);
+        assert!(m.touch(99).is_none());
     }
 
     #[test]
     fn double_insert_is_noop() {
-        let mut m = LocalMemory::new(2, EvictionPolicy::Lru);
+        let mut m = LocalMemory::new(2);
         m.insert(1, false, 0);
+        m.insert(2, false, 0);
         assert!(m.insert(1, true, 5).is_none());
-        // Original metadata is preserved.
+        // Original metadata is preserved, and 1 stays least recent.
         assert!(!m.meta(1).unwrap().prefetched);
+        assert_eq!(m.insert(3, false, 6).unwrap().0, 1);
     }
 
     #[test]
-    fn invalidate_removes_from_policy_too() {
-        let mut m = LocalMemory::new(2, EvictionPolicy::Lru);
+    fn invalidate_frees_a_slot() {
+        let mut m = LocalMemory::new(2);
         m.insert(1, false, 0);
         m.insert(2, false, 0);
         assert!(m.invalidate(1).is_some());
         assert!(m.invalidate(1).is_none());
-        // Room for two more inserts without eviction.
+        assert_eq!(m.len(), 1);
+        // Room for one more insert without eviction.
         assert!(m.insert(3, false, 1).is_none());
         let (victim, _) = m.insert(4, false, 2).unwrap();
         assert_eq!(victim, 2);
@@ -183,10 +323,49 @@ mod tests {
 
     #[test]
     fn evicted_metadata_reports_unused_prefetch() {
-        let mut m = LocalMemory::new(1, EvictionPolicy::Lru);
+        let mut m = LocalMemory::new(1);
         m.insert(1, true, 0);
         let (victim, meta) = m.insert(2, false, 1).unwrap();
         assert_eq!(victim, 1);
         assert!(meta.prefetched && !meta.touched, "pollution case");
+    }
+
+    #[test]
+    fn evicts_least_recent_first() {
+        let mut m = LocalMemory::new(3);
+        m.insert(1, false, 0);
+        m.insert(2, false, 0);
+        m.insert(3, false, 0);
+        m.touch(1); // Order now (recent->old): 1, 3, 2.
+        assert_eq!(m.insert(4, false, 1).unwrap().0, 2);
+        assert_eq!(m.insert(5, false, 1).unwrap().0, 3);
+        assert_eq!(m.insert(6, false, 1).unwrap().0, 1);
+    }
+
+    #[test]
+    fn every_resident_page_is_evicted_once() {
+        let mut m = LocalMemory::new(50);
+        for p in 0..50u64 {
+            m.insert(p, false, 0);
+        }
+        for p in 0..50u64 {
+            assert_eq!(m.insert(1000 + p, false, 1).unwrap().0, p);
+        }
+        assert!((0..50).all(|p| !m.contains(p)));
+        assert_eq!(m.len(), 50);
+    }
+
+    #[test]
+    fn flush_empties_and_slots_are_reused() {
+        let mut m = LocalMemory::new(100);
+        for round in 0..10u64 {
+            for p in 0..100u64 {
+                assert!(m.insert(round * 1000 + p, false, round).is_none());
+            }
+            assert_eq!(m.len(), 100);
+            m.flush();
+            assert!(m.is_empty() && !m.contains(round * 1000));
+        }
+        assert_eq!(m.capacity(), 100);
     }
 }

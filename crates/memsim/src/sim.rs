@@ -22,7 +22,6 @@ use hnp_obs::{Event, FeedbackKind, Registry};
 use hnp_trace::Trace;
 
 use crate::checkpoint::CheckpointCursor;
-use crate::evict::EvictionPolicy;
 use crate::ledger::PrefetchLedger;
 use crate::memory::LocalMemory;
 use crate::prefetcher::{MissEvent, Prefetcher};
@@ -33,8 +32,6 @@ pub struct SimConfig {
     /// Local-memory capacity in pages. The paper sizes this at 50 % of
     /// the trace footprint.
     pub capacity_pages: usize,
-    /// Eviction policy.
-    pub eviction: EvictionPolicy,
     /// Stall ticks for a full demand miss (remote fetch).
     pub miss_latency: u64,
     /// Ticks for a prefetch to arrive, counted from the miss that
@@ -60,7 +57,6 @@ impl Default for SimConfig {
     fn default() -> Self {
         Self {
             capacity_pages: 1024,
-            eviction: EvictionPolicy::Lru,
             miss_latency: 100,
             prefetch_latency: 100,
             inference_latency: 0,
@@ -75,12 +71,6 @@ impl SimConfig {
     /// Sets the local-memory capacity in pages.
     pub fn with_capacity_pages(mut self, pages: usize) -> Self {
         self.capacity_pages = pages;
-        self
-    }
-
-    /// Sets the eviction policy.
-    pub fn with_eviction(mut self, policy: EvictionPolicy) -> Self {
-        self.eviction = policy;
         self
     }
 
@@ -275,7 +265,7 @@ impl Simulator {
         checkpoints: &[usize],
     ) -> (SimReport, Vec<usize>) {
         let mut cursor = CheckpointCursor::at(checkpoints.iter().map(|&c| c as u64));
-        let mut memory = LocalMemory::new(self.cfg.capacity_pages, self.cfg.eviction);
+        let mut memory = LocalMemory::new(self.cfg.capacity_pages);
         // In-flight prefetches, due at their arrival tick.
         let mut inflight = PrefetchLedger::new();
         let mut now: u64 = 0;
@@ -306,13 +296,8 @@ impl Simulator {
                 Self::insert_accounting(obs, &mut memory, &mut report, prefetcher, p, true, now);
             });
             // Demand path.
-            if memory.contains(page) {
-                let first_touch_of_prefetch = memory
-                    .meta(page)
-                    .map(|m| m.prefetched && !m.touched)
-                    .unwrap_or(false);
-                memory.touch(page);
-                if first_touch_of_prefetch {
+            if let Some(before) = memory.touch(page) {
+                if before.prefetched && !before.touched {
                     dispatch(
                         obs,
                         &mut report,

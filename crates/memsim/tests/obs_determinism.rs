@@ -8,8 +8,8 @@
 use proptest::prelude::*;
 
 use hnp_memsim::{
-    EvictionPolicy, MissEvent, PrefetchFeedback, Prefetcher, ResilientConfig, ResilientPrefetcher,
-    SimConfig, Simulator,
+    MissEvent, PrefetchFeedback, Prefetcher, ResilientConfig, ResilientPrefetcher, SimConfig,
+    Simulator,
 };
 use hnp_obs::{Counters, Event, Histogram, JsonlExporter, Metric, Registry, RingTracer};
 use hnp_trace::Pattern;
@@ -78,7 +78,6 @@ proptest! {
     ) {
         let base = SimConfig::default()
             .with_capacity_pages(capacity)
-            .with_eviction(EvictionPolicy::Lru)
             .with_miss_latency(miss_latency)
             .with_prefetch_latency(prefetch_latency)
             .with_max_inflight(max_inflight)

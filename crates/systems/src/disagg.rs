@@ -21,7 +21,7 @@ use serde::Serialize;
 
 use hnp_memsim::memory::LocalMemory;
 use hnp_memsim::prefetcher::{MissEvent, Prefetcher};
-use hnp_memsim::{EvictionPolicy, PrefetchLedger};
+use hnp_memsim::PrefetchLedger;
 use hnp_obs::{Event, FaultKind as ObsFaultKind, FeedbackKind, Registry};
 use hnp_trace::Trace;
 
@@ -337,7 +337,7 @@ impl DisaggregatedCluster {
                 let cap =
                     ((t.footprint_pages() as f64 * self.cfg.local_capacity_frac) as usize).max(1);
                 NodeState {
-                    memory: LocalMemory::new(cap, EvictionPolicy::Lru),
+                    memory: LocalMemory::new(cap),
                     inflight: PrefetchLedger::new(),
                     doomed: BTreeSet::new(),
                     cursor: 0,
@@ -429,14 +429,8 @@ impl DisaggregatedCluster {
                 let page = access.page(trace.page_shift());
                 node.cursor += 1;
                 node.report.accesses += 1;
-                if node.memory.contains(page) {
-                    let fresh = node
-                        .memory
-                        .meta(page)
-                        .map(|m| m.prefetched && !m.touched)
-                        .unwrap_or(false);
-                    node.memory.touch(page);
-                    if fresh {
+                if let Some(before) = node.memory.touch(page) {
+                    if before.prefetched && !before.touched {
                         node.report.prefetches_useful += 1;
                         notify(
                             obs,

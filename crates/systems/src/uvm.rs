@@ -16,7 +16,7 @@ use serde::Serialize;
 
 use hnp_memsim::memory::LocalMemory;
 use hnp_memsim::prefetcher::{MissEvent, Prefetcher};
-use hnp_memsim::{EvictionPolicy, PrefetchLedger};
+use hnp_memsim::PrefetchLedger;
 use hnp_obs::{Event, FaultKind as ObsFaultKind, FeedbackKind, Registry};
 use hnp_trace::Trace;
 
@@ -216,7 +216,7 @@ impl UvmSim {
             pages.len()
         };
         let capacity = ((combined_footprint as f64 * self.cfg.capacity_frac) as usize).max(1);
-        let mut memory = LocalMemory::new(capacity, EvictionPolicy::Lru);
+        let mut memory = LocalMemory::new(capacity);
         let mut inflight = PrefetchLedger::new();
         let mut cursors = vec![0usize; warps.len()];
         let mut now: u64 = 0;
@@ -273,13 +273,8 @@ impl UvmSim {
                 let access = trace.accesses()[cursors[w]];
                 let page = access.page(trace.page_shift());
                 report.accesses += 1;
-                if memory.contains(page) {
-                    let fresh = memory
-                        .meta(page)
-                        .map(|m| m.prefetched && !m.touched)
-                        .unwrap_or(false);
-                    memory.touch(page);
-                    if fresh {
+                if let Some(before) = memory.touch(page) {
+                    if before.prefetched && !before.touched {
                         report.prefetches_useful += 1;
                         notify(
                             obs,

@@ -6,7 +6,6 @@ use proptest::prelude::*;
 use hnp::core::{CapacityPolicy, Hippocampus};
 use hnp::hebbian::bitset::BitSet;
 use hnp::hebbian::kwta::k_winners;
-use hnp::memsim::evict::EvictionPolicy;
 use hnp::memsim::memory::LocalMemory;
 use hnp::memsim::{DeltaVocab, MissHistory, NoPrefetcher, SimConfig, Simulator};
 use hnp::traces::Trace;
@@ -76,7 +75,7 @@ proptest! {
         capacity in 1usize..64,
         pages in proptest::collection::vec(0u64..128, 1..300),
     ) {
-        let mut m = LocalMemory::new(capacity, EvictionPolicy::Lru);
+        let mut m = LocalMemory::new(capacity);
         for (i, &p) in pages.iter().enumerate() {
             if !m.contains(p) {
                 m.insert(p, false, i as u64);
