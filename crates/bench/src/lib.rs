@@ -19,14 +19,11 @@
 //! | `ablate_encoding` | §5.3 |
 //! | `ablate_replay` | §5.4 |
 //! | `availability` | §5.5 |
-//! | `serve_throughput` | serving-engine scaling (DESIGN.md §11) |
-//! | `kernels_bench` | kernel perf point (DESIGN.md §12) |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod fig3;
 pub mod fig5;
-pub mod kernels;
 pub mod output;
 pub mod timing;

@@ -20,11 +20,6 @@ pub fn time_ns(warmup: usize, iters: usize, mut f: impl FnMut()) -> f64 {
     start.elapsed().as_nanos() as f64 / iters as f64
 }
 
-/// Formats nanoseconds as a human-readable microsecond string.
-pub fn fmt_us(ns: f64) -> String {
-    format!("{:9.2} us", ns / 1000.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -48,10 +43,5 @@ mod tests {
             std::hint::black_box(churn(100_000));
         });
         assert!(costly > cheap, "costly {costly} vs cheap {cheap}");
-    }
-
-    #[test]
-    fn fmt_us_renders_microseconds() {
-        assert!(fmt_us(1500.0).contains("1.50 us"));
     }
 }

@@ -13,9 +13,7 @@
 //! are robust enough to train in place — by comparing both modes under
 //! concurrent inference.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use hnp_hebbian::{HebbianNetwork, HebbianOutcome};
 
@@ -85,7 +83,7 @@ impl ShadowDeployment {
     /// whether a redeploy happened.
     pub fn step(&mut self, pattern: &[u32], target: usize) -> (HebbianOutcome, bool) {
         let outcome = {
-            let mut live = self.live.lock();
+            let mut live = lock(&self.live);
             live.infer_advance(pattern, target)
         };
         self.tracker.record(outcome.confidence, outcome.correct);
@@ -104,13 +102,19 @@ impl ShadowDeployment {
 
     /// Forces a redeploy: the shadow's weights become live.
     pub fn redeploy(&mut self) {
-        let mut live = self.live.lock();
+        let mut live = lock(&self.live);
         *live = self.shadow.clone();
         self.redeployments += 1;
         // Reset the accuracy window: the new model deserves a fresh
         // assessment.
         self.tracker = ConfidenceTracker::new(0.05, self.cfg.window);
     }
+}
+
+/// Locks the live model, ignoring poisoning: a panicked inference
+/// thread must not take the protocol down with it.
+fn lock(live: &Mutex<HebbianNetwork>) -> MutexGuard<'_, HebbianNetwork> {
+    live.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -169,7 +173,7 @@ mod tests {
         // The live model never trained; the shadow did.
         dep.redeploy();
         let live = dep.live_handle();
-        let mut live = live.lock();
+        let mut live = lock(&live);
         live.reset_state();
         // Warm the recurrent state one step (the shadow trained with a
         // steady-state context), then probe.
@@ -199,7 +203,7 @@ mod tests {
         let reader = std::thread::spawn(move || {
             let mut inferences = 0u64;
             loop {
-                let _ = handle.lock().infer_advance(&[1], 1);
+                let _ = lock(&handle).infer_advance(&[1], 1);
                 inferences += 1;
                 if inferences == 1 {
                     started2.wait();

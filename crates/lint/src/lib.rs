@@ -12,7 +12,8 @@
 //!   `systems`;
 //! * **HNP02 `layering`** — the crate graph stays the acyclic
 //!   `trace/nn/hebbian/lint → memsim → core/baselines → systems →
-//!   bench/cli`, checked both in manifests and in source paths;
+//!   bench/cli`, checked both in manifests and in source paths, and
+//!   declares no `[dependencies]` edge its `src/` never names;
 //! * **HNP03 `panic_hygiene`** — no `unwrap`/`expect`/`panic!`-family
 //!   calls in library crates outside `#[cfg(test)]`;
 //! * **HNP04 `integer_purity`** — no `f32`/`f64` arithmetic in the

@@ -11,6 +11,8 @@
 //! `// hnp-lint: allow(<rule>)` (covering that line and the next) or
 //! per-file with `// hnp-lint: allow-file(<rule>)`.
 
+use std::collections::BTreeSet;
+
 use crate::tokenizer::{test_spans, LexOutput, TokKind};
 use crate::workspace::CrateInfo;
 
@@ -21,7 +23,8 @@ pub enum Rule {
     /// in simulator/model state paths.
     Determinism,
     /// HNP02: the crate graph must follow the layered architecture
-    /// with no back-edges.
+    /// with no back-edges, and declare no dependency its code never
+    /// names.
     Layering,
     /// HNP03: no `unwrap`/`expect`/`panic!`-family calls in library
     /// code outside tests.
@@ -125,8 +128,8 @@ pub const LAYERS: &[(&str, u32)] = &[
     ("hnp-systems", 3),
     ("hnp-serve", 3),
     ("hnp-bench", 4),
-    // `hnpctl bench` drives the hnp-bench harnesses, so the CLI sits
-    // one layer above them.
+    // hnpctl builds its models through `hnp_bench::fig5`, so the CLI
+    // sits one layer above the harnesses.
     ("hnp-cli", 5),
 ];
 
@@ -302,5 +305,33 @@ pub fn check_manifest(krate: &CrateInfo, out: &mut Vec<Finding>) {
                 suppressed: false,
             });
         }
+    }
+}
+
+/// Flags a `[dependencies]` edge whose crate name (`-` → `_`) is not an
+/// identifier anywhere in the crate's `src/` files (HNP02): an edge no
+/// code uses is deleted, or moved to `[dev-dependencies]` when only
+/// tests use it. Dev-dependencies are not checked.
+pub fn check_unused_deps(krate: &CrateInfo, sources: &[LexOutput], out: &mut Vec<Finding>) {
+    let idents: BTreeSet<&str> = sources
+        .iter()
+        .flat_map(|lexed| &lexed.tokens)
+        .filter(|t| t.kind == TokKind::Ident)
+        .map(|t| t.text.as_str())
+        .collect();
+    for dep in &krate.deps {
+        if idents.contains(dep.replace('-', "_").as_str()) {
+            continue;
+        }
+        out.push(Finding {
+            rule: Rule::Layering,
+            file: format!("crates/{}/Cargo.toml", krate.dir_name),
+            line: 0,
+            message: format!(
+                "unused dependency: `{}` declares `{dep}` but no file under src/ names it; delete the edge, or move it to [dev-dependencies] if only tests use it",
+                krate.name
+            ),
+            suppressed: false,
+        });
     }
 }

@@ -3,7 +3,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::rules::{check_file, check_manifest, Finding};
+use crate::rules::{check_file, check_manifest, check_unused_deps, Finding};
 use crate::tokenizer::lex;
 
 /// Engine errors (I/O, mostly).
@@ -198,6 +198,7 @@ pub fn check_workspace(root: &Path) -> Result<Report, LintError> {
     let mut files_scanned = 0usize;
     for krate in &crates {
         check_manifest(krate, &mut findings);
+        let mut sources = Vec::with_capacity(krate.files.len());
         for file in &krate.files {
             let text = fs::read_to_string(file).map_err(|e| LintError::Io(file.clone(), e))?;
             let rel = file
@@ -209,8 +210,10 @@ pub fn check_workspace(root: &Path) -> Result<Report, LintError> {
             let before = findings.len();
             check_file(krate, &rel, &lexed, &mut findings);
             apply_suppressions(&mut findings[before..], &rel, &lexed.suppressions);
+            sources.push(lexed);
             files_scanned += 1;
         }
+        check_unused_deps(krate, &sources, &mut findings);
     }
     findings
         .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
@@ -250,6 +253,23 @@ pub fn check_manifest_of(name: &str, deps: &[&str], dev_deps: &[&str]) -> Vec<Fi
     };
     let mut findings = Vec::new();
     check_manifest(&krate, &mut findings);
+    findings
+}
+
+/// Checks an in-memory crate (its `[dependencies]` and the text of its
+/// `src/` files) for unused dependency edges — the fixture-test entry
+/// point for HNP02's unused-edge check.
+pub fn check_unused_deps_of(name: &str, deps: &[&str], sources: &[&str]) -> Vec<Finding> {
+    let krate = CrateInfo {
+        name: name.to_string(),
+        dir_name: name.trim_start_matches("hnp-").to_string(),
+        deps: deps.iter().map(|d| d.to_string()).collect(),
+        dev_deps: Vec::new(),
+        files: Vec::new(),
+    };
+    let lexed: Vec<_> = sources.iter().map(|s| lex(s)).collect();
+    let mut findings = Vec::new();
+    check_unused_deps(&krate, &lexed, &mut findings);
     findings
 }
 

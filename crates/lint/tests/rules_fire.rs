@@ -4,7 +4,7 @@
 //! manifest level.
 
 use hnp_lint::rules::Rule;
-use hnp_lint::workspace::{check_manifest_of, check_source};
+use hnp_lint::workspace::{check_manifest_of, check_source, check_unused_deps_of};
 
 fn count(findings: &[hnp_lint::Finding], rule: Rule, suppressed: bool) -> usize {
     findings
@@ -123,6 +123,25 @@ fn layering_manifest_back_edge_fails() {
         &["hnp-core", "hnp-baselines", "hnp-memsim", "hnp-trace"],
         &["hnp-trace"],
     );
+    assert!(findings.is_empty(), "{findings:?}");
+}
+
+#[test]
+fn layering_flags_an_unused_dependency_edge() {
+    let src = "use hnp_memsim::Prefetcher;\nfn f() -> u32 { rand::random() }\n";
+    // `rand` and `hnp-memsim` are named (`-` read as `_`); `crossbeam`
+    // is not, and a mention in a comment does not count.
+    let findings = check_unused_deps_of(
+        "hnp-core",
+        &["hnp-memsim", "rand", "crossbeam"],
+        &[src, "// crossbeam would go here\n"],
+    );
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(findings[0].rule, Rule::Layering);
+    assert!(findings[0].message.contains("unused dependency"));
+    assert!(findings[0].message.contains("`crossbeam`"));
+    // Every edge used: quiet.
+    let findings = check_unused_deps_of("hnp-core", &["hnp-memsim", "rand"], &[src]);
     assert!(findings.is_empty(), "{findings:?}");
 }
 

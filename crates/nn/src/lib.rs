@@ -8,7 +8,6 @@
 //! * an [embedding table](embedding::Embedding),
 //! * an [LSTM](lstm) cell and sequence model trained with truncated BPTT,
 //! * [post-training INT8 quantization](quant) for the Fig. 2 experiment,
-//! * [optimizers](optimizer) (SGD with clipping, Adam),
 //! * exact [operation accounting](ops) used to regenerate Table 2, and
 //! * a small [scoped-thread parallel runtime](parallel) used for the
 //!   one-vs-two-thread latency comparison in Fig. 2.
@@ -29,7 +28,6 @@ pub mod lstm;
 pub mod matrix;
 pub mod norm;
 pub mod ops;
-pub mod optimizer;
 pub mod parallel;
 pub mod quant;
 pub mod transformer;

@@ -281,6 +281,8 @@ mod tests {
         assert_eq!(jsonl_kind(&line), Some("feedback"));
         assert_eq!(jsonl_u64(&line, "remaining"), Some(12));
         assert_eq!(jsonl_u64(&line, "absent"), None);
+        // A flat JSON line that is not an event has no kind.
+        assert_eq!(jsonl_kind(r#"{"schema":1,"forward_ns":1234}"#), None);
     }
 
     #[test]
