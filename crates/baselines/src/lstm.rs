@@ -25,9 +25,6 @@ pub struct LstmPrefetcherConfig {
     pub lookahead: usize,
     /// Predictions per step (prefetch width, §5.2).
     pub width: usize,
-    /// Whether online training is enabled (disable for frozen-model
-    /// ablations).
-    pub train_online: bool,
     /// Minimum first-step softmax probability required to issue
     /// prefetches (§5.2 selectivity; prevents an untrained model from
     /// polluting memory).
@@ -45,22 +42,8 @@ impl Default for LstmPrefetcherConfig {
             learning_rate: 0.05,
             lookahead: 2,
             width: 2,
-            train_online: true,
             min_confidence: 0.05,
             seed: 0x15b4,
-        }
-    }
-}
-
-impl LstmPrefetcherConfig {
-    /// The paper-scale deployment (~170 k parameters; slow — used by
-    /// the latency benchmarks, not the simulations).
-    pub fn paper_scale() -> Self {
-        Self {
-            delta_range: 64,
-            embed_dim: 50,
-            hidden: 128,
-            ..Self::default()
         }
     }
 }
@@ -133,14 +116,10 @@ impl Prefetcher for LstmPrefetcher {
             None => None,
         };
         if let (Some(prev), Some(cur)) = (self.last_token, token) {
-            if self.cfg.train_online {
-                // Online step: the state has already consumed `prev`'s
-                // predecessors; consume `prev` now, fit `cur`.
-                let loss = self.net.train_step(prev, cur);
-                self.ema_confidence = 0.98 * self.ema_confidence + 0.02 * loss.confidence;
-            } else {
-                let _ = self.net.infer_advance(prev);
-            }
+            // Online step: the state has already consumed `prev`'s
+            // predecessors; consume `prev` now, fit `cur`.
+            let loss = self.net.train_step(prev, cur);
+            self.ema_confidence = 0.98 * self.ema_confidence + 0.02 * loss.confidence;
         }
         self.last_page = Some(miss.page);
         if let Some(tok) = token {
@@ -201,18 +180,6 @@ mod tests {
         // shifting (a real deployment feedback effect). It must still
         // be clearly above the uniform floor (1/130 classes).
         assert!(p.confidence() > 0.05, "confidence {}", p.confidence());
-    }
-
-    #[test]
-    fn frozen_model_does_not_learn() {
-        let t = Pattern::Stride.generate(2000, 0);
-        let cfg = LstmPrefetcherConfig {
-            train_online: false,
-            ..LstmPrefetcherConfig::default()
-        };
-        let mut p = LstmPrefetcher::new(cfg);
-        let _ = sim().run(&t, &mut p);
-        assert_eq!(p.confidence(), 0.0, "no training, no confidence updates");
     }
 
     #[test]

@@ -90,12 +90,6 @@ impl Default for StrideConfig {
 }
 
 impl StrideConfig {
-    /// Sets the confirmation threshold.
-    pub fn with_threshold(mut self, threshold: u32) -> Self {
-        self.threshold = threshold;
-        self
-    }
-
     /// Sets the prefetch degree.
     pub fn with_degree(mut self, degree: usize) -> Self {
         self.degree = degree;
@@ -193,12 +187,6 @@ impl MarkovConfig {
     /// Sets the transition-table capacity.
     pub fn with_capacity(mut self, capacity: usize) -> Self {
         self.capacity = capacity;
-        self
-    }
-
-    /// Sets the successor count per page.
-    pub fn with_successors(mut self, successors: usize) -> Self {
-        self.successors = successors;
         self
     }
 }

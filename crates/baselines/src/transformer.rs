@@ -34,8 +34,6 @@ pub struct TransformerPrefetcherConfig {
     pub width: usize,
     /// Minimum first-step confidence to issue.
     pub min_confidence: f32,
-    /// Whether to train online.
-    pub train_online: bool,
     /// Seed.
     pub seed: u64,
 }
@@ -52,7 +50,6 @@ impl Default for TransformerPrefetcherConfig {
             lookahead: 2,
             width: 2,
             min_confidence: 0.05,
-            train_online: true,
             seed: 0x7f8,
         }
     }
@@ -121,7 +118,7 @@ impl Prefetcher for TransformerPrefetcher {
         let token = self.vocab.token_of(miss.page as i64 - last as i64);
         self.last_page = Some(miss.page);
         // Train on (context -> token).
-        if !self.history.is_empty() && self.cfg.train_online {
+        if !self.history.is_empty() {
             let ctx = self.context();
             let loss = self.net.train_window(&ctx, token, self.cfg.learning_rate);
             self.ema_confidence = 0.98 * self.ema_confidence + 0.02 * loss.confidence;
@@ -182,17 +179,5 @@ mod tests {
                 stream: 0
             })
             .is_empty());
-    }
-
-    #[test]
-    fn frozen_model_does_not_update_confidence() {
-        let t = Pattern::Stride.generate(1000, 0);
-        let cfg = TransformerPrefetcherConfig {
-            train_online: false,
-            ..TransformerPrefetcherConfig::default()
-        };
-        let mut p = TransformerPrefetcher::new(cfg);
-        let _ = sim().run(&t, &mut p);
-        assert_eq!(p.confidence(), 0.0);
     }
 }

@@ -97,24 +97,6 @@ impl ClsConfig {
         self
     }
 
-    /// Sets the prefetch lookahead (prediction steps per miss).
-    pub fn with_lookahead(mut self, steps: usize) -> Self {
-        self.lookahead = steps;
-        self
-    }
-
-    /// Sets the prefetch width (predictions per step).
-    pub fn with_width(mut self, width: usize) -> Self {
-        self.width = width;
-        self
-    }
-
-    /// Sets the minimum issue confidence.
-    pub fn with_min_confidence(mut self, min: f32) -> Self {
-        self.min_confidence = min;
-        self
-    }
-
     /// Attaches an observer registry to the prefetcher.
     pub fn with_observer(mut self, obs: Registry) -> Self {
         self.obs = obs;

@@ -217,16 +217,15 @@ proptest! {
 /// The hidden-winner memo and its cached output scores against a
 /// network that recomputes layer 1 and scatters layer 2 on every pass:
 /// any sequence of public calls must give bit-identical outcomes, ops,
-/// output scores, stats, recurrent state and exported state.
+/// output scores, stats, recurrent state and exported state; and
+/// layer 1, which the memo assumes fixed, must never change.
 /// `replay_step` (draw first, layer 1 only on a rejected draw) is held
 /// to the save / `set_recurrent_state` / `train_step_opts` / restore
 /// sequence it replaces.
 mod memo_equivalence {
     use proptest::prelude::*;
 
-    use crate::network::{
-        HebbianConfig, HebbianNetwork, HebbianOutcome, HiddenLearning, NetState, RecurrentStyle,
-    };
+    use crate::network::{HebbianConfig, HebbianNetwork, HebbianOutcome, NetState};
     use crate::LrScale;
 
     const PATTERN_BITS: u32 = 16;
@@ -296,26 +295,13 @@ mod memo_equivalence {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
-        fn memo_is_invisible(
-            learning in 0usize..3,
-            trace in any::<bool>(),
-            ops in proptest::collection::vec(op(), 1..120),
-        ) {
-            let cfg = HebbianConfig {
-                hidden_learning: [
-                    HiddenLearning::Fixed,
-                    HiddenLearning::ErrorGated,
-                    HiddenLearning::Always,
-                ][learning],
-                recurrent_style: if trace {
-                    RecurrentStyle::WinnerTrace
-                } else {
-                    RecurrentStyle::PatternCode
-                },
-                ..HebbianConfig::tiny()
-            };
+        fn memo_is_invisible(ops in proptest::collection::vec(op(), 1..120)) {
+            let cfg = HebbianConfig::tiny();
             let mut memo = HebbianNetwork::new(cfg.clone());
             let mut reference = HebbianNetwork::without_memo(cfg);
+            // Exported from a clone, so the live RNG is not re-keyed.
+            let layer1 = |net: &HebbianNetwork| net.clone().export_state().layer1_weights;
+            let layer1_at_construction = layer1(&memo);
             let mut saved: Option<NetState> = None;
             let mut scores_exact = true;
             for op in ops.into_iter().map(decode) {
@@ -383,6 +369,7 @@ mod memo_equivalence {
                 }
                 prop_assert_eq!(memo.recurrent_state(), reference.recurrent_state());
                 prop_assert_eq!(memo.stats(), reference.stats());
+                prop_assert_eq!(&layer1(&memo), &layer1_at_construction);
             }
             prop_assert_eq!(memo.export_state(), reference.export_state());
             prop_assert_eq!(reference.memo_hits(), 0);
@@ -391,8 +378,8 @@ mod memo_equivalence {
     }
 
     /// The property above is vacuous unless the memo answers lookups:
-    /// a repeated input set must hit, for either recurrent style, and
-    /// duplicate bits must bypass the table.
+    /// a repeated input set must hit, and duplicate bits must bypass
+    /// the table.
     #[test]
     fn repeated_inputs_hit_the_memo() {
         let mut net = HebbianNetwork::new(HebbianConfig::tiny());
@@ -403,10 +390,7 @@ mod memo_equivalence {
         // first lap every input set repeats.
         assert!(net.memo_hits() >= 56, "{} hits", net.memo_hits());
 
-        let mut net = HebbianNetwork::new(HebbianConfig {
-            recurrent_style: RecurrentStyle::WinnerTrace,
-            ..HebbianConfig::tiny()
-        });
+        let mut net = HebbianNetwork::new(HebbianConfig::tiny());
         net.train_step(&[1], 2);
         let hits = net.memo_hits();
         net.infer(&[1], 2);
@@ -415,6 +399,39 @@ mod memo_equivalence {
         net.infer(&[1, 1], 2);
         net.infer(&[1, 1], 2);
         assert_eq!(net.memo_hits(), hits + 1, "duplicate bits bypass the memo");
+    }
+
+    /// Layer 1 changes only when `import_state` writes it, so the
+    /// property above never sees a generation bump matter: a state
+    /// with other layer-1 weights (here a hand-built one) must drop
+    /// every memoized winner set.
+    #[test]
+    fn importing_new_layer1_weights_drops_memoized_winners() {
+        let cfg = HebbianConfig::tiny();
+        let mut memo = HebbianNetwork::new(cfg.clone());
+        let mut reference = HebbianNetwork::without_memo(cfg);
+        let inputs = [[1u32], [2], [3]];
+        for net in [&mut memo, &mut reference] {
+            for (i, p) in inputs.iter().enumerate() {
+                net.reset_state();
+                net.train_step(p, i);
+            }
+        }
+        let mut state = memo.export_state();
+        assert_eq!(state, reference.export_state());
+        state.layer1_weights.iter_mut().for_each(|w| *w = -*w);
+        for net in [&mut memo, &mut reference] {
+            net.import_state(&state).expect("same geometry");
+        }
+        for (i, p) in inputs.iter().enumerate() {
+            memo.reset_state();
+            reference.reset_state();
+            assert_eq!(
+                outcome_bits(&memo.infer(p, i)),
+                outcome_bits(&reference.infer(p, i))
+            );
+            assert_eq!(memo.out_scores(), reference.out_scores());
+        }
     }
 
     /// The cached-score property is vacuous unless hits take both

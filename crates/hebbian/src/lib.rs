@@ -32,6 +32,4 @@ pub mod network;
 pub mod sparse;
 
 pub use lr::LrScale;
-pub use network::{
-    HebbianConfig, HebbianNetwork, HebbianOutcome, HiddenLearning, NetState, NetStats, StateError,
-};
+pub use network::{HebbianConfig, HebbianNetwork, HebbianOutcome, NetState, NetStats, StateError};

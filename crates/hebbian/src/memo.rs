@@ -1,7 +1,7 @@
 //! Memo of the fixed hidden layer's winner sets (DESIGN.md §12.4).
 //!
-//! While layer 1 does not change, the k-WTA winner set of a forward
-//! pass is a pure function of the active-input set. Online prefetching
+//! Layer 1 never learns, so the k-WTA winner set of a forward pass is
+//! a pure function of the active-input set. Online prefetching
 //! presents the same few hundred input sets over and over, so
 //! [`HebbianNetwork`](crate::HebbianNetwork) keeps the last winner set
 //! seen for each input set in a direct-mapped table and skips layer 1
@@ -12,8 +12,9 @@
 //! refresh only the output rows that changed since (DESIGN.md §12.4).
 //!
 //! Exactness: every lookup compares the full key, so a hit never
-//! returns another input set's winners; every layer-1 change bumps
-//! the generation, so a hit never returns winners of older weights;
+//! returns another input set's winners; `import_state`, the only
+//! layer-1 change, bumps the generation, so a hit never returns
+//! winners of older weights;
 //! every store of new winners drops the slot's cached scores, so
 //! scores are only ever returned for the winners they were computed
 //! from.
@@ -26,9 +27,6 @@ const SLOTS: usize = 1 << SLOT_BITS;
 pub(crate) struct Hit<'a> {
     /// Winner bitset words over the hidden layer.
     pub winners: &'a [u64],
-    /// Score-ordered winner-trace prefix (empty unless the network
-    /// uses `RecurrentStyle::WinnerTrace`).
-    pub trace: &'a [u32],
     /// Layer-1 ops of the pass that computed the entry.
     pub layer1_ops: usize,
     /// The slot holding the entry, for [`HiddenMemo::scores`] and
@@ -53,7 +51,6 @@ pub(crate) struct CachedScores<'a> {
 pub(crate) struct HiddenMemo {
     key_words: usize,
     winner_words: usize,
-    trace_len: usize,
     outputs: usize,
     /// Layer-1 generation; slots stamped with another one are stale.
     generation: u64,
@@ -61,7 +58,6 @@ pub(crate) struct HiddenMemo {
     stamps: Vec<u64>,
     keys: Vec<u64>,
     winners: Vec<u64>,
-    traces: Vec<u32>,
     layer1_ops: Vec<usize>,
     out_scores: Vec<i32>,
     layer2_ops: Vec<usize>,
@@ -79,21 +75,18 @@ pub(crate) struct HiddenMemo {
 
 impl HiddenMemo {
     /// A table for keys of `input_bits`, winner sets over `hidden`
-    /// units, trace prefixes of `trace_len` entries, and scores over
-    /// `outputs` classes.
-    pub fn new(input_bits: usize, hidden: usize, trace_len: usize, outputs: usize) -> Self {
+    /// units, and scores over `outputs` classes.
+    pub fn new(input_bits: usize, hidden: usize, outputs: usize) -> Self {
         let key_words = input_bits.div_ceil(64);
         let winner_words = hidden.div_ceil(64);
         Self {
             key_words,
             winner_words,
-            trace_len,
             outputs,
             generation: 1,
             stamps: vec![0; SLOTS],
             keys: vec![0; SLOTS * key_words],
             winners: vec![0; SLOTS * winner_words],
-            traces: vec![0; SLOTS * trace_len],
             layer1_ops: vec![0; SLOTS],
             out_scores: vec![0; SLOTS * outputs],
             layer2_ops: vec![0; SLOTS],
@@ -105,7 +98,7 @@ impl HiddenMemo {
         }
     }
 
-    /// Forgets every entry: layer 1 changed. O(1) — stale slots are
+    /// Forgets every entry: layer 1 was overwritten. O(1) — stale slots are
     /// recognised by their stamp and overwritten on their next store.
     pub fn invalidate(&mut self) {
         self.generation += 1;
@@ -128,10 +121,8 @@ impl HiddenMemo {
             self.hits += 1;
         }
         let w = s * self.winner_words;
-        let t = s * self.trace_len;
         Some(Hit {
             winners: &self.winners[w..w + self.winner_words],
-            trace: &self.traces[t..t + self.trace_len],
             layer1_ops: self.layer1_ops[s],
             slot: s,
         })
@@ -144,14 +135,12 @@ impl HiddenMemo {
     /// # Panics
     ///
     /// Panics if a slice length does not match the table geometry.
-    pub fn put(&mut self, key: &[u64], winners: &[u64], trace: &[u32], layer1_ops: usize) -> usize {
-        assert_eq!(trace.len(), self.trace_len, "trace prefix length");
+    pub fn put(&mut self, key: &[u64], winners: &[u64], layer1_ops: usize) -> usize {
         let s = slot_of(key);
         self.stamps[s] = self.generation;
         self.score_clocks[s] = 0;
         self.keys[s * self.key_words..(s + 1) * self.key_words].copy_from_slice(key);
         self.winners[s * self.winner_words..(s + 1) * self.winner_words].copy_from_slice(winners);
-        self.traces[s * self.trace_len..(s + 1) * self.trace_len].copy_from_slice(trace);
         self.layer1_ops[s] = layer1_ops;
         s
     }
@@ -200,15 +189,12 @@ mod tests {
 
     #[test]
     fn hit_requires_same_key_and_generation() {
-        let mut m = HiddenMemo::new(70, 130, 2, 3);
+        let mut m = HiddenMemo::new(70, 130, 3);
         let key = [0b1011u64, 1];
         assert!(m.get(&key).is_none());
-        m.put(&key, &[7, 0, 9], &[3, 1], 42);
+        m.put(&key, &[7, 0, 9], 42);
         let hit = m.get(&key).expect("stored");
-        assert_eq!(
-            (hit.winners, hit.trace, hit.layer1_ops),
-            (&[7, 0, 9][..], &[3, 1][..], 42)
-        );
+        assert_eq!((hit.winners, hit.layer1_ops), (&[7, 0, 9][..], 42));
         assert!(m.get(&[0b1011, 0]).is_none(), "different key");
         m.invalidate();
         assert!(m.get(&key).is_none(), "stale generation");
@@ -216,22 +202,22 @@ mod tests {
 
     #[test]
     fn colliding_keys_evict_each_other() {
-        let mut m = HiddenMemo::new(64, 64, 0, 1);
+        let mut m = HiddenMemo::new(64, 64, 1);
         let a = [1u64];
         let b = (2u64..)
             .map(|w| [w])
             .find(|k| slot_of(k) == slot_of(&a))
             .expect("some key collides");
-        m.put(&a, &[1], &[], 1);
-        m.put(&b, &[2], &[], 2);
+        m.put(&a, &[1], 1);
+        m.put(&b, &[2], 2);
         assert!(m.get(&a).is_none());
         assert_eq!(m.get(&b).expect("newest wins").winners, &[2]);
     }
 
     #[test]
     fn new_winners_drop_cached_scores() {
-        let mut m = HiddenMemo::new(64, 64, 0, 2);
-        let s = m.put(&[1], &[1], &[], 1);
+        let mut m = HiddenMemo::new(64, 64, 2);
+        let s = m.put(&[1], &[1], 1);
         assert!(m.scores(s).is_none(), "a fresh entry has no scores");
         m.put_scores(s, &[5, -3], 9, 4);
         let hit = m.get(&[1]).expect("stored");
@@ -242,7 +228,7 @@ mod tests {
             (&[5, -3][..], 9, 4)
         );
         m.invalidate();
-        assert_eq!(m.put(&[1], &[2], &[], 1), s);
+        assert_eq!(m.put(&[1], &[2], 1), s);
         assert!(m.scores(s).is_none(), "re-stored winners drop the scores");
     }
 }

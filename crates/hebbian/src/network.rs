@@ -4,10 +4,14 @@
 //! bits), one hidden layer with k-winners-take-all activation, and an
 //! output layer over the delta vocabulary. Connectivity between layers
 //! is sparse and fixed at construction; weights are small integers
-//! updated with the paper's Eq.-1 rule. A recurrent state — a sparse
-//! binary code of the previous step (see [`RecurrentStyle`]) — gives
-//! the network sequence memory, mirroring the paper's "our network
-//! also uses a recurrent state to capture sequence memory".
+//! updated with the paper's Eq.-1 rule. The hidden layer is a fixed
+//! sparse random expansion — pattern separation in the sense of the
+//! dentate gyrus — so all learning happens in the output associator
+//! (DESIGN.md §7). A recurrent state — a fixed random code of the
+//! previous step's pattern bits — gives the network sequence memory,
+//! mirroring the paper's "our network also uses a recurrent state to
+//! capture sequence memory". Its orbit has exactly the pattern's
+//! period; deeper context comes from history-window encoders upstream.
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -19,39 +23,9 @@ use crate::kwta::{k_winners_into, top_k_into};
 use crate::memo::HiddenMemo;
 use crate::sparse::SparseLayer;
 
-/// How (and whether) the input-to-hidden layer learns.
-///
-/// The default is [`HiddenLearning::Fixed`]: the hidden layer acts as
-/// a fixed sparse random expansion — pattern separation in the sense
-/// of the dentate gyrus — and all learning happens in the output
-/// associator via Eq. 1. Competitive Hebbian learning of the hidden
-/// layer is available for ablation; un-gated competitive updates
-/// destabilize the winner sets (each step drags the strongest units
-/// toward the current input) — see DESIGN.md §7.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HiddenLearning {
-    /// Hidden weights stay at their random initialization.
-    Fixed,
-    /// Hidden winners update toward the input only on mispredictions.
-    ErrorGated,
-    /// Hidden winners update toward the input on every step.
-    Always,
-}
-
-/// How the recurrent state is derived after each step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecurrentStyle {
-    /// The recurrent bits are a fixed random code of the *previous
-    /// step's pattern bits*. The state orbit then has exactly the
-    /// pattern's period, which converges fast and predictably; context
-    /// depth is one step (deeper context comes from history-window
-    /// encoders upstream).
-    PatternCode,
-    /// The recurrent bits are the fixed random projections of the
-    /// previous step's strongest hidden winners — an echo-state-style
-    /// trace with deeper but less stable memory.
-    WinnerTrace,
-}
+/// Initial weight magnitude of the fixed hidden expansion. Wider
+/// ranges give the expansion better pattern separation.
+const HIDDEN_INIT_MAG: i16 = 8;
 
 /// Hyper-parameters of the Hebbian prefetch network.
 #[derive(Debug, Clone)]
@@ -71,8 +45,8 @@ pub struct HebbianConfig {
     pub connectivity: f64,
     /// Number of hidden winners per step (the paper activates 10 %).
     pub hidden_active: usize,
-    /// How many winners (strongest first) project into the recurrent
-    /// state. Bounds recurrent density.
+    /// Recurrent slots drawn per pattern bit. Bounds recurrent
+    /// density.
     pub recurrent_sample: usize,
     /// Weight magnitude clamp.
     pub weight_clamp: i16,
@@ -82,16 +56,6 @@ pub struct HebbianConfig {
     /// output. Must be smaller than `step` for outputs that fire in
     /// several contexts (see `SparseLayer::hebbian_update`).
     pub ltd_step: i16,
-    /// Depress a false winner's active inputs (perceptron-style
-    /// extension of Eq. 1; see DESIGN.md).
-    pub anti_hebbian: bool,
-    /// Hidden-layer learning mode.
-    pub hidden_learning: HiddenLearning,
-    /// Recurrent-state derivation.
-    pub recurrent_style: RecurrentStyle,
-    /// Initial weight magnitude of the hidden expansion. Wider ranges
-    /// give the fixed expansion better pattern separation.
-    pub hidden_init_mag: i16,
     /// RNG seed for connectivity and stochastic scaled updates.
     pub seed: u64,
 }
@@ -119,10 +83,6 @@ impl HebbianConfig {
             weight_clamp: 64,
             step: 4,
             ltd_step: 1,
-            anti_hebbian: true,
-            hidden_learning: HiddenLearning::Fixed,
-            recurrent_style: RecurrentStyle::PatternCode,
-            hidden_init_mag: 8,
             seed: 0xb1a1,
         }
     }
@@ -146,10 +106,6 @@ impl HebbianConfig {
             weight_clamp: 32,
             step: 4,
             ltd_step: 1,
-            anti_hebbian: true,
-            hidden_learning: HiddenLearning::Fixed,
-            recurrent_style: RecurrentStyle::PatternCode,
-            hidden_init_mag: 8,
             seed: 0xb1a1,
         }
     }
@@ -188,8 +144,8 @@ impl NetStats {
 }
 
 /// A capture of everything a [`HebbianNetwork`] learns at runtime:
-/// layer weights, recurrent context, winner trace, counters, and the
-/// RNG key. Integer-only, so downstream serialization (the serving
+/// layer weights, recurrent context, previous winner set, counters,
+/// and the RNG key. Integer-only, so downstream serialization (the serving
 /// crate's snapshot codec) stays within the workspace purity rules.
 /// Connectivity is *not* captured — it is reproduced from the config
 /// seed when the receiving network is constructed.
@@ -254,12 +210,10 @@ pub struct HebbianNetwork {
     layer1: SparseLayer,
     /// Hidden -> output classes.
     layer2: SparseLayer,
-    /// Fixed random map from hidden unit to recurrent slot
-    /// (`WinnerTrace` mode).
-    recurrent_map: Vec<u32>,
-    /// Fixed random slots per pattern bit (`PatternCode` mode).
+    /// Fixed random recurrent slots per pattern bit.
     pattern_code_map: Vec<Vec<u32>>,
-    /// Currently active recurrent bits (previous step's winners).
+    /// Currently active recurrent bits (the previous step's pattern
+    /// code).
     recurrent: Vec<u32>,
     /// RNG for probabilistic scaled updates.
     rng: StdRng,
@@ -281,7 +235,7 @@ pub struct HebbianNetwork {
     /// (Eq.-1 update input, overlap statistic).
     winner_set: BitSet,
     /// Current step's active-input set over the input space (memo
-    /// key, hidden-learning update input).
+    /// key).
     active_set: BitSet,
     /// Winner sets of recently seen input sets under the current
     /// layer-1 weights, with their output scores (DESIGN.md §12.4).
@@ -301,9 +255,6 @@ pub struct HebbianNetwork {
     /// Next recurrent state under construction (swapped with
     /// `recurrent` at the end of each advancing step).
     recurrent_scratch: Vec<u32>,
-    /// Current step's strongest winners, score-ordered and truncated
-    /// to `recurrent_sample` (`RecurrentStyle::WinnerTrace` only).
-    trace_scratch: Vec<u32>,
     /// Previous step's winner set, for overlap tracking.
     prev_winners: BitSet,
     /// Instrumentation counters (read via [`HebbianNetwork::stats`]).
@@ -330,8 +281,8 @@ impl HebbianNetwork {
             input_dim,
             cfg.hidden,
             cfg.connectivity,
-            cfg.weight_clamp.max(cfg.hidden_init_mag),
-            cfg.hidden_init_mag,
+            cfg.weight_clamp.max(HIDDEN_INIT_MAG),
+            HIDDEN_INIT_MAG,
             &mut rng,
         );
         // Output weights start at zero: untrained classes then score
@@ -345,15 +296,15 @@ impl HebbianNetwork {
             0,
             &mut rng,
         );
-        let recurrent_map = (0..cfg.hidden)
-            .map(|_| {
-                if cfg.recurrent_bits == 0 {
-                    0
-                } else {
-                    rng.gen_range(0..cfg.recurrent_bits as u32)
-                }
-            })
-            .collect();
+        // One draw per hidden unit, values unused. An older recurrence
+        // mapped hidden winners to recurrent slots and drew that map
+        // here; the draws stay so every seed keeps its pattern code and
+        // its stochastic-update stream, and with them every capture.
+        if cfg.recurrent_bits > 0 {
+            for _ in 0..cfg.hidden {
+                rng.gen_range(0..cfg.recurrent_bits as u32);
+            }
+        }
         let pattern_code_map = (0..cfg.pattern_bits)
             .map(|_| {
                 let mut slots: Vec<u32> = (0..cfg.recurrent_sample)
@@ -370,12 +321,8 @@ impl HebbianNetwork {
                 slots
             })
             .collect();
-        let trace_len = match cfg.recurrent_style {
-            RecurrentStyle::PatternCode => 0,
-            RecurrentStyle::WinnerTrace => cfg.recurrent_sample.min(cfg.hidden_active),
-        };
         Self {
-            memo: HiddenMemo::new(input_dim, cfg.hidden, trace_len, cfg.outputs),
+            memo: HiddenMemo::new(input_dim, cfg.hidden, cfg.outputs),
             layer2_clock: 1,
             row_changed: vec![0; cfg.outputs],
             #[cfg(test)]
@@ -390,10 +337,8 @@ impl HebbianNetwork {
             winner_set: BitSet::new(cfg.hidden),
             active_set: BitSet::new(input_dim),
             recurrent_scratch: Vec::new(),
-            trace_scratch: Vec::new(),
             layer1,
             layer2,
-            recurrent_map,
             pattern_code_map,
             recurrent: Vec::new(),
             rng,
@@ -562,8 +507,7 @@ impl HebbianNetwork {
     /// Forward pass over `self.active_buf` (see
     /// [`fill_active_inputs`](Self::fill_active_inputs)): returns ops.
     /// Afterwards `self.winners_buf` / `self.winner_set` hold the
-    /// winner set, `self.trace_scratch` its trace prefix, and
-    /// `self.out_scores` the raw output scores.
+    /// winner set and `self.out_scores` the raw output scores.
     fn forward(&mut self) -> usize {
         let (mut ops, slot) = self.hidden_forward();
         // Selection cost: one compare per hidden unit plus heap-ish
@@ -640,9 +584,9 @@ impl HebbianNetwork {
 
     /// Layer 1 and k-WTA over `self.active_buf`, or their memoized
     /// result when layer 1 has already seen this input set. Fills
-    /// `winners_buf`, `winner_set`, `active_set` and `trace_scratch`;
-    /// returns the layer-1 ops, which a hit reports as if computed —
-    /// they count the specified network's work, not the wall time —
+    /// `winners_buf`, `winner_set` and `active_set`; returns the
+    /// layer-1 ops, which a hit reports as if computed — they count
+    /// the specified network's work, not the wall time —
     /// and the memo slot now holding the winners (none for an input
     /// list with duplicate bits).
     /// On a hit `hidden_scores` is stale; nothing reads it afterwards.
@@ -660,8 +604,6 @@ impl HebbianNetwork {
                 self.winners_buf.clear();
                 self.winners_buf
                     .extend(self.winner_set.iter().map(|w| w as u32));
-                self.trace_scratch.clear();
-                self.trace_scratch.extend_from_slice(hit.trace);
                 return (hit.layer1_ops, Some(hit.slot));
             }
         }
@@ -679,21 +621,9 @@ impl HebbianNetwork {
         for &w in &self.winners_buf {
             self.winner_set.insert(w as usize);
         }
-        self.trace_scratch.clear();
-        if self.cfg.recurrent_style == RecurrentStyle::WinnerTrace {
-            self.trace_scratch.extend_from_slice(&self.winners_buf);
-            let scores = &self.hidden_scores;
-            self.trace_scratch
-                .sort_by(|&a, &b| scores[b as usize].cmp(&scores[a as usize]).then(a.cmp(&b)));
-            self.trace_scratch.truncate(self.cfg.recurrent_sample);
-        }
         let slot = memoizable.then(|| {
-            self.memo.put(
-                self.active_set.words(),
-                self.winner_set.words(),
-                &self.trace_scratch,
-                ops,
-            )
+            self.memo
+                .put(self.active_set.words(), self.winner_set.words(), ops)
         });
         (ops, slot)
     }
@@ -722,9 +652,8 @@ impl HebbianNetwork {
         best
     }
 
-    /// Advances the recurrent state after a step on `pattern` with the
-    /// hidden winners' trace prefix in `self.trace_scratch`, per the
-    /// configured [`RecurrentStyle`]. Builds the next state in
+    /// Advances the recurrent state after a step on `pattern`: the
+    /// next state is the union of its bits' pattern codes. Builds it in
     /// `self.recurrent_scratch` and swaps — no allocation once both
     /// vectors are at capacity.
     fn advance_recurrent(&mut self, pattern: &[u32]) {
@@ -732,18 +661,9 @@ impl HebbianNetwork {
             return;
         }
         self.recurrent_scratch.clear();
-        match self.cfg.recurrent_style {
-            RecurrentStyle::PatternCode => {
-                for &b in pattern {
-                    self.recurrent_scratch
-                        .extend_from_slice(&self.pattern_code_map[b as usize]);
-                }
-            }
-            RecurrentStyle::WinnerTrace => {
-                for &w in &self.trace_scratch {
-                    self.recurrent_scratch.push(self.recurrent_map[w as usize]);
-                }
-            }
+        for &b in pattern {
+            self.recurrent_scratch
+                .extend_from_slice(&self.pattern_code_map[b as usize]);
         }
         self.swap_in_recurrent_scratch();
     }
@@ -803,7 +723,8 @@ impl HebbianNetwork {
         self.train_step_scaled(pattern, target, LrScale::ONE)
     }
 
-    /// One online training step with a scaled learning rate.
+    /// One online training step with a scaled learning rate, with
+    /// anti-Hebbian competitor depression.
     ///
     /// Integer weights cannot take fractional steps, so `scale < 1`
     /// applies the update stochastically with probability `scale`
@@ -821,7 +742,7 @@ impl HebbianNetwork {
         target: usize,
         scale: LrScale,
     ) -> HebbianOutcome {
-        self.train_step_opts(pattern, target, scale, self.cfg.anti_hebbian)
+        self.train_step_opts(pattern, target, scale, true)
     }
 
     /// [`train_step_scaled`](Self::train_step_scaled) with explicit
@@ -846,7 +767,7 @@ impl HebbianNetwork {
         let predicted = self.argmax_out();
         let outcome_conf = self.confidence_of(target);
         if self.draw_update(scale) {
-            ops += self.apply_update(target, predicted, scale, anti_hebbian);
+            ops += self.apply_update(target, scale, anti_hebbian);
         }
         self.advance_recurrent(pattern);
         HebbianOutcome {
@@ -891,8 +812,7 @@ impl HebbianNetwork {
         self.fill_active_inputs(pattern);
         if self.draw_update(scale) {
             self.forward();
-            let predicted = self.argmax_out();
-            self.apply_update(target, predicted, scale, false);
+            self.apply_update(target, scale, false);
         } else {
             self.hidden_forward();
             self.track_winners();
@@ -907,16 +827,9 @@ impl HebbianNetwork {
         scale.at_least_one() || (self.rng.next_u32() >> 8) < scale.raw()
     }
 
-    /// The Eq.-1 update of the current step (winners and active set
-    /// of the last forward pass, which predicted `predicted`); returns
-    /// its ops.
-    fn apply_update(
-        &mut self,
-        target: usize,
-        predicted: usize,
-        scale: LrScale,
-        anti_hebbian: bool,
-    ) -> usize {
+    /// The Eq.-1 update of the current step (winners and output
+    /// scores of the last forward pass); returns its ops.
+    fn apply_update(&mut self, target: usize, scale: LrScale, anti_hebbian: bool) -> usize {
         let (step, ltd) = if scale.at_least_one() {
             (
                 scale.scale_step(self.cfg.step),
@@ -925,20 +838,7 @@ impl HebbianNetwork {
         } else {
             (self.cfg.step, self.cfg.ltd_step)
         };
-        let mut ops = 0;
-        let mispredicted = predicted != target;
-        let update_hidden = match self.cfg.hidden_learning {
-            HiddenLearning::Fixed => false,
-            HiddenLearning::ErrorGated => mispredicted,
-            HiddenLearning::Always => true,
-        };
-        if update_hidden {
-            for &w in &self.winners_buf {
-                ops += self.layer1.hebbian_update(w, &self.active_set, step, ltd);
-            }
-            self.memo.invalidate();
-        }
-        ops += self
+        let mut ops = self
             .layer2
             .hebbian_update(target as u32, &self.winner_set, step, ltd);
         self.mark_row_changed(target);

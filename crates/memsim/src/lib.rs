@@ -38,5 +38,5 @@ pub use deltas::{DeltaVocab, MissHistory};
 pub use ledger::PrefetchLedger;
 pub use prefetcher::PrefetchFeedback;
 pub use prefetcher::{DemuxPrefetcher, MissEvent, NoPrefetcher, Prefetcher};
-pub use resilient::{HealthState, ResilienceStats, ResilientConfig, ResilientPrefetcher};
+pub use resilient::{HealthState, ResilienceStats, ResilientPrefetcher};
 pub use sim::{SimConfig, SimReport, Simulator};

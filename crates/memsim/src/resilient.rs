@@ -32,86 +32,32 @@ use serde::Serialize;
 
 use crate::prefetcher::{MissEvent, PrefetchFeedback, Prefetcher};
 
-/// Watchdog parameters for [`ResilientPrefetcher`].
-#[derive(Debug, Clone)]
-pub struct ResilientConfig {
-    /// Outcome-window length per source (inner / fallback).
-    pub window: usize,
-    /// Minimum outcomes in a window before it is judged.
-    pub min_observations: usize,
-    /// Healthy → Throttled when inner accuracy drops below this.
-    pub throttle_below: f64,
-    /// → Fallback when inner accuracy drops below this.
-    pub fallback_below: f64,
-    /// Fallback → Disabled when even stride accuracy drops below this
-    /// (the access stream itself is hostile — stop prefetching).
-    pub disable_below: f64,
-    /// Accuracy required for an upward step.
-    pub recover_above: f64,
-    /// Consecutive good evaluations required for an upward step.
-    pub hysteresis: u32,
-    /// Feedback events between evaluations.
-    pub eval_period: usize,
-    /// Candidate cap while Throttled.
-    pub throttled_max_issue: usize,
-    /// Misses to sit out while Disabled before retrying Fallback.
-    pub disabled_cooldown: usize,
-    /// In Fallback, every `probe_period`-th miss also issues the inner
-    /// model's top candidate to measure whether it has recovered.
-    pub probe_period: usize,
-    /// Cap on remembered issued-page attributions.
-    pub track_limit: usize,
-    /// Observer registry ladder transitions are emitted into
-    /// ([`Event::Degradation`]). Empty by default.
-    pub obs: Registry,
-}
-
-impl Default for ResilientConfig {
-    fn default() -> Self {
-        Self {
-            window: 64,
-            min_observations: 16,
-            throttle_below: 0.45,
-            fallback_below: 0.25,
-            disable_below: 0.10,
-            recover_above: 0.60,
-            hysteresis: 2,
-            eval_period: 8,
-            throttled_max_issue: 1,
-            disabled_cooldown: 64,
-            probe_period: 16,
-            track_limit: 4096,
-            obs: Registry::default(),
-        }
-    }
-}
-
-impl ResilientConfig {
-    /// Sets the outcome-window length.
-    pub fn with_window(mut self, window: usize) -> Self {
-        self.window = window;
-        self
-    }
-
-    /// Sets the feedback count between watchdog evaluations.
-    pub fn with_eval_period(mut self, period: usize) -> Self {
-        self.eval_period = period;
-        self
-    }
-
-    /// Sets the consecutive good evaluations required to recover.
-    pub fn with_hysteresis(mut self, evals: u32) -> Self {
-        self.hysteresis = evals;
-        self
-    }
-
-    /// Attaches an observer registry; ladder transitions are emitted
-    /// as [`Event::Degradation`].
-    pub fn with_observer(mut self, obs: Registry) -> Self {
-        self.obs = obs;
-        self
-    }
-}
+/// Outcome-window length per source (inner / fallback).
+const WINDOW: usize = 64;
+/// Minimum outcomes in a window before it is judged.
+const MIN_OBSERVATIONS: usize = 16;
+/// Healthy → Throttled when inner accuracy drops below this.
+const THROTTLE_BELOW: f64 = 0.45;
+/// → Fallback when inner accuracy drops below this.
+const FALLBACK_BELOW: f64 = 0.25;
+/// Fallback → Disabled when even stride accuracy drops below this
+/// (the access stream itself is hostile — stop prefetching).
+const DISABLE_BELOW: f64 = 0.10;
+/// Accuracy required for an upward step.
+const RECOVER_ABOVE: f64 = 0.60;
+/// Consecutive good evaluations required for an upward step.
+const HYSTERESIS: u32 = 2;
+/// Feedback events between evaluations.
+const EVAL_PERIOD: usize = 8;
+/// Candidate cap while Throttled.
+const THROTTLED_MAX_ISSUE: usize = 1;
+/// Misses to sit out while Disabled before retrying Fallback.
+const DISABLED_COOLDOWN: usize = 64;
+/// In Fallback, every `PROBE_PERIOD`-th miss also issues the inner
+/// model's top candidate to measure whether it has recovered.
+const PROBE_PERIOD: usize = 16;
+/// Cap on remembered issued-page attributions.
+const TRACK_LIMIT: usize = 4096;
 
 /// The wrapper's position on the degradation ladder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -244,7 +190,9 @@ impl StrideState {
 /// Wraps any [`Prefetcher`] with fault-aware graceful degradation.
 pub struct ResilientPrefetcher<P: Prefetcher> {
     inner: P,
-    cfg: ResilientConfig,
+    /// Observer registry ladder transitions are emitted into
+    /// ([`Event::Degradation`]).
+    obs: Registry,
     name: String,
     state: HealthState,
     /// Outcome windows indexed by source: [inner, fallback].
@@ -266,23 +214,22 @@ pub struct ResilientPrefetcher<P: Prefetcher> {
 }
 
 impl<P: Prefetcher> ResilientPrefetcher<P> {
-    /// Wraps `inner` with the default watchdog config.
+    /// Wraps `inner`, unobserved.
     pub fn new(inner: P) -> Self {
-        Self::with_config(inner, ResilientConfig::default())
+        Self::with_observer(inner, Registry::default())
     }
 
-    /// Wraps `inner` with an explicit config.
-    pub fn with_config(inner: P, cfg: ResilientConfig) -> Self {
+    /// Wraps `inner`; ladder transitions are emitted into `obs` as
+    /// [`Event::Degradation`].
+    pub fn with_observer(inner: P, obs: Registry) -> Self {
         let name = format!("resilient({})", inner.name());
         Self {
             inner,
+            obs,
             name,
             state: HealthState::Healthy,
-            windows: [
-                OutcomeWindow::new(cfg.window),
-                OutcomeWindow::new(cfg.window),
-            ],
-            probe_window: OutcomeWindow::new(cfg.window.max(8) / 2),
+            windows: [OutcomeWindow::new(WINDOW), OutcomeWindow::new(WINDOW)],
+            probe_window: OutcomeWindow::new(WINDOW / 2),
             issued: BTreeMap::new(),
             issue_order: VecDeque::new(),
             probes: BTreeSet::new(),
@@ -292,7 +239,6 @@ impl<P: Prefetcher> ResilientPrefetcher<P> {
             misses_since_disable: 0,
             misses_since_probe: 0,
             stats: ResilienceStats::default(),
-            cfg,
         }
     }
 
@@ -318,7 +264,7 @@ impl<P: Prefetcher> ResilientPrefetcher<P> {
         if to == self.state {
             return;
         }
-        self.cfg.obs.emit(&Event::Degradation {
+        self.obs.emit(&Event::Degradation {
             at: self.feedback_seen as u64,
             from: self.state.label(),
             to: to.label(),
@@ -334,7 +280,7 @@ impl<P: Prefetcher> ResilientPrefetcher<P> {
     }
 
     fn track(&mut self, page: u64, source: Source, probe: bool) {
-        if self.issued.len() >= self.cfg.track_limit {
+        if self.issued.len() >= TRACK_LIMIT {
             if let Some(old) = self.issue_order.pop_front() {
                 self.issued.remove(&old);
                 self.probes.remove(&old);
@@ -350,26 +296,26 @@ impl<P: Prefetcher> ResilientPrefetcher<P> {
 
     /// Applies the state machine after a feedback batch.
     fn evaluate(&mut self) {
-        if !self.feedback_seen.is_multiple_of(self.cfg.eval_period) {
+        if !self.feedback_seen.is_multiple_of(EVAL_PERIOD) {
             return;
         }
         match self.state {
             HealthState::Healthy | HealthState::Throttled => {
                 let w = &self.windows[Source::Inner as usize];
-                if w.len() < self.cfg.min_observations {
+                if w.len() < MIN_OBSERVATIONS {
                     return;
                 }
                 let acc = w.accuracy();
-                if acc < self.cfg.fallback_below {
+                if acc < FALLBACK_BELOW {
                     self.transition(HealthState::Fallback);
-                } else if acc < self.cfg.throttle_below {
+                } else if acc < THROTTLE_BELOW {
                     // Within Throttled this resets recovery credit
                     // rather than transitioning again.
                     self.good_evals = 0;
                     self.transition(HealthState::Throttled);
-                } else if self.state == HealthState::Throttled && acc >= self.cfg.recover_above {
+                } else if self.state == HealthState::Throttled && acc >= RECOVER_ABOVE {
                     self.good_evals += 1;
-                    if self.good_evals >= self.cfg.hysteresis {
+                    if self.good_evals >= HYSTERESIS {
                         self.transition(HealthState::Healthy);
                     }
                 } else {
@@ -378,18 +324,18 @@ impl<P: Prefetcher> ResilientPrefetcher<P> {
             }
             HealthState::Fallback => {
                 let fw = &self.windows[Source::Fallback as usize];
-                if fw.len() >= self.cfg.min_observations && fw.accuracy() < self.cfg.disable_below {
+                if fw.len() >= MIN_OBSERVATIONS && fw.accuracy() < DISABLE_BELOW {
                     self.transition(HealthState::Disabled);
                     return;
                 }
                 // Recovery is judged on the probe stream only: the
                 // benched model must prove itself before being
                 // re-trusted.
-                if self.probe_window.len() >= self.cfg.min_observations / 2
-                    && self.probe_window.accuracy() >= self.cfg.recover_above
+                if self.probe_window.len() >= MIN_OBSERVATIONS / 2
+                    && self.probe_window.accuracy() >= RECOVER_ABOVE
                 {
                     self.good_evals += 1;
-                    if self.good_evals >= self.cfg.hysteresis {
+                    if self.good_evals >= HYSTERESIS {
                         self.transition(HealthState::Throttled);
                     }
                 } else {
@@ -429,10 +375,7 @@ impl<P: Prefetcher> Prefetcher for ResilientPrefetcher<P> {
                 inner_out
             }
             HealthState::Throttled => {
-                let capped: Vec<u64> = inner_out
-                    .into_iter()
-                    .take(self.cfg.throttled_max_issue)
-                    .collect();
+                let capped: Vec<u64> = inner_out.into_iter().take(THROTTLED_MAX_ISSUE).collect();
                 for &p in &capped {
                     self.track(p, Source::Inner, false);
                 }
@@ -444,7 +387,7 @@ impl<P: Prefetcher> Prefetcher for ResilientPrefetcher<P> {
                     self.track(p, Source::Fallback, false);
                 }
                 self.misses_since_probe += 1;
-                if self.misses_since_probe >= self.cfg.probe_period {
+                if self.misses_since_probe >= PROBE_PERIOD {
                     self.misses_since_probe = 0;
                     if let Some(&probe) = inner_out.first() {
                         if !out.contains(&probe) {
@@ -457,7 +400,7 @@ impl<P: Prefetcher> Prefetcher for ResilientPrefetcher<P> {
             }
             HealthState::Disabled => {
                 self.misses_since_disable += 1;
-                if self.misses_since_disable >= self.cfg.disabled_cooldown {
+                if self.misses_since_disable >= DISABLED_COOLDOWN {
                     self.transition(HealthState::Fallback);
                 }
                 Vec::new()
@@ -552,22 +495,12 @@ mod tests {
         }
     }
 
-    fn quick_cfg() -> ResilientConfig {
-        ResilientConfig {
-            window: 16,
-            min_observations: 8,
-            eval_period: 4,
-            hysteresis: 2,
-            disabled_cooldown: 8,
-            probe_period: 4,
-            ..ResilientConfig::default()
-        }
-    }
-
-    /// Feeds `n` outcomes for pages the wrapper just issued.
+    /// Feeds `n` outcomes for pages the wrapper just issued. Misses
+    /// fall on the squares, whose deltas never repeat, so the stride
+    /// fallback stays silent and only the inner model is judged.
     fn drive(p: &mut ResilientPrefetcher<NextLine>, n: usize, good: bool, tick0: &mut u64) {
         for _ in 0..n {
-            let out = p.on_miss(&miss(*tick0 * 10, *tick0));
+            let out = p.on_miss(&miss(*tick0 * *tick0, *tick0));
             *tick0 += 1;
             for page in out {
                 let fb = if good {
@@ -582,7 +515,7 @@ mod tests {
 
     #[test]
     fn healthy_passes_through_and_stays_healthy() {
-        let mut p = ResilientPrefetcher::with_config(NextLine, quick_cfg());
+        let mut p = ResilientPrefetcher::new(NextLine);
         assert_eq!(p.name(), "resilient(next-line)");
         let mut t = 1;
         drive(&mut p, 40, true, &mut t);
@@ -594,7 +527,7 @@ mod tests {
 
     #[test]
     fn sustained_pollution_walks_down_to_fallback() {
-        let mut p = ResilientPrefetcher::with_config(NextLine, quick_cfg());
+        let mut p = ResilientPrefetcher::new(NextLine);
         let mut t = 1;
         drive(&mut p, 60, false, &mut t);
         assert_eq!(p.state(), HealthState::Fallback);
@@ -603,7 +536,7 @@ mod tests {
 
     #[test]
     fn fallback_issues_strides_not_inner() {
-        let mut p = ResilientPrefetcher::with_config(NextLine, quick_cfg());
+        let mut p = ResilientPrefetcher::new(NextLine);
         let mut t = 1;
         drive(&mut p, 60, false, &mut t);
         assert_eq!(p.state(), HealthState::Fallback);
@@ -623,11 +556,10 @@ mod tests {
 
     #[test]
     fn recovery_requires_hysteresis() {
-        let cfg = quick_cfg();
-        let mut p = ResilientPrefetcher::with_config(NextLine, cfg);
+        let mut p = ResilientPrefetcher::new(NextLine);
         let mut t = 1;
-        // Down to Throttled: mix of good/bad below throttle_below but
-        // above fallback_below (~35% good).
+        // Down to Throttled: mix of good/bad below THROTTLE_BELOW but
+        // above FALLBACK_BELOW (~35% good).
         for k in 0..60usize {
             let out = p.on_miss(&miss(t * 10, t));
             t += 1;
@@ -642,18 +574,26 @@ mod tests {
         }
         assert_eq!(p.state(), HealthState::Throttled);
         let transitions_before = p.stats.transitions;
-        // One good evaluation window is not enough (hysteresis = 2)...
         drive(&mut p, 8, true, &mut t);
         assert_eq!(p.state(), HealthState::Throttled);
-        // ...sustained goodness is.
-        drive(&mut p, 40, true, &mut t);
+        // One good evaluation is not enough (hysteresis = 2)...
+        for _ in 0..64 {
+            if p.good_evals == 1 {
+                break;
+            }
+            drive(&mut p, 1, true, &mut t);
+        }
+        assert_eq!(p.good_evals, 1);
+        assert_eq!(p.state(), HealthState::Throttled);
+        // ...a second one, an evaluation period later, is.
+        drive(&mut p, EVAL_PERIOD, true, &mut t);
         assert_eq!(p.state(), HealthState::Healthy);
         assert_eq!(p.stats.transitions, transitions_before + 1);
     }
 
     #[test]
     fn hostile_stream_disables_then_cooldown_reenters_fallback() {
-        let mut p = ResilientPrefetcher::with_config(NextLine, quick_cfg());
+        let mut p = ResilientPrefetcher::new(NextLine);
         let mut t = 1;
         drive(&mut p, 60, false, &mut t);
         assert_eq!(p.state(), HealthState::Fallback);
@@ -672,7 +612,7 @@ mod tests {
         assert_eq!(p.state(), HealthState::Disabled);
         // Disabled issues nothing, then re-enters Fallback after the
         // cooldown.
-        for k in 0..8u64 {
+        for k in 0..DISABLED_COOLDOWN as u64 {
             let out = p.on_miss(&miss(50_000 + k, t));
             t += 1;
             assert!(out.is_empty(), "disabled must stay silent");
@@ -681,8 +621,29 @@ mod tests {
     }
 
     #[test]
+    fn benched_model_recovers_through_probes() {
+        let mut p = ResilientPrefetcher::new(NextLine);
+        let mut t = 1;
+        drive(&mut p, 60, false, &mut t);
+        assert_eq!(p.state(), HealthState::Fallback);
+        // Only the periodic probes judge the benched model: two good
+        // evaluations of a full probe window bring it back, throttled.
+        let mut probes = 0;
+        while p.state() == HealthState::Fallback && t < 1000 {
+            let out = p.on_miss(&miss(t * t, t));
+            t += 1;
+            for page in out {
+                probes += 1;
+                p.on_feedback(&PrefetchFeedback::Useful { page });
+            }
+        }
+        assert_eq!(p.state(), HealthState::Throttled);
+        assert!(probes >= MIN_OBSERVATIONS / 2, "{probes} probes");
+    }
+
+    #[test]
     fn on_fault_resets_and_demotes_healthy() {
-        let mut p = ResilientPrefetcher::with_config(NextLine, quick_cfg());
+        let mut p = ResilientPrefetcher::new(NextLine);
         let mut t = 1;
         drive(&mut p, 20, true, &mut t);
         assert_eq!(p.state(), HealthState::Healthy);
@@ -702,7 +663,7 @@ mod tests {
 
     #[test]
     fn cancelled_feedback_counts_against_the_model() {
-        let mut p = ResilientPrefetcher::with_config(NextLine, quick_cfg());
+        let mut p = ResilientPrefetcher::new(NextLine);
         for t in 1..=60u64 {
             let out = p.on_miss(&miss(t * 10, t));
             for page in out {
@@ -730,7 +691,7 @@ mod tests {
                 (1..=8).map(|k| miss.page + k).collect()
             }
         }
-        let mut p = ResilientPrefetcher::with_config(Wide, quick_cfg());
+        let mut p = ResilientPrefetcher::new(Wide);
         let mut t = 1u64;
         // Degrade to Throttled with ~1/3 accuracy.
         for k in 0..60usize {

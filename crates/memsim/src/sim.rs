@@ -86,12 +86,6 @@ impl SimConfig {
         self
     }
 
-    /// Sets the model-inference latency added before issue.
-    pub fn with_inference_latency(mut self, ticks: u64) -> Self {
-        self.inference_latency = ticks;
-        self
-    }
-
     /// Sets the outstanding-prefetch cap.
     pub fn with_max_inflight(mut self, n: usize) -> Self {
         self.max_inflight = n;

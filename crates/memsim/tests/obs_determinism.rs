@@ -8,8 +8,7 @@
 use proptest::prelude::*;
 
 use hnp_memsim::{
-    MissEvent, PrefetchFeedback, Prefetcher, ResilientConfig, ResilientPrefetcher, SimConfig,
-    Simulator,
+    MissEvent, PrefetchFeedback, Prefetcher, ResilientPrefetcher, SimConfig, Simulator,
 };
 use hnp_obs::{Counters, Event, Histogram, JsonlExporter, Metric, Registry, RingTracer};
 use hnp_trace::Pattern;
@@ -161,14 +160,13 @@ fn degradation_ladder_transitions_are_observable_and_inert() {
     let trace = Pattern::Stride.generate(3000, 0);
     let sim = Simulator::new(SimConfig::default().with_capacity_pages(32));
 
-    let mut plain = ResilientPrefetcher::with_config(Polluter, ResilientConfig::default());
+    let mut plain = ResilientPrefetcher::new(Polluter);
     let unobserved = sim.run(&trace, &mut plain);
 
     let reg = Registry::new();
     let tracer = RingTracer::new(256);
     reg.attach(tracer.clone());
-    let mut wrapped =
-        ResilientPrefetcher::with_config(Polluter, ResilientConfig::default().with_observer(reg));
+    let mut wrapped = ResilientPrefetcher::with_observer(Polluter, reg);
     let observed = sim.run(&trace, &mut wrapped);
 
     assert_eq!(

@@ -211,17 +211,6 @@ impl LstmNetwork {
         self.state.clone()
     }
 
-    /// Overwrites the online recurrent state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state width does not match `hidden`.
-    pub fn set_state(&mut self, state: LstmState) {
-        assert_eq!(state.h.len(), self.cfg.hidden, "state width mismatch");
-        assert_eq!(state.c.len(), self.cfg.hidden, "state width mismatch");
-        self.state = state;
-    }
-
     /// One LSTM cell evaluation from `(h_prev, c_prev)` consuming
     /// `token`; returns the cache needed for backward.
     fn cell_forward(&self, token: usize, h_prev: &[f32], c_prev: &[f32]) -> StepCache {

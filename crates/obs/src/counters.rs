@@ -4,7 +4,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use crate::event::{Event, EventKind};
+use crate::event::{Event, EventKind, FaultKind, FeedbackKind};
 use crate::observer::Observer;
 
 /// Counts events by kind, with per-outcome sub-keys for misses
@@ -73,21 +73,21 @@ impl Observer for Counters {
                 self.bump("stall_ticks", stall);
             }
             Event::Feedback { kind, .. } => {
-                let key = match kind.label() {
-                    "useful" => "feedback_useful",
-                    "late" => "feedback_late",
-                    "unused" => "feedback_unused",
-                    _ => "feedback_cancelled",
+                let key = match kind {
+                    FeedbackKind::Useful => "feedback_useful",
+                    FeedbackKind::Late => "feedback_late",
+                    FeedbackKind::Unused => "feedback_unused",
+                    FeedbackKind::Cancelled => "feedback_cancelled",
                 };
                 self.bump(key, 1);
             }
             Event::Fault { kind, .. } => {
-                let key = match kind.label() {
-                    "crash" => "fault_crash",
-                    "restart" => "fault_restart",
-                    "timeout" => "fault_timeout",
-                    "retry" => "fault_retry",
-                    _ => "fault_drop",
+                let key = match kind {
+                    FaultKind::Crash => "fault_crash",
+                    FaultKind::Restart => "fault_restart",
+                    FaultKind::Timeout => "fault_timeout",
+                    FaultKind::Retry => "fault_retry",
+                    FaultKind::Drop => "fault_drop",
                 };
                 self.bump(key, 1);
             }
@@ -101,7 +101,6 @@ impl Observer for Counters {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{FaultKind, FeedbackKind};
     use crate::observer::Registry;
 
     #[test]
@@ -122,17 +121,32 @@ mod tests {
             late: true,
             stall: 40,
         });
-        reg.emit(&Event::Feedback {
-            tick: 4,
-            page: 2,
-            kind: FeedbackKind::Useful,
-            remaining: 0,
-        });
-        reg.emit(&Event::Fault {
-            tick: 5,
-            domain: 1,
-            kind: FaultKind::Crash,
-        });
+        for kind in [
+            FeedbackKind::Useful,
+            FeedbackKind::Late,
+            FeedbackKind::Unused,
+            FeedbackKind::Cancelled,
+        ] {
+            reg.emit(&Event::Feedback {
+                tick: 4,
+                page: 2,
+                kind,
+                remaining: 0,
+            });
+        }
+        for kind in [
+            FaultKind::Crash,
+            FaultKind::Restart,
+            FaultKind::Timeout,
+            FaultKind::Retry,
+            FaultKind::Drop,
+        ] {
+            reg.emit(&Event::Fault {
+                tick: 5,
+                domain: 1,
+                kind,
+            });
+        }
         reg.emit(&Event::RunEnd {
             ticks: 999,
             accesses: 3,
@@ -144,8 +158,25 @@ mod tests {
         assert_eq!(c.get("miss_full"), 1);
         assert_eq!(c.get("miss_late"), 1);
         assert_eq!(c.get("stall_ticks"), 140);
-        assert_eq!(c.get("feedback_useful"), 1);
-        assert_eq!(c.get("fault_crash"), 1);
+        assert_eq!(c.of_kind(EventKind::Feedback), 4);
+        for key in [
+            "feedback_useful",
+            "feedback_late",
+            "feedback_unused",
+            "feedback_cancelled",
+        ] {
+            assert_eq!(c.get(key), 1, "{key}");
+        }
+        assert_eq!(c.of_kind(EventKind::Fault), 5);
+        for key in [
+            "fault_crash",
+            "fault_restart",
+            "fault_timeout",
+            "fault_retry",
+            "fault_drop",
+        ] {
+            assert_eq!(c.get(key), 1, "{key}");
+        }
         assert_eq!(c.get("ticks"), 999);
         assert_eq!(c.get("nonexistent"), 0);
     }

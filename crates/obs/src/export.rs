@@ -1,6 +1,5 @@
-//! JSONL / CSV export of the event stream, plus the escape helpers
-//! shared by every report writer in the workspace (satellite: one
-//! escape/format path).
+//! JSONL export of the event stream, plus the escape helpers shared by
+//! every report writer in the workspace (one escape/format path).
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -29,25 +28,6 @@ pub fn json_escape(s: &str, out: &mut String) {
             }
             c => out.push(c),
         }
-    }
-}
-
-/// Quotes a CSV field if (and only if) it contains a comma, quote, or
-/// newline, doubling embedded quotes per RFC 4180.
-pub fn csv_field(s: &str) -> String {
-    if s.contains([',', '"', '\n', '\r']) {
-        let mut out = String::with_capacity(s.len() + 2);
-        out.push('"');
-        for c in s.chars() {
-            if c == '"' {
-                out.push('"');
-            }
-            out.push(c);
-        }
-        out.push('"');
-        out
-    } else {
-        s.to_string()
     }
 }
 
@@ -102,8 +82,7 @@ pub fn jsonl_u64(line: &str, key: &str) -> Option<u64> {
 }
 
 /// Buffers the event stream as JSON Lines. Cloneable handle; render
-/// with [`render`](JsonlExporter::render) or write via
-/// [`ReportSink`](crate::ReportSink).
+/// with [`render`](JsonlExporter::render).
 #[derive(Clone, Default)]
 pub struct JsonlExporter {
     lines: Rc<RefCell<Vec<String>>>,
@@ -154,113 +133,6 @@ impl Observer for JsonlExporter {
     }
 }
 
-/// The fixed CSV schema: `event` plus the union of every payload
-/// field, in taxonomy order. Events leave inapplicable columns blank.
-pub const CSV_COLUMNS: &[&str] = &[
-    "event",
-    "tick",
-    "step",
-    "page",
-    "late",
-    "stall",
-    "arrival",
-    "outcome",
-    "remaining",
-    "replayed",
-    "pressure",
-    "from",
-    "to",
-    "novel",
-    "domain",
-    "fault",
-    "at",
-    "health_from",
-    "health_to",
-    "confidence_milli",
-    "accuracy_milli",
-    "overlap_milli",
-    "weight_ops",
-    "ticks",
-    "accesses",
-    "hits",
-    "misses",
-    "epoch",
-    "tenant",
-    "shard",
-    "depth",
-    "batch",
-    "processed",
-    "queued",
-    "bytes",
-    "restored",
-];
-
-/// Renders one event as a CSV row over [`CSV_COLUMNS`] (without the
-/// header).
-pub fn event_to_csv(ev: &Event) -> String {
-    let fields = ev.fields();
-    let mut cells: Vec<String> = Vec::with_capacity(CSV_COLUMNS.len());
-    for &col in CSV_COLUMNS {
-        if col == "event" {
-            cells.push(csv_field(ev.kind().name()));
-            continue;
-        }
-        match fields.iter().find(|&&(name, _)| name == col) {
-            Some(&(_, Field::U64(v))) => cells.push(v.to_string()),
-            Some(&(_, Field::I64(v))) => cells.push(v.to_string()),
-            Some(&(_, Field::Bool(v))) => cells.push(if v { "true" } else { "false" }.to_string()),
-            Some(&(_, Field::Str(v))) => cells.push(csv_field(v)),
-            None => cells.push(String::new()),
-        }
-    }
-    cells.join(",")
-}
-
-/// Buffers the event stream as CSV rows under the fixed
-/// [`CSV_COLUMNS`] schema. Cloneable handle like [`JsonlExporter`].
-#[derive(Clone, Default)]
-pub struct CsvExporter {
-    rows: Rc<RefCell<Vec<String>>>,
-}
-
-impl CsvExporter {
-    /// An empty exporter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of buffered data rows (header excluded).
-    pub fn len(&self) -> usize {
-        self.rows.try_borrow().map(|r| r.len()).unwrap_or(0)
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Header plus all rows, newline-terminated.
-    pub fn render(&self) -> String {
-        let mut out = CSV_COLUMNS.join(",");
-        out.push('\n');
-        if let Ok(rows) = self.rows.try_borrow() {
-            for r in rows.iter() {
-                out.push_str(r);
-                out.push('\n');
-            }
-        }
-        out
-    }
-}
-
-impl Observer for CsvExporter {
-    fn on_event(&mut self, ev: &Event) {
-        if let Ok(mut r) = self.rows.try_borrow_mut() {
-            r.push(event_to_csv(ev));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,125 +165,13 @@ mod tests {
     }
 
     #[test]
-    fn csv_field_quotes_only_when_needed() {
-        assert_eq!(csv_field("plain"), "plain");
-        assert_eq!(csv_field("a,b"), "\"a,b\"");
-        assert_eq!(csv_field("say \"hi\""), "\"say \"\"hi\"\"\"");
-    }
-
-    #[test]
-    fn csv_columns_cover_every_event_field() {
-        let samples = [
-            Event::Hit { tick: 0, page: 0 },
-            Event::Miss {
-                tick: 0,
-                page: 0,
-                late: false,
-                stall: 0,
-            },
-            Event::PrefetchIssued {
-                tick: 0,
-                page: 0,
-                arrival: 0,
-            },
-            Event::PrefetchDropped { tick: 0, page: 0 },
-            Event::Feedback {
-                tick: 0,
-                page: 0,
-                kind: FeedbackKind::Useful,
-                remaining: 0,
-            },
-            Event::ReplayStep {
-                step: 0,
-                replayed: 0,
-                pressure: 0,
-            },
-            Event::PhaseTransition {
-                step: 0,
-                from: -1,
-                to: 0,
-                novel: true,
-            },
-            Event::Fault {
-                tick: 0,
-                domain: 0,
-                kind: crate::event::FaultKind::Crash,
-            },
-            Event::Degradation {
-                at: 0,
-                from: "healthy",
-                to: "throttled",
-            },
-            Event::EpochSummary {
-                step: 0,
-                confidence_milli: 0,
-                accuracy_milli: 0,
-                replayed: 0,
-                overlap_milli: 0,
-                weight_ops: 0,
-            },
-            Event::RunEnd {
-                ticks: 0,
-                accesses: 0,
-                hits: 0,
-                misses: 0,
-            },
-            Event::ServeEnqueue {
-                epoch: 0,
-                tenant: 0,
-                shard: 0,
-                depth: 0,
-            },
-            Event::ServeShed {
-                epoch: 0,
-                tenant: 0,
-                shard: 0,
-            },
-            Event::ServeFlush {
-                epoch: 0,
-                shard: 0,
-                batch: 0,
-            },
-            Event::ShardEpoch {
-                epoch: 0,
-                shard: 0,
-                processed: 0,
-                queued: 0,
-            },
-            Event::Snapshot {
-                epoch: 0,
-                tenant: 0,
-                bytes: 0,
-                restored: false,
-            },
-        ];
-        for ev in &samples {
-            for (name, _) in ev.fields() {
-                assert!(
-                    CSV_COLUMNS.contains(&name),
-                    "field `{name}` of {:?} missing from CSV_COLUMNS",
-                    ev.kind()
-                );
-            }
-            assert!(event_to_csv(ev).split(',').count() >= CSV_COLUMNS.len());
-        }
-    }
-
-    #[test]
     fn exporters_buffer_in_order() {
         let j = JsonlExporter::new();
-        let c = CsvExporter::new();
         let mut js = j.clone();
-        let mut cs = c.clone();
         for i in 0..3u64 {
-            let ev = Event::Hit { tick: i, page: i };
-            js.on_event(&ev);
-            cs.on_event(&ev);
+            js.on_event(&Event::Hit { tick: i, page: i });
         }
         assert_eq!(j.len(), 3);
         assert!(j.lines()[2].contains("\"tick\":2"));
-        let csv = c.render();
-        assert!(csv.starts_with("event,tick,"));
-        assert_eq!(csv.lines().count(), 4, "header + 3 rows");
     }
 }

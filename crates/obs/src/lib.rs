@@ -6,8 +6,8 @@
 //! typed [`Event`]. Components emit events through a fan-out
 //! [`Registry`] of [`Observer`]s; sinks aggregate them into counters
 //! ([`Counters`]), fixed-bucket histograms ([`Histogram`]), a bounded
-//! trace ([`RingTracer`]), or export streams ([`JsonlExporter`],
-//! [`CsvExporter`]) written under `results/` via [`ReportSink`].
+//! trace ([`RingTracer`]), or a JSON Lines export stream
+//! ([`JsonlExporter`]). Artifacts are written through [`ReportSink`].
 //!
 //! ## Determinism contract
 //!
@@ -36,10 +36,7 @@ mod tracer;
 
 pub use counters::Counters;
 pub use event::{Event, EventKind, FaultKind, FeedbackKind, Field};
-pub use export::{
-    csv_field, event_to_csv, event_to_jsonl, json_escape, jsonl_kind, jsonl_u64, CsvExporter,
-    JsonlExporter, CSV_COLUMNS,
-};
+pub use export::{event_to_jsonl, json_escape, jsonl_kind, jsonl_u64, JsonlExporter};
 pub use hist::{Histogram, Metric};
 pub use observer::{Observer, Registry};
 pub use report::ReportSink;

@@ -10,8 +10,6 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::export::{CsvExporter, JsonlExporter};
-
 /// A best-effort artifact writer rooted at one directory.
 #[derive(Debug, Clone)]
 pub struct ReportSink {
@@ -62,22 +60,13 @@ impl ReportSink {
             }
         }
     }
-
-    /// Writes a buffered JSONL event stream.
-    pub fn write_jsonl(&self, name: &str, exporter: &JsonlExporter) -> Option<PathBuf> {
-        self.write_text(name, &exporter.render())
-    }
-
-    /// Writes a buffered CSV event stream (with header).
-    pub fn write_csv(&self, name: &str, exporter: &CsvExporter) -> Option<PathBuf> {
-        self.write_text(name, &exporter.render())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::Event;
+    use crate::export::JsonlExporter;
     use crate::observer::Observer;
 
     #[test]
@@ -97,7 +86,9 @@ mod tests {
         let j = JsonlExporter::new();
         j.clone().on_event(&Event::Hit { tick: 1, page: 2 });
         let sink = ReportSink::new(&dir);
-        let path = sink.write_jsonl("events.jsonl", &j).expect("writable");
+        let path = sink
+            .write_text("events.jsonl", &j.render())
+            .expect("writable");
         let text = fs::read_to_string(&path).unwrap();
         assert_eq!(text, "{\"event\":\"hit\",\"tick\":1,\"page\":2}\n");
         let _ = fs::remove_dir_all(&dir);

@@ -1,8 +1,8 @@
-//! Golden-file tests: the exporter wire formats are frozen. If these
-//! fail, downstream consumers of `events.jsonl` / `events.csv` break —
-//! change the goldens only with a deliberate format bump.
+//! Golden-file tests: the exporter wire format is frozen. If these
+//! fail, downstream consumers of `events.jsonl` break — change the
+//! golden only with a deliberate format bump.
 
-use hnp_obs::{CsvExporter, Event, FaultKind, FeedbackKind, JsonlExporter, Observer, Registry};
+use hnp_obs::{Event, FaultKind, FeedbackKind, JsonlExporter, Observer, Registry};
 
 /// One event of every kind, in taxonomy order, with distinctive
 /// payloads so column mix-ups are visible in the diff.
@@ -105,15 +105,6 @@ fn jsonl_export_matches_golden() {
 }
 
 #[test]
-fn csv_export_matches_golden() {
-    let mut csv = CsvExporter::new();
-    for ev in sample_stream() {
-        csv.on_event(&ev);
-    }
-    assert_eq!(csv.render(), include_str!("golden/events.csv"));
-}
-
-#[test]
 fn golden_jsonl_lines_parse_back() {
     for line in include_str!("golden/events.jsonl").lines() {
         assert!(
@@ -124,24 +115,17 @@ fn golden_jsonl_lines_parse_back() {
 }
 
 /// One-off regeneration helper: `cargo test -p hnp-obs --test golden
-/// -- --ignored regen` rewrites the goldens from the current format.
+/// -- --ignored regen` rewrites the golden from the current format.
 #[test]
 #[ignore]
 fn regen_goldens() {
     let mut jsonl = JsonlExporter::new();
-    let mut csv = CsvExporter::new();
     for ev in sample_stream() {
         jsonl.on_event(&ev);
-        csv.on_event(&ev);
     }
     std::fs::write(
         concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/events.jsonl"),
         jsonl.render(),
-    )
-    .unwrap();
-    std::fs::write(
-        concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/events.csv"),
-        csv.render(),
     )
     .unwrap();
 }

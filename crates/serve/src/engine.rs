@@ -98,12 +98,6 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the per-shard queue capacity.
-    pub fn with_queue_depth(mut self, depth: usize) -> Self {
-        self.queue_depth = depth;
-        self
-    }
-
     /// Sets the snapshot cadence in epochs (`0` disables).
     pub fn with_snapshot_interval(mut self, epochs: u64) -> Self {
         self.snapshot_interval = epochs;
@@ -317,7 +311,7 @@ fn worker_loop(
     rx: Receiver<ToWorker>,
     tx: Sender<FromWorker>,
     registry: Arc<TenantRegistry>,
-    factory: Arc<PrefetcherFactory>,
+    factory: PrefetcherFactory,
     pred: CoverageParams,
 ) {
     let mut states: BTreeMap<TenantId, TenantState> = BTreeMap::new();
@@ -395,7 +389,7 @@ fn worker_loop(
 pub struct ServeEngine {
     cfg: ServeConfig,
     registry: Arc<TenantRegistry>,
-    factory: Arc<PrefetcherFactory>,
+    factory: PrefetcherFactory,
 }
 
 impl ServeEngine {
@@ -405,7 +399,7 @@ impl ServeEngine {
         Self {
             cfg,
             registry: Arc::new(registry),
-            factory: Arc::new(factory),
+            factory,
         }
     }
 
@@ -461,7 +455,7 @@ impl ServeEngine {
                 let (tx_t, rx_t) = channel::<ToWorker>();
                 let (tx_r, rx_r) = channel::<FromWorker>();
                 let registry = Arc::clone(&self.registry);
-                let factory = Arc::clone(&self.factory);
+                let factory = self.factory;
                 s.spawn(move || worker_loop(rx_t, tx_r, registry, factory, pred));
                 to_workers.push(tx_t);
                 from_workers.push(rx_r);

@@ -52,8 +52,5 @@ pub mod workload;
 pub use engine::{ServeConfig, ServeEngine, ServeOutcome, ServeReport, ShardReport, TenantReport};
 pub use shard::{shard_of, Admission, Offer, ShardQueue, ShardStats};
 pub use snapshot::{decode, encode, SnapshotError, TenantSnapshot, MAGIC, VERSION};
-pub use tenant::{
-    ModelKind, PrefetcherFactory, ResilienceTuning, SharedFactory, TenantId, TenantModel,
-    TenantRegistry, TenantSpec,
-};
+pub use tenant::{ModelKind, PrefetcherFactory, TenantId, TenantModel, TenantRegistry, TenantSpec};
 pub use workload::{synthesize, ServeRequest};

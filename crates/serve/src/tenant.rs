@@ -9,7 +9,6 @@
 //! threads.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use hnp_baselines::{
     LstmPrefetcher, LstmPrefetcherConfig, MarkovConfig, MarkovPrefetcher, NextNConfig,
@@ -18,8 +17,7 @@ use hnp_baselines::{
 use hnp_core::{ClsConfig, ClsPrefetcher};
 use hnp_hebbian::NetState;
 use hnp_memsim::{
-    HealthState, MissEvent, NoPrefetcher, PrefetchFeedback, Prefetcher, ResilientConfig,
-    ResilientPrefetcher,
+    HealthState, MissEvent, NoPrefetcher, PrefetchFeedback, Prefetcher, ResilientPrefetcher,
 };
 use hnp_trace::apps::AppWorkload;
 
@@ -99,14 +97,6 @@ impl ModelKind {
             _ => return None,
         })
     }
-
-    /// Whether the model carries consolidated (snapshot-able) state.
-    /// Only the Hebbian cortex survives a crash — the hippocampal
-    /// episodic store is transient by CLS theory, and the baselines
-    /// rebuild their tables cold.
-    pub fn snapshotable(self) -> bool {
-        matches!(self, ModelKind::Cls | ModelKind::Hebbian)
-    }
 }
 
 /// Immutable description of one tenant.
@@ -167,97 +157,51 @@ impl TenantRegistry {
     }
 }
 
-/// Send-able resilience knobs; workers expand these into a full
-/// [`ResilientConfig`] locally (the full config carries a thread-local
-/// observer registry and cannot cross threads).
-#[derive(Debug, Clone, Copy)]
-pub struct ResilienceTuning {
-    /// Outcome-window length per source.
-    pub window: usize,
-    /// Feedback events between watchdog evaluations.
-    pub eval_period: usize,
-    /// Consecutive good evaluations required to recover.
-    pub hysteresis: u32,
-}
-
-impl Default for ResilienceTuning {
-    fn default() -> Self {
-        let d = ResilientConfig::default();
-        Self {
-            window: d.window,
-            eval_period: d.eval_period,
-            hysteresis: d.hysteresis,
-        }
-    }
-}
-
-impl ResilienceTuning {
-    fn to_config(self) -> ResilientConfig {
-        ResilientConfig::default()
-            .with_window(self.window)
-            .with_eval_period(self.eval_period)
-            .with_hysteresis(self.hysteresis)
-    }
-}
-
-/// Builds per-tenant prefetchers inside worker threads. Plain data
-/// (`Send + Sync`), shared via [`Arc`]; every instance a given spec
-/// produces is identical, which is what makes crash-rebuild and
-/// thread-count-independence work.
+/// Builds per-tenant prefetchers inside worker threads. Stateless
+/// (`Send + Sync`); every instance a given spec produces is identical,
+/// which is what makes crash-rebuild and thread-count-independence
+/// work.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct PrefetcherFactory {
-    /// Health-ladder tuning applied to every tenant's wrapper.
-    pub resilience: ResilienceTuning,
-}
+pub struct PrefetcherFactory;
 
 impl PrefetcherFactory {
-    /// A factory with default resilience tuning.
+    /// A factory.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 
     /// Builds the live model for `spec`, wrapped in a fresh
     /// [`ResilientPrefetcher`] health ladder.
     pub fn build(&self, spec: &TenantSpec) -> TenantModel {
-        let rc = self.resilience.to_config();
         match spec.model {
-            ModelKind::Cls => TenantModel::Cls(Box::new(ResilientPrefetcher::with_config(
+            ModelKind::Cls => TenantModel::Cls(Box::new(ResilientPrefetcher::new(
                 ClsPrefetcher::new(ClsConfig::small().with_seed(spec.seed)),
-                rc,
             ))),
-            ModelKind::Hebbian => TenantModel::Cls(Box::new(ResilientPrefetcher::with_config(
+            ModelKind::Hebbian => TenantModel::Cls(Box::new(ResilientPrefetcher::new(
                 ClsPrefetcher::new(ClsConfig {
                     seed: spec.seed,
                     ..ClsConfig::hebbian_only()
                 }),
-                rc,
             ))),
-            ModelKind::Stride => TenantModel::boxed(
-                Box::new(StridePrefetcher::with_config(StrideConfig::default())),
-                rc,
-            ),
-            ModelKind::Markov => TenantModel::boxed(
-                Box::new(MarkovPrefetcher::with_config(MarkovConfig::default())),
-                rc,
-            ),
-            ModelKind::NextN => TenantModel::boxed(
-                Box::new(NextNPrefetcher::with_config(NextNConfig::default())),
-                rc,
-            ),
-            ModelKind::Lstm => TenantModel::boxed(
-                Box::new(LstmPrefetcher::new(LstmPrefetcherConfig {
+            ModelKind::Stride => TenantModel::boxed(Box::new(StridePrefetcher::with_config(
+                StrideConfig::default(),
+            ))),
+            ModelKind::Markov => TenantModel::boxed(Box::new(MarkovPrefetcher::with_config(
+                MarkovConfig::default(),
+            ))),
+            ModelKind::NextN => TenantModel::boxed(Box::new(NextNPrefetcher::with_config(
+                NextNConfig::default(),
+            ))),
+            ModelKind::Lstm => {
+                TenantModel::boxed(Box::new(LstmPrefetcher::new(LstmPrefetcherConfig {
                     seed: spec.seed,
                     ..LstmPrefetcherConfig::default()
-                })),
-                rc,
-            ),
-            ModelKind::None => TenantModel::boxed(Box::new(NoPrefetcher), rc),
+                })))
+            }
+            ModelKind::None => TenantModel::boxed(Box::new(NoPrefetcher)),
         }
     }
 }
-
-/// A shared, immutable factory handle as passed to workers.
-pub type SharedFactory = Arc<PrefetcherFactory>;
 
 /// A live, health-wrapped tenant model.
 ///
@@ -274,8 +218,8 @@ pub enum TenantModel {
 }
 
 impl TenantModel {
-    fn boxed(inner: Box<dyn Prefetcher>, rc: ResilientConfig) -> Self {
-        TenantModel::Other(Box::new(ResilientPrefetcher::with_config(inner, rc)))
+    fn boxed(inner: Box<dyn Prefetcher>) -> Self {
+        TenantModel::Other(Box::new(ResilientPrefetcher::new(inner)))
     }
 
     /// Forwards a miss through the health ladder.

@@ -28,6 +28,17 @@ use hnp_trace::Trace;
 use crate::fault::FaultInjector;
 use crate::notify;
 
+/// Prefetches accepted per miss.
+const MAX_ISSUE_PER_MISS: usize = 4;
+/// Base backoff in ticks before retrying a demand fetch dropped by a
+/// lossy link (doubles per attempt, capped at `RETRY_BACKOFF_CAP`).
+const RETRY_BACKOFF: u64 = 25;
+/// Ceiling for the exponential retry backoff.
+const RETRY_BACKOFF_CAP: u64 = 400;
+/// Extra stall charged when demand-fetch retries are exhausted (the
+/// recovery path — the fetch then completes out-of-band).
+const TIMEOUT_PENALTY: u64 = 500;
+
 /// Cluster parameters.
 #[derive(Debug, Clone)]
 pub struct DisaggConfig {
@@ -38,8 +49,6 @@ pub struct DisaggConfig {
     pub link_latency: u64,
     /// Outstanding prefetches per node.
     pub max_inflight: usize,
-    /// Prefetches accepted per miss.
-    pub max_issue_per_miss: usize,
     /// Cluster-wide cap on concurrent transfers through the shared
     /// switch (demand fetches + prefetches); `0` = uncontended. When
     /// the switch is saturated, new prefetches are dropped and demand
@@ -49,17 +58,8 @@ pub struct DisaggConfig {
     /// Extra stall ticks per queued transfer ahead of a demand fetch
     /// on a saturated switch.
     pub contention_penalty: u64,
-    /// Base backoff in ticks before retrying a demand fetch dropped by
-    /// a lossy link (doubles per attempt, capped at
-    /// `retry_backoff_cap`).
-    pub retry_backoff: u64,
-    /// Ceiling for the exponential retry backoff.
-    pub retry_backoff_cap: u64,
     /// Dropped-demand-fetch retries before declaring a timeout.
     pub max_retries: u32,
-    /// Extra stall charged when demand-fetch retries are exhausted
-    /// (the recovery path — the fetch then completes out-of-band).
-    pub timeout_penalty: u64,
     /// Observer registry; every decision point in the run emits a
     /// typed event into it. An empty registry keeps the run
     /// bit-identical to an unobserved one.
@@ -72,52 +72,18 @@ impl Default for DisaggConfig {
             local_capacity_frac: 0.5,
             link_latency: 100,
             max_inflight: 16,
-            max_issue_per_miss: 4,
             shared_link_slots: 0,
             contention_penalty: 10,
-            retry_backoff: 25,
-            retry_backoff_cap: 400,
             max_retries: 4,
-            timeout_penalty: 500,
             obs: Registry::new(),
         }
     }
 }
 
 impl DisaggConfig {
-    /// Sets the per-node local-memory capacity fraction.
-    pub fn with_local_capacity_frac(mut self, frac: f64) -> Self {
-        self.local_capacity_frac = frac;
-        self
-    }
-
-    /// Sets the one-way network latency in ticks.
-    pub fn with_link_latency(mut self, ticks: u64) -> Self {
-        self.link_latency = ticks;
-        self
-    }
-
-    /// Sets the per-node in-flight prefetch cap.
-    pub fn with_max_inflight(mut self, n: usize) -> Self {
-        self.max_inflight = n;
-        self
-    }
-
-    /// Sets the per-miss prefetch issue cap.
-    pub fn with_max_issue_per_miss(mut self, n: usize) -> Self {
-        self.max_issue_per_miss = n;
-        self
-    }
-
     /// Sets the shared-switch slot budget (`0` = uncontended).
     pub fn with_shared_link_slots(mut self, slots: usize) -> Self {
         self.shared_link_slots = slots;
-        self
-    }
-
-    /// Sets the per-queued-transfer contention penalty.
-    pub fn with_contention_penalty(mut self, ticks: u64) -> Self {
-        self.contention_penalty = ticks;
         self
     }
 
@@ -510,7 +476,7 @@ impl DisaggregatedCluster {
                             if attempt >= self.cfg.max_retries {
                                 node.report.timeouts += 1;
                                 timed_out = true;
-                                total += self.cfg.timeout_penalty;
+                                total += TIMEOUT_PENALTY;
                                 obs.emit(&Event::Fault {
                                     tick: now,
                                     domain: i as u64,
@@ -524,8 +490,7 @@ impl DisaggregatedCluster {
                                 domain: i as u64,
                                 kind: ObsFaultKind::Retry,
                             });
-                            total += (self.cfg.retry_backoff << attempt.min(16))
-                                .min(self.cfg.retry_backoff_cap);
+                            total += (RETRY_BACKOFF << attempt.min(16)).min(RETRY_BACKOFF_CAP);
                             attempt += 1;
                         }
                         total
@@ -533,7 +498,7 @@ impl DisaggregatedCluster {
                 };
                 // Retry exhaustion means the node tears down and
                 // re-establishes its fabric connection (the recovery
-                // path behind `timeout_penalty`). Every outstanding
+                // path behind `TIMEOUT_PENALTY`). Every outstanding
                 // prefetch transfer dies with the connection; the
                 // cancellations are the model's only signal — a
                 // transport-level reset stays below its horizon.
@@ -565,7 +530,7 @@ impl DisaggregatedCluster {
                 let candidates = pf.on_miss(&miss);
                 let mut accepted = 0;
                 for cand in candidates {
-                    if accepted >= self.cfg.max_issue_per_miss {
+                    if accepted >= MAX_ISSUE_PER_MISS {
                         break;
                     }
                     // A killed transfer is still outstanding until the

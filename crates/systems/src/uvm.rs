@@ -23,86 +23,41 @@ use hnp_trace::Trace;
 use crate::fault::FaultInjector;
 use crate::notify;
 
-/// UVM simulator parameters.
-#[derive(Debug, Clone)]
+/// GPU-memory capacity as a fraction of the combined footprint.
+const CAPACITY_FRAC: f64 = 0.5;
+/// Ticks to service a fault batch (one migration round trip; the batch
+/// migrates together).
+const FAULT_LATENCY: u64 = 200;
+/// Extra ticks per page in a batch beyond the first (PCIe
+/// serialization).
+const PER_PAGE_LATENCY: u64 = 5;
+/// Outstanding prefetched pages.
+const MAX_INFLIGHT: usize = 64;
+/// Prefetches accepted per fault.
+const MAX_ISSUE_PER_FAULT: usize = 4;
+/// Base backoff in ticks before retrying a fault-batch migration
+/// dropped by a lossy interconnect (doubles per attempt, capped at
+/// `RETRY_BACKOFF_CAP`).
+const RETRY_BACKOFF: u64 = 50;
+/// Ceiling for the exponential retry backoff.
+const RETRY_BACKOFF_CAP: u64 = 800;
+/// Dropped-migration retries before declaring a timeout.
+const MAX_RETRIES: u32 = 4;
+/// Extra stall charged when migration retries are exhausted (the
+/// recovery path — the batch then completes out-of-band).
+const TIMEOUT_PENALTY: u64 = 1000;
+
+/// UVM simulator parameters. The machine itself (capacity, latencies,
+/// issue caps, retry policy) is fixed; see the constants above.
+#[derive(Debug, Clone, Default)]
 pub struct UvmConfig {
-    /// GPU-memory capacity as a fraction of the combined footprint.
-    pub capacity_frac: f64,
-    /// Ticks to service a fault batch (one migration round trip; the
-    /// batch migrates together).
-    pub fault_latency: u64,
-    /// Extra ticks per page in a batch beyond the first (PCIe
-    /// serialization).
-    pub per_page_latency: u64,
-    /// Outstanding prefetched pages.
-    pub max_inflight: usize,
-    /// Prefetches accepted per fault.
-    pub max_issue_per_fault: usize,
-    /// Base backoff in ticks before retrying a fault-batch migration
-    /// dropped by a lossy interconnect (doubles per attempt, capped at
-    /// `retry_backoff_cap`).
-    pub retry_backoff: u64,
-    /// Ceiling for the exponential retry backoff.
-    pub retry_backoff_cap: u64,
-    /// Dropped-migration retries before declaring a timeout.
-    pub max_retries: u32,
-    /// Extra stall charged when migration retries are exhausted (the
-    /// recovery path — the batch then completes out-of-band).
-    pub timeout_penalty: u64,
     /// Observer registry; every decision point in the run emits a
     /// typed event into it. An empty registry keeps the run
     /// bit-identical to an unobserved one.
     pub obs: Registry,
 }
 
-impl Default for UvmConfig {
-    fn default() -> Self {
-        Self {
-            capacity_frac: 0.5,
-            fault_latency: 200,
-            per_page_latency: 5,
-            max_inflight: 64,
-            max_issue_per_fault: 4,
-            retry_backoff: 50,
-            retry_backoff_cap: 800,
-            max_retries: 4,
-            timeout_penalty: 1000,
-            obs: Registry::new(),
-        }
-    }
-}
-
 impl UvmConfig {
-    /// Sets GPU-memory capacity as a fraction of the footprint.
-    pub fn with_capacity_frac(mut self, frac: f64) -> Self {
-        self.capacity_frac = frac;
-        self
-    }
-
-    /// Sets the base fault-batch migration latency in ticks.
-    pub fn with_fault_latency(mut self, ticks: u64) -> Self {
-        self.fault_latency = ticks;
-        self
-    }
-
-    /// Sets the per-page PCIe serialization cost.
-    pub fn with_per_page_latency(mut self, ticks: u64) -> Self {
-        self.per_page_latency = ticks;
-        self
-    }
-
-    /// Sets the in-flight prefetched-page cap.
-    pub fn with_max_inflight(mut self, n: usize) -> Self {
-        self.max_inflight = n;
-        self
-    }
-
-    /// Sets the per-fault prefetch issue cap.
-    pub fn with_max_issue_per_fault(mut self, n: usize) -> Self {
-        self.max_issue_per_fault = n;
-        self
-    }
-
     /// Attaches an observer registry to the run.
     pub fn with_observer(mut self, obs: Registry) -> Self {
         self.obs = obs;
@@ -215,7 +170,7 @@ impl UvmSim {
             }
             pages.len()
         };
-        let capacity = ((combined_footprint as f64 * self.cfg.capacity_frac) as usize).max(1);
+        let capacity = ((combined_footprint as f64 * CAPACITY_FRAC) as usize).max(1);
         let mut memory = LocalMemory::new(capacity);
         let mut inflight = PrefetchLedger::new();
         let mut cursors = vec![0usize; warps.len()];
@@ -308,8 +263,7 @@ impl UvmSim {
             report.fault_batches += 1;
             report.faults += batch_pages.len();
             report.max_batch = report.max_batch.max(batch_pages.len());
-            let base_service =
-                self.cfg.fault_latency + self.cfg.per_page_latency * (batch_pages.len() as u64 - 1);
+            let base_service = FAULT_LATENCY + PER_PAGE_LATENCY * (batch_pages.len() as u64 - 1);
             // A lossy interconnect can drop the whole batch migration:
             // each drop costs the wasted (shaped) round trip plus a
             // capped exponential backoff; exhausted retries time out
@@ -323,9 +277,9 @@ impl UvmSim {
                     break;
                 }
                 service += injector.transfer_latency(now + service, base_service);
-                if attempt >= self.cfg.max_retries {
+                if attempt >= MAX_RETRIES {
                     report.timeouts += 1;
-                    service += self.cfg.timeout_penalty;
+                    service += TIMEOUT_PENALTY;
                     obs.emit(&Event::Fault {
                         tick: now,
                         domain: 0,
@@ -345,8 +299,7 @@ impl UvmSim {
                     domain: 0,
                     kind: ObsFaultKind::Retry,
                 });
-                service +=
-                    (self.cfg.retry_backoff << attempt.min(16)).min(self.cfg.retry_backoff_cap);
+                service += (RETRY_BACKOFF << attempt.min(16)).min(RETRY_BACKOFF_CAP);
                 attempt += 1;
             }
             // Driver-side prefetching: consult the model per faulting
@@ -374,13 +327,13 @@ impl UvmSim {
                 let candidates = prefetcher.on_miss(&miss);
                 let mut accepted = 0;
                 for cand in candidates {
-                    if accepted >= self.cfg.max_issue_per_fault {
+                    if accepted >= MAX_ISSUE_PER_FAULT {
                         break;
                     }
                     if memory.contains(cand) || inflight.contains(cand) {
                         continue;
                     }
-                    if inflight.len() >= self.cfg.max_inflight {
+                    if inflight.len() >= MAX_INFLIGHT {
                         break;
                     }
                     // Lossy interconnects silently eat prefetches; the
@@ -521,23 +474,22 @@ mod tests {
 
     #[test]
     fn per_page_latency_penalizes_big_batches() {
+        // Warps over disjoint regions fault in lockstep, one batch of
+        // all warps per access; each batch costs a faulting step, the
+        // migration and the retried step.
         let ws: Vec<Trace> = (0..8)
             .map(|i| {
                 let base = 0x1000_0000u64 * (i + 1) as u64;
                 Trace::from_addrs((0..300).map(|k| base + k * 4096).collect())
             })
             .collect();
-        let cheap = UvmSim::new(UvmConfig {
-            per_page_latency: 0,
-            ..UvmConfig::default()
-        })
-        .run(&ws, &mut NoPrefetcher);
-        let costly = UvmSim::new(UvmConfig {
-            per_page_latency: 50,
-            ..UvmConfig::default()
-        })
-        .run(&ws, &mut NoPrefetcher);
-        assert!(costly.total_ticks > cheap.total_ticks);
+        let sim = UvmSim::new(UvmConfig::default());
+        let one = sim.run(&ws[..1], &mut NoPrefetcher);
+        let eight = sim.run(&ws, &mut NoPrefetcher);
+        assert_eq!((one.max_batch, eight.max_batch), (1, 8));
+        let per_batch = |r: &UvmReport| r.total_ticks / r.fault_batches as u64;
+        assert_eq!(per_batch(&one), 2 + FAULT_LATENCY);
+        assert_eq!(per_batch(&eight) - per_batch(&one), 7 * PER_PAGE_LATENCY);
     }
 
     #[test]
