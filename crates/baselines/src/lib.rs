@@ -17,8 +17,6 @@ pub mod lstm;
 pub mod simple;
 pub mod transformer;
 
-pub use lstm::{LstmPrefetcher, LstmPrefetcherConfig};
-pub use simple::{
-    MarkovConfig, MarkovPrefetcher, NextNConfig, NextNPrefetcher, StrideConfig, StridePrefetcher,
-};
-pub use transformer::{TransformerPrefetcher, TransformerPrefetcherConfig};
+pub use lstm::LstmPrefetcher;
+pub use simple::{MarkovPrefetcher, NextNPrefetcher, StrideConfig, StridePrefetcher};
+pub use transformer::TransformerPrefetcher;

@@ -10,47 +10,25 @@ use hnp_memsim::deltas::DeltaVocab;
 use hnp_memsim::prefetcher::{MissEvent, Prefetcher};
 use hnp_nn::lstm::{LstmConfig, LstmNetwork};
 
-/// Configuration of the LSTM prefetcher deployment.
-#[derive(Debug, Clone)]
-pub struct LstmPrefetcherConfig {
-    /// Delta vocabulary half-range (tokens cover `[-range, range]`).
-    pub delta_range: i64,
-    /// Embedding width.
-    pub embed_dim: usize,
-    /// Hidden width.
-    pub hidden: usize,
-    /// Online learning rate.
-    pub learning_rate: f32,
-    /// Prediction steps into the future (prefetch length, §5.2).
-    pub lookahead: usize,
-    /// Predictions per step (prefetch width, §5.2).
-    pub width: usize,
-    /// Minimum first-step softmax probability required to issue
-    /// prefetches (§5.2 selectivity; prevents an untrained model from
-    /// polluting memory).
-    pub min_confidence: f32,
-    /// Weight-init seed.
-    pub seed: u64,
-}
-
-impl Default for LstmPrefetcherConfig {
-    fn default() -> Self {
-        Self {
-            delta_range: 64,
-            embed_dim: 32,
-            hidden: 64,
-            learning_rate: 0.05,
-            lookahead: 2,
-            width: 2,
-            min_confidence: 0.05,
-            seed: 0x15b4,
-        }
-    }
-}
+/// Delta vocabulary half-range (tokens cover `[-range, range]`).
+const DELTA_RANGE: i64 = 64;
+/// Embedding width.
+const EMBED_DIM: usize = 32;
+/// Hidden width.
+const HIDDEN: usize = 64;
+/// Online learning rate.
+const LEARNING_RATE: f32 = 0.05;
+/// Prediction steps into the future (prefetch length, §5.2).
+const LOOKAHEAD: usize = 2;
+/// Predictions per step (prefetch width, §5.2).
+const WIDTH: usize = 2;
+/// Minimum first-step softmax probability required to issue
+/// prefetches (§5.2 selectivity; prevents an untrained model from
+/// polluting memory).
+const MIN_CONFIDENCE: f32 = 0.05;
 
 /// The online-learning LSTM prefetcher.
 pub struct LstmPrefetcher {
-    cfg: LstmPrefetcherConfig,
     vocab: DeltaVocab,
     net: LstmNetwork,
     last_page: Option<u64>,
@@ -61,20 +39,19 @@ pub struct LstmPrefetcher {
 }
 
 impl LstmPrefetcher {
-    /// Builds the prefetcher.
-    pub fn new(cfg: LstmPrefetcherConfig) -> Self {
-        let vocab = DeltaVocab::new(cfg.delta_range);
+    /// Builds the prefetcher; `seed` seeds the weight init.
+    pub fn new(seed: u64) -> Self {
+        let vocab = DeltaVocab::new(DELTA_RANGE);
         let net = LstmNetwork::new(LstmConfig {
             vocab: vocab.len(),
-            embed_dim: cfg.embed_dim,
-            hidden: cfg.hidden,
-            learning_rate: cfg.learning_rate,
+            embed_dim: EMBED_DIM,
+            hidden: HIDDEN,
+            learning_rate: LEARNING_RATE,
             grad_clip: 1.0,
             threads: 1,
-            seed: cfg.seed,
+            seed,
         });
         Self {
-            cfg,
             vocab,
             net,
             last_page: None,
@@ -124,10 +101,10 @@ impl Prefetcher for LstmPrefetcher {
         self.last_page = Some(miss.page);
         if let Some(tok) = token {
             self.last_token = Some(tok);
-            let (rollout, confidence) =
-                self.net
-                    .rollout_top_k_with_confidence(tok, self.cfg.lookahead, self.cfg.width);
-            if confidence < self.cfg.min_confidence {
+            let (rollout, confidence) = self
+                .net
+                .rollout_top_k_with_confidence(tok, LOOKAHEAD, WIDTH);
+            if confidence < MIN_CONFIDENCE {
                 return Vec::new();
             }
             self.pages_from_rollout(miss.page, &rollout)
@@ -153,6 +130,8 @@ mod tests {
     use hnp_memsim::{NoPrefetcher, SimConfig, Simulator};
     use hnp_trace::Pattern;
 
+    const SEED: u64 = 0x15b4;
+
     fn sim() -> Simulator {
         Simulator::new(SimConfig {
             capacity_pages: 32,
@@ -168,7 +147,7 @@ mod tests {
         let t = Pattern::Stride.generate(4000, 0);
         let s = sim();
         let base = s.run(&t, &mut NoPrefetcher);
-        let mut p = LstmPrefetcher::new(LstmPrefetcherConfig::default());
+        let mut p = LstmPrefetcher::new(SEED);
         let rep = s.run(&t, &mut p);
         assert!(
             rep.pct_misses_removed(&base) > 30.0,
@@ -184,7 +163,7 @@ mod tests {
 
     #[test]
     fn rollout_translation_accumulates_deltas() {
-        let p = LstmPrefetcher::new(LstmPrefetcherConfig::default());
+        let p = LstmPrefetcher::new(SEED);
         let v = &p.vocab;
         // Steps: top-1 delta +2 then +3; widths add an alternative +1.
         let rollout = vec![vec![v.token_of(2), v.token_of(1)], vec![v.token_of(3)]];
@@ -194,7 +173,7 @@ mod tests {
 
     #[test]
     fn oov_prediction_stops_the_walk() {
-        let p = LstmPrefetcher::new(LstmPrefetcherConfig::default());
+        let p = LstmPrefetcher::new(SEED);
         let v = &p.vocab;
         let rollout = vec![vec![v.oov()], vec![v.token_of(1)]];
         assert!(p.pages_from_rollout(100, &rollout).is_empty());
@@ -202,12 +181,28 @@ mod tests {
 
     #[test]
     fn first_miss_produces_no_prefetch() {
-        let mut p = LstmPrefetcher::new(LstmPrefetcherConfig::default());
+        let mut p = LstmPrefetcher::new(SEED);
         let out = p.on_miss(&MissEvent {
             page: 5,
             tick: 0,
             stream: 0,
         });
         assert!(out.is_empty(), "no delta context yet");
+    }
+
+    #[test]
+    fn seed_changes_the_learned_model() {
+        let run = |seed| {
+            let mut p = LstmPrefetcher::new(seed);
+            for i in 0..200u64 {
+                p.on_miss(&MissEvent {
+                    page: 3 * i,
+                    tick: i,
+                    stream: 0,
+                });
+            }
+            p.confidence()
+        };
+        assert_ne!(run(1), run(2), "the seed must reach the weights");
     }
 }

@@ -8,42 +8,17 @@ use std::collections::HashMap;
 
 use hnp_memsim::prefetcher::{MissEvent, Prefetcher};
 
-/// Configuration of [`NextNPrefetcher`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NextNConfig {
-    /// Sequential pages fetched per miss.
-    pub degree: usize,
-}
+/// Sequential pages [`NextNPrefetcher`] fetches per miss.
+const NEXT_N_DEGREE: u64 = 4;
 
-impl Default for NextNConfig {
-    fn default() -> Self {
-        Self { degree: 4 }
-    }
-}
-
-impl NextNConfig {
-    /// Sets the number of sequential pages fetched per miss.
-    pub fn with_degree(mut self, degree: usize) -> Self {
-        self.degree = degree;
-        self
-    }
-}
-
-/// Prefetches the next `n` sequential pages after every miss.
-#[derive(Debug, Clone)]
-pub struct NextNPrefetcher {
-    n: usize,
-}
+/// Prefetches the next four sequential pages after every miss.
+#[derive(Debug, Clone, Default)]
+pub struct NextNPrefetcher;
 
 impl NextNPrefetcher {
-    /// Creates a next-`n`-line prefetcher from `cfg`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg.degree == 0`.
-    pub fn with_config(cfg: NextNConfig) -> Self {
-        assert!(cfg.degree > 0, "degree must be positive");
-        Self { n: cfg.degree }
+    /// Creates a next-4-line prefetcher.
+    pub fn new() -> Self {
+        Self
     }
 }
 
@@ -53,7 +28,7 @@ impl Prefetcher for NextNPrefetcher {
     }
 
     fn on_miss(&mut self, miss: &MissEvent) -> Vec<u64> {
-        (1..=self.n as u64).map(|i| miss.page + i).collect()
+        (1..=NEXT_N_DEGREE).map(|i| miss.page + i).collect()
     }
 }
 
@@ -65,27 +40,23 @@ pub struct StridePrefetcher {
     last_delta: Option<i64>,
     /// Consecutive confirmations of the current stride.
     confidence: u32,
-    /// Confirmations required before prefetching.
-    threshold: u32,
     /// Pages fetched ahead once confident.
     degree: usize,
 }
 
+/// Consecutive stride confirmations required before prefetching.
+const STRIDE_THRESHOLD: u32 = 2;
+
 /// Configuration of [`StridePrefetcher`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StrideConfig {
-    /// Consecutive stride confirmations required before prefetching.
-    pub threshold: u32,
     /// Pages fetched ahead once confident.
     pub degree: usize,
 }
 
 impl Default for StrideConfig {
     fn default() -> Self {
-        Self {
-            threshold: 2,
-            degree: 4,
-        }
+        Self { degree: 4 }
     }
 }
 
@@ -109,7 +80,6 @@ impl StridePrefetcher {
             last_page: None,
             last_delta: None,
             confidence: 0,
-            threshold: cfg.threshold,
             degree: cfg.degree,
         }
     }
@@ -136,7 +106,7 @@ impl Prefetcher for StridePrefetcher {
                 self.confidence = 0;
                 self.last_delta = Some(delta);
             }
-            if self.confidence >= self.threshold {
+            if self.confidence >= STRIDE_THRESHOLD {
                 // Both branches above leave `last_delta == Some(delta)`.
                 let d = delta;
                 let mut p = miss.page as i64;
@@ -153,63 +123,30 @@ impl Prefetcher for StridePrefetcher {
     }
 }
 
-/// First-order Markov (correlation) prefetcher: remembers up to
-/// `successors` successor pages per miss page, most-recent first, with
-/// a bounded table.
-#[derive(Debug, Clone)]
+/// Bounded transition-table capacity of [`MarkovPrefetcher`] (pages
+/// tracked).
+const MARKOV_CAPACITY: usize = 4096;
+/// Successor predictions [`MarkovPrefetcher`] remembers per page.
+const MARKOV_SUCCESSORS: usize = 2;
+
+/// First-order Markov (correlation) prefetcher: remembers up to two
+/// successor pages per miss page, most-recent first, in a table of at
+/// most 4096 pages.
+#[derive(Debug, Clone, Default)]
 pub struct MarkovPrefetcher {
     table: HashMap<u64, Vec<u64>>,
     order: Vec<u64>,
-    capacity: usize,
-    successors: usize,
     last_page: Option<u64>,
 }
 
-/// Configuration of [`MarkovPrefetcher`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MarkovConfig {
-    /// Bounded transition-table capacity (pages tracked).
-    pub capacity: usize,
-    /// Successor predictions remembered per page.
-    pub successors: usize,
-}
-
-impl Default for MarkovConfig {
-    fn default() -> Self {
-        Self {
-            capacity: 4096,
-            successors: 2,
-        }
-    }
-}
-
-impl MarkovConfig {
-    /// Sets the transition-table capacity.
-    pub fn with_capacity(mut self, capacity: usize) -> Self {
-        self.capacity = capacity;
-        self
-    }
-}
-
 impl MarkovPrefetcher {
-    /// Creates a Markov prefetcher from `cfg`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg.capacity == 0` or `cfg.successors == 0`.
-    pub fn with_config(cfg: MarkovConfig) -> Self {
-        assert!(cfg.capacity > 0 && cfg.successors > 0);
-        Self {
-            table: HashMap::new(),
-            order: Vec::new(),
-            capacity: cfg.capacity,
-            successors: cfg.successors,
-            last_page: None,
-        }
+    /// Creates a Markov prefetcher with an empty table.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     fn note_transition(&mut self, from: u64, to: u64) {
-        if !self.table.contains_key(&from) && self.table.len() >= self.capacity {
+        if !self.table.contains_key(&from) && self.table.len() >= MARKOV_CAPACITY {
             // Evict the oldest entry (FIFO over first insertion).
             let victim = self.order.remove(0);
             self.table.remove(&victim);
@@ -221,7 +158,7 @@ impl MarkovPrefetcher {
         // Most-recent-first, deduplicated, bounded.
         entry.retain(|&p| p != to);
         entry.insert(0, to);
-        entry.truncate(self.successors);
+        entry.truncate(MARKOV_SUCCESSORS);
     }
 }
 
@@ -262,13 +199,13 @@ mod tests {
 
     #[test]
     fn next_n_emits_sequential_pages() {
-        let mut p = NextNPrefetcher::with_config(NextNConfig::default().with_degree(3));
+        let mut p = NextNPrefetcher::new();
         let out = p.on_miss(&MissEvent {
             page: 10,
             tick: 0,
             stream: 0,
         });
-        assert_eq!(out, vec![11, 12, 13]);
+        assert_eq!(out, vec![11, 12, 13, 14]);
     }
 
     #[test]
@@ -287,10 +224,7 @@ mod tests {
 
     #[test]
     fn stride_prefetcher_resets_on_pattern_break() {
-        let mut p = StridePrefetcher::with_config(StrideConfig {
-            threshold: 1,
-            degree: 1,
-        });
+        let mut p = StridePrefetcher::with_config(StrideConfig::default().with_degree(1));
         let mk = |page| MissEvent {
             page,
             tick: 0,
@@ -298,13 +232,14 @@ mod tests {
         };
         p.on_miss(&mk(10));
         p.on_miss(&mk(12));
-        assert_eq!(p.on_miss(&mk(14)), vec![16]);
+        p.on_miss(&mk(14));
+        assert_eq!(p.on_miss(&mk(16)), vec![18]);
         assert!(p.on_miss(&mk(100)).is_empty(), "break resets confidence");
     }
 
     #[test]
     fn markov_learns_repeated_transitions() {
-        let mut p = MarkovPrefetcher::with_config(MarkovConfig::default().with_capacity(16));
+        let mut p = MarkovPrefetcher::new();
         let mk = |page| MissEvent {
             page,
             tick: 0,
@@ -319,19 +254,16 @@ mod tests {
 
     #[test]
     fn markov_table_capacity_is_bounded() {
-        let mut p = MarkovPrefetcher::with_config(MarkovConfig {
-            capacity: 4,
-            successors: 1,
-        });
+        let mut p = MarkovPrefetcher::new();
         let mk = |page| MissEvent {
             page,
             tick: 0,
             stream: 0,
         };
-        for page in 0..100u64 {
+        for page in 0..MARKOV_CAPACITY as u64 + 100 {
             p.on_miss(&mk(page));
         }
-        assert!(p.table.len() <= 4);
+        assert!(p.table.len() <= MARKOV_CAPACITY);
     }
 
     #[test]
@@ -359,10 +291,7 @@ mod tests {
             &t,
             &mut StridePrefetcher::with_config(StrideConfig::default()),
         );
-        let markov = s.run(
-            &t,
-            &mut MarkovPrefetcher::with_config(MarkovConfig::default().with_capacity(256)),
-        );
+        let markov = s.run(&t, &mut MarkovPrefetcher::new());
         assert!(
             markov.pct_misses_removed(&base) > stride.pct_misses_removed(&base),
             "markov {:.1}% vs stride {:.1}%",
@@ -374,18 +303,18 @@ mod tests {
 
     #[test]
     fn negative_stride_never_yields_negative_pages() {
-        let mut p = StridePrefetcher::with_config(StrideConfig {
-            threshold: 0,
-            degree: 4,
-        });
+        let mut p = StridePrefetcher::with_config(StrideConfig::default());
         let mk = |page| MissEvent {
             page,
             tick: 0,
             stream: 0,
         };
+        p.on_miss(&mk(20));
+        p.on_miss(&mk(15));
         p.on_miss(&mk(10));
-        p.on_miss(&mk(5));
-        let out = p.on_miss(&mk(0));
+        // Confirmed stride -5 from page 5: only page 0 is in range.
+        let out = p.on_miss(&mk(5));
         assert!(out.iter().all(|&pg| pg < 10), "{out:?}");
+        assert_eq!(out, vec![0]);
     }
 }

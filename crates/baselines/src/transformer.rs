@@ -13,51 +13,27 @@ use hnp_memsim::deltas::{pages_from_rollout, DeltaVocab};
 use hnp_memsim::prefetcher::{MissEvent, Prefetcher};
 use hnp_nn::transformer::{TransformerConfig, TransformerNetwork};
 
-/// Configuration of the transformer prefetcher deployment.
-#[derive(Debug, Clone)]
-pub struct TransformerPrefetcherConfig {
-    /// Delta vocabulary half-range.
-    pub delta_range: i64,
-    /// Model width.
-    pub dim: usize,
-    /// Attention heads.
-    pub heads: usize,
-    /// MLP width.
-    pub ff: usize,
-    /// Context window (miss-history length).
-    pub window: usize,
-    /// Online learning rate.
-    pub learning_rate: f32,
-    /// Prediction steps (prefetch length).
-    pub lookahead: usize,
-    /// Candidates per step (prefetch width).
-    pub width: usize,
-    /// Minimum first-step confidence to issue.
-    pub min_confidence: f32,
-    /// Seed.
-    pub seed: u64,
-}
-
-impl Default for TransformerPrefetcherConfig {
-    fn default() -> Self {
-        Self {
-            delta_range: 64,
-            dim: 48,
-            heads: 2,
-            ff: 96,
-            window: 6,
-            learning_rate: 0.05,
-            lookahead: 2,
-            width: 2,
-            min_confidence: 0.05,
-            seed: 0x7f8,
-        }
-    }
-}
+/// Delta vocabulary half-range.
+const DELTA_RANGE: i64 = 64;
+/// Model width.
+const DIM: usize = 48;
+/// Attention heads.
+const HEADS: usize = 2;
+/// MLP width.
+const FF: usize = 96;
+/// Context window (miss-history length).
+const WINDOW: usize = 6;
+/// Online learning rate.
+const LEARNING_RATE: f32 = 0.05;
+/// Prediction steps (prefetch length).
+const LOOKAHEAD: usize = 2;
+/// Candidates per step (prefetch width).
+const WIDTH: usize = 2;
+/// Minimum first-step confidence to issue.
+const MIN_CONFIDENCE: f32 = 0.05;
 
 /// The online transformer prefetcher.
 pub struct TransformerPrefetcher {
-    cfg: TransformerPrefetcherConfig,
     vocab: DeltaVocab,
     net: TransformerNetwork,
     history: VecDeque<usize>,
@@ -66,21 +42,20 @@ pub struct TransformerPrefetcher {
 }
 
 impl TransformerPrefetcher {
-    /// Builds the prefetcher.
-    pub fn new(cfg: TransformerPrefetcherConfig) -> Self {
-        let vocab = DeltaVocab::new(cfg.delta_range);
+    /// Builds the prefetcher; `seed` seeds the weight init.
+    pub fn new(seed: u64) -> Self {
+        let vocab = DeltaVocab::new(DELTA_RANGE);
         let net = TransformerNetwork::new(TransformerConfig {
             vocab: vocab.len(),
-            dim: cfg.dim,
-            heads: cfg.heads,
-            ff: cfg.ff,
-            window: cfg.window,
-            learning_rate: cfg.learning_rate,
+            dim: DIM,
+            heads: HEADS,
+            ff: FF,
+            window: WINDOW,
+            learning_rate: LEARNING_RATE,
             grad_clip: 1.0,
-            seed: cfg.seed,
+            seed,
         });
         Self {
-            cfg,
             vocab,
             net,
             history: VecDeque::new(),
@@ -120,18 +95,18 @@ impl Prefetcher for TransformerPrefetcher {
         // Train on (context -> token).
         if !self.history.is_empty() {
             let ctx = self.context();
-            let loss = self.net.train_window(&ctx, token, self.cfg.learning_rate);
+            let loss = self.net.train_window(&ctx, token, LEARNING_RATE);
             self.ema_confidence = 0.98 * self.ema_confidence + 0.02 * loss.confidence;
         }
         self.history.push_back(token);
-        while self.history.len() > self.cfg.window {
+        while self.history.len() > WINDOW {
             self.history.pop_front();
         }
         let ctx = self.context();
-        let (rollout, confidence) =
-            self.net
-                .rollout_top_k_with_confidence(&ctx, self.cfg.lookahead, self.cfg.width);
-        if confidence < self.cfg.min_confidence {
+        let (rollout, confidence) = self
+            .net
+            .rollout_top_k_with_confidence(&ctx, LOOKAHEAD, WIDTH);
+        if confidence < MIN_CONFIDENCE {
             return Vec::new();
         }
         pages_from_rollout(&self.vocab, miss.page, &rollout)
@@ -143,6 +118,8 @@ mod tests {
     use super::*;
     use hnp_memsim::{NoPrefetcher, SimConfig, Simulator};
     use hnp_trace::Pattern;
+
+    const SEED: u64 = 0x7f8;
 
     fn sim() -> Simulator {
         Simulator::new(SimConfig {
@@ -159,7 +136,7 @@ mod tests {
         let t = Pattern::Stride.generate(3000, 0);
         let s = sim();
         let base = s.run(&t, &mut NoPrefetcher);
-        let mut p = TransformerPrefetcher::new(TransformerPrefetcherConfig::default());
+        let mut p = TransformerPrefetcher::new(SEED);
         let rep = s.run(&t, &mut p);
         assert!(
             rep.pct_misses_removed(&base) > 25.0,
@@ -171,7 +148,7 @@ mod tests {
 
     #[test]
     fn first_miss_is_silent() {
-        let mut p = TransformerPrefetcher::new(TransformerPrefetcherConfig::default());
+        let mut p = TransformerPrefetcher::new(SEED);
         assert!(p
             .on_miss(&MissEvent {
                 page: 3,
@@ -179,5 +156,21 @@ mod tests {
                 stream: 0
             })
             .is_empty());
+    }
+
+    #[test]
+    fn seed_changes_the_learned_model() {
+        let run = |seed| {
+            let mut p = TransformerPrefetcher::new(seed);
+            for i in 0..200u64 {
+                p.on_miss(&MissEvent {
+                    page: 3 * i,
+                    tick: i,
+                    stream: 0,
+                });
+            }
+            p.confidence()
+        };
+        assert_ne!(run(1), run(2), "the seed must reach the weights");
     }
 }

@@ -13,7 +13,7 @@ use serde::Serialize;
 
 use hnp_bench::output;
 use hnp_core::encoder::EncoderKind;
-use hnp_core::{AdaptiveConfig, ClsConfig, ClsPrefetcher};
+use hnp_core::{ClsConfig, ClsPrefetcher};
 use hnp_memsim::{NoPrefetcher, SimConfig, Simulator};
 use hnp_trace::apps::AppWorkload;
 use hnp_trace::Trace;
@@ -169,7 +169,7 @@ fn main() {
             let mut p = ClsPrefetcher::new(ClsConfig {
                 lookahead: 1,
                 width: 1,
-                adaptive: adaptive.then(AdaptiveConfig::default),
+                adaptive,
                 ..ClsConfig::default()
             });
             let rep = sim_l.run(&trace, &mut p);

@@ -48,10 +48,7 @@ fn run(workload: &str, trace: &Trace, rows: &mut Vec<Row>) {
         (
             "phase-fine-w16",
             ClsConfig {
-                phase: Some(PhaseConfig {
-                    window: 16,
-                    ..PhaseConfig::default()
-                }),
+                phase: Some(PhaseConfig { window: 16 }),
                 ..ClsConfig::default()
             },
         ),

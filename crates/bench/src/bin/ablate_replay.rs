@@ -144,11 +144,7 @@ fn main() {
     run_condition(
         "capacity/assoc-willshaw",
         ClsConfig {
-            episodic: EpisodicBackend::Associative {
-                key_bits: 1024,
-                key_active: 24,
-                reservoir: 256,
-            },
+            episodic: EpisodicBackend::Associative,
             replay: ReplayConfig {
                 per_step: 2,
                 ..ReplayConfig::default()

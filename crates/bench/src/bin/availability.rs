@@ -13,7 +13,7 @@
 use serde::Serialize;
 
 use hnp_bench::output;
-use hnp_core::availability::{AvailabilityConfig, ShadowDeployment};
+use hnp_core::availability::ShadowDeployment;
 use hnp_hebbian::{HebbianConfig, HebbianNetwork, LrScale};
 use hnp_memsim::DeltaVocab;
 use hnp_trace::Pattern;
@@ -39,10 +39,7 @@ fn main() {
     // --- Shadow protocol on a workload that changes phase midway. ---
     output::header("§5.5: shadow-model protocol on a phase-changing workload");
     let cfg = HebbianConfig::paper_table2();
-    let mut shadow = ShadowDeployment::new(
-        HebbianNetwork::new(cfg.clone()),
-        AvailabilityConfig::default(),
-    );
+    let mut shadow = ShadowDeployment::new(HebbianNetwork::new(cfg.clone()));
     let mut in_place = HebbianNetwork::new(cfg.clone());
     let mut in_place_correct = 0u64;
     let mut in_place_total = 0u64;

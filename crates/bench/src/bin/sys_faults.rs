@@ -22,7 +22,7 @@
 
 use serde::Serialize;
 
-use hnp_baselines::{LstmPrefetcher, LstmPrefetcherConfig, StrideConfig, StridePrefetcher};
+use hnp_baselines::{LstmPrefetcher, StrideConfig, StridePrefetcher};
 use hnp_bench::output;
 use hnp_core::{ClsConfig, ClsPrefetcher};
 use hnp_memsim::{NoPrefetcher, Prefetcher, ResilientPrefetcher};
@@ -64,10 +64,7 @@ fn make_model(name: &str, seed: u64) -> Box<dyn Prefetcher> {
             min_confidence: 0.0,
             ..ClsConfig::default()
         })),
-        "lstm" => Box::new(LstmPrefetcher::new(LstmPrefetcherConfig {
-            seed,
-            ..LstmPrefetcherConfig::default()
-        })),
+        "lstm" => Box::new(LstmPrefetcher::new(seed)),
         "stride" => Box::new(StridePrefetcher::with_config(
             StrideConfig::default().with_degree(2),
         )),

@@ -21,7 +21,6 @@ use hnp_memsim::DeltaVocab;
 use hnp_nn::loss::SoftmaxLoss;
 use hnp_nn::transformer::{TransformerConfig, TransformerNetwork};
 use hnp_nn::{LstmConfig, LstmNetwork};
-use hnp_obs::{Event, Registry, RingTracer};
 use hnp_trace::Pattern;
 
 /// Any model trainable on (token window -> next token) examples; the
@@ -76,18 +75,6 @@ pub struct Fig3Options {
     pub elements: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Observer registry; every sampled point is emitted into it as an
-    /// [`Event::EpochSummary`] (confidence on the old pattern in
-    /// `confidence_milli`, on the new pattern in `accuracy_milli`).
-    pub obs: Registry,
-}
-
-impl Fig3Options {
-    /// Attaches an observer registry (builder form).
-    pub fn with_observer(mut self, obs: Registry) -> Self {
-        self.obs = obs;
-        self
-    }
 }
 
 impl Default for Fig3Options {
@@ -104,7 +91,6 @@ impl Default for Fig3Options {
             delta_range: 64,
             elements: 64,
             seed: 0xf13,
-            obs: Registry::default(),
         }
     }
 }
@@ -138,46 +124,17 @@ pub struct Fig3Series {
     pub conf_old_after_phase1: f32,
 }
 
-/// A sampling tap: a registry carrying the caller's observers plus a
-/// tracer wide enough to hold every sampled point, from which the
-/// series is rebuilt. The harness's own curve is thereby read back
-/// through the same event stream external observers get.
-fn sample_tap(opts: &Fig3Options) -> (Registry, RingTracer) {
-    let tracer = RingTracer::new(opts.steps_b / opts.sample_every.max(1) + 2);
-    let tap = Registry::new();
-    tap.attach(tracer.clone());
-    tap.attach(Forward(opts.obs.clone()));
-    (tap, tracer)
-}
-
-/// Forwards events into another registry (registry-in-registry
-/// adapter).
-struct Forward(Registry);
-
-impl hnp_obs::Observer for Forward {
-    fn on_event(&mut self, ev: &Event) {
-        self.0.emit(ev);
+impl ConfidencePoint {
+    /// A sampled point, its confidences truncated to thousandths (the
+    /// resolution the curves are reported at).
+    fn sampled(step: usize, conf_old: f32, conf_new: f32) -> Self {
+        let milli = |c: f32| (c * 1000.0) as u64 as f32 / 1000.0;
+        Self {
+            step,
+            conf_old: milli(conf_old),
+            conf_new: milli(conf_new),
+        }
     }
-}
-
-/// Rebuilds the sampled confidence curve from the traced event stream.
-fn points_from_events(events: &[Event]) -> Vec<ConfidencePoint> {
-    events
-        .iter()
-        .filter_map(|ev| match ev {
-            Event::EpochSummary {
-                step,
-                confidence_milli,
-                accuracy_milli,
-                ..
-            } => Some(ConfidencePoint {
-                step: *step as usize,
-                conf_old: *confidence_milli as f32 / 1000.0,
-                conf_new: *accuracy_milli as f32 / 1000.0,
-            }),
-            _ => None,
-        })
-        .collect()
 }
 
 impl Fig3Series {
@@ -273,10 +230,7 @@ fn run_window_model(
         }
     }
     // Phase 2: learn the new pattern, optionally replaying the old.
-    // Each sample point is emitted as an `EpochSummary` and the series
-    // is rebuilt from the event stream afterwards.
-    let (tap, tracer) = sample_tap(opts);
-    let mut replayed: u64 = 0;
+    let mut points = Vec::new();
     let b_examples = tokens_b.len() - w;
     let a_examples = tokens_a.len() - w;
     for step in 0..opts.steps_b {
@@ -289,18 +243,11 @@ fn run_window_model(
                 tokens_a[r + w],
                 opts.learning_rate * opts.replay_lr_scale,
             );
-            replayed += 1;
         }
         if step % opts.sample_every == 0 || step + 1 == opts.steps_b {
-            tap.emit(&Event::EpochSummary {
-                step: step as u64,
-                confidence_milli: (mean_confidence(net, &tokens_a, w, 32, &mut rng) * 1000.0)
-                    as u64,
-                accuracy_milli: (mean_confidence(net, &tokens_b, w, 32, &mut rng) * 1000.0) as u64,
-                replayed,
-                overlap_milli: 0,
-                weight_ops: 0,
-            });
+            let conf_old = mean_confidence(net, &tokens_a, w, 32, &mut rng);
+            let conf_new = mean_confidence(net, &tokens_b, w, 32, &mut rng);
+            points.push(ConfidencePoint::sampled(step, conf_old, conf_new));
         }
     }
     Fig3Series {
@@ -308,7 +255,7 @@ fn run_window_model(
         pattern_old: old.name().to_string(),
         pattern_new: new.name().to_string(),
         replay,
-        points: points_from_events(&tracer.events()),
+        points,
         conf_old_after_phase1: conf_a,
     }
 }
@@ -409,11 +356,8 @@ pub fn run_hebbian(old: Pattern, new: Pattern, replay: bool, opts: &Fig3Options)
             break;
         }
     }
-    // Phase 2 (event-sampled like the windowed models; the Hebbian
-    // condition also carries live k-WTA overlap and weight-churn
-    // telemetry from the network's own counters).
-    let (tap, tracer) = sample_tap(opts);
-    let mut replayed: u64 = 0;
+    // Phase 2, sampled like the windowed models.
+    let mut points = Vec::new();
     let b_pairs: Vec<(usize, usize)> = tokens_b.windows(2).map(|w| (w[0], w[1])).collect();
     for step in 0..opts.steps_b {
         let (x, y) = b_pairs[step % b_pairs.len()];
@@ -429,18 +373,11 @@ pub fn run_hebbian(old: Pattern, new: Pattern, replay: bool, opts: &Fig3Options)
                 false,
             );
             net.set_recurrent_state(&saved);
-            replayed += 1;
         }
         if step % opts.sample_every == 0 || step + 1 == opts.steps_b {
-            let stats = net.stats();
-            tap.emit(&Event::EpochSummary {
-                step: step as u64,
-                confidence_milli: (hebbian_mean_confidence(&mut net, &tokens_a) * 1000.0) as u64,
-                accuracy_milli: (hebbian_mean_confidence(&mut net, &tokens_b) * 1000.0) as u64,
-                replayed,
-                overlap_milli: stats.overlap_milli(),
-                weight_ops: stats.update_ops,
-            });
+            let conf_old = hebbian_mean_confidence(&mut net, &tokens_a);
+            let conf_new = hebbian_mean_confidence(&mut net, &tokens_b);
+            points.push(ConfidencePoint::sampled(step, conf_old, conf_new));
         }
     }
     Fig3Series {
@@ -448,7 +385,7 @@ pub fn run_hebbian(old: Pattern, new: Pattern, replay: bool, opts: &Fig3Options)
         pattern_old: old.name().to_string(),
         pattern_new: new.name().to_string(),
         replay,
-        points: points_from_events(&tracer.events()),
+        points,
         conf_old_after_phase1: conf_a,
     }
 }

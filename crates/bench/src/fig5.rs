@@ -11,9 +11,8 @@
 use serde::Serialize;
 
 use hnp_baselines::{
-    LstmPrefetcher, LstmPrefetcherConfig, MarkovConfig, MarkovPrefetcher, NextNConfig,
-    NextNPrefetcher, StrideConfig, StridePrefetcher, TransformerPrefetcher,
-    TransformerPrefetcherConfig,
+    LstmPrefetcher, MarkovPrefetcher, NextNPrefetcher, StrideConfig, StridePrefetcher,
+    TransformerPrefetcher,
 };
 use hnp_core::{ClsConfig, ClsPrefetcher};
 use hnp_memsim::{NoPrefetcher, Prefetcher, SimConfig, Simulator};
@@ -80,24 +79,21 @@ pub fn prefetcher_names() -> Vec<&'static str> {
     ]
 }
 
-/// Builds a prefetcher by name, with default configs and the learned
-/// models seeded by `seed`: the one name→model table behind the Fig.-5
-/// harness and `hnpctl`. Names are `none`, `next-n` and those of
-/// [`prefetcher_names`].
+/// Builds a prefetcher by name, with default configs: the one
+/// name→model table behind the Fig.-5 harness and `hnpctl`. Names are
+/// `none`, `next-n` and those of [`prefetcher_names`]. `seed` seeds
+/// the LSTM and transformer weight init; the CLS models only hand it
+/// to their training sampler, which the default `EveryMiss` never
+/// draws from, so `hebbian` and `cls-hebbian` are the same network
+/// for every seed (see `ClsConfig::seed`).
 pub fn build_prefetcher(name: &str, seed: u64) -> Result<Box<dyn Prefetcher>, String> {
     Ok(match name {
         "none" => Box::new(NoPrefetcher),
-        "next-n" => Box::new(NextNPrefetcher::with_config(NextNConfig::default())),
+        "next-n" => Box::new(NextNPrefetcher::new()),
         "stride" => Box::new(StridePrefetcher::with_config(StrideConfig::default())),
-        "markov" => Box::new(MarkovPrefetcher::with_config(MarkovConfig::default())),
-        "lstm" => Box::new(LstmPrefetcher::new(LstmPrefetcherConfig {
-            seed,
-            ..LstmPrefetcherConfig::default()
-        })),
-        "transformer" => Box::new(TransformerPrefetcher::new(TransformerPrefetcherConfig {
-            seed,
-            ..TransformerPrefetcherConfig::default()
-        })),
+        "markov" => Box::new(MarkovPrefetcher::new()),
+        "lstm" => Box::new(LstmPrefetcher::new(seed)),
+        "transformer" => Box::new(TransformerPrefetcher::new(seed)),
         "hebbian" => Box::new(ClsPrefetcher::new(ClsConfig {
             seed,
             ..ClsConfig::hebbian_only()

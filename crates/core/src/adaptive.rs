@@ -17,40 +17,22 @@
 
 use hnp_memsim::prefetcher::PrefetchFeedback;
 
-/// Controller parameters.
-#[derive(Debug, Clone)]
-pub struct AdaptiveConfig {
-    /// Inclusive width bounds.
-    pub width_range: (usize, usize),
-    /// Inclusive lookahead bounds.
-    pub lookahead_range: (usize, usize),
-    /// Feedback events per adaptation decision.
-    pub period: u32,
-    /// Grow width above this accuracy.
-    pub grow_accuracy: f64,
-    /// Shrink width below this accuracy.
-    pub shrink_accuracy: f64,
-    /// Grow lookahead above this late fraction.
-    pub late_fraction: f64,
-}
-
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        Self {
-            width_range: (1, 4),
-            lookahead_range: (1, 8),
-            period: 256,
-            grow_accuracy: 0.75,
-            shrink_accuracy: 0.4,
-            late_fraction: 0.25,
-        }
-    }
-}
+/// Inclusive width bounds.
+const WIDTH_RANGE: (usize, usize) = (1, 4);
+/// Inclusive lookahead bounds.
+const LOOKAHEAD_RANGE: (usize, usize) = (1, 8);
+/// Feedback events per adaptation decision.
+const PERIOD: u32 = 256;
+/// Grow width above this accuracy.
+const GROW_ACCURACY: f64 = 0.75;
+/// Shrink width below this accuracy.
+const SHRINK_ACCURACY: f64 = 0.4;
+/// Grow lookahead above this late fraction.
+const LATE_FRACTION: f64 = 0.25;
 
 /// The online width/lookahead controller.
 #[derive(Debug, Clone)]
 pub struct AdaptiveGeometry {
-    cfg: AdaptiveConfig,
     width: usize,
     lookahead: usize,
     useful: u32,
@@ -66,18 +48,18 @@ impl AdaptiveGeometry {
     ///
     /// # Panics
     ///
-    /// Panics if the start point is outside the configured ranges.
-    pub fn new(cfg: AdaptiveConfig, width: usize, lookahead: usize) -> Self {
+    /// Panics if the start point is outside the width (1..=4) or
+    /// lookahead (1..=8) range.
+    pub fn new(width: usize, lookahead: usize) -> Self {
         assert!(
-            (cfg.width_range.0..=cfg.width_range.1).contains(&width),
+            (WIDTH_RANGE.0..=WIDTH_RANGE.1).contains(&width),
             "start width out of range"
         );
         assert!(
-            (cfg.lookahead_range.0..=cfg.lookahead_range.1).contains(&lookahead),
+            (LOOKAHEAD_RANGE.0..=LOOKAHEAD_RANGE.1).contains(&lookahead),
             "start lookahead out of range"
         );
         Self {
-            cfg,
             width,
             lookahead,
             useful: 0,
@@ -98,7 +80,7 @@ impl AdaptiveGeometry {
         self.lookahead
     }
 
-    /// Consumes one feedback event; adapts every `period` events.
+    /// Consumes one feedback event; adapts every 256 events.
     pub fn on_feedback(&mut self, feedback: &PrefetchFeedback) {
         match feedback {
             PrefetchFeedback::Useful { .. } => self.useful += 1,
@@ -110,26 +92,24 @@ impl AdaptiveGeometry {
             PrefetchFeedback::Late { .. } => self.late += 1,
         }
         self.seen += 1;
-        if self.seen < self.cfg.period {
+        if self.seen < PERIOD {
             return;
         }
         let covered = self.useful + self.unused;
         if covered > 0 {
             let accuracy = self.useful as f64 / covered as f64;
-            if accuracy >= self.cfg.grow_accuracy && self.width < self.cfg.width_range.1 {
+            if accuracy >= GROW_ACCURACY && self.width < WIDTH_RANGE.1 {
                 self.width += 1;
-            } else if accuracy <= self.cfg.shrink_accuracy && self.width > self.cfg.width_range.0 {
+            } else if accuracy <= SHRINK_ACCURACY && self.width > WIDTH_RANGE.0 {
                 self.width -= 1;
             }
         }
         let timed = self.useful + self.late;
         if timed > 0 {
             let late_frac = self.late as f64 / timed as f64;
-            if late_frac >= self.cfg.late_fraction && self.lookahead < self.cfg.lookahead_range.1 {
+            if late_frac >= LATE_FRACTION && self.lookahead < LOOKAHEAD_RANGE.1 {
                 self.lookahead += 1;
-            } else if late_frac < self.cfg.late_fraction / 4.0
-                && self.lookahead > self.cfg.lookahead_range.0
-            {
+            } else if late_frac < LATE_FRACTION / 4.0 && self.lookahead > LOOKAHEAD_RANGE.0 {
                 self.lookahead -= 1;
             }
         }
@@ -145,11 +125,10 @@ impl AdaptiveGeometry {
 mod tests {
     use super::*;
 
-    fn cfg() -> AdaptiveConfig {
-        AdaptiveConfig {
-            period: 10,
-            ..AdaptiveConfig::default()
-        }
+    /// One adaptation period's worth of feedback, `PERIOD` events in
+    /// all: `useful` and `late` are counts, the rest are unused.
+    fn period(g: &mut AdaptiveGeometry, useful: u32, late: u32) {
+        feed(g, useful, PERIOD - useful - late, late);
     }
 
     fn feed(g: &mut AdaptiveGeometry, useful: u32, unused: u32, late: u32) {
@@ -169,37 +148,37 @@ mod tests {
 
     #[test]
     fn high_accuracy_grows_width() {
-        let mut g = AdaptiveGeometry::new(cfg(), 1, 1);
-        feed(&mut g, 10, 0, 0);
+        let mut g = AdaptiveGeometry::new(1, 1);
+        period(&mut g, PERIOD, 0);
         assert_eq!(g.width(), 2);
-        feed(&mut g, 10, 0, 0);
+        period(&mut g, PERIOD, 0);
         assert_eq!(g.width(), 3);
     }
 
     #[test]
     fn low_accuracy_shrinks_width_to_the_floor() {
-        let mut g = AdaptiveGeometry::new(cfg(), 4, 1);
+        let mut g = AdaptiveGeometry::new(4, 1);
         for _ in 0..5 {
-            feed(&mut g, 1, 9, 0);
+            period(&mut g, PERIOD / 10, 0); // 10% accurate.
         }
         assert_eq!(g.width(), 1, "clamped at the floor");
     }
 
     #[test]
     fn lateness_grows_lookahead_and_recovery_shrinks_it() {
-        let mut g = AdaptiveGeometry::new(cfg(), 1, 1);
-        feed(&mut g, 5, 0, 5); // 50% late.
+        let mut g = AdaptiveGeometry::new(1, 1);
+        period(&mut g, PERIOD / 2, PERIOD / 2); // 50% late.
         assert_eq!(g.lookahead(), 2);
-        feed(&mut g, 5, 0, 5);
+        period(&mut g, PERIOD / 2, PERIOD / 2);
         assert_eq!(g.lookahead(), 3);
         // All on time now: decays back.
-        feed(&mut g, 10, 0, 0);
+        period(&mut g, PERIOD, 0);
         assert_eq!(g.lookahead(), 2);
     }
 
     #[test]
     fn no_feedback_no_adaptation() {
-        let mut g = AdaptiveGeometry::new(cfg(), 2, 2);
+        let mut g = AdaptiveGeometry::new(2, 2);
         feed(&mut g, 3, 0, 0); // Below the period.
         assert_eq!(g.width(), 2);
         assert_eq!(g.adaptations, 0);
@@ -208,6 +187,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "start width out of range")]
     fn bad_start_rejected() {
-        let _ = AdaptiveGeometry::new(cfg(), 9, 1);
+        let _ = AdaptiveGeometry::new(9, 1);
     }
 }

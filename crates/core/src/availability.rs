@@ -19,36 +19,20 @@ use hnp_hebbian::{HebbianNetwork, HebbianOutcome};
 
 use crate::confidence::ConfidenceTracker;
 
-/// Redeployment policy.
-#[derive(Debug, Clone)]
-pub struct AvailabilityConfig {
-    /// Redeploy when live windowed accuracy falls below this.
-    pub redeploy_below: f32,
-    /// Minimum observations before accuracy is trusted.
-    pub min_window_fill: usize,
-    /// Check the redeploy condition every this many steps.
-    pub check_every: u64,
-    /// Accuracy window size.
-    pub window: usize,
-}
-
-impl Default for AvailabilityConfig {
-    fn default() -> Self {
-        Self {
-            redeploy_below: 0.5,
-            min_window_fill: 64,
-            check_every: 32,
-            window: 128,
-        }
-    }
-}
+/// Redeploy when live windowed accuracy falls below this.
+const REDEPLOY_BELOW: f32 = 0.5;
+/// Minimum observations before accuracy is trusted.
+const MIN_WINDOW_FILL: usize = 64;
+/// Check the redeploy condition every this many steps.
+const CHECK_EVERY: u64 = 32;
+/// Accuracy window size.
+const WINDOW: usize = 128;
 
 /// A live/shadow pair of Hebbian networks.
 pub struct ShadowDeployment {
     live: Arc<Mutex<HebbianNetwork>>,
     shadow: HebbianNetwork,
     tracker: ConfidenceTracker,
-    cfg: AvailabilityConfig,
     steps: u64,
     /// Completed redeployments.
     pub redeployments: u64,
@@ -56,12 +40,11 @@ pub struct ShadowDeployment {
 
 impl ShadowDeployment {
     /// Starts the protocol with `net` as both live and shadow.
-    pub fn new(net: HebbianNetwork, cfg: AvailabilityConfig) -> Self {
+    pub fn new(net: HebbianNetwork) -> Self {
         Self {
             live: Arc::new(Mutex::new(net.clone())),
             shadow: net,
-            tracker: ConfidenceTracker::new(0.05, cfg.window),
-            cfg,
+            tracker: ConfidenceTracker::new(0.05, WINDOW),
             steps: 0,
             redeployments: 0,
         }
@@ -90,9 +73,9 @@ impl ShadowDeployment {
         self.shadow.train_step(pattern, target);
         self.steps += 1;
         let mut redeployed = false;
-        if self.steps.is_multiple_of(self.cfg.check_every)
-            && self.tracker.window_fill() >= self.cfg.min_window_fill
-            && self.tracker.windowed_accuracy() < self.cfg.redeploy_below
+        if self.steps.is_multiple_of(CHECK_EVERY)
+            && self.tracker.window_fill() >= MIN_WINDOW_FILL
+            && self.tracker.windowed_accuracy() < REDEPLOY_BELOW
         {
             self.redeploy();
             redeployed = true;
@@ -107,7 +90,7 @@ impl ShadowDeployment {
         self.redeployments += 1;
         // Reset the accuracy window: the new model deserves a fresh
         // assessment.
-        self.tracker = ConfidenceTracker::new(0.05, self.cfg.window);
+        self.tracker = ConfidenceTracker::new(0.05, WINDOW);
     }
 }
 
@@ -132,15 +115,7 @@ mod tests {
 
     #[test]
     fn shadow_learns_and_redeploys_when_live_is_stale() {
-        let mut dep = ShadowDeployment::new(
-            net(),
-            AvailabilityConfig {
-                redeploy_below: 0.5,
-                min_window_fill: 32,
-                check_every: 16,
-                window: 64,
-            },
-        );
+        let mut dep = ShadowDeployment::new(net());
         // The untrained live model mispredicts; the shadow learns the
         // cycle; eventually the protocol redeploys.
         let cycle = [1usize, 5, 2, 9];
@@ -166,7 +141,7 @@ mod tests {
 
     #[test]
     fn manual_redeploy_copies_shadow_weights() {
-        let mut dep = ShadowDeployment::new(net(), AvailabilityConfig::default());
+        let mut dep = ShadowDeployment::new(net());
         for _ in 0..100 {
             dep.step(&oh(3), 3);
         }
@@ -184,7 +159,7 @@ mod tests {
 
     #[test]
     fn live_handle_is_shared() {
-        let dep = ShadowDeployment::new(net(), AvailabilityConfig::default());
+        let dep = ShadowDeployment::new(net());
         let h1 = dep.live_handle();
         let h2 = dep.live_handle();
         assert!(Arc::ptr_eq(&h1, &h2));
@@ -192,7 +167,7 @@ mod tests {
 
     #[test]
     fn concurrent_inference_during_training_is_safe() {
-        let mut dep = ShadowDeployment::new(net(), AvailabilityConfig::default());
+        let mut dep = ShadowDeployment::new(net());
         let handle = dep.live_handle();
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);

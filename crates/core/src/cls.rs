@@ -12,7 +12,7 @@ use hnp_memsim::deltas::{pages_from_rollout, DeltaVocab};
 use hnp_memsim::prefetcher::{MissEvent, Prefetcher};
 use hnp_obs::{Event, Registry};
 
-use crate::adaptive::{AdaptiveConfig, AdaptiveGeometry};
+use crate::adaptive::AdaptiveGeometry;
 use crate::confidence::ConfidenceTracker;
 use crate::encoder::{Encoder, EncoderKind};
 use crate::episodic::{AssociativeConfig, AssociativeHippocampus, EpisodicBackend, EpisodicStore};
@@ -50,9 +50,10 @@ pub struct ClsConfig {
     /// Prevents an untrained or defeated model (OOV-dominated streams,
     /// §5.3) from polluting memory with garbage prefetches.
     pub min_confidence: f32,
-    /// Feedback-driven width/lookahead adaptation (§5.2 co-design);
-    /// `None` keeps the static geometry.
-    pub adaptive: Option<AdaptiveConfig>,
+    /// Feedback-driven width/lookahead adaptation (§5.2 co-design),
+    /// starting from `width` and `lookahead`; `false` keeps the static
+    /// geometry.
+    pub adaptive: bool,
     /// Track deltas and history per source stream (§4: a centralized
     /// prefetcher "may require more processing to ensure that it can
     /// isolate the individual access patterns in the combined access
@@ -60,7 +61,10 @@ pub struct ClsConfig {
     /// miss-history bookkeeping is isolated. With `false`, interleaved
     /// streams produce garbage cross-stream deltas.
     pub stream_isolation: bool,
-    /// Seed for sampler/replay randomness.
+    /// Seed of the training sampler's RNG, which only
+    /// [`TrainingSampler::RandomFraction`] draws from. It reaches
+    /// nothing else: the cortex and replay RNGs have fixed seeds, so
+    /// under any other sampler two seeds give the same network.
     pub seed: u64,
     /// Observer registry; the prefetcher emits replay-step, phase-
     /// transition, and periodic epoch-summary events into it. Share
@@ -82,7 +86,7 @@ impl Default for ClsConfig {
             episodic: EpisodicBackend::Exact(CapacityPolicy::Ring { capacity: 4096 }),
             phase: Some(PhaseConfig::default()),
             min_confidence: 0.03,
-            adaptive: None,
+            adaptive: false,
             stream_isolation: true,
             seed: 0xc15,
             obs: Registry::new(),
@@ -91,7 +95,7 @@ impl Default for ClsConfig {
 }
 
 impl ClsConfig {
-    /// Sets the sampler/replay randomness seed.
+    /// Sets the training sampler's seed (see [`ClsConfig::seed`]).
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
@@ -134,7 +138,6 @@ impl ClsConfig {
                 hidden_active: 26,
                 recurrent_bits: 64,
                 recurrent_sample: 8,
-                ..NeocortexConfig::default()
             },
             ..Self::default()
         }
@@ -179,20 +182,13 @@ impl ClsPrefetcher {
         let cortex = Neocortex::new(&encoder, vocab.len(), &cfg.neocortex);
         let hippo: Box<dyn EpisodicStore> = match cfg.episodic {
             EpisodicBackend::Exact(policy) => Box::new(Hippocampus::new(policy)),
-            EpisodicBackend::Associative {
-                key_bits,
-                key_active,
-                reservoir,
-            } => Box::new(AssociativeHippocampus::new(AssociativeConfig {
-                key_bits,
-                key_active,
-                reservoir,
-                ..AssociativeConfig::sized(
+            EpisodicBackend::Associative => {
+                Box::new(AssociativeHippocampus::new(AssociativeConfig::sized(
                     encoder.pattern_bits(),
                     cfg.neocortex.recurrent_bits,
                     vocab.len(),
-                )
-            })),
+                )))
+            }
         };
         let name = if cfg.replay.enabled {
             "cls-hebbian".to_string()
@@ -212,8 +208,7 @@ impl ClsPrefetcher {
             tracker: ConfidenceTracker::new(0.02, 256),
             adaptive: cfg
                 .adaptive
-                .clone()
-                .map(|a| AdaptiveGeometry::new(a, cfg.width, cfg.lookahead)),
+                .then(|| AdaptiveGeometry::new(cfg.width, cfg.lookahead)),
             streams: std::collections::BTreeMap::new(),
             batch_queue: Vec::new(),
             steps: 0,
@@ -585,11 +580,7 @@ mod tests {
         let s = sim();
         let base = s.run(&t, &mut NoPrefetcher);
         let mut p = ClsPrefetcher::new(ClsConfig {
-            episodic: EpisodicBackend::Associative {
-                key_bits: 1024,
-                key_active: 24,
-                reservoir: 256,
-            },
+            episodic: EpisodicBackend::Associative,
             ..ClsConfig::small()
         });
         let rep = s.run(&t, &mut p);
@@ -629,10 +620,7 @@ mod tests {
         let mut adaptive = ClsPrefetcher::new(ClsConfig {
             lookahead: 1,
             width: 1,
-            adaptive: Some(crate::adaptive::AdaptiveConfig {
-                period: 64,
-                ..crate::adaptive::AdaptiveConfig::default()
-            }),
+            adaptive: true,
             ..ClsConfig::small()
         });
         let rep_fixed = sim_slow.run(&t, &mut fixed);

@@ -26,21 +26,15 @@ use hnp_hebbian::bitset::BitSet;
 
 use crate::hippocampus::{CapacityPolicy, Episode, Hippocampus};
 
-/// Which episodic backend a CLS prefetcher uses. Widths that depend
-/// on the encoder/vocabulary are filled in by the prefetcher.
+/// Which episodic backend a CLS prefetcher uses.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EpisodicBackend {
     /// The exact buffer with a §5.4 capacity policy.
     Exact(CapacityPolicy),
-    /// The compressed associative store.
-    Associative {
-        /// Separated key-code width.
-        key_bits: usize,
-        /// Active units per key code.
-        key_active: usize,
-        /// Replay-cue reservoir size.
-        reservoir: usize,
-    },
+    /// The compressed associative store, sized by
+    /// [`AssociativeConfig::sized`] from the prefetcher's encoder,
+    /// recurrent width and vocabulary.
+    Associative,
 }
 
 /// A store of training episodes supporting replay sampling.

@@ -10,8 +10,8 @@
 //! * [`encoder`] — input encodings over the delta vocabulary (§5.3);
 //! * [`neocortex`] — the slow learner: a sparse Hebbian network;
 //! * [`hippocampus`] — the episodic store with capacity policies
-//!   (§5.4): unbounded, ring, confidence-filtered, consolidation-
-//!   aware, prototype-averaging;
+//!   (§5.4): unbounded, ring, confidence-filtered, consolidating,
+//!   averaging;
 //! * [`replay`] — the replay scheduler and its forms (§3.2, §5.4):
 //!   interleaved, generative/hindsight, self-reinforcing;
 //! * [`sampler`] — training-instance selection (§5.1);
@@ -38,7 +38,7 @@ pub mod replay;
 pub mod sampler;
 pub mod vsa;
 
-pub use adaptive::{AdaptiveConfig, AdaptiveGeometry};
+pub use adaptive::AdaptiveGeometry;
 pub use cls::{ClsConfig, ClsPrefetcher};
 pub use encoder::{Encoder, EncoderKind};
 pub use episodic::{AssociativeHippocampus, EpisodicBackend, EpisodicStore};

@@ -9,8 +9,9 @@ use hnp_hebbian::{HebbianConfig, HebbianNetwork, HebbianOutcome, LrScale, NetSta
 
 use crate::encoder::Encoder;
 
-/// Sizing and learning knobs for the neocortex network; fields mirror
-/// [`HebbianConfig`] where they overlap.
+/// Sizing of the neocortex network; fields mirror [`HebbianConfig`]
+/// where they overlap, and everything else (the Eq.-1 steps and
+/// clamp, the seed) is [`HebbianConfig::paper_table2`]'s.
 #[derive(Debug, Clone)]
 pub struct NeocortexConfig {
     /// Hidden width (paper: 1000).
@@ -23,14 +24,6 @@ pub struct NeocortexConfig {
     pub recurrent_bits: usize,
     /// Winners projected into the recurrent state.
     pub recurrent_sample: usize,
-    /// Weight clamp.
-    pub weight_clamp: i16,
-    /// LTP step.
-    pub step: i16,
-    /// LTD step.
-    pub ltd_step: i16,
-    /// Seed.
-    pub seed: u64,
 }
 
 impl Default for NeocortexConfig {
@@ -41,10 +34,6 @@ impl Default for NeocortexConfig {
             hidden_active: 100,
             recurrent_bits: 128,
             recurrent_sample: 16,
-            weight_clamp: 64,
-            step: 4,
-            ltd_step: 1,
-            seed: 0xc07e,
         }
     }
 }
@@ -68,9 +57,6 @@ impl Neocortex {
             connectivity: cfg.connectivity,
             hidden_active: cfg.hidden_active,
             recurrent_sample: cfg.recurrent_sample,
-            weight_clamp: cfg.weight_clamp,
-            step: cfg.step,
-            ltd_step: cfg.ltd_step,
             ..HebbianConfig::paper_table2()
         });
         Self { net, vocab_len }
@@ -187,7 +173,6 @@ mod tests {
             hidden_active: 16,
             recurrent_bits: 32,
             recurrent_sample: 6,
-            ..NeocortexConfig::default()
         }
     }
 

@@ -9,27 +9,23 @@
 //! their members with an exponential moving average, so phases adapt
 //! slowly (like neocortical representations) while detection is fast.
 
+/// Cosine similarity required to join an existing phase.
+const SIMILARITY_THRESHOLD: f64 = 0.6;
+/// EMA weight of a new window in its phase centroid.
+const CENTROID_ALPHA: f64 = 0.2;
+/// Maximum tracked phases (oldest merged away beyond this).
+const MAX_PHASES: usize = 16;
+
 /// Configuration of the phase detector.
 #[derive(Debug, Clone)]
 pub struct PhaseConfig {
     /// Tokens per detection window.
     pub window: usize,
-    /// Cosine similarity required to join an existing phase.
-    pub similarity_threshold: f64,
-    /// EMA weight of a new window in its phase centroid.
-    pub centroid_alpha: f64,
-    /// Maximum tracked phases (oldest merged away beyond this).
-    pub max_phases: usize,
 }
 
 impl Default for PhaseConfig {
     fn default() -> Self {
-        Self {
-            window: 64,
-            similarity_threshold: 0.6,
-            centroid_alpha: 0.2,
-            max_phases: 16,
-        }
+        Self { window: 64 }
     }
 }
 
@@ -61,9 +57,9 @@ impl PhaseDetector {
     ///
     /// # Panics
     ///
-    /// Panics on a zero vocabulary, window, or phase budget.
+    /// Panics on a zero vocabulary or window.
     pub fn new(vocab_len: usize, cfg: PhaseConfig) -> Self {
-        assert!(vocab_len > 0 && cfg.window > 0 && cfg.max_phases > 0);
+        assert!(vocab_len > 0 && cfg.window > 0);
         Self {
             current_window: vec![0.0; vocab_len],
             filled: 0,
@@ -111,9 +107,9 @@ impl PhaseDetector {
             .unzip();
         let old = self.current_phase;
         if let (Some(i), Some(sim)) = (best, best_sim) {
-            if sim >= self.cfg.similarity_threshold {
+            if sim >= SIMILARITY_THRESHOLD {
                 // Join and update the centroid.
-                let alpha = self.cfg.centroid_alpha;
+                let alpha = CENTROID_ALPHA;
                 let id = self.centroids[i].0;
                 for (c, h) in self.centroids[i].1.iter_mut().zip(hist.iter()) {
                     *c = (1.0 - alpha) * *c + alpha * h;
@@ -127,7 +123,7 @@ impl PhaseDetector {
             }
         }
         // Open a new phase.
-        if self.centroids.len() >= self.cfg.max_phases {
+        if self.centroids.len() >= MAX_PHASES {
             self.centroids.remove(0);
         }
         let id = self.next_id;
@@ -167,10 +163,7 @@ mod tests {
     use super::*;
 
     fn cfg() -> PhaseConfig {
-        PhaseConfig {
-            window: 16,
-            ..PhaseConfig::default()
-        }
+        PhaseConfig { window: 16 }
     }
 
     #[test]
@@ -228,20 +221,15 @@ mod tests {
 
     #[test]
     fn phase_budget_is_bounded() {
-        let mut d = PhaseDetector::new(
-            32,
-            PhaseConfig {
-                window: 8,
-                max_phases: 3,
-                ..PhaseConfig::default()
-            },
-        );
-        for tok in 0..20usize {
+        // Each one-hot window is orthogonal to every centroid, so each
+        // opens a new phase: twice the budget overflows it.
+        let mut d = PhaseDetector::new(2 * MAX_PHASES, PhaseConfig { window: 8 });
+        for tok in 0..2 * MAX_PHASES {
             for _ in 0..8 {
                 d.observe(tok);
             }
         }
-        assert!(d.phase_count() <= 3);
+        assert!(d.phase_count() <= MAX_PHASES);
     }
 
     #[test]

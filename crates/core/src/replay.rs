@@ -6,7 +6,7 @@
 //! after each training/inference of the second" —
 //! [`ReplayForm::Interleaved`] generalizes that: after every online
 //! training step, `per_step` episodes sampled from the hippocampus are
-//! retrained at `lr_scale`. §5.4 sketches further forms, implemented
+//! retrained at 0.1x the online rate. §5.4 sketches further forms, implemented
 //! as:
 //!
 //! * [`ReplayForm::OtherPhases`] — interleaved replay biased toward
@@ -43,6 +43,11 @@ pub enum ReplayForm {
     SelfReinforce,
 }
 
+/// Learning-rate scale for replayed examples (paper: 0.1).
+const LR_SCALE: f32 = 0.1;
+/// Episode-sampling seed.
+const SEED: u64 = 0x9e91a;
+
 /// Replay configuration.
 #[derive(Debug, Clone)]
 pub struct ReplayConfig {
@@ -50,12 +55,8 @@ pub struct ReplayConfig {
     pub enabled: bool,
     /// Episodes replayed after each online training step.
     pub per_step: usize,
-    /// Learning-rate scale for replayed examples (paper: 0.1).
-    pub lr_scale: f32,
     /// Replay form.
     pub form: ReplayForm,
-    /// Sampling seed.
-    pub seed: u64,
 }
 
 impl Default for ReplayConfig {
@@ -63,9 +64,7 @@ impl Default for ReplayConfig {
         Self {
             enabled: true,
             per_step: 1,
-            lr_scale: 0.1,
             form: ReplayForm::Interleaved,
-            seed: 0x9e91a,
         }
     }
 }
@@ -92,10 +91,9 @@ pub struct ReplayScheduler {
 impl ReplayScheduler {
     /// Creates a scheduler.
     pub fn new(cfg: ReplayConfig) -> Self {
-        let seed = cfg.seed;
         Self {
             cfg,
-            rng: StdRng::seed_from_u64(seed),
+            rng: StdRng::seed_from_u64(SEED),
             replayed: 0,
         }
     }
@@ -124,7 +122,7 @@ impl ReplayScheduler {
             prefer_other,
             &mut self.rng,
         );
-        let scale = LrScale::from_f32(self.cfg.lr_scale);
+        let scale = LrScale::from_f32(LR_SCALE);
         let mut done = 0usize;
         for episode in episodes {
             match self.cfg.form {
@@ -205,7 +203,6 @@ mod tests {
                 hidden_active: 16,
                 recurrent_bits: 32,
                 recurrent_sample: 6,
-                ..NeocortexConfig::default()
             },
         );
         (cortex, Hippocampus::new(CapacityPolicy::Unbounded), encoder)

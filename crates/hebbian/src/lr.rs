@@ -46,8 +46,8 @@ impl LrScale {
         LrScale(raw as u32)
     }
 
-    /// Boundary constructor from a float configuration knob (e.g. a
-    /// replay `lr_scale` of 0.1). Everything downstream of this point
+    /// Boundary constructor from a float configuration knob (e.g. the
+    /// replay learning-rate scale of 0.1). Everything downstream of this point
     /// is integer arithmetic.
     ///
     /// # Panics

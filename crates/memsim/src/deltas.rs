@@ -1,4 +1,4 @@
-//! The bounded delta vocabulary and miss-history window.
+//! The bounded delta vocabulary and rollout-to-page translation.
 //!
 //! Learned prefetchers (LSTM and Hebbian alike) predict over a bounded
 //! vocabulary of page deltas, as in prior DL prefetching work the
@@ -7,8 +7,6 @@
 //! input and is never predicted as a prefetch (§5.3 discusses the
 //! limits of this encoding; the `ablate_encoding` harness sweeps
 //! alternatives).
-
-use std::collections::VecDeque;
 
 /// Bidirectional delta <-> token map.
 #[derive(Debug, Clone)]
@@ -112,68 +110,6 @@ pub fn pages_from_rollout(vocab: &DeltaVocab, base: u64, rollout: &[Vec<usize>])
     out
 }
 
-/// A sliding window over the recent miss pages, producing delta
-/// tokens (the paper's "miss history"; §5.2 discusses sizing it).
-#[derive(Debug, Clone)]
-pub struct MissHistory {
-    pages: VecDeque<u64>,
-    window: usize,
-}
-
-impl MissHistory {
-    /// A history holding up to `window + 1` pages (so `window` deltas).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window == 0`.
-    pub fn new(window: usize) -> Self {
-        assert!(window > 0, "window must be positive");
-        Self {
-            pages: VecDeque::with_capacity(window + 1),
-            window,
-        }
-    }
-
-    /// Records a miss page.
-    pub fn push(&mut self, page: u64) {
-        if self.pages.len() > self.window {
-            self.pages.pop_front();
-        }
-        self.pages.push_back(page);
-    }
-
-    /// The most recent miss page.
-    pub fn last_page(&self) -> Option<u64> {
-        self.pages.back().copied()
-    }
-
-    /// The most recent delta (newest pair), if two misses have been
-    /// seen.
-    pub fn last_delta(&self) -> Option<i64> {
-        let n = self.pages.len();
-        (n >= 2).then(|| self.pages[n - 1] as i64 - self.pages[n - 2] as i64)
-    }
-
-    /// All deltas in the window, oldest first.
-    pub fn deltas(&self) -> Vec<i64> {
-        self.pages
-            .iter()
-            .zip(self.pages.iter().skip(1))
-            .map(|(&a, &b)| b as i64 - a as i64)
-            .collect()
-    }
-
-    /// All deltas as tokens under `vocab`, oldest first.
-    pub fn tokens(&self, vocab: &DeltaVocab) -> Vec<usize> {
-        self.deltas().iter().map(|&d| vocab.token_of(d)).collect()
-    }
-
-    /// Clears the history (phase boundary).
-    pub fn clear(&mut self) {
-        self.pages.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,35 +157,6 @@ mod tests {
     }
 
     #[test]
-    fn history_produces_windowed_deltas() {
-        let mut h = MissHistory::new(3);
-        for p in [10u64, 11, 13, 20, 21] {
-            h.push(p);
-        }
-        assert_eq!(h.deltas(), vec![2, 7, 1]);
-        assert_eq!(h.last_delta(), Some(1));
-        assert_eq!(h.last_page(), Some(21));
-    }
-
-    #[test]
-    fn history_shorter_than_two_has_no_delta() {
-        let mut h = MissHistory::new(4);
-        assert_eq!(h.last_delta(), None);
-        h.push(5);
-        assert_eq!(h.last_delta(), None);
-        assert!(h.deltas().is_empty());
-    }
-
-    #[test]
-    fn clear_resets_history() {
-        let mut h = MissHistory::new(2);
-        h.push(1);
-        h.push(2);
-        h.clear();
-        assert_eq!(h.last_page(), None);
-    }
-
-    #[test]
     fn rollout_walks_and_branches() {
         let v = DeltaVocab::new(8);
         // Step 1: top +2 (page 102), alt +5 (page 105).
@@ -286,16 +193,5 @@ mod tests {
             vec![v.token_of(1)],
         ];
         assert_eq!(pages_from_rollout(&v, 50, &rollout), vec![51]);
-    }
-
-    #[test]
-    fn tokens_use_vocab_mapping() {
-        let v = DeltaVocab::new(4);
-        let mut h = MissHistory::new(2);
-        h.push(100);
-        h.push(101); // Delta +1.
-        h.push(90); // Delta -11 -> OOV.
-        let t = h.tokens(&v);
-        assert_eq!(t, vec![v.token_of(1), v.oov()]);
     }
 }

@@ -11,8 +11,9 @@
 //! * [`prefetcher`] — the prefetcher interface and feedback events;
 //! * [`ledger`] — the book of outstanding prefetches every driver
 //!   (this simulator, `hnp-systems`, `hnp-serve`) keeps;
-//! * [`deltas`] — the bounded delta vocabulary and miss-history
-//!   window shared by the learned prefetchers;
+//! * [`deltas`] — the bounded delta vocabulary and the translation of
+//!   a predicted delta rollout into prefetch pages, shared by the
+//!   learned prefetchers;
 //! * [`sim`] — the driver loop and metrics (misses removed, accuracy,
 //!   coverage, timeliness, pollution).
 //!
@@ -34,7 +35,7 @@ pub mod resilient;
 pub mod sim;
 
 pub use checkpoint::CheckpointCursor;
-pub use deltas::{DeltaVocab, MissHistory};
+pub use deltas::DeltaVocab;
 pub use ledger::PrefetchLedger;
 pub use prefetcher::PrefetchFeedback;
 pub use prefetcher::{DemuxPrefetcher, MissEvent, NoPrefetcher, Prefetcher};

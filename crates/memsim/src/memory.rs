@@ -13,8 +13,6 @@ pub struct PageMeta {
     pub prefetched: bool,
     /// Whether the page has been demanded since arrival.
     pub touched: bool,
-    /// Arrival tick.
-    pub arrived: u64,
 }
 
 /// "No slot": the end of the LRU or free list, or an empty index cell.
@@ -36,7 +34,6 @@ const UNUSED: Slot = Slot {
     meta: PageMeta {
         prefetched: false,
         touched: false,
-        arrived: 0,
     },
     prev: NIL,
     next: NIL,
@@ -126,7 +123,7 @@ impl LocalMemory {
     /// recently used page if full. Returns the evicted page's number
     /// and metadata, if any. Inserting a resident page is a no-op
     /// returning `None` that leaves the LRU order alone.
-    pub fn insert(&mut self, page: u64, prefetched: bool, now: u64) -> Option<(u64, PageMeta)> {
+    pub fn insert(&mut self, page: u64, prefetched: bool) -> Option<(u64, PageMeta)> {
         if self.contains(page) {
             return None;
         }
@@ -142,7 +139,6 @@ impl LocalMemory {
             meta: PageMeta {
                 prefetched,
                 touched: false,
-                arrived: now,
             },
             ..UNUSED
         };
@@ -266,11 +262,11 @@ mod tests {
     #[test]
     fn insert_until_capacity_then_evict() {
         let mut m = LocalMemory::new(3);
-        assert!(m.insert(1, false, 0).is_none());
-        assert!(m.insert(2, false, 1).is_none());
-        assert!(m.insert(3, false, 2).is_none());
+        assert!(m.insert(1, false).is_none());
+        assert!(m.insert(2, false).is_none());
+        assert!(m.insert(3, false).is_none());
         assert_eq!(m.len(), 3);
-        let (victim, _) = m.insert(4, false, 3).expect("eviction");
+        let (victim, _) = m.insert(4, false).expect("eviction");
         assert_eq!(victim, 1, "LRU victim");
         assert_eq!(m.len(), 3);
         assert!(!m.contains(1) && m.contains(4));
@@ -279,13 +275,13 @@ mod tests {
     #[test]
     fn touch_refreshes_lru_order_and_marks_prefetch_used() {
         let mut m = LocalMemory::new(2);
-        m.insert(1, true, 0);
-        m.insert(2, false, 1);
+        m.insert(1, true);
+        m.insert(2, false);
         let before = m.touch(1).expect("resident");
         assert!(before.prefetched && !before.touched, "pre-touch metadata");
         assert!(m.meta(1).unwrap().touched);
         assert!(m.touch(1).unwrap().touched, "second touch sees the first");
-        let (victim, meta) = m.insert(3, false, 2).unwrap();
+        let (victim, meta) = m.insert(3, false).unwrap();
         assert_eq!(victim, 2, "2 is now least recent");
         assert!(!meta.prefetched);
     }
@@ -299,33 +295,33 @@ mod tests {
     #[test]
     fn double_insert_is_noop() {
         let mut m = LocalMemory::new(2);
-        m.insert(1, false, 0);
-        m.insert(2, false, 0);
-        assert!(m.insert(1, true, 5).is_none());
+        m.insert(1, false);
+        m.insert(2, false);
+        assert!(m.insert(1, true).is_none());
         // Original metadata is preserved, and 1 stays least recent.
         assert!(!m.meta(1).unwrap().prefetched);
-        assert_eq!(m.insert(3, false, 6).unwrap().0, 1);
+        assert_eq!(m.insert(3, false).unwrap().0, 1);
     }
 
     #[test]
     fn invalidate_frees_a_slot() {
         let mut m = LocalMemory::new(2);
-        m.insert(1, false, 0);
-        m.insert(2, false, 0);
+        m.insert(1, false);
+        m.insert(2, false);
         assert!(m.invalidate(1).is_some());
         assert!(m.invalidate(1).is_none());
         assert_eq!(m.len(), 1);
         // Room for one more insert without eviction.
-        assert!(m.insert(3, false, 1).is_none());
-        let (victim, _) = m.insert(4, false, 2).unwrap();
+        assert!(m.insert(3, false).is_none());
+        let (victim, _) = m.insert(4, false).unwrap();
         assert_eq!(victim, 2);
     }
 
     #[test]
     fn evicted_metadata_reports_unused_prefetch() {
         let mut m = LocalMemory::new(1);
-        m.insert(1, true, 0);
-        let (victim, meta) = m.insert(2, false, 1).unwrap();
+        m.insert(1, true);
+        let (victim, meta) = m.insert(2, false).unwrap();
         assert_eq!(victim, 1);
         assert!(meta.prefetched && !meta.touched, "pollution case");
     }
@@ -333,23 +329,23 @@ mod tests {
     #[test]
     fn evicts_least_recent_first() {
         let mut m = LocalMemory::new(3);
-        m.insert(1, false, 0);
-        m.insert(2, false, 0);
-        m.insert(3, false, 0);
+        m.insert(1, false);
+        m.insert(2, false);
+        m.insert(3, false);
         m.touch(1); // Order now (recent->old): 1, 3, 2.
-        assert_eq!(m.insert(4, false, 1).unwrap().0, 2);
-        assert_eq!(m.insert(5, false, 1).unwrap().0, 3);
-        assert_eq!(m.insert(6, false, 1).unwrap().0, 1);
+        assert_eq!(m.insert(4, false).unwrap().0, 2);
+        assert_eq!(m.insert(5, false).unwrap().0, 3);
+        assert_eq!(m.insert(6, false).unwrap().0, 1);
     }
 
     #[test]
     fn every_resident_page_is_evicted_once() {
         let mut m = LocalMemory::new(50);
         for p in 0..50u64 {
-            m.insert(p, false, 0);
+            m.insert(p, false);
         }
         for p in 0..50u64 {
-            assert_eq!(m.insert(1000 + p, false, 1).unwrap().0, p);
+            assert_eq!(m.insert(1000 + p, false).unwrap().0, p);
         }
         assert!((0..50).all(|p| !m.contains(p)));
         assert_eq!(m.len(), 50);
@@ -360,7 +356,7 @@ mod tests {
         let mut m = LocalMemory::new(100);
         for round in 0..10u64 {
             for p in 0..100u64 {
-                assert!(m.insert(round * 1000 + p, false, round).is_none());
+                assert!(m.insert(round * 1000 + p, false).is_none());
             }
             assert_eq!(m.len(), 100);
             m.flush();

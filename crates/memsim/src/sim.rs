@@ -419,7 +419,7 @@ impl Simulator {
         prefetched: bool,
         now: u64,
     ) {
-        if let Some((victim, meta)) = memory.insert(page, prefetched, now) {
+        if let Some((victim, meta)) = memory.insert(page, prefetched) {
             if meta.prefetched && !meta.touched {
                 dispatch(
                     obs,

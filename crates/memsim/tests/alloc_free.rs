@@ -51,7 +51,7 @@ fn page_table_operations_do_not_allocate() {
         // round evicts on every insert.
         for i in 0..2 * capacity as u64 {
             let page = round * 100_000 + i * 7;
-            evictions += memory.insert(page, i % 3 == 0, i).is_some() as usize;
+            evictions += memory.insert(page, i % 3 == 0).is_some() as usize;
             memory.touch(page);
             memory.touch(page / 2);
             if i % 5 == 0 {

@@ -36,7 +36,7 @@ impl Naive {
         self.pages.iter().position(|&(p, _)| p == page)
     }
 
-    fn insert(&mut self, page: u64, prefetched: bool, now: u64) -> Option<(u64, PageMeta)> {
+    fn insert(&mut self, page: u64, prefetched: bool) -> Option<(u64, PageMeta)> {
         if self.position(page).is_some() {
             return None;
         }
@@ -48,7 +48,6 @@ impl Naive {
         let meta = PageMeta {
             prefetched,
             touched: false,
-            arrived: now,
         };
         self.pages.insert(0, (page, meta));
         evicted
@@ -81,14 +80,13 @@ proptest! {
     ) {
         let mut memory = LocalMemory::new(capacity);
         let mut naive = Naive { capacity, pages: Vec::new() };
-        for (now, (op, i, prefetched)) in ops.into_iter().enumerate() {
+        for (op, i, prefetched) in ops {
             let page = POOL[i];
-            let now = now as u64;
             match op {
                 // Inserts dominate so the memory fills and evicts.
                 0..=19 => prop_assert_eq!(
-                    memory.insert(page, prefetched, now),
-                    naive.insert(page, prefetched, now)
+                    memory.insert(page, prefetched),
+                    naive.insert(page, prefetched)
                 ),
                 20..=33 => prop_assert_eq!(memory.touch(page), naive.touch(page)),
                 34..=38 => prop_assert_eq!(memory.invalidate(page), naive.invalidate(page)),

@@ -11,8 +11,7 @@
 use std::collections::BTreeMap;
 
 use hnp_baselines::{
-    LstmPrefetcher, LstmPrefetcherConfig, MarkovConfig, MarkovPrefetcher, NextNConfig,
-    NextNPrefetcher, StrideConfig, StridePrefetcher,
+    LstmPrefetcher, MarkovPrefetcher, NextNPrefetcher, StrideConfig, StridePrefetcher,
 };
 use hnp_core::{ClsConfig, ClsPrefetcher};
 use hnp_hebbian::NetState;
@@ -186,18 +185,9 @@ impl PrefetcherFactory {
             ModelKind::Stride => TenantModel::boxed(Box::new(StridePrefetcher::with_config(
                 StrideConfig::default(),
             ))),
-            ModelKind::Markov => TenantModel::boxed(Box::new(MarkovPrefetcher::with_config(
-                MarkovConfig::default(),
-            ))),
-            ModelKind::NextN => TenantModel::boxed(Box::new(NextNPrefetcher::with_config(
-                NextNConfig::default(),
-            ))),
-            ModelKind::Lstm => {
-                TenantModel::boxed(Box::new(LstmPrefetcher::new(LstmPrefetcherConfig {
-                    seed: spec.seed,
-                    ..LstmPrefetcherConfig::default()
-                })))
-            }
+            ModelKind::Markov => TenantModel::boxed(Box::new(MarkovPrefetcher::new())),
+            ModelKind::NextN => TenantModel::boxed(Box::new(NextNPrefetcher::new())),
+            ModelKind::Lstm => TenantModel::boxed(Box::new(LstmPrefetcher::new(spec.seed))),
             ModelKind::None => TenantModel::boxed(Box::new(NoPrefetcher)),
         }
     }

@@ -372,7 +372,7 @@ impl DisaggregatedCluster {
                         node.report.prefetches_cancelled += 1;
                         FeedbackKind::Cancelled
                     } else {
-                        match node.memory.insert(page, true, now) {
+                        match node.memory.insert(page, true) {
                             Some((_, meta)) if meta.prefetched && !meta.touched => {
                                 FeedbackKind::Unused
                             }
@@ -519,7 +519,7 @@ impl DisaggregatedCluster {
                     stall,
                 });
                 node.busy_until = now + stall;
-                node.memory.insert(page, late, now + stall);
+                node.memory.insert(page, late);
                 node.memory.touch(page);
                 // Consult the prefetcher at fault time.
                 let miss = MissEvent {

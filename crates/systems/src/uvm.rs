@@ -214,7 +214,7 @@ impl UvmSim {
             }
             // Land arrived prefetches.
             inflight.drain_due(now, |page| {
-                let _ = memory.insert(page, true, now);
+                let _ = memory.insert(page, true);
             });
             // One lockstep step: every unfinished warp issues its next
             // access.
@@ -367,7 +367,7 @@ impl UvmSim {
                     });
                     accepted += 1;
                 }
-                memory.insert(page, false, arrival);
+                memory.insert(page, false);
                 memory.touch(page);
             }
             now += service;

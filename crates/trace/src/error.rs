@@ -18,7 +18,7 @@ pub enum TraceError {
         /// Record count promised by the header.
         expected: usize,
     },
-    /// JSON (de)serialization failure.
+    /// The binary header failed to encode.
     Json(serde_json::Error),
 }
 

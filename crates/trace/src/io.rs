@@ -1,11 +1,7 @@
-//! Trace serialization.
-//!
-//! Two formats:
-//!
-//! * a compact binary format (`.hnpt`): a one-line JSON header with
-//!   the page shift and length, then little-endian `(u64 addr, u16
-//!   stream)` records — suitable for multi-million-access traces;
-//! * plain JSON for small traces and interchange.
+//! Trace serialization in a compact binary format (`.hnpt`): a
+//! one-line JSON header with the page shift and length, then
+//! little-endian `(u64 addr, u16 stream)` records — suitable for
+//! multi-million-access traces.
 //!
 //! All fallible operations return [`TraceError`] rather than
 //! panicking.
@@ -90,48 +86,6 @@ pub fn read_binary(path: &Path) -> Result<Trace, TraceError> {
     Ok(Trace::from_accesses(accesses, header.page_shift))
 }
 
-/// JSON-serializable view of a trace.
-#[derive(Debug, Serialize, Deserialize)]
-pub struct TraceJson {
-    /// Page shift.
-    pub page_shift: u32,
-    /// `(addr, stream)` pairs.
-    pub accesses: Vec<(u64, u16)>,
-}
-
-/// Serializes a trace as JSON text.
-///
-/// # Errors
-///
-/// Returns serialization errors (shouldn't happen for valid traces).
-pub fn to_json(trace: &Trace) -> Result<String, TraceError> {
-    serde_json::to_string(&TraceJson {
-        page_shift: trace.page_shift(),
-        accesses: trace
-            .accesses()
-            .iter()
-            .map(|a| (a.addr, a.stream))
-            .collect(),
-    })
-    .map_err(TraceError::Json)
-}
-
-/// Parses a JSON trace.
-///
-/// # Errors
-///
-/// Returns parse errors on malformed input.
-pub fn from_json(s: &str) -> Result<Trace, TraceError> {
-    let j: TraceJson = serde_json::from_str(s).map_err(TraceError::Json)?;
-    Ok(Trace::from_accesses(
-        j.accesses
-            .into_iter()
-            .map(|(addr, stream)| Access { addr, stream })
-            .collect(),
-        j.page_shift,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,14 +105,6 @@ mod tests {
         let back = read_binary(&path).unwrap();
         assert_eq!(t, back);
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn json_roundtrip_preserves_trace() {
-        let t = Pattern::Stride.generate(50, 0);
-        let s = to_json(&t).unwrap();
-        let back = from_json(&s).unwrap();
-        assert_eq!(t, back);
     }
 
     #[test]

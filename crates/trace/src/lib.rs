@@ -10,7 +10,7 @@
 //! * [`zipf`] — a Zipf sampler used by the app generators;
 //! * [`stats`] — footprints, delta histograms and learnability
 //!   diagnostics;
-//! * [`io`] — binary and JSON trace serialization;
+//! * [`io`] — binary trace serialization;
 //! * [`error`] — the [`error::TraceError`] type those paths return.
 
 #![forbid(unsafe_code)]

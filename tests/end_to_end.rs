@@ -2,10 +2,7 @@
 //! prefetcher pipeline, exercised through the umbrella crate's public
 //! API exactly as a downstream user would.
 
-use hnp::baselines::{
-    LstmPrefetcher, LstmPrefetcherConfig, MarkovConfig, MarkovPrefetcher, StrideConfig,
-    StridePrefetcher,
-};
+use hnp::baselines::{LstmPrefetcher, MarkovPrefetcher, StrideConfig, StridePrefetcher};
 use hnp::core::{ClsConfig, ClsPrefetcher};
 use hnp::memsim::{NoPrefetcher, SimConfig, Simulator};
 use hnp::traces::apps::AppWorkload;
@@ -62,10 +59,7 @@ fn region_alternating_patterns_are_the_53_limitation_but_gating_prevents_harm() 
     );
     // A page-correlation model (Markov) is immune to the encoding
     // limit and must do clearly better.
-    let markov = sim.run(
-        &trace,
-        &mut MarkovPrefetcher::with_config(MarkovConfig::default()),
-    );
+    let markov = sim.run(&trace, &mut MarkovPrefetcher::new());
     assert!(
         markov.pct_misses_removed(&base) > removed + 20.0,
         "markov {:.1}% vs delta-model {removed:.1}%",
@@ -105,7 +99,7 @@ fn hebbian_is_comparable_to_lstm_on_an_app_workload() {
     let base = sim.run(&trace, &mut NoPrefetcher);
     let mut heb = ClsPrefetcher::new(ClsConfig::hebbian_only());
     let heb_rep = sim.run(&trace, &mut heb);
-    let mut lstm = LstmPrefetcher::new(LstmPrefetcherConfig::default());
+    let mut lstm = LstmPrefetcher::new(0x15b4);
     let lstm_rep = sim.run(&trace, &mut lstm);
     let h = heb_rep.pct_misses_removed(&base);
     let l = lstm_rep.pct_misses_removed(&base);
@@ -140,10 +134,7 @@ fn markov_and_cls_agree_on_access_conservation() {
     let sim = sim_for(&trace);
     for rep in [
         sim.run(&trace, &mut NoPrefetcher),
-        sim.run(
-            &trace,
-            &mut MarkovPrefetcher::with_config(MarkovConfig::default().with_capacity(1024)),
-        ),
+        sim.run(&trace, &mut MarkovPrefetcher::new()),
         sim.run(&trace, &mut ClsPrefetcher::new(ClsConfig::default())),
     ] {
         assert_eq!(

@@ -7,7 +7,7 @@ use hnp::core::{CapacityPolicy, Hippocampus};
 use hnp::hebbian::bitset::BitSet;
 use hnp::hebbian::kwta::k_winners;
 use hnp::memsim::memory::LocalMemory;
-use hnp::memsim::{DeltaVocab, MissHistory, NoPrefetcher, SimConfig, Simulator};
+use hnp::memsim::{DeltaVocab, NoPrefetcher, SimConfig, Simulator};
 use hnp::traces::Trace;
 
 proptest! {
@@ -76,9 +76,9 @@ proptest! {
         pages in proptest::collection::vec(0u64..128, 1..300),
     ) {
         let mut m = LocalMemory::new(capacity);
-        for (i, &p) in pages.iter().enumerate() {
+        for &p in &pages {
             if !m.contains(p) {
-                m.insert(p, false, i as u64);
+                m.insert(p, false);
             }
             m.touch(p);
             prop_assert!(m.len() <= capacity);
@@ -132,22 +132,6 @@ proptest! {
                 0,
             );
             prop_assert!(h.len() <= capacity, "policy {:?}", policy);
-        }
-    }
-
-    /// Miss-history windows always produce exactly len-1 deltas capped
-    /// by the window.
-    #[test]
-    fn miss_history_window_bound(window in 1usize..16, pages in proptest::collection::vec(0u64..1000, 0..64)) {
-        let mut h = MissHistory::new(window);
-        for &p in &pages {
-            h.push(p);
-        }
-        let deltas = h.deltas();
-        prop_assert!(deltas.len() <= window);
-        if pages.len() >= 2 {
-            let expect = pages[pages.len() - 1] as i64 - pages[pages.len() - 2] as i64;
-            prop_assert_eq!(h.last_delta(), Some(expect));
         }
     }
 }
