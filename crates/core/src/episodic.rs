@@ -239,21 +239,21 @@ impl EpisodicStore for AssociativeHippocampus {
         if self.cues.is_empty() || k == 0 {
             return Vec::new();
         }
-        let candidates: Vec<usize> = if prefer_other_phases {
-            let others: Vec<usize> = (0..self.cues.len())
+        // Cues of other phases; empty means draw from every cue.
+        let others: Vec<usize> = if prefer_other_phases {
+            (0..self.cues.len())
                 .filter(|&i| self.cues[i].2 != current_phase)
-                .collect();
-            if others.is_empty() {
-                (0..self.cues.len()).collect()
-            } else {
-                others
-            }
+                .collect()
         } else {
-            (0..self.cues.len()).collect()
+            Vec::new()
         };
         let mut out = Vec::with_capacity(k);
         for _ in 0..k {
-            let i = candidates[rng.gen_range(0..candidates.len())];
+            let i = if others.is_empty() {
+                rng.gen_range(0..self.cues.len())
+            } else {
+                others[rng.gen_range(0..others.len())]
+            };
             let (pattern, recurrent, phase) = self.cues[i].clone();
             // The target comes from associative recall: the
             // consolidated association for this cue, not a verbatim

@@ -7,7 +7,8 @@
 //! of which are implemented here:
 //!
 //! * [`CapacityPolicy::Unbounded`] — the paper's experimental setup;
-//! * [`CapacityPolicy::Ring`] — a fixed-size buffer, oldest evicted;
+//! * [`CapacityPolicy::Ring`] — a fixed-size buffer, oldest (first
+//!   stored) evicted;
 //! * [`CapacityPolicy::ConfidenceFiltered`] — skip well-learned
 //!   examples on entry, evict the highest-confidence first;
 //! * [`CapacityPolicy::Consolidating`] — free episodes that have been
@@ -16,6 +17,13 @@
 //! * [`CapacityPolicy::Averaging`] — merge similar episodes into
 //!   weighted prototypes ("average similar examples, producing single
 //!   representative cases").
+//!
+//! Storing and uniform sampling are O(1) per episode on the `Ring`
+//! path: an age queue names the eviction victim and the sampler draws
+//! without building an index array (DESIGN.md §12.6). The other
+//! bounded policies scan the store to pick a victim.
+
+use std::collections::VecDeque;
 
 use rand::Rng;
 
@@ -53,7 +61,7 @@ pub struct Episode {
 pub enum CapacityPolicy {
     /// Store everything (the paper's idealized setup).
     Unbounded,
-    /// Fixed capacity, oldest evicted first.
+    /// Fixed capacity; the episode stored first is evicted first.
     Ring {
         /// Maximum episodes.
         capacity: usize,
@@ -90,6 +98,15 @@ pub enum CapacityPolicy {
 pub struct Hippocampus {
     policy: CapacityPolicy,
     episodes: Vec<Episode>,
+    /// Under [`CapacityPolicy::Ring`], the positions in `episodes`,
+    /// first stored first. Eviction `swap_remove`s the front's
+    /// position and every store pushes, so the last slot always holds
+    /// the newest episode, `age.back()`. Empty under other policies.
+    age: VecDeque<usize>,
+    /// Reference mode: evict by scanning for the smallest `stored_at`
+    /// and sample over an index array, as the store did before `age`.
+    #[cfg(test)]
+    scan: bool,
     /// Raw episodes offered (including skipped/merged).
     offered: u64,
     /// Episodes rejected by the confidence filter.
@@ -104,10 +121,23 @@ impl Hippocampus {
         Self {
             policy,
             episodes: Vec::new(),
+            age: VecDeque::new(),
+            #[cfg(test)]
+            scan: false,
             offered: 0,
             skipped: 0,
             merged: 0,
         }
+    }
+
+    /// A store that evicts and samples by the O(n) scans: the
+    /// reference the age queue and the index-free sampler are
+    /// differential-tested against.
+    #[cfg(test)]
+    pub(crate) fn with_scans(policy: CapacityPolicy) -> Self {
+        let mut h = Self::new(policy);
+        h.scan = true;
+        h
     }
 
     /// The storage policy.
@@ -146,7 +176,7 @@ impl Hippocampus {
     }
 
     /// Offers an episode to the store; the policy decides whether and
-    /// how it is kept.
+    /// how it is kept. A bounded policy at capacity 0 keeps nothing.
     #[allow(clippy::too_many_arguments)]
     pub fn store(
         &mut self,
@@ -173,12 +203,10 @@ impl Hippocampus {
         match self.policy {
             CapacityPolicy::Unbounded => self.episodes.push(episode),
             CapacityPolicy::Ring { capacity } => {
-                if self.episodes.len() >= capacity {
-                    // Evict the oldest (None only for capacity 0).
-                    if let Some(oldest) = self.oldest_index() {
-                        self.episodes.swap_remove(oldest);
-                    }
+                if self.episodes.len() >= capacity && !self.evict_oldest() {
+                    return;
                 }
+                self.age.push_back(self.episodes.len());
                 self.episodes.push(episode);
             }
             CapacityPolicy::ConfidenceFiltered {
@@ -196,9 +224,9 @@ impl Hippocampus {
                         .enumerate()
                         .max_by(|a, b| a.1.confidence.total_cmp(&b.1.confidence))
                         .map(|(i, _)| i);
-                    if let Some(worst) = worst {
-                        self.episodes.swap_remove(worst);
-                    }
+                    // None only for an empty store at capacity 0.
+                    let Some(worst) = worst else { return };
+                    self.episodes.swap_remove(worst);
                 }
                 self.episodes.push(episode);
             }
@@ -210,9 +238,10 @@ impl Hippocampus {
                         .enumerate()
                         .max_by_key(|(_, e)| e.replays)
                         .map(|(i, _)| i);
-                    if let Some(most_replayed) = most_replayed {
-                        self.episodes.swap_remove(most_replayed);
-                    }
+                    let Some(most_replayed) = most_replayed else {
+                        return;
+                    };
+                    self.episodes.swap_remove(most_replayed);
                 }
                 self.episodes.push(episode);
             }
@@ -236,9 +265,8 @@ impl Hippocampus {
                         .enumerate()
                         .min_by_key(|(_, e)| e.weight)
                         .map(|(i, _)| i);
-                    if let Some(lightest) = lightest {
-                        self.episodes.swap_remove(lightest);
-                    }
+                    let Some(lightest) = lightest else { return };
+                    self.episodes.swap_remove(lightest);
                 }
                 self.episodes.push(episode);
             }
@@ -254,14 +282,32 @@ impl Hippocampus {
         if k >= n {
             return (0..n).collect();
         }
-        // Partial Fisher-Yates over an index array.
-        let mut idx: Vec<usize> = (0..n).collect();
+        #[cfg(test)]
+        if self.scan {
+            return sample_by_index_array(n, k, rng);
+        }
+        // Partial Fisher-Yates over a virtual identity permutation of
+        // 0..n: `moved` holds the (position, value) pairs that differ
+        // from the identity, at most one per draw. Position `i` is
+        // final once drawn (later draws start above it), so only `j`
+        // needs recording, and not after the last draw.
+        let mut out = Vec::with_capacity(k);
+        let mut moved: Vec<(usize, usize)> = Vec::with_capacity(k - 1);
+        let value_at = |moved: &[(usize, usize)], p: usize| {
+            moved.iter().find(|&&(q, _)| q == p).map_or(p, |&(_, v)| v)
+        };
         for i in 0..k {
             let j = rng.gen_range(i..n);
-            idx.swap(i, j);
+            let (vi, vj) = (value_at(&moved, i), value_at(&moved, j));
+            out.push(vj);
+            if i + 1 < k {
+                match moved.iter_mut().find(|(q, _)| *q == j) {
+                    Some(slot) => slot.1 = vi,
+                    None => moved.push((j, vi)),
+                }
+            }
         }
-        idx.truncate(k);
-        idx
+        out
     }
 
     /// Samples up to `k` episodes preferring phases other than
@@ -319,14 +365,44 @@ impl Hippocampus {
     /// Clears all stored episodes.
     pub fn clear(&mut self) {
         self.episodes.clear();
+        self.age.clear();
     }
 
-    fn oldest_index(&self) -> Option<usize> {
-        self.episodes
+    /// Evicts the episode stored first; false when the store is empty
+    /// (a ring of capacity 0).
+    fn evict_oldest(&mut self) -> bool {
+        #[cfg(test)]
+        if self.scan {
+            return self.evict_by_scan();
+        }
+        let Some(oldest) = self.age.pop_front() else {
+            return false;
+        };
+        self.episodes.swap_remove(oldest);
+        // The newest episode moved from the last slot into `oldest`.
+        if oldest < self.episodes.len() {
+            if let Some(newest) = self.age.back_mut() {
+                *newest = oldest;
+            }
+        }
+        true
+    }
+
+    /// The pre-queue eviction: the first position with the smallest
+    /// `stored_at`. The queue is popped only to keep its length, which
+    /// scan mode never reads otherwise.
+    #[cfg(test)]
+    fn evict_by_scan(&mut self) -> bool {
+        let oldest = self
+            .episodes
             .iter()
             .enumerate()
             .min_by_key(|(_, e)| e.stored_at)
-            .map(|(i, _)| i)
+            .map(|(i, _)| i);
+        let Some(oldest) = oldest else { return false };
+        self.episodes.swap_remove(oldest);
+        self.age.pop_front();
+        true
     }
 
     fn find_mergeable(&self, episode: &Episode, threshold: f64) -> Option<usize> {
@@ -334,6 +410,19 @@ impl Hippocampus {
             e.target == episode.target && jaccard(&e.pattern, &episode.pattern) >= threshold
         })
     }
+}
+
+/// The pre-optimization sampler: partial Fisher-Yates over an
+/// explicit index array of `0..n`.
+#[cfg(test)]
+fn sample_by_index_array(n: usize, k: usize, rng: &mut impl Rng) -> Vec<usize> {
+    let mut idx: Vec<usize> = (0..n).collect();
+    for i in 0..k {
+        let j = rng.gen_range(i..n);
+        idx.swap(i, j);
+    }
+    idx.truncate(k);
+    idx
 }
 
 /// Jaccard similarity of two sorted bit-index lists.
@@ -362,8 +451,10 @@ fn jaccard(a: &[u32], b: &[u32]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::episodic::EpisodicStore;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn ep(h: &mut Hippocampus, bits: &[u32], target: usize, conf: f32, now: u64) {
         h.store(vec![target], bits.to_vec(), vec![], target, conf, now, 0);
@@ -381,12 +472,41 @@ mod tests {
     #[test]
     fn ring_evicts_oldest() {
         let mut h = Hippocampus::new(CapacityPolicy::Ring { capacity: 3 });
-        for i in 0..5u64 {
+        for i in 0..8u64 {
             ep(&mut h, &[i as u32], 0, 0.5, i);
+            // The newest episode always sits in the last slot.
+            assert_eq!(h.episodes().last().map(|e| e.stored_at), Some(i));
         }
         assert_eq!(h.len(), 3);
-        let stored: Vec<u64> = h.episodes().iter().map(|e| e.stored_at).collect();
-        assert!(!stored.contains(&0) && !stored.contains(&1));
+        let mut stored: Vec<u64> = h.episodes().iter().map(|e| e.stored_at).collect();
+        stored.sort_unstable();
+        assert_eq!(stored, vec![5, 6, 7]);
+    }
+
+    #[test]
+    fn capacity_zero_keeps_nothing() {
+        for policy in [
+            CapacityPolicy::Ring { capacity: 0 },
+            CapacityPolicy::ConfidenceFiltered {
+                capacity: 0,
+                skip_above: 0.9,
+            },
+            CapacityPolicy::Consolidating {
+                capacity: 0,
+                max_replays: 2,
+            },
+            CapacityPolicy::Averaging {
+                capacity: 0,
+                merge_overlap: 0.6,
+            },
+        ] {
+            let mut h = Hippocampus::new(policy);
+            for i in 0..3u64 {
+                ep(&mut h, &[1], 0, 0.5, i);
+            }
+            assert!(h.is_empty(), "{policy:?}");
+            assert_eq!(h.offered(), 3, "{policy:?}");
+        }
     }
 
     #[test]
@@ -478,6 +598,56 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let s = h.sample_other_phases(3, 2, &mut rng);
         assert!(s.iter().all(|&i| h.episodes()[i].phase == 1));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The age queue and the index-free sampler are invisible: the
+        /// store keeps the same episodes in the same slots, samples the
+        /// same indices, and consumes the same RNG stream as the scans.
+        #[test]
+        fn queue_and_sampler_match_the_scans(
+            capacity in 1usize..64,
+            policy_pick in 0u8..3,
+            seed in any::<u64>(),
+            // (kind, index or k, phase, prefer other phases)
+            ops in proptest::collection::vec((0u8..8, 0usize..64, 0u64..3, any::<bool>()), 1..300),
+        ) {
+            let policy = match policy_pick {
+                0 => CapacityPolicy::Ring { capacity },
+                1 => CapacityPolicy::Unbounded,
+                _ => CapacityPolicy::Consolidating { capacity, max_replays: 3 },
+            };
+            let mut fast = Hippocampus::new(policy);
+            let mut reference = Hippocampus::with_scans(policy);
+            let mut fast_rng = StdRng::seed_from_u64(seed);
+            let mut reference_rng = StdRng::seed_from_u64(seed);
+            for (now, (kind, n, phase, prefer_other)) in ops.into_iter().enumerate() {
+                let k = 1 + n % 7;
+                match kind {
+                    0..=3 => {
+                        for h in [&mut fast, &mut reference] {
+                            h.store(vec![n], vec![n as u32], vec![], n % 8, 0.5, now as u64, phase);
+                        }
+                    }
+                    4 => prop_assert_eq!(
+                        fast.sample(k, &mut fast_rng),
+                        reference.sample(k, &mut reference_rng)
+                    ),
+                    5 | 6 => prop_assert_eq!(
+                        fast.sample_for_replay(k, phase, prefer_other, &mut fast_rng),
+                        reference.sample_for_replay(k, phase, prefer_other, &mut reference_rng)
+                    ),
+                    _ if n < fast.len() => {
+                        prop_assert_eq!(fast.mark_replayed(n), reference.mark_replayed(n))
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(fast.episodes(), reference.episodes());
+                prop_assert_eq!(fast_rng.clone().next_u64(), reference_rng.clone().next_u64());
+            }
+        }
     }
 
     #[test]

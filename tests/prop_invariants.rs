@@ -107,10 +107,10 @@ proptest! {
     }
 
     /// Hippocampus capacity policies never exceed their configured
-    /// capacity.
+    /// capacity, including a capacity of 0.
     #[test]
     fn hippocampus_capacity_bound(
-        capacity in 1usize..64,
+        capacity in 0usize..64,
         n in 1usize..300,
         policy_pick in 0u8..4,
     ) {
