@@ -87,7 +87,7 @@ impl Prefetcher for LstmPrefetcher {
     fn on_miss(&mut self, miss: &MissEvent) -> Vec<u64> {
         let token = match self.last_page {
             Some(last) => {
-                let delta = miss.page as i64 - last as i64;
+                let delta = (miss.page as i64).wrapping_sub(last as i64);
                 Some(self.vocab.token_of(delta))
             }
             None => None,
@@ -204,5 +204,20 @@ mod tests {
             p.confidence()
         };
         assert_ne!(run(1), run(2), "the seed must reach the weights");
+    }
+
+    #[test]
+    fn extreme_page_jumps_do_not_panic() {
+        // Regression: `page as i64 - last as i64` overflowed on a jump
+        // between the halves of the `u64` page space, and the delta
+        // `i64::MIN` then overflowed `DeltaVocab::token_of`.
+        let mut p = LstmPrefetcher::new(SEED);
+        for (tick, page) in [1u64 << 63, 0, 1].into_iter().enumerate() {
+            p.on_miss(&MissEvent {
+                page,
+                tick: tick as u64,
+                stream: 0,
+            });
+        }
     }
 }

@@ -90,7 +90,9 @@ impl Prefetcher for TransformerPrefetcher {
             self.last_page = Some(miss.page);
             return Vec::new();
         };
-        let token = self.vocab.token_of(miss.page as i64 - last as i64);
+        let token = self
+            .vocab
+            .token_of((miss.page as i64).wrapping_sub(last as i64));
         self.last_page = Some(miss.page);
         // Train on (context -> token).
         if !self.history.is_empty() {
@@ -172,5 +174,20 @@ mod tests {
             p.confidence()
         };
         assert_ne!(run(1), run(2), "the seed must reach the weights");
+    }
+
+    #[test]
+    fn extreme_page_jumps_do_not_panic() {
+        // Regression: `page as i64 - last as i64` overflowed on a jump
+        // between the halves of the `u64` page space, and the delta
+        // `i64::MIN` then overflowed `DeltaVocab::token_of`.
+        let mut p = TransformerPrefetcher::new(1);
+        for (tick, page) in [1u64 << 63, 0, 1].into_iter().enumerate() {
+            p.on_miss(&MissEvent {
+                page,
+                tick: tick as u64,
+                stream: 0,
+            });
+        }
     }
 }

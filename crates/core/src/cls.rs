@@ -16,7 +16,7 @@ use crate::adaptive::AdaptiveGeometry;
 use crate::confidence::ConfidenceTracker;
 use crate::encoder::{Encoder, EncoderKind};
 use crate::episodic::{AssociativeConfig, AssociativeHippocampus, EpisodicBackend, EpisodicStore};
-use crate::hippocampus::{CapacityPolicy, Hippocampus};
+use crate::hippocampus::{CapacityPolicy, EpisodeRef, Hippocampus};
 use crate::neocortex::{Neocortex, NeocortexConfig};
 use crate::phase::{PhaseConfig, PhaseDetector};
 use crate::replay::{ReplayConfig, ReplayScheduler};
@@ -162,7 +162,14 @@ pub struct ClsPrefetcher {
     /// Per-stream miss-history contexts (all streams share key 0 when
     /// stream isolation is off).
     streams: std::collections::BTreeMap<u16, StreamCtx>,
-    batch_queue: Vec<(Vec<usize>, Vec<u32>, usize)>,
+    /// Per-miss scratch (DESIGN.md §12.2): the context learned from,
+    /// the history predicted from, the context's pattern, and the
+    /// recurrent state before training.
+    ctx: Vec<usize>,
+    hist: Vec<usize>,
+    pattern: Vec<u32>,
+    recurrent: Vec<u32>,
+    batch_queue: Vec<(Vec<u32>, usize)>,
     steps: u64,
     name: String,
 }
@@ -210,6 +217,10 @@ impl ClsPrefetcher {
                 .adaptive
                 .then(|| AdaptiveGeometry::new(cfg.width, cfg.lookahead)),
             streams: std::collections::BTreeMap::new(),
+            ctx: Vec::new(),
+            hist: Vec::new(),
+            pattern: Vec::new(),
+            recurrent: Vec::new(),
             batch_queue: Vec::new(),
             steps: 0,
             encoder,
@@ -262,24 +273,25 @@ impl ClsPrefetcher {
         }
     }
 
-    /// The last `window` tokens of a stream's history.
-    fn context_of(history: &VecDeque<usize>, window: usize) -> Vec<usize> {
-        let n = history.len();
-        history
-            .iter()
-            .skip(n.saturating_sub(window))
-            .copied()
-            .collect()
+    /// Writes the last `window` tokens of a stream's history to `out`.
+    fn context_into(history: &VecDeque<usize>, window: usize, out: &mut Vec<usize>) {
+        out.clear();
+        out.extend(history.iter().skip(history.len().saturating_sub(window)));
     }
 
-    fn learn(&mut self, ctx: Vec<usize>, token: usize) {
-        if ctx.is_empty() {
+    /// Learns the transition `self.ctx` → `token`, stores it as an
+    /// episode, and replays.
+    fn learn(&mut self, token: usize) {
+        if self.ctx.is_empty() {
             return;
         }
-        let pattern = self.encoder.encode(&ctx);
+        self.encoder.encode_into(&self.ctx, &mut self.pattern);
+        let pattern = &self.pattern;
         let phase = self.current_phase();
         // Capture the pre-training recurrent context for the episode.
-        let recurrent = self.cortex.recurrent_state();
+        self.recurrent.clear();
+        self.recurrent
+            .extend_from_slice(self.cortex.network().recurrent_state());
         // Confidence-gated sampling needs *this example's* confidence,
         // which costs one extra (non-advancing) inference — exactly
         // the §5.1 trade: pay a cheap forward pass to skip expensive
@@ -287,38 +299,35 @@ impl ClsPrefetcher {
         // running EMA for free.
         let gate_confidence = if matches!(self.cfg.sampler, TrainingSampler::ConfidenceGated { .. })
         {
-            self.cortex.network_mut().infer(&pattern, token).confidence
+            self.cortex.network_mut().infer(pattern, token).confidence
         } else {
             self.tracker.ema()
         };
         let decision = self.sampler.decide(gate_confidence);
         let outcome = match decision {
-            SampleDecision::Train => self.cortex.train(&pattern, token),
-            SampleDecision::Skip => self.cortex.observe(&pattern, token),
+            SampleDecision::Train => self.cortex.train(pattern, token),
+            SampleDecision::Skip => self.cortex.observe(pattern, token),
             SampleDecision::Enqueue => {
-                self.batch_queue.push((ctx.clone(), pattern.clone(), token));
-                let o = self.cortex.observe(&pattern, token);
+                self.batch_queue.push((pattern.clone(), token));
+                let o = self.cortex.observe(pattern, token);
                 if self.sampler.should_flush(self.batch_queue.len()) {
-                    let queued: Vec<_> = self.batch_queue.drain(..).collect();
-                    self.sampler.trained += queued.len() as u64;
-                    for (_, p, t) in &queued {
-                        self.cortex.train(p, *t);
+                    self.sampler.trained += self.batch_queue.len() as u64;
+                    for (p, t) in self.batch_queue.drain(..) {
+                        self.cortex.train(&p, t);
                     }
                 }
                 o
             }
         };
         self.tracker.record(outcome.confidence, outcome.correct);
-        self.hippo.store_episode(crate::hippocampus::Episode {
-            history: ctx,
-            pattern,
-            recurrent,
+        self.hippo.store_ref(EpisodeRef {
+            history: &self.ctx,
+            pattern: &self.pattern,
+            recurrent: &self.recurrent,
             target: token,
             confidence: outcome.confidence,
             stored_at: self.steps,
             phase,
-            replays: 0,
-            weight: 1,
         });
         if decision == SampleDecision::Train {
             self.replay
@@ -345,19 +354,19 @@ impl Prefetcher for ClsPrefetcher {
             stream.last_page = Some(miss.page);
             return Vec::new();
         };
-        let delta = miss.page as i64 - last as i64;
+        let delta = (miss.page as i64).wrapping_sub(last as i64);
         let token = self.vocab.token_of(delta);
         stream.last_page = Some(miss.page);
         // Learn the transition (context before this token -> token).
-        let ctx = Self::context_of(&stream.history, window);
+        Self::context_into(&stream.history, window, &mut self.ctx);
         // Advance the history now; `learn` borrows self mutably.
         stream.history.push_back(token);
         while stream.history.len() > window + 1 {
             stream.history.pop_front();
         }
-        let hist = Self::context_of(&self.streams[&key].history, window);
+        Self::context_into(&stream.history, window, &mut self.hist);
         let replayed_before = self.replay.replayed;
-        self.learn(ctx, token);
+        self.learn(token);
         let replayed_now = self.replay.replayed - replayed_before;
         if replayed_now > 0 {
             self.cfg.obs.emit(&Event::ReplayStep {
@@ -393,13 +402,13 @@ impl Prefetcher for ClsPrefetcher {
             Some(a) => (a.lookahead(), a.width()),
             None => (self.cfg.lookahead, self.cfg.width),
         };
-        let (rollout, confidence) =
-            self.cortex
-                .predict_with_confidence(&hist, &self.encoder, lookahead, width);
-        if confidence < self.cfg.min_confidence {
+        let rollout = self
+            .cortex
+            .predict_into(&self.hist, &self.encoder, lookahead, width);
+        if rollout.first_confidence < self.cfg.min_confidence {
             return Vec::new();
         }
-        pages_from_rollout(&self.vocab, miss.page, &rollout)
+        pages_from_rollout(&self.vocab, miss.page, rollout.steps())
     }
 
     fn on_feedback(&mut self, feedback: &hnp_memsim::prefetcher::PrefetchFeedback) {
@@ -677,5 +686,21 @@ mod tests {
         let b = s.run(&t, &mut ClsPrefetcher::new(ClsConfig::small()));
         assert_eq!(a.full_misses, b.full_misses);
         assert_eq!(a.prefetches_issued, b.prefetches_issued);
+    }
+
+    #[test]
+    fn extreme_page_jumps_do_not_panic() {
+        // Regression: `page as i64 - last as i64` overflowed on a jump
+        // between the halves of the `u64` page space, and the delta
+        // `i64::MIN` then reached the phase detector as a token far out
+        // of vocabulary.
+        let mut p = ClsPrefetcher::new(ClsConfig::small());
+        for (tick, page) in [1u64 << 63, 0, 1].into_iter().enumerate() {
+            p.on_miss(&MissEvent {
+                page,
+                tick: tick as u64,
+                stream: 0,
+            });
+        }
     }
 }

@@ -135,40 +135,54 @@ impl Encoder {
 
     /// Encodes a token history (oldest first; the last element is the
     /// newest token) into active pattern bits, sorted and deduplicated.
+    /// A wrapper over [`encode_into`](Self::encode_into).
     ///
     /// # Panics
     ///
     /// Panics if `history` is empty or contains out-of-vocabulary
     /// tokens.
     pub fn encode(&self, history: &[usize]) -> Vec<u32> {
+        let mut bits = Vec::new();
+        self.encode_into(history, &mut bits);
+        bits
+    }
+
+    /// [`encode`](Self::encode) into `bits`, replacing its contents.
+    /// The one-hot, history-window and path-hash kinds allocate
+    /// nothing once `bits` has capacity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `history` is empty or contains out-of-vocabulary
+    /// tokens.
+    pub fn encode_into(&self, history: &[usize], bits: &mut Vec<u32>) {
         assert!(!history.is_empty(), "empty token history");
         for &t in history {
             assert!(t < self.vocab_len, "token {t} out of vocabulary");
         }
-        let mut bits: Vec<u32> = match self.kind {
+        bits.clear();
+        match self.kind {
             EncoderKind::OneHot => {
-                vec![history[history.len() - 1] as u32]
+                bits.push(history[history.len() - 1] as u32);
+                return;
             }
             EncoderKind::HistoryWindow { window } => {
                 // Position 0 = newest.
-                history
-                    .iter()
-                    .rev()
-                    .take(window)
-                    .enumerate()
-                    .map(|(pos, &tok)| (pos * self.vocab_len + tok) as u32)
-                    .collect()
+                bits.extend(
+                    history
+                        .iter()
+                        .rev()
+                        .take(window)
+                        .enumerate()
+                        .map(|(pos, &tok)| (pos * self.vocab_len + tok) as u32),
+                );
             }
             EncoderKind::PathHash {
                 window,
                 bits_per,
                 space,
-            } => history
-                .iter()
-                .rev()
-                .take(window)
-                .enumerate()
-                .flat_map(|(pos, &tok)| {
+            } => bits.extend(history.iter().rev().take(window).enumerate().flat_map(
+                |(pos, &tok)| {
                     (0..bits_per).map(move |j| {
                         let mut h = (pos as u64)
                             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
@@ -180,20 +194,20 @@ impl Encoder {
                         h ^= h >> 29;
                         (h % space as u64) as u32
                     })
-                })
-                .collect(),
+                },
+            )),
             EncoderKind::Vsa { .. } => {
                 // The table is built in `new()` whenever the kind is
                 // Vsa; the Option only models the other kinds.
                 let table = self.vsa.as_ref();
                 // hnp-lint: allow(panic_hygiene): constructor invariant
                 let table = table.expect("vsa built in new()");
-                return table.encode(history);
+                *bits = table.encode(history);
+                return;
             }
-        };
+        }
         bits.sort_unstable();
         bits.dedup();
-        bits
     }
 }
 
@@ -292,6 +306,32 @@ mod tests {
         assert!(a.iter().all(|&b| b < 512));
         assert_ne!(a, e.encode(&[3, 2, 1]), "order-sensitive");
         assert_eq!(a, e.encode(&[1, 2, 3]), "deterministic");
+    }
+
+    #[test]
+    fn encode_into_overwrites_the_buffer_like_encode() {
+        let kinds = [
+            EncoderKind::OneHot,
+            EncoderKind::HistoryWindow { window: 3 },
+            EncoderKind::PathHash {
+                window: 3,
+                bits_per: 4,
+                space: 256,
+            },
+            EncoderKind::Vsa {
+                window: 3,
+                active: 16,
+                space: 512,
+            },
+        ];
+        let mut bits = vec![999; 40];
+        for kind in kinds {
+            let e = Encoder::new(kind, 50);
+            for history in [&[7][..], &[1, 2, 3], &[4, 4, 9, 1]] {
+                e.encode_into(history, &mut bits);
+                assert_eq!(bits, e.encode(history), "{kind:?} {history:?}");
+            }
+        }
     }
 
     #[test]

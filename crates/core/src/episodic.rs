@@ -6,7 +6,7 @@
 //! them in an associative memory" (§3, citing Rolls). Two backends
 //! implement the [`EpisodicStore`] interface:
 //!
-//! * the exact buffer ([`Hippocampus`]) used by the paper's
+//! * the exact buffer ([`Hippocampus`](crate::Hippocampus)) used by the paper's
 //!   experiments ("without resource limitations on the hippocampal
 //!   storage"), with the §5.4 capacity policies;
 //! * [`AssociativeHippocampus`], the compressed alternative: every
@@ -24,7 +24,7 @@ use rand::{Rng, SeedableRng};
 use hnp_hebbian::assoc::{PatternSeparator, WillshawMemory};
 use hnp_hebbian::bitset::BitSet;
 
-use crate::hippocampus::{CapacityPolicy, Episode, Hippocampus};
+use crate::hippocampus::{CapacityPolicy, Episode, EpisodeRef};
 
 /// Which episodic backend a CLS prefetcher uses.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,19 +39,27 @@ pub enum EpisodicBackend {
 
 /// A store of training episodes supporting replay sampling.
 pub trait EpisodicStore {
-    /// Offers an episode.
-    fn store_episode(&mut self, episode: Episode);
-    /// Samples up to `k` episodes for replay (marking them replayed
-    /// where the backend tracks that), preferring phases other than
-    /// `current_phase` when `prefer_other_phases` is set and the
-    /// backend can honour it.
-    fn sample_for_replay(
+    /// Offers an episode, copying its vectors (into recycled storage
+    /// where the backend keeps any).
+    fn store_ref(&mut self, episode: EpisodeRef<'_>);
+    /// Offers an owned episode; by default a wrapper over
+    /// [`store_ref`](Self::store_ref).
+    fn store_episode(&mut self, episode: Episode) {
+        self.store_ref(episode.view());
+    }
+    /// Draws up to `k` episodes for replay, preferring phases other
+    /// than `current_phase` when `prefer_other_phases` is set and the
+    /// backend can honour it, and hands each to `visit` by reference
+    /// (marking it replayed where the backend tracks that). Every
+    /// replay form goes through this one draw.
+    fn replay_each(
         &mut self,
         k: usize,
         current_phase: u64,
         prefer_other_phases: bool,
         rng: &mut StdRng,
-    ) -> Vec<Episode>;
+        visit: &mut dyn FnMut(EpisodeRef<'_>),
+    );
     /// Episodes currently stored (prototypes/cues for compressed
     /// backends).
     fn stored(&self) -> usize;
@@ -59,58 +67,6 @@ pub trait EpisodicStore {
     fn offered(&self) -> u64;
     /// Approximate storage footprint in bytes.
     fn storage_bytes(&self) -> usize;
-}
-
-impl EpisodicStore for Hippocampus {
-    fn store_episode(&mut self, e: Episode) {
-        self.store(
-            e.history,
-            e.pattern,
-            e.recurrent,
-            e.target,
-            e.confidence,
-            e.stored_at,
-            e.phase,
-        );
-    }
-
-    fn sample_for_replay(
-        &mut self,
-        k: usize,
-        current_phase: u64,
-        prefer_other_phases: bool,
-        rng: &mut StdRng,
-    ) -> Vec<Episode> {
-        let mut indices = if prefer_other_phases {
-            self.sample_other_phases(k, current_phase, rng)
-        } else {
-            self.sample(k, rng)
-        };
-        // Descending so `mark_replayed`'s swap_remove cannot invalidate
-        // later indices.
-        indices.sort_unstable_by(|a, b| b.cmp(a));
-        let mut out = Vec::with_capacity(indices.len());
-        for idx in indices {
-            out.push(self.episodes()[idx].clone());
-            self.mark_replayed(idx);
-        }
-        out
-    }
-
-    fn stored(&self) -> usize {
-        self.len()
-    }
-
-    fn offered(&self) -> u64 {
-        Hippocampus::offered(self)
-    }
-
-    fn storage_bytes(&self) -> usize {
-        self.episodes()
-            .iter()
-            .map(|e| e.history.len() * 8 + e.pattern.len() * 4 + e.recurrent.len() * 4 + 32)
-            .sum()
-    }
 }
 
 /// Configuration of the associative backend.
@@ -202,42 +158,48 @@ impl AssociativeHippocampus {
 }
 
 impl EpisodicStore for AssociativeHippocampus {
-    fn store_episode(&mut self, e: Episode) {
+    fn store_ref(&mut self, e: EpisodeRef<'_>) {
         self.offered += 1;
-        let key = self.key_of(&e.pattern);
+        let key = self.key_of(e.pattern);
         let value_bits = self.cfg.targets + self.cfg.recurrent_bits;
         let mut value = BitSet::new(value_bits);
         if e.target < self.cfg.targets {
             value.insert(e.target);
         }
-        for &r in &e.recurrent {
+        for &r in e.recurrent {
             let bit = self.cfg.targets + r as usize;
             if bit < value_bits {
                 value.insert(bit);
             }
         }
         self.memory.store(&key, &value);
-        // Reservoir-sample the cue.
-        let cue = (e.pattern, e.recurrent, e.phase);
+        // Reservoir-sample the cue; a replaced cue's vectors are
+        // reused.
         if self.cues.len() < self.cfg.reservoir {
-            self.cues.push(cue);
+            self.cues
+                .push((e.pattern.to_vec(), e.recurrent.to_vec(), e.phase));
         } else {
             let j = self.rng.gen_range(0..self.offered as usize);
-            if j < self.cues.len() {
-                self.cues[j] = cue;
+            if let Some((pattern, recurrent, phase)) = self.cues.get_mut(j) {
+                pattern.clear();
+                pattern.extend_from_slice(e.pattern);
+                recurrent.clear();
+                recurrent.extend_from_slice(e.recurrent);
+                *phase = e.phase;
             }
         }
     }
 
-    fn sample_for_replay(
+    fn replay_each(
         &mut self,
         k: usize,
         current_phase: u64,
         prefer_other_phases: bool,
         rng: &mut StdRng,
-    ) -> Vec<Episode> {
+        visit: &mut dyn FnMut(EpisodeRef<'_>),
+    ) {
         if self.cues.is_empty() || k == 0 {
-            return Vec::new();
+            return;
         }
         // Cues of other phases; empty means draw from every cue.
         let others: Vec<usize> = if prefer_other_phases {
@@ -247,33 +209,29 @@ impl EpisodicStore for AssociativeHippocampus {
         } else {
             Vec::new()
         };
-        let mut out = Vec::with_capacity(k);
         for _ in 0..k {
             let i = if others.is_empty() {
                 rng.gen_range(0..self.cues.len())
             } else {
                 others[rng.gen_range(0..others.len())]
             };
-            let (pattern, recurrent, phase) = self.cues[i].clone();
+            let (pattern, recurrent, phase) = &self.cues[i];
             // The target comes from associative recall: the
             // consolidated association for this cue, not a verbatim
             // record — merging of similar episodes is the compression.
-            let Some((target, _)) = self.recall_target(&pattern) else {
+            let Some((target, _)) = self.recall_target(pattern) else {
                 continue;
             };
-            out.push(Episode {
-                history: Vec::new(),
+            visit(EpisodeRef {
+                history: &[],
                 pattern,
                 recurrent,
                 target,
                 confidence: 0.0,
                 stored_at: 0,
-                phase,
-                replays: 0,
-                weight: 1,
+                phase: *phase,
             });
         }
-        out
     }
 
     fn stored(&self) -> usize {
@@ -300,6 +258,7 @@ impl EpisodicStore for AssociativeHippocampus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hippocampus::Hippocampus;
 
     fn cfg() -> AssociativeConfig {
         AssociativeConfig::sized(64, 32, 16)
@@ -341,12 +300,14 @@ mod tests {
             h.store_episode(episode(vec![3, 9], 7));
         }
         let mut rng = StdRng::seed_from_u64(1);
-        let samples = h.sample_for_replay(4, 0, false, &mut rng);
-        assert!(!samples.is_empty());
-        for s in &samples {
+        let mut visited = 0;
+        h.replay_each(4, 0, false, &mut rng, &mut |s| {
+            visited += 1;
             assert_eq!(s.target, 7, "consolidated recall");
-            assert_eq!(s.pattern, vec![3, 9]);
-        }
+            assert_eq!(s.pattern, [3, 9]);
+            assert!(s.history.is_empty(), "no token history is recalled");
+        });
+        assert!(visited > 0);
     }
 
     #[test]
@@ -391,8 +352,13 @@ mod tests {
         assert_eq!(EpisodicStore::stored(&h), 10);
         assert_eq!(EpisodicStore::offered(&h), 10);
         let mut rng = StdRng::seed_from_u64(2);
-        let s = h.sample_for_replay(3, 0, false, &mut rng);
-        assert_eq!(s.len(), 3);
+        let mut targets = Vec::new();
+        h.replay_each(3, 0, false, &mut rng, &mut |e| targets.push(e.target));
+        assert_eq!(targets.len(), 3);
+        // Visited in descending index order, and each stored target
+        // is its index.
+        assert!(targets.windows(2).all(|w| w[0] > w[1]), "{targets:?}");
+        assert!(h.episodes().iter().filter(|e| e.replays == 1).count() == 3);
         assert!(EpisodicStore::storage_bytes(&h) > 0);
     }
 }

@@ -22,14 +22,22 @@
 //! path: an age queue names the eviction victim and the sampler draws
 //! without building an index array (DESIGN.md §12.6). The other
 //! bounded policies scan the store to pick a victim.
+//!
+//! Neither allocates in steady state: [`EpisodicStore::store_ref`]
+//! copies a borrowed episode into the vectors of the last evicted one,
+//! and replay visits the drawn episodes in place through index scratch
+//! the store owns (DESIGN.md §12.2).
 
 use std::collections::VecDeque;
 
+use rand::rngs::StdRng;
 use rand::Rng;
+
+use crate::episodic::EpisodicStore;
 
 /// One stored training episode: the encoded input pattern and its
 /// observed next-token target.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Episode {
     /// The raw token history whose encoding is `pattern` (kept so
     /// generative replay can re-roll sequences and so episodes can be
@@ -54,6 +62,42 @@ pub struct Episode {
     pub replays: u32,
     /// Merge weight (number of raw episodes behind a prototype).
     pub weight: u32,
+}
+
+impl Episode {
+    /// The episode as a borrowed record.
+    pub fn view(&self) -> EpisodeRef<'_> {
+        EpisodeRef {
+            history: &self.history,
+            pattern: &self.pattern,
+            recurrent: &self.recurrent,
+            target: self.target,
+            confidence: self.confidence,
+            stored_at: self.stored_at,
+            phase: self.phase,
+        }
+    }
+}
+
+/// An episode whose vectors are borrowed: what a caller offers from
+/// its own scratch, and what replay visits in place. The fields are
+/// [`Episode`]'s; a stored episode starts unreplayed at weight 1.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EpisodeRef<'a> {
+    /// The raw token history whose encoding is `pattern`.
+    pub history: &'a [usize],
+    /// Active pattern bits (sorted).
+    pub pattern: &'a [u32],
+    /// The recurrent-state bits when the episode was recorded.
+    pub recurrent: &'a [u32],
+    /// Target class.
+    pub target: usize,
+    /// Model confidence on this example when it was stored.
+    pub confidence: f32,
+    /// Step counter at storage time.
+    pub stored_at: u64,
+    /// Phase tag from the phase detector (0 when untracked).
+    pub phase: u64,
 }
 
 /// Storage policy for the episodic buffer.
@@ -103,6 +147,11 @@ pub struct Hippocampus {
     /// position and every store pushes, so the last slot always holds
     /// the newest episode, `age.back()`. Empty under other policies.
     age: VecDeque<usize>,
+    /// The episode a `Ring` evicted last, kept so
+    /// [`EpisodicStore::store_ref`] can reuse its vectors.
+    spare: Option<Episode>,
+    /// Replay draw scratch: the drawn indices.
+    replay_idx: Vec<usize>,
     /// Reference mode: evict by scanning for the smallest `stored_at`
     /// and sample over an index array, as the store did before `age`.
     #[cfg(test)]
@@ -122,6 +171,8 @@ impl Hippocampus {
             policy,
             episodes: Vec::new(),
             age: VecDeque::new(),
+            spare: None,
+            replay_idx: Vec::new(),
             #[cfg(test)]
             scan: false,
             offered: 0,
@@ -188,8 +239,7 @@ impl Hippocampus {
         now: u64,
         phase: u64,
     ) {
-        self.offered += 1;
-        let episode = Episode {
+        self.insert(Episode {
             history,
             pattern,
             recurrent,
@@ -199,7 +249,13 @@ impl Hippocampus {
             phase,
             replays: 0,
             weight: 1,
-        };
+        });
+    }
+
+    /// The policy decision behind [`store`](Self::store) and
+    /// [`EpisodicStore::store_ref`].
+    fn insert(&mut self, episode: Episode) {
+        self.offered += 1;
         match self.policy {
             CapacityPolicy::Unbounded => self.episodes.push(episode),
             CapacityPolicy::Ring { capacity } => {
@@ -273,25 +329,28 @@ impl Hippocampus {
         }
     }
 
-    /// Samples up to `k` episode indices uniformly without replacement.
-    pub fn sample(&self, k: usize, rng: &mut impl Rng) -> Vec<usize> {
+    /// Samples up to `k` episode indices uniformly without replacement
+    /// into `out`.
+    fn sample(&self, k: usize, rng: &mut impl Rng, out: &mut Vec<usize>) {
+        out.clear();
         let n = self.episodes.len();
         if n == 0 || k == 0 {
-            return Vec::new();
+            return;
         }
         if k >= n {
-            return (0..n).collect();
+            out.extend(0..n);
+            return;
         }
         #[cfg(test)]
         if self.scan {
-            return sample_by_index_array(n, k, rng);
+            *out = sample_by_index_array(n, k, rng);
+            return;
         }
         // Partial Fisher-Yates over a virtual identity permutation of
         // 0..n: `moved` holds the (position, value) pairs that differ
         // from the identity, at most one per draw. Position `i` is
         // final once drawn (later draws start above it), so only `j`
         // needs recording, and not after the last draw.
-        let mut out = Vec::with_capacity(k);
         let mut moved: Vec<(usize, usize)> = Vec::with_capacity(k - 1);
         let value_at = |moved: &[(usize, usize)], p: usize| {
             moved.iter().find(|&&(q, _)| q == p).map_or(p, |&(_, v)| v)
@@ -307,39 +366,39 @@ impl Hippocampus {
                 }
             }
         }
-        out
     }
 
-    /// Samples up to `k` episodes preferring phases other than
-    /// `current_phase` (replay old contexts while learning a new one).
-    /// Falls back to uniform sampling when no other phase is stored.
-    pub fn sample_other_phases(
+    /// Samples up to `k` episodes into `out`, preferring phases other
+    /// than `current_phase` (replay old contexts while learning a new
+    /// one). Falls back to uniform sampling when no other phase is
+    /// stored.
+    fn sample_other_phases(
         &self,
         k: usize,
         current_phase: u64,
         rng: &mut impl Rng,
-    ) -> Vec<usize> {
-        let others: Vec<usize> = self
-            .episodes
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.phase != current_phase)
-            .map(|(i, _)| i)
-            .collect();
-        if others.is_empty() {
-            return self.sample(k, rng);
+        out: &mut Vec<usize>,
+    ) {
+        out.clear();
+        out.extend(
+            self.episodes
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| e.phase != current_phase)
+                .map(|(i, _)| i),
+        );
+        if out.is_empty() {
+            return self.sample(k, rng, out);
         }
-        if k >= others.len() {
-            return others;
+        if k >= out.len() {
+            return;
         }
-        let mut idx = others;
-        let n = idx.len();
+        let n = out.len();
         for i in 0..k {
             let j = rng.gen_range(i..n);
-            idx.swap(i, j);
+            out.swap(i, j);
         }
-        idx.truncate(k);
-        idx
+        out.truncate(k);
     }
 
     /// Marks an episode as replayed once; under
@@ -378,7 +437,7 @@ impl Hippocampus {
         let Some(oldest) = self.age.pop_front() else {
             return false;
         };
-        self.episodes.swap_remove(oldest);
+        self.spare = Some(self.episodes.swap_remove(oldest));
         // The newest episode moved from the last slot into `oldest`.
         if oldest < self.episodes.len() {
             if let Some(newest) = self.age.back_mut() {
@@ -400,7 +459,7 @@ impl Hippocampus {
             .min_by_key(|(_, e)| e.stored_at)
             .map(|(i, _)| i);
         let Some(oldest) = oldest else { return false };
-        self.episodes.swap_remove(oldest);
+        self.spare = Some(self.episodes.swap_remove(oldest));
         self.age.pop_front();
         true
     }
@@ -409,6 +468,76 @@ impl Hippocampus {
         self.episodes.iter().position(|e| {
             e.target == episode.target && jaccard(&e.pattern, &episode.pattern) >= threshold
         })
+    }
+}
+
+impl EpisodicStore for Hippocampus {
+    /// Copies the episode into the vectors of the last episode the
+    /// store let go of. Once a bounded store is full every store evicts
+    /// one, so a stream of similar episodes stores without allocating.
+    fn store_ref(&mut self, e: EpisodeRef<'_>) {
+        let mut episode = self.spare.take().unwrap_or_default();
+        copy_into(&mut episode.history, e.history);
+        copy_into(&mut episode.pattern, e.pattern);
+        copy_into(&mut episode.recurrent, e.recurrent);
+        episode.target = e.target;
+        episode.confidence = e.confidence;
+        episode.stored_at = e.stored_at;
+        episode.phase = e.phase;
+        episode.replays = 0;
+        episode.weight = 1;
+        self.insert(episode);
+    }
+
+    /// Moves the episode in: nothing to copy.
+    fn store_episode(&mut self, episode: Episode) {
+        self.insert(Episode {
+            replays: 0,
+            weight: 1,
+            ..episode
+        });
+    }
+
+    /// Visits the drawn episodes in descending index order, marking
+    /// each replayed after its visit: descending, so a `Consolidating`
+    /// free (`swap_remove`) cannot move an episode still to be visited.
+    /// No allocation once the index scratch has capacity, for
+    /// `k = 1` (the sampler records swaps only between draws).
+    fn replay_each(
+        &mut self,
+        k: usize,
+        current_phase: u64,
+        prefer_other_phases: bool,
+        rng: &mut StdRng,
+        visit: &mut dyn FnMut(EpisodeRef<'_>),
+    ) {
+        let mut idx = std::mem::take(&mut self.replay_idx);
+        if prefer_other_phases {
+            self.sample_other_phases(k, current_phase, rng, &mut idx);
+        } else {
+            self.sample(k, rng, &mut idx);
+        }
+        idx.sort_unstable_by(|a, b| b.cmp(a));
+        for &i in &idx {
+            visit(self.episodes[i].view());
+            self.mark_replayed(i);
+        }
+        self.replay_idx = idx;
+    }
+
+    fn stored(&self) -> usize {
+        self.len()
+    }
+
+    fn offered(&self) -> u64 {
+        self.offered
+    }
+
+    fn storage_bytes(&self) -> usize {
+        self.episodes
+            .iter()
+            .map(|e| e.history.len() * 8 + e.pattern.len() * 4 + e.recurrent.len() * 4 + 32)
+            .sum()
     }
 }
 
@@ -423,6 +552,18 @@ fn sample_by_index_array(n: usize, k: usize, rng: &mut impl Rng) -> Vec<usize> {
     }
     idx.truncate(k);
     idx
+}
+
+/// Overwrites `dst` with `src`, reusing its capacity. A vector that
+/// must grow is sized to the next power of two, so a recycled one
+/// rarely has to grow again for a slightly longer episode (recurrent
+/// states vary in length by a few bits).
+fn copy_into<T: Copy>(dst: &mut Vec<T>, src: &[T]) {
+    dst.clear();
+    if dst.capacity() < src.len() {
+        dst.reserve_exact(src.len().next_power_of_two());
+    }
+    dst.extend_from_slice(src);
 }
 
 /// Jaccard similarity of two sorted bit-index lists.
@@ -451,13 +592,27 @@ fn jaccard(a: &[u32], b: &[u32]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::episodic::EpisodicStore;
     use proptest::prelude::*;
-    use rand::rngs::StdRng;
     use rand::{RngCore, SeedableRng};
 
     fn ep(h: &mut Hippocampus, bits: &[u32], target: usize, conf: f32, now: u64) {
         h.store(vec![target], bits.to_vec(), vec![], target, conf, now, 0);
+    }
+
+    /// The `stored_at` stamps of the episodes one replay draw visits,
+    /// in visiting order.
+    fn replayed(
+        h: &mut Hippocampus,
+        k: usize,
+        phase: u64,
+        prefer_other: bool,
+        rng: &mut StdRng,
+    ) -> Vec<u64> {
+        let mut stamps = Vec::new();
+        h.replay_each(k, phase, prefer_other, rng, &mut |e| {
+            stamps.push(e.stored_at)
+        });
+        stamps
     }
 
     #[test]
@@ -569,16 +724,16 @@ mod tests {
             ep(&mut h, &[i as u32], 0, 0.5, i);
         }
         let mut rng = StdRng::seed_from_u64(1);
-        let s = h.sample(8, &mut rng);
+        let s = replayed(&mut h, 8, 0, false, &mut rng);
         assert_eq!(s.len(), 8);
-        let set: std::collections::HashSet<usize> = s.iter().copied().collect();
+        let set: std::collections::HashSet<u64> = s.iter().copied().collect();
         assert_eq!(set.len(), 8);
         assert!(s.iter().all(|&i| i < 20));
         // k > n returns everything.
-        assert_eq!(h.sample(100, &mut rng).len(), 20);
+        assert_eq!(replayed(&mut h, 100, 0, false, &mut rng).len(), 20);
         // Empty store returns nothing.
-        let empty = Hippocampus::new(CapacityPolicy::Unbounded);
-        assert!(empty.sample(5, &mut rng).is_empty());
+        let mut empty = Hippocampus::new(CapacityPolicy::Unbounded);
+        assert!(replayed(&mut empty, 5, 0, false, &mut rng).is_empty());
     }
 
     #[test]
@@ -596,16 +751,19 @@ mod tests {
             );
         }
         let mut rng = StdRng::seed_from_u64(2);
-        let s = h.sample_other_phases(3, 2, &mut rng);
-        assert!(s.iter().all(|&i| h.episodes()[i].phase == 1));
+        let s = replayed(&mut h, 3, 2, true, &mut rng);
+        assert_eq!(s.len(), 3);
+        // Phase-1 episodes were stored at steps 0..5.
+        assert!(s.iter().all(|&stored_at| stored_at < 5), "{s:?}");
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// The age queue and the index-free sampler are invisible: the
-        /// store keeps the same episodes in the same slots, samples the
-        /// same indices, and consumes the same RNG stream as the scans.
+        /// The age queue, the index-free sampler and the recycled
+        /// `store_ref` vectors are invisible: the store keeps the same
+        /// episodes in the same slots, samples and replays the same
+        /// indices, and consumes the same RNG stream as the scans.
         #[test]
         fn queue_and_sampler_match_the_scans(
             capacity in 1usize..64,
@@ -626,18 +784,30 @@ mod tests {
             for (now, (kind, n, phase, prefer_other)) in ops.into_iter().enumerate() {
                 let k = 1 + n % 7;
                 match kind {
+                    // The fast store stores every other episode through
+                    // `store_ref`, recycling evicted vectors of another
+                    // length.
                     0..=3 => {
-                        for h in [&mut fast, &mut reference] {
-                            h.store(vec![n], vec![n as u32], vec![], n % 8, 0.5, now as u64, phase);
+                        let recurrent: Vec<u32> = (0..n as u32 % 5).collect();
+                        let (target, now) = (n % 8, now as u64);
+                        reference.store(vec![n], vec![n as u32], recurrent.clone(), target, 0.5, now, phase);
+                        if kind % 2 == 0 {
+                            fast.store(vec![n], vec![n as u32], recurrent, target, 0.5, now, phase);
+                        } else {
+                            fast.store_ref(EpisodeRef {
+                                history: &[n],
+                                pattern: &[n as u32],
+                                recurrent: &recurrent,
+                                target,
+                                confidence: 0.5,
+                                stored_at: now,
+                                phase,
+                            });
                         }
                     }
-                    4 => prop_assert_eq!(
-                        fast.sample(k, &mut fast_rng),
-                        reference.sample(k, &mut reference_rng)
-                    ),
-                    5 | 6 => prop_assert_eq!(
-                        fast.sample_for_replay(k, phase, prefer_other, &mut fast_rng),
-                        reference.sample_for_replay(k, phase, prefer_other, &mut reference_rng)
+                    4..=6 => prop_assert_eq!(
+                        replayed(&mut fast, k, phase, prefer_other, &mut fast_rng),
+                        replayed(&mut reference, k, phase, prefer_other, &mut reference_rng)
                     ),
                     _ if n < fast.len() => {
                         prop_assert_eq!(fast.mark_replayed(n), reference.mark_replayed(n))

@@ -42,6 +42,6 @@ pub use adaptive::AdaptiveGeometry;
 pub use cls::{ClsConfig, ClsPrefetcher};
 pub use encoder::{Encoder, EncoderKind};
 pub use episodic::{AssociativeHippocampus, EpisodicBackend, EpisodicStore};
-pub use hippocampus::{CapacityPolicy, Hippocampus};
+pub use hippocampus::{CapacityPolicy, EpisodeRef, Hippocampus};
 pub use replay::{ReplayConfig, ReplayForm};
 pub use sampler::TrainingSampler;

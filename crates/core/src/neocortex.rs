@@ -5,7 +5,7 @@
 //! access pattern". Here it is the sparse Hebbian network of
 //! `hnp-hebbian`, sized from the input encoder and delta vocabulary.
 
-use hnp_hebbian::{HebbianConfig, HebbianNetwork, HebbianOutcome, LrScale, NetStats};
+use hnp_hebbian::{HebbianConfig, HebbianNetwork, HebbianOutcome, LrScale, NetStats, Rollout};
 
 use crate::encoder::Encoder;
 
@@ -43,6 +43,10 @@ impl Default for NeocortexConfig {
 pub struct Neocortex {
     net: HebbianNetwork,
     vocab_len: usize,
+    /// Prediction scratch: the token history a rollout extends, and
+    /// its first pattern.
+    rolling: Vec<usize>,
+    pattern: Vec<u32>,
 }
 
 impl Neocortex {
@@ -59,7 +63,12 @@ impl Neocortex {
             recurrent_sample: cfg.recurrent_sample,
             ..HebbianConfig::paper_table2()
         });
-        Self { net, vocab_len }
+        Self {
+            net,
+            vocab_len,
+            rolling: Vec::new(),
+            pattern: Vec::new(),
+        }
     }
 
     /// Token-vocabulary size.
@@ -144,6 +153,7 @@ impl Neocortex {
 
     /// [`predict`](Self::predict) that also reports the first step's
     /// top-prediction confidence, for confidence-gated issuing (§5.2).
+    /// A wrapper over [`predict_into`](Self::predict_into).
     pub fn predict_with_confidence(
         &mut self,
         history: &[usize],
@@ -151,12 +161,32 @@ impl Neocortex {
         steps: usize,
         width: usize,
     ) -> (Vec<Vec<usize>>, f32) {
-        let mut rolling: Vec<usize> = history.to_vec();
-        let pattern = encoder.encode(&rolling);
+        let rollout = self.predict_into(history, encoder, steps, width);
+        (
+            rollout.steps().map(<[usize]>::to_vec).collect(),
+            rollout.first_confidence,
+        )
+    }
+
+    /// The prediction itself, in scratch owned by the neocortex and
+    /// its network ([`HebbianNetwork::rollout_into`]): no allocation
+    /// once the buffers have capacity, for the allocation-free
+    /// encoders (see [`Encoder::encode_into`]).
+    pub fn predict_into(
+        &mut self,
+        history: &[usize],
+        encoder: &Encoder,
+        steps: usize,
+        width: usize,
+    ) -> Rollout<'_> {
+        self.rolling.clear();
+        self.rolling.extend_from_slice(history);
+        encoder.encode_into(&self.rolling, &mut self.pattern);
+        let rolling = &mut self.rolling;
         self.net
-            .rollout_top_k_with_confidence(&pattern, steps, width, |tok| {
+            .rollout_into(&self.pattern, steps, width, |tok, next| {
                 rolling.push(tok);
-                encoder.encode(&rolling)
+                encoder.encode_into(rolling, next);
             })
     }
 }

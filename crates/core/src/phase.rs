@@ -45,9 +45,16 @@ pub struct PhaseChange {
 pub struct PhaseDetector {
     cfg: PhaseConfig,
     vocab_len: usize,
+    /// Token counts of the window being filled; normalized in place
+    /// when it completes.
     current_window: Vec<f64>,
     filled: usize,
-    centroids: Vec<(u64, Vec<f64>)>,
+    /// Phase ids, oldest first, one per centroid.
+    ids: Vec<u64>,
+    /// The centroids, `vocab_len` values each, in `ids` order. Room
+    /// for `MAX_PHASES` is reserved at construction, so opening and
+    /// retiring phases never allocates.
+    centroids: Vec<f64>,
     next_id: u64,
     current_phase: u64,
 }
@@ -63,7 +70,8 @@ impl PhaseDetector {
         Self {
             current_window: vec![0.0; vocab_len],
             filled: 0,
-            centroids: Vec::new(),
+            ids: Vec::with_capacity(MAX_PHASES),
+            centroids: Vec::with_capacity(MAX_PHASES * vocab_len),
             next_id: 1,
             current_phase: 0,
             vocab_len,
@@ -78,7 +86,7 @@ impl PhaseDetector {
 
     /// Number of distinct phases seen.
     pub fn phase_count(&self) -> usize {
-        self.centroids.len()
+        self.ids.len()
     }
 
     /// Feeds one token; returns a change event when a window completes
@@ -94,15 +102,22 @@ impl PhaseDetector {
         if self.filled < self.cfg.window {
             return None;
         }
-        // Window complete: normalize and match.
-        let hist = normalize(&self.current_window);
+        let change = self.assign_window();
         self.current_window.iter_mut().for_each(|x| *x = 0.0);
         self.filled = 0;
+        change
+    }
+
+    /// Normalizes the complete window and matches it to the nearest
+    /// centroid, joining that phase or opening a new one.
+    fn assign_window(&mut self) -> Option<PhaseChange> {
+        normalize(&mut self.current_window);
+        let hist = &self.current_window;
         let (best, best_sim) = self
             .centroids
-            .iter()
+            .chunks_exact(self.vocab_len)
             .enumerate()
-            .map(|(i, (_, c))| (i, cosine(&hist, c)))
+            .map(|(i, c)| (i, cosine(hist, c)))
             .max_by(|a, b| a.1.total_cmp(&b.1))
             .unzip();
         let old = self.current_phase;
@@ -110,8 +125,9 @@ impl PhaseDetector {
             if sim >= SIMILARITY_THRESHOLD {
                 // Join and update the centroid.
                 let alpha = CENTROID_ALPHA;
-                let id = self.centroids[i].0;
-                for (c, h) in self.centroids[i].1.iter_mut().zip(hist.iter()) {
+                let id = self.ids[i];
+                let centroid = &mut self.centroids[i * self.vocab_len..(i + 1) * self.vocab_len];
+                for (c, h) in centroid.iter_mut().zip(hist.iter()) {
                     *c = (1.0 - alpha) * *c + alpha * h;
                 }
                 self.current_phase = id;
@@ -122,13 +138,15 @@ impl PhaseDetector {
                 });
             }
         }
-        // Open a new phase.
-        if self.centroids.len() >= MAX_PHASES {
-            self.centroids.remove(0);
+        // Open a new phase, retiring the oldest beyond the budget.
+        if self.ids.len() >= MAX_PHASES {
+            self.ids.remove(0);
+            self.centroids.drain(..self.vocab_len);
         }
         let id = self.next_id;
         self.next_id += 1;
-        self.centroids.push((id, hist));
+        self.ids.push(id);
+        self.centroids.extend_from_slice(hist);
         self.current_phase = id;
         Some(PhaseChange {
             from: old,
@@ -138,12 +156,11 @@ impl PhaseDetector {
     }
 }
 
-fn normalize(v: &[f64]) -> Vec<f64> {
+/// Scales `v` to unit length in place (a zero vector stays zero).
+fn normalize(v: &mut [f64]) {
     let norm = v.iter().map(|x| x * x).sum::<f64>().sqrt();
-    if norm == 0.0 {
-        v.to_vec()
-    } else {
-        v.iter().map(|x| x / norm).collect()
+    if norm != 0.0 {
+        v.iter_mut().for_each(|x| *x /= norm);
     }
 }
 

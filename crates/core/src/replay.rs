@@ -24,6 +24,7 @@ use rand::SeedableRng;
 
 use crate::encoder::Encoder;
 use crate::episodic::EpisodicStore;
+use crate::hippocampus::EpisodeRef;
 use crate::neocortex::Neocortex;
 
 /// The replay variant.
@@ -104,7 +105,9 @@ impl ReplayScheduler {
     }
 
     /// Runs one round of replay (called after each online training
-    /// step). Returns the number of replayed examples.
+    /// step). Returns the number of replayed examples. The drawn
+    /// episodes are read in place ([`EpisodicStore::replay_each`]);
+    /// the default interleaved form allocates nothing.
     pub fn after_train(
         &mut self,
         cortex: &mut Neocortex,
@@ -115,71 +118,58 @@ impl ReplayScheduler {
         if !self.cfg.enabled || self.cfg.per_step == 0 || store.stored() == 0 {
             return 0;
         }
-        let prefer_other = matches!(self.cfg.form, ReplayForm::OtherPhases);
-        let episodes = store.sample_for_replay(
+        let form = self.cfg.form;
+        let prefer_other = matches!(form, ReplayForm::OtherPhases);
+        let scale = LrScale::from_f32(LR_SCALE);
+        let mut done = 0usize;
+        let mut replay = |episode: EpisodeRef<'_>| match form {
+            ReplayForm::Interleaved | ReplayForm::OtherPhases => {
+                cortex.replay_train(episode.pattern, episode.target, scale, episode.recurrent);
+                done += 1;
+            }
+            ReplayForm::Generative { rollout_len } if !episode.history.is_empty() => {
+                // Generate a continuation from the stored context
+                // and learn the generated transitions, all under
+                // the episode's reinstated recurrent context.
+                let saved = cortex.recurrent_state();
+                cortex.network_mut().set_recurrent_state(episode.recurrent);
+                let preds = cortex.predict(episode.history, encoder, rollout_len, 1);
+                let mut hist = episode.history.to_vec();
+                // First transition: the episode's real target.
+                cortex.train_scaled(episode.pattern, episode.target, scale);
+                done += 1;
+                for step in preds {
+                    let next = step[0];
+                    hist.push(next);
+                    let ctx = &hist[..hist.len() - 1];
+                    let pattern = encoder.encode(ctx);
+                    cortex.train_scaled(&pattern, next, scale);
+                    done += 1;
+                }
+                cortex.network_mut().set_recurrent_state(&saved);
+            }
+            ReplayForm::Generative { .. } => {
+                // Compressed backends recall no token history; fall
+                // back to a plain interleaved step.
+                cortex.replay_train(episode.pattern, episode.target, scale, episode.recurrent);
+                done += 1;
+            }
+            ReplayForm::SelfReinforce => {
+                let saved = cortex.recurrent_state();
+                cortex.network_mut().set_recurrent_state(episode.recurrent);
+                let out = cortex.network_mut().infer(episode.pattern, episode.target);
+                cortex.train_scaled(episode.pattern, out.predicted, scale);
+                cortex.network_mut().set_recurrent_state(&saved);
+                done += 1;
+            }
+        };
+        store.replay_each(
             self.cfg.per_step,
             current_phase,
             prefer_other,
             &mut self.rng,
+            &mut replay,
         );
-        let scale = LrScale::from_f32(LR_SCALE);
-        let mut done = 0usize;
-        for episode in episodes {
-            match self.cfg.form {
-                ReplayForm::Interleaved | ReplayForm::OtherPhases => {
-                    cortex.replay_train(
-                        &episode.pattern,
-                        episode.target,
-                        scale,
-                        &episode.recurrent,
-                    );
-                    done += 1;
-                }
-                ReplayForm::Generative { rollout_len } if !episode.history.is_empty() => {
-                    // Generate a continuation from the stored context
-                    // and learn the generated transitions, all under
-                    // the episode's reinstated recurrent context.
-                    let saved = cortex.recurrent_state();
-                    cortex.network_mut().set_recurrent_state(&episode.recurrent);
-                    let preds = cortex.predict(&episode.history, encoder, rollout_len, 1);
-                    let mut hist = episode.history.clone();
-                    // First transition: the episode's real target.
-                    cortex.train_scaled(&episode.pattern, episode.target, scale);
-                    done += 1;
-                    for step in preds {
-                        let next = step[0];
-                        hist.push(next);
-                        let ctx = &hist[..hist.len() - 1];
-                        let pattern = encoder.encode(ctx);
-                        cortex.train_scaled(&pattern, next, scale);
-                        done += 1;
-                    }
-                    cortex.network_mut().set_recurrent_state(&saved);
-                }
-                ReplayForm::Generative { .. } => {
-                    // Compressed backends recall no token history; fall
-                    // back to a plain interleaved step.
-                    cortex.replay_train(
-                        &episode.pattern,
-                        episode.target,
-                        scale,
-                        &episode.recurrent,
-                    );
-                    done += 1;
-                }
-                ReplayForm::SelfReinforce => {
-                    let saved = cortex.recurrent_state();
-                    cortex.network_mut().set_recurrent_state(&episode.recurrent);
-                    let out = {
-                        let net = cortex.network_mut();
-                        net.infer(&episode.pattern, episode.target)
-                    };
-                    cortex.train_scaled(&episode.pattern, out.predicted, scale);
-                    cortex.network_mut().set_recurrent_state(&saved);
-                    done += 1;
-                }
-            }
-        }
         self.replayed += done as u64;
         done
     }

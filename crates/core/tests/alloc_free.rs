@@ -1,11 +1,11 @@
 //! Allocation accounting for the episodic ring.
 //!
-//! Once a `Ring` store is full, a miss's `store` plus a one-episode
-//! `sample_for_replay` must allocate the same bytes whatever the
-//! capacity: the new episode's vectors, the drawn index and the
-//! replayed clone, and nothing sized by the store. A counting global
-//! allocator makes "no per-miss cost that grows with the store" a hard
-//! test.
+//! Once a `Ring` store is full, a miss's `store_ref` plus a
+//! one-episode `replay_each` must allocate nothing at all, whatever
+//! the capacity: the new episode is copied into the vectors of the one
+//! it evicts, and the replayed episode is read in place through index
+//! scratch the store owns. A counting global allocator makes "no
+//! per-miss allocation once the ring is full" a hard test.
 //!
 //! Single `#[test]` in this file: the counter is process-global, and
 //! a concurrently running test could otherwise attribute its
@@ -14,7 +14,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use hnp_core::{CapacityPolicy, EpisodicStore, Hippocampus};
+use hnp_core::{CapacityPolicy, EpisodeRef, EpisodicStore, Hippocampus};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -43,15 +43,32 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static COUNTER: Counting = Counting;
 
-/// Stores episode `i`; every episode has the same vector lengths, so
-/// any stored episode clones to the same number of bytes.
+/// Offers episode `i` from borrowed vectors; every episode has the
+/// same vector lengths, so a recycled episode always has room.
 fn store(h: &mut Hippocampus, i: u64) {
     let t = (i % 16) as usize;
-    h.store(vec![t; 4], vec![t as u32; 12], vec![1; 8], t, 0.5, i, 0);
+    h.store_ref(EpisodeRef {
+        history: &[t; 4],
+        pattern: &[t as u32; 12],
+        recurrent: &[1; 8],
+        target: t,
+        confidence: 0.5,
+        stored_at: i,
+        phase: 0,
+    });
 }
 
-/// Bytes allocated by `ops` misses (store + one replay draw) on a full
-/// ring of `capacity` episodes.
+/// Stores episode `i` and replays one episode, as a miss does;
+/// returns the replayed episode's target.
+fn miss(h: &mut Hippocampus, rng: &mut StdRng, i: u64) -> usize {
+    store(h, i);
+    let mut target = usize::MAX;
+    h.replay_each(1, 0, false, rng, &mut |e| target = e.target);
+    target
+}
+
+/// Bytes allocated by `ops` misses on a full ring of `capacity`
+/// episodes, after one warm-up miss.
 fn bytes_per_window(capacity: usize, ops: u64) -> u64 {
     let mut h = Hippocampus::new(CapacityPolicy::Ring { capacity });
     let mut rng = StdRng::seed_from_u64(7);
@@ -60,11 +77,11 @@ fn bytes_per_window(capacity: usize, ops: u64) -> u64 {
         store(&mut h, i);
     }
     assert_eq!(h.len(), capacity, "the window must run on a full ring");
+    miss(&mut h, &mut rng, fill);
     let before = BYTES.load(Ordering::Relaxed);
     let mut replayed = 0;
-    for i in fill..fill + ops {
-        store(&mut h, i);
-        replayed += h.sample_for_replay(1, 0, false, &mut rng).len();
+    for i in fill + 1..fill + 1 + ops {
+        replayed += usize::from(miss(&mut h, &mut rng, i) < 16);
     }
     let after = BYTES.load(Ordering::Relaxed);
     assert_eq!(replayed as u64, ops, "one episode replayed per miss");
@@ -74,14 +91,11 @@ fn bytes_per_window(capacity: usize, ops: u64) -> u64 {
 #[test]
 fn ring_miss_cost_does_not_grow_with_capacity() {
     let ops = 500;
-    let small = bytes_per_window(64, ops);
-    let large = bytes_per_window(4096, ops);
-    assert!(small > 0, "the window must allocate the episodes it stores");
-    assert_eq!(
-        small,
-        large,
-        "per-miss bytes differ: {} at capacity 64, {} at 4096",
-        small / ops,
-        large / ops
-    );
+    for capacity in [64, 4096] {
+        assert_eq!(
+            bytes_per_window(capacity, ops),
+            0,
+            "a full ring of {capacity} allocated"
+        );
+    }
 }

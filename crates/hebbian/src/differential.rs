@@ -221,7 +221,8 @@ proptest! {
 /// layer 1, which the memo assumes fixed, must never change.
 /// `replay_step` (draw first, layer 1 only on a rejected draw) is held
 /// to the save / `set_recurrent_state` / `train_step_opts` / restore
-/// sequence it replaces.
+/// sequence it replaces, and both rollout entry points to the
+/// pre-scratch rollout (`HebbianNetwork::rollout_reference`).
 mod memo_equivalence {
     use proptest::prelude::*;
 
@@ -240,7 +241,11 @@ mod memo_equivalence {
         TrainOpts(Vec<u32>, usize, u32, bool),
         Infer(Vec<u32>, usize),
         InferAdvance(Vec<u32>, usize),
-        Rollout(Vec<u32>, usize, usize),
+        /// `rollout` (width 1) against the pre-scratch rollout.
+        Rollout(Vec<u32>, usize),
+        /// The scratch rollout on the memo network against the
+        /// pre-scratch rollout on the reference.
+        RolloutInto(Vec<u32>, usize, usize),
         SetRecurrent(Vec<u32>),
         /// Replay at `numer / 10` under the given recurrent context.
         Replay(Vec<u32>, usize, u32, Vec<u32>),
@@ -256,7 +261,7 @@ mod memo_equivalence {
     /// recurrent bits.
     fn op() -> impl Strategy<Value = RawOp> {
         (
-            0u8..18,
+            0u8..20,
             proptest::collection::vec(0u32..5, 0..4),
             0usize..160,
             0usize..32,
@@ -272,10 +277,11 @@ mod memo_equivalence {
             4 | 5 => Op::TrainOpts(p, target, numer, flag),
             6 | 7 => Op::Infer(p, target),
             8 | 9 => Op::InferAdvance(p, target),
-            10 | 11 => Op::Rollout(p, 1 + shape % 3, 1 + shape / 4),
+            10 | 11 => Op::Rollout(p, 1 + shape % 3),
             12 => Op::SetRecurrent(bits),
             13 | 14 => Op::Replay(p, target, numer, bits),
             15 => Op::Export,
+            16 | 17 => Op::RolloutInto(p, 1 + shape % 3, 1 + shape / 4),
             _ => Op::Import,
         }
     }
@@ -325,12 +331,19 @@ mod memo_equivalence {
                         outcome_bits(&memo.infer_advance(p, *t)),
                         outcome_bits(&reference.infer_advance(p, *t))
                     ),
-                    Op::Rollout(p, steps, width) => {
-                        let (a, ca) = memo.rollout_top_k_with_confidence(p, *steps, *width, encode);
-                        let (b, cb) =
-                            reference.rollout_top_k_with_confidence(p, *steps, *width, encode);
-                        prop_assert_eq!(a, b);
-                        prop_assert_eq!(ca.to_bits(), cb.to_bits());
+                    Op::Rollout(p, steps) => {
+                        let a = memo.rollout(p, *steps, encode);
+                        let (b, _) = reference.rollout_reference(p, *steps, 1, encode);
+                        prop_assert_eq!(a, b.concat());
+                    }
+                    Op::RolloutInto(p, steps, width) => {
+                        let (b, cb) = reference.rollout_reference(p, *steps, *width, encode);
+                        let a = memo.rollout_into(p, *steps, *width, |tok, next| {
+                            next.extend(encode(tok))
+                        });
+                        prop_assert_eq!(a.classes.to_vec(), b.concat());
+                        prop_assert_eq!(a.steps().len(), *steps);
+                        prop_assert_eq!(a.first_confidence.to_bits(), cb.to_bits());
                     }
                     Op::SetRecurrent(bits) => {
                         memo.set_recurrent_state(bits);

@@ -32,4 +32,6 @@ pub mod network;
 pub mod sparse;
 
 pub use lr::LrScale;
-pub use network::{HebbianConfig, HebbianNetwork, HebbianOutcome, NetState, NetStats, StateError};
+pub use network::{
+    HebbianConfig, HebbianNetwork, HebbianOutcome, NetState, NetStats, Rollout, StateError,
+};

@@ -227,8 +227,12 @@ pub struct HebbianNetwork {
     /// shifted recurrent bits).
     active_buf: Vec<u32>,
     /// Current step's winner set (sorted ascending), written by
-    /// [`k_winners_into`].
+    /// [`k_winners_into`]; valid only while `winners_listed`.
     winners_buf: Vec<u32>,
+    /// Whether `winners_buf` lists the current winner set. A memo hit
+    /// restores only `winner_set`; the list is built on demand by the
+    /// one reader, a full layer-2 scatter (DESIGN.md §12.4).
+    winners_listed: bool,
     /// Packed-key workspace for [`k_winners_into`].
     kwta_scratch: Vec<u64>,
     /// Current step's winner set as a bitset over the hidden space
@@ -257,6 +261,14 @@ pub struct HebbianNetwork {
     recurrent_scratch: Vec<u32>,
     /// Previous step's winner set, for overlap tracking.
     prev_winners: BitSet,
+    /// Rollout scratch: the live recurrent state while a rollout runs,
+    /// the current and next lookahead patterns, one step's top-k, and
+    /// the flat `steps × width` result (DESIGN.md §12.2).
+    rollout_saved: Vec<u32>,
+    rollout_current: Vec<u32>,
+    rollout_next: Vec<u32>,
+    top_buf: Vec<usize>,
+    rollout_out: Vec<usize>,
     /// Instrumentation counters (read via [`HebbianNetwork::stats`]).
     stats: NetStats,
 }
@@ -333,6 +345,7 @@ impl HebbianNetwork {
             out_scores: vec![0; cfg.outputs],
             active_buf: Vec::new(),
             winners_buf: Vec::new(),
+            winners_listed: false,
             kwta_scratch: Vec::new(),
             winner_set: BitSet::new(cfg.hidden),
             active_set: BitSet::new(input_dim),
@@ -343,6 +356,11 @@ impl HebbianNetwork {
             recurrent: Vec::new(),
             rng,
             prev_winners: BitSet::new(cfg.hidden),
+            rollout_saved: Vec::new(),
+            rollout_current: Vec::new(),
+            rollout_next: Vec::new(),
+            top_buf: Vec::new(),
+            rollout_out: Vec::new(),
             stats: NetStats::default(),
             cfg,
         }
@@ -506,8 +524,8 @@ impl HebbianNetwork {
 
     /// Forward pass over `self.active_buf` (see
     /// [`fill_active_inputs`](Self::fill_active_inputs)): returns ops.
-    /// Afterwards `self.winners_buf` / `self.winner_set` hold the
-    /// winner set and `self.out_scores` the raw output scores.
+    /// Afterwards `self.winner_set` holds the winner set and
+    /// `self.out_scores` the raw output scores.
     fn forward(&mut self) -> usize {
         let (mut ops, slot) = self.hidden_forward();
         // Selection cost: one compare per hidden unit plus heap-ish
@@ -520,11 +538,14 @@ impl HebbianNetwork {
     }
 
     /// Counts the step in `NetStats` and makes the current winner set
-    /// the previous one.
+    /// the previous one. k-WTA always selects `hidden_active` winners
+    /// (at most `hidden`, checked in `new`), so the winner-set size
+    /// needs no count.
     fn track_winners(&mut self) {
+        debug_assert_eq!(self.winner_set.count(), self.cfg.hidden_active);
         self.stats.steps += 1;
         self.stats.overlap_sum += self.winner_set.overlap(&self.prev_winners) as u64;
-        self.stats.winner_slots += self.winners_buf.len() as u64;
+        self.stats.winner_slots += self.cfg.hidden_active as u64;
         self.prev_winners.copy_words_from(self.winner_set.words());
     }
 
@@ -570,7 +591,14 @@ impl HebbianNetwork {
     }
 
     /// Full layer-2 scatter of the current winners; returns its ops.
+    /// Lists the winners first if a memo hit left only their bitset.
     fn scatter_outputs(&mut self) -> usize {
+        if !self.winners_listed {
+            self.winners_buf.clear();
+            self.winners_buf
+                .extend(self.winner_set.iter().map(|w| w as u32));
+            self.winners_listed = true;
+        }
         self.out_scores.iter_mut().for_each(|s| *s = 0);
         self.layer2.forward(&self.winners_buf, &mut self.out_scores)
     }
@@ -584,7 +612,8 @@ impl HebbianNetwork {
 
     /// Layer 1 and k-WTA over `self.active_buf`, or their memoized
     /// result when layer 1 has already seen this input set. Fills
-    /// `winners_buf`, `winner_set` and `active_set`; returns the
+    /// `winner_set` and `active_set` (and `winners_buf` on a miss,
+    /// where k-WTA produces the list anyway); returns the
     /// layer-1 ops, which a hit reports as if computed — they count
     /// the specified network's work, not the wall time —
     /// and the memo slot now holding the winners (none for an input
@@ -601,9 +630,7 @@ impl HebbianNetwork {
         if memoizable {
             if let Some(hit) = self.memo.get(self.active_set.words()) {
                 self.winner_set.copy_words_from(hit.winners);
-                self.winners_buf.clear();
-                self.winners_buf
-                    .extend(self.winner_set.iter().map(|w| w as u32));
+                self.winners_listed = false;
                 return (hit.layer1_ops, Some(hit.slot));
             }
         }
@@ -617,6 +644,7 @@ impl HebbianNetwork {
             &mut self.kwta_scratch,
             &mut self.winners_buf,
         );
+        self.winners_listed = true;
         self.winner_set.clear();
         for &w in &self.winners_buf {
             self.winner_set.insert(w as usize);
@@ -870,57 +898,94 @@ impl HebbianNetwork {
 
     /// Autoregressive rollout: predicts `steps` future classes starting
     /// from `pattern`, re-encoding each prediction with `encode`. Does
-    /// not disturb the live recurrent state or weights.
+    /// not disturb the live recurrent state or weights. A wrapper over
+    /// [`rollout_into`](Self::rollout_into) at width 1.
     pub fn rollout(
         &mut self,
         pattern: &[u32],
         steps: usize,
         mut encode: impl FnMut(usize) -> Vec<u32>,
     ) -> Vec<usize> {
-        self.rollout_top_k(pattern, steps, 1, &mut encode)
-            .into_iter()
-            .map(|v| v[0])
-            .collect()
+        self.rollout_into(pattern, steps, 1, |tok, next| *next = encode(tok))
+            .classes
+            .to_vec()
     }
 
-    /// Like [`rollout`](Self::rollout) but returns the `width` highest-
-    /// scoring classes at each step (feeding back the top-1) — the
-    /// §5.2 prefetch-width knob.
+    /// Multi-candidate rollout in the network's scratch: `steps`
+    /// lookahead steps from `pattern`, each keeping the `width`
+    /// highest-scoring classes (the §5.2 prefetch width) and feeding
+    /// back the top-1, which `encode` writes as the next pattern into
+    /// the (cleared) buffer it is given. The result also carries the
+    /// first step's top-prediction confidence, which confidence-gated
+    /// issuing (§5.2) filters on. The live recurrent state is restored
+    /// afterwards and no weight changes. No allocation once the
+    /// scratch has capacity (DESIGN.md §12.2).
     ///
     /// # Panics
     ///
     /// Panics if `width == 0`.
-    pub fn rollout_top_k(
+    pub fn rollout_into(
         &mut self,
         pattern: &[u32],
         steps: usize,
         width: usize,
-        mut encode: impl FnMut(usize) -> Vec<u32>,
-    ) -> Vec<Vec<usize>> {
-        self.rollout_top_k_with_confidence(pattern, steps, width, &mut encode)
-            .0
-    }
-
-    /// [`rollout_top_k`](Self::rollout_top_k) that also reports the
-    /// normalized confidence of the *first* step's top prediction —
-    /// the signal confidence-gated issuing (§5.2) filters on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width == 0`.
-    pub fn rollout_top_k_with_confidence(
-        &mut self,
-        pattern: &[u32],
-        steps: usize,
-        width: usize,
-        mut encode: impl FnMut(usize) -> Vec<u32>,
+        mut encode: impl FnMut(usize, &mut Vec<u32>),
+    ) -> Rollout<'_> {
+        assert!(width > 0, "width must be positive");
+        let mut saved = std::mem::take(&mut self.rollout_saved);
+        let mut current = std::mem::take(&mut self.rollout_current);
+        let mut next = std::mem::take(&mut self.rollout_next);
+        saved.clone_from(&self.recurrent);
+        current.clear();
+        current.extend_from_slice(pattern);
+        self.rollout_out.clear();
         // hnp-lint: allow(integer_purity): diagnostic confidence readout
+        let mut first_confidence = 0.0;
+        for step in 0..steps {
+            self.fill_active_inputs(&current);
+            self.forward();
+            top_k_into(&self.out_scores, width, &mut self.top_buf);
+            let p = self.top_buf[0];
+            if step == 0 {
+                first_confidence = self.confidence_of(p);
+            }
+            self.rollout_out.extend_from_slice(&self.top_buf);
+            // The state after the last step is discarded, so neither
+            // it nor the last prediction's pattern is built.
+            if step + 1 < steps {
+                self.advance_recurrent(&current);
+                next.clear();
+                encode(p, &mut next);
+                std::mem::swap(&mut current, &mut next);
+            }
+        }
+        std::mem::swap(&mut self.recurrent, &mut saved);
+        self.rollout_saved = saved;
+        self.rollout_current = current;
+        self.rollout_next = next;
+        Rollout {
+            classes: &self.rollout_out,
+            width: width.min(self.cfg.outputs),
+            first_confidence,
+        }
+    }
+
+    /// The rollout before the scratch form, kept verbatim as the
+    /// reference `rollout_into` is differential-tested against: it
+    /// clones the state, allocates every step, and also advances and
+    /// re-encodes after the last step.
+    #[cfg(test)]
+    pub(crate) fn rollout_reference(
+        &mut self,
+        pattern: &[u32],
+        steps: usize,
+        width: usize,
+        mut encode: impl FnMut(usize) -> Vec<u32>,
     ) -> (Vec<Vec<usize>>, f32) {
         assert!(width > 0, "width must be positive");
         let saved = self.recurrent.clone();
         let mut preds = Vec::with_capacity(steps);
         let mut current: Vec<u32> = pattern.to_vec();
-        // hnp-lint: allow(integer_purity): diagnostic confidence readout
         let mut first_conf = 0.0;
         for step in 0..steps {
             self.fill_active_inputs(&current);
@@ -936,6 +1001,28 @@ impl HebbianNetwork {
         }
         self.recurrent = saved;
         (preds, first_conf)
+    }
+}
+
+/// A rollout's predictions, borrowed from the network's scratch (see
+/// [`HebbianNetwork::rollout_into`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Rollout<'a> {
+    /// The predicted classes, step-major: `width` per step, each
+    /// step's best first.
+    pub classes: &'a [usize],
+    /// Classes per step: the requested width, capped at the number of
+    /// output classes.
+    pub width: usize,
+    /// Normalized confidence of the first step's top prediction.
+    // hnp-lint: allow(integer_purity): diagnostic confidence readout
+    pub first_confidence: f32,
+}
+
+impl<'a> Rollout<'a> {
+    /// The predictions of each step, in order.
+    pub fn steps(&self) -> std::slice::ChunksExact<'a, usize> {
+        self.classes.chunks_exact(self.width)
     }
 }
 

@@ -7,7 +7,8 @@
 //! are `i16`, clamped to a configurable magnitude; all arithmetic on
 //! the forward and update paths is integer.
 //!
-//! The layer keeps two adjacency views over one flat weight array:
+//! The layer keeps one canonical slot-ordered weight array plus an
+//! input-major view of it:
 //!
 //! * **input-major CSR** for the forward pass (which iterates the few
 //!   *active* inputs): flat per-edge arrays bucketed by input via
@@ -18,15 +19,16 @@
 //!   random load at all; the canonical slot-ordered `weights` array
 //!   would otherwise cost a scattered 48-KB-range fetch per edge. The
 //!   update paths write weights through `edge_of_slot` to keep the
-//!   mirror coherent. (The old jagged `Vec<Vec<_>>` additionally paid
-//!   a pointer dereference and a potential cache miss per active
-//!   input.)
-//! * **output-major masks** for the Hebbian update (which walks all
-//!   incoming connections of an *active output*): per output, a bit
-//!   mask over the input space (`src_masks`) plus the slot ids in
-//!   ascending-source order (`slots_by_source`). Eq. 1 then runs as a
-//!   word-at-a-time sweep of mask ∧ active-input words instead of a
-//!   per-connection random-access `BitSet::contains` branch.
+//!   mirror coherent.
+//! * **slot order** for the Eq.-1 update and the row gather (which
+//!   walk all incoming connections of one output): one pass over the
+//!   row's canonical slots `o * fan_in..(o + 1) * fan_in`, reading
+//!   each source's activity as `(words[src >> 6] >> (src & 63)) & 1`
+//!   from the active-input words and folding it into the arithmetic,
+//!   so the loop has no data-dependent branch. The update clamps in
+//!   `i32`, which equals the `i16` saturate-then-clamp for any clamp
+//!   up to `i16::MAX`, and stores the mirror unconditionally
+//!   (DESIGN.md §12.1).
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -60,15 +62,6 @@ pub struct SparseLayer {
     /// `offsets[i] as usize .. offsets[i + 1] as usize` (length
     /// `inputs + 1`).
     offsets: Vec<u32>,
-    /// Per-output source bit masks, `words_per_row` words each: bit
-    /// `i` of row `o` is set iff connection `(i, o)` exists.
-    src_masks: Vec<u64>,
-    /// `u64` words per `src_masks` row (`inputs.div_ceil(64)`).
-    words_per_row: usize,
-    /// Per output, its `fan_in` slot ids in ascending-source order —
-    /// the j-th set bit of `src_masks` row `o` is the source of slot
-    /// `slots_by_source[o * fan_in + j]`.
-    slots_by_source: Vec<u32>,
 }
 
 impl SparseLayer {
@@ -79,7 +72,9 @@ impl SparseLayer {
     /// # Panics
     ///
     /// Panics if dimensions are zero, `connectivity` is outside
-    /// `(0, 1]`, or `init_mag` is negative.
+    /// `(0, 1]`, or `init_mag` is negative or above `clamp` (every
+    /// weight stays within the clamp, which the branch-free updates
+    /// rely on).
     pub fn new(
         inputs: usize,
         outputs: usize,
@@ -96,7 +91,10 @@ impl SparseLayer {
             "connectivity must be in (0, 1]"
         );
         assert!(clamp > 0, "clamp must be positive");
-        assert!(init_mag >= 0, "init_mag must be non-negative");
+        assert!(
+            (0..=clamp).contains(&init_mag),
+            "init_mag must be in 0..=clamp"
+        );
         // hnp-lint: allow(integer_purity): construction-time geometry
         let fan_in = ((inputs as f64 * connectivity).ceil() as usize).max(1);
         let mut weights = vec![0i16; outputs * fan_in];
@@ -141,27 +139,6 @@ impl SparseLayer {
         }
         let edge_weights: Vec<i16> = edge_slot.iter().map(|&s| weights[s as usize]).collect();
 
-        // Output-major masks for the word-at-a-time Eq.-1 walk.
-        let words_per_row = inputs.div_ceil(64);
-        let mut src_masks = vec![0u64; outputs * words_per_row];
-        let mut slots_by_source = vec![0u32; sources.len()];
-        let mut order: Vec<u32> = (0..fan_in as u32).collect();
-        for o in 0..outputs {
-            let base = o * fan_in;
-            for j in 0..fan_in {
-                let src = sources[base + j] as usize;
-                src_masks[o * words_per_row + src / 64] |= 1 << (src % 64);
-            }
-            // Sources per output are distinct by construction, so the
-            // ascending-source slot order is well defined.
-            order.clear();
-            order.extend(0..fan_in as u32);
-            order.sort_unstable_by_key(|&j| sources[base + j as usize]);
-            for (rank, &j) in order.iter().enumerate() {
-                slots_by_source[base + rank] = (base + j as usize) as u32;
-            }
-        }
-
         Self {
             inputs,
             outputs,
@@ -174,9 +151,6 @@ impl SparseLayer {
             edge_weights,
             edge_of_slot,
             offsets,
-            src_masks,
-            words_per_row,
-            slots_by_source,
         }
     }
 
@@ -234,12 +208,23 @@ impl SparseLayer {
         ops
     }
 
+    /// The canonical slot range of `output`'s incoming connections.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `output` is out of range or `active_inputs` has the
+    /// wrong capacity.
+    fn row(&self, output: u32, active_inputs: &BitSet) -> std::ops::Range<usize> {
+        assert!((output as usize) < self.outputs, "output out of range");
+        assert_eq!(active_inputs.len(), self.inputs, "bitset capacity mismatch");
+        let base = output as usize * self.fan_in;
+        base..base + self.fan_in
+    }
+
     /// The score [`forward`](Self::forward) would accumulate into
     /// `output` from the inputs in `active_inputs`: the sum of the
-    /// row's weights from active sources. A gather over this output's
-    /// source mask ∧ the active words; the popcount of the mask below
-    /// a source is its rank in `slots_by_source`. Lets a caller
-    /// refresh a few rows of a cached score vector without
+    /// row's weights from active sources, gathered in slot order. Lets
+    /// a caller refresh a few rows of a cached score vector without
     /// re-scattering every active input.
     ///
     /// # Panics
@@ -247,36 +232,26 @@ impl SparseLayer {
     /// Panics if `output` is out of range or `active_inputs` has the
     /// wrong capacity.
     pub fn row_score(&self, output: u32, active_inputs: &BitSet) -> i32 {
-        assert!((output as usize) < self.outputs, "output out of range");
-        assert_eq!(active_inputs.len(), self.inputs, "bitset capacity mismatch");
-        let mask_base = output as usize * self.words_per_row;
-        let mut rank = output as usize * self.fan_in;
-        let mut score = 0i32;
-        let active = active_inputs.words();
-        for (w, &aw) in active.iter().enumerate().take(self.words_per_row) {
-            let sw = self.src_masks[mask_base + w];
-            let mut hits = sw & aw;
-            while hits != 0 {
-                let b = hits.trailing_zeros();
-                let below = (sw & ((1u64 << b) - 1)).count_ones() as usize;
-                score += self.weights[self.slots_by_source[rank + below] as usize] as i32;
-                hits &= hits - 1;
-            }
-            rank += sw.count_ones() as usize;
-        }
-        score
+        let row = self.row(output, active_inputs);
+        let words = active_inputs.words();
+        self.weights[row.clone()]
+            .iter()
+            .zip(&self.sources[row])
+            .map(|(&w, &src)| w as i32 * active_bit(words, src))
+            .sum()
     }
 
     /// Applies the paper's Eq.-1 Hebbian update for one active output:
     /// every incoming weight from an active input is incremented by
     /// `pot` (potentiation), every incoming weight from an inactive
-    /// input decremented by `dep` (depression), with saturating
-    /// arithmetic and clamping. Returns integer ops performed.
+    /// input decremented by `dep` (depression), saturating at the
+    /// clamp. Returns integer ops performed.
     ///
-    /// Implemented as a word-at-a-time walk over this output's source
-    /// mask against the active-input words: each connection costs one
-    /// bit test from two already-loaded words instead of a
-    /// random-access [`BitSet::contains`].
+    /// One branch-free pass over the row's slots: the source's bit
+    /// selects the delta arithmetically, the sum is clamped in `i32`
+    /// (equal to the `i16` saturate-then-clamp for any clamp up to
+    /// `i16::MAX`, so extreme clamps cannot overflow), and the mirror
+    /// is stored whether or not the value changed.
     ///
     /// Eq. 1 as printed is symmetric (`pot == dep`); asymmetric
     /// magnitudes (LTP > LTD, as in biological synapses) are required
@@ -295,67 +270,48 @@ impl SparseLayer {
         pot: i16,
         dep: i16,
     ) -> usize {
-        assert!((output as usize) < self.outputs, "output out of range");
-        assert_eq!(active_inputs.len(), self.inputs, "bitset capacity mismatch");
-        let ltd = dep.saturating_neg();
-        let mask_base = output as usize * self.words_per_row;
-        let mut rank = output as usize * self.fan_in;
-        let active = active_inputs.words();
-        for (w, &aw) in active.iter().enumerate().take(self.words_per_row) {
-            let mut sw = self.src_masks[mask_base + w];
-            while sw != 0 {
-                let b = sw.trailing_zeros();
-                let slot = self.slots_by_source[rank] as usize;
-                rank += 1;
-                let delta = if aw >> b & 1 != 0 { pot } else { ltd };
-                let old = self.weights[slot];
-                let w = old.saturating_add(delta).clamp(-self.clamp, self.clamp);
-                // Saturated weights dominate in steady state; skipping
-                // the no-op store keeps their cache lines clean.
-                if w != old {
-                    self.weights[slot] = w;
-                    self.edge_weights[self.edge_of_slot[slot] as usize] = w;
-                }
-                sw &= sw - 1;
-            }
+        let row = self.row(output, active_inputs);
+        let words = active_inputs.words();
+        let (pot, ltd) = (pot as i32, dep.saturating_neg() as i32);
+        let clamp = self.clamp as i32;
+        for ((w, &src), &edge) in self.weights[row.clone()]
+            .iter_mut()
+            .zip(&self.sources[row.clone()])
+            .zip(&self.edge_of_slot[row])
+        {
+            let delta = ltd + active_bit(words, src) * (pot - ltd);
+            *w = (*w as i32 + delta).clamp(-clamp, clamp) as i16;
+            self.edge_weights[edge as usize] = *w;
         }
         2 * self.fan_in
     }
 
     /// Anti-Hebbian depression of one output: decrements incoming
-    /// weights from *active* inputs (used to push down a false winner).
-    /// Returns integer ops performed.
+    /// weights from *active* inputs by `step` (used to push down a
+    /// false winner), saturating at the clamp. Returns integer ops
+    /// performed: two per active input. Branch-free like
+    /// [`hebbian_update`](Self::hebbian_update).
     ///
     /// # Panics
     ///
     /// Panics if `output` is out of range or `active_inputs` has the
     /// wrong capacity.
     pub fn anti_update(&mut self, output: u32, active_inputs: &BitSet, step: i16) -> usize {
-        assert!((output as usize) < self.outputs, "output out of range");
-        assert_eq!(active_inputs.len(), self.inputs, "bitset capacity mismatch");
-        let mask_base = output as usize * self.words_per_row;
-        let mut rank = output as usize * self.fan_in;
-        let mut ops = 0;
-        let active = active_inputs.words();
-        for (w, &aw) in active.iter().enumerate().take(self.words_per_row) {
-            let mut sw = self.src_masks[mask_base + w];
-            while sw != 0 {
-                let b = sw.trailing_zeros();
-                let slot = self.slots_by_source[rank] as usize;
-                rank += 1;
-                if aw >> b & 1 != 0 {
-                    let old = self.weights[slot];
-                    let w = old.saturating_sub(step).clamp(-self.clamp, self.clamp);
-                    if w != old {
-                        self.weights[slot] = w;
-                        self.edge_weights[self.edge_of_slot[slot] as usize] = w;
-                    }
-                    ops += 2;
-                }
-                sw &= sw - 1;
-            }
+        let row = self.row(output, active_inputs);
+        let words = active_inputs.words();
+        let (step, clamp) = (step as i32, self.clamp as i32);
+        let mut active = 0;
+        for ((w, &src), &edge) in self.weights[row.clone()]
+            .iter_mut()
+            .zip(&self.sources[row.clone()])
+            .zip(&self.edge_of_slot[row])
+        {
+            let bit = active_bit(words, src);
+            active += bit;
+            *w = (*w as i32 - bit * step).clamp(-clamp, clamp) as i16;
+            self.edge_weights[edge as usize] = *w;
         }
-        ops
+        2 * active as usize
     }
 
     /// Flat view of every connection weight, grouped by output unit
@@ -398,6 +354,12 @@ impl SparseLayer {
             .find(|&j| self.sources[base + j] == input)
             .map(|j| self.weights[base + j])
     }
+}
+
+/// Bit `src` of the active-input words as 0 or 1.
+#[inline(always)]
+fn active_bit(words: &[u64], src: u32) -> i32 {
+    ((words[(src >> 6) as usize] >> (src & 63)) & 1) as i32
 }
 
 /// Pre-optimization reference kernels, kept verbatim for the

@@ -2,9 +2,10 @@
 //!
 //! The kernel refactor's contract is that once the network's scratch
 //! buffers have warmed up, `train_step`, `infer`, `infer_advance`,
-//! `replay_step` and `set_recurrent_state` perform **zero** heap
-//! allocation — whether the hidden-winner memo hits, misses, or
-//! evicts, and whether a replay draw is accepted or rejected. A counting
+//! `replay_step`, `set_recurrent_state` and the scratch rollout
+//! `rollout_into` perform **zero** heap allocation — whether the
+//! hidden-winner memo hits, misses, or evicts, and whether a replay
+//! draw is accepted or rejected. A counting
 //! global allocator makes that a hard test instead of a code-review
 //! claim.
 //!
@@ -116,6 +117,38 @@ fn steady_state_kernels_do_not_allocate() {
         after - before,
         0,
         "replay path allocated {} times",
+        after - before
+    );
+
+    // Scratch rollout: lookahead steps re-encoded into the network's
+    // buffer, mixed with online training so memo hits, refreshed rows
+    // and full scatters all occur. The first lap warms up capacity.
+    let rollout = |net: &mut HebbianNetwork, i: u32| {
+        let pattern = [i % 61, (i * 7) % 61 + 61];
+        net.train_step(&pattern, (i as usize + 1) % outputs);
+        let r = net.rollout_into(
+            &pattern,
+            1 + i as usize % 4,
+            1 + i as usize % 3,
+            |tok, next| next.push(tok as u32 % 61),
+        );
+        assert!(r.first_confidence >= 0.0);
+        r.classes.len()
+    };
+    for i in 0..64u32 {
+        rollout(&mut net, i);
+    }
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let mut predicted = 0;
+    for i in 0..400u32 {
+        predicted += rollout(&mut net, i);
+    }
+    let after = ALLOCS.load(Ordering::Relaxed);
+    assert!(predicted > 400, "rollouts predicted {predicted} classes");
+    assert_eq!(
+        after - before,
+        0,
+        "scratch rollout allocated {} times",
         after - before
     );
 }

@@ -43,8 +43,10 @@ impl DeltaVocab {
     }
 
     /// Maps a delta to its token (OOV if out of range or zero).
+    /// Total over `i64`: the magnitude is compared unsigned, so
+    /// `i64::MIN` is out of range rather than an overflow.
     pub fn token_of(&self, delta: i64) -> usize {
-        if delta == 0 || delta.abs() > self.range {
+        if delta == 0 || delta.unsigned_abs() > self.range as u64 {
             self.oov()
         } else if delta > 0 {
             // 1..=range -> 0..range-1.
@@ -76,34 +78,39 @@ impl DeltaVocab {
 /// pages: the top-1 delta of each step advances a running base page;
 /// the additional candidates at each step branch off the pre-step
 /// base. An out-of-vocabulary top-1 stops the walk (the model declines
-/// to guess further).
+/// to guess further), as does a base that would leave the `i64` range.
 ///
-/// Pages are deduplicated across the *whole* rollout, preserving
-/// first-emission order: a multi-step walk over a short cycle (or an
-/// alternate that lands on a later top-1 page) would otherwise issue
-/// the same prefetch several times, inflating issued-line counts and
-/// wasting queue slots downstream. `BTreeSet` keeps the walk
-/// deterministic (HNP01).
-pub fn pages_from_rollout(vocab: &DeltaVocab, base: u64, rollout: &[Vec<usize>]) -> Vec<u64> {
+/// `rollout` yields each step's tokens, best first: a `&Vec<Vec<_>>`
+/// or a flat rollout's `chunks_exact`. Pages are deduplicated across
+/// the *whole* rollout, preserving first-emission order: a multi-step
+/// walk over a short cycle (or an alternate that lands on a later
+/// top-1 page) would otherwise issue the same prefetch several times,
+/// inflating issued-line counts and wasting queue slots downstream. A
+/// rollout emits a handful of pages, so the dedup is a linear scan of
+/// those already emitted.
+pub fn pages_from_rollout<I>(vocab: &DeltaVocab, base: u64, rollout: I) -> Vec<u64>
+where
+    I: IntoIterator,
+    I::Item: AsRef<[usize]>,
+{
     let mut out = Vec::new();
-    let mut seen = std::collections::BTreeSet::new();
+    let mut emit = |page: Option<i64>| {
+        if let Some(p) = page.filter(|&p| p >= 0) {
+            if !out.contains(&(p as u64)) {
+                out.push(p as u64);
+            }
+        }
+    };
     let mut acc = base as i64;
     for step in rollout {
+        let step = step.as_ref();
         let Some(&top) = step.first() else { break };
-        let Some(d) = vocab.delta_of(top) else {
+        let Some(next) = vocab.delta_of(top).and_then(|d| acc.checked_add(d)) else {
             break;
         };
-        let next = acc + d;
-        if next >= 0 && seen.insert(next as u64) {
-            out.push(next as u64);
-        }
-        for &alt in step.iter().skip(1) {
-            if let Some(da) = vocab.delta_of(alt) {
-                let p = acc + da;
-                if p >= 0 && seen.insert(p as u64) {
-                    out.push(p as u64);
-                }
-            }
+        emit(Some(next));
+        for &alt in &step[1..] {
+            emit(vocab.delta_of(alt).and_then(|d| acc.checked_add(d)));
         }
         acc = next;
     }
@@ -182,6 +189,31 @@ mod tests {
             vec![v.token_of(2), v.token_of(-1)], // 103; alt 100 suppressed
         ];
         assert_eq!(pages_from_rollout(&v, 100, &rollout), vec![101, 100, 103]);
+    }
+
+    #[test]
+    fn extreme_deltas_are_oov() {
+        // Regression: `delta.abs()` overflowed on `i64::MIN` (a panic
+        // in debug; in release a token far out of vocabulary).
+        let v = DeltaVocab::new(64);
+        assert_eq!(v.token_of(i64::MIN), v.oov());
+        assert_eq!(v.token_of(i64::MIN + 1), v.oov());
+        assert_eq!(v.token_of(i64::MAX), v.oov());
+    }
+
+    #[test]
+    fn rollout_accepts_flat_steps_and_stops_before_overflow() {
+        let v = DeltaVocab::new(4);
+        let flat = [v.token_of(2), v.token_of(-1), v.token_of(1), v.token_of(3)];
+        let nested = vec![flat[..2].to_vec(), flat[2..].to_vec()];
+        assert_eq!(
+            pages_from_rollout(&v, 100, flat.chunks_exact(2)),
+            pages_from_rollout(&v, 100, &nested)
+        );
+        // A base past `i64::MAX` walks from `i64::MIN`: a negative
+        // delta would overflow, so the walk stops there.
+        let down = [vec![v.token_of(-1)], vec![v.token_of(1)]];
+        assert!(pages_from_rollout(&v, 1 << 63, &down).is_empty());
     }
 
     #[test]
