@@ -175,7 +175,7 @@ mod tests {
     fn oov_prediction_stops_the_walk() {
         let p = LstmPrefetcher::new(SEED);
         let v = &p.vocab;
-        let rollout = vec![vec![v.oov()], vec![v.token_of(1)]];
+        let rollout = vec![vec![v.token_of(0)], vec![v.token_of(1)]];
         assert!(p.pages_from_rollout(100, &rollout).is_empty());
     }
 

@@ -28,7 +28,9 @@ impl Prefetcher for NextNPrefetcher {
     }
 
     fn on_miss(&mut self, miss: &MissEvent) -> Vec<u64> {
-        (1..=NEXT_N_DEGREE).map(|i| miss.page + i).collect()
+        (1..=NEXT_N_DEGREE)
+            .map_while(|i| miss.page.checked_add(i))
+            .collect()
     }
 }
 
@@ -99,7 +101,8 @@ impl Prefetcher for StridePrefetcher {
     fn on_miss(&mut self, miss: &MissEvent) -> Vec<u64> {
         let mut out = Vec::new();
         if let Some(last) = self.last_page {
-            let delta = miss.page as i64 - last as i64;
+            // Two's-complement delta: total over `u64` pages.
+            let delta = miss.page.wrapping_sub(last) as i64;
             if Some(delta) == self.last_delta && delta != 0 {
                 self.confidence = self.confidence.saturating_add(1);
             } else {
@@ -108,13 +111,14 @@ impl Prefetcher for StridePrefetcher {
             }
             if self.confidence >= STRIDE_THRESHOLD {
                 // Both branches above leave `last_delta == Some(delta)`.
-                let d = delta;
-                let mut p = miss.page as i64;
+                // The walk stops at either end of the page space.
+                let mut p = miss.page;
                 for _ in 0..self.degree {
-                    p += d;
-                    if p >= 0 {
-                        out.push(p as u64);
-                    }
+                    let Some(next) = p.checked_add_signed(delta) else {
+                        break;
+                    };
+                    p = next;
+                    out.push(p);
                 }
             }
         }
@@ -316,5 +320,39 @@ mod tests {
         let out = p.on_miss(&mk(5));
         assert!(out.iter().all(|&pg| pg < 10), "{out:?}");
         assert_eq!(out, vec![0]);
+    }
+
+    #[test]
+    fn strides_across_and_at_the_ends_of_the_page_space() {
+        // Regression: `page as i64 - last as i64` overflowed on pages
+        // either side of 2^63, and `p += d` and `page + i` ran past
+        // `u64::MAX`.
+        let mk = |page| MissEvent {
+            page,
+            tick: 0,
+            stream: 0,
+        };
+        let half = 1u64 << 63;
+        let mut p = StridePrefetcher::with_config(StrideConfig::default().with_degree(2));
+        for page in [half - 2, half - 1, half] {
+            assert!(p.on_miss(&mk(page)).is_empty());
+        }
+        assert_eq!(p.on_miss(&mk(half + 1)), vec![half + 2, half + 3]);
+        let mut up = StridePrefetcher::with_config(StrideConfig::default());
+        for page in [u64::MAX - 4, u64::MAX - 3, u64::MAX - 2] {
+            up.on_miss(&mk(page));
+        }
+        assert_eq!(up.on_miss(&mk(u64::MAX - 1)), vec![u64::MAX]);
+        // A jump between the halves is one (huge) delta, not a panic.
+        let mut jump = StridePrefetcher::with_config(StrideConfig::default());
+        for page in [0, half, 0, half, u64::MAX, 0] {
+            jump.on_miss(&mk(page));
+        }
+        let mut next = NextNPrefetcher::new();
+        assert_eq!(
+            next.on_miss(&mk(u64::MAX - 2)),
+            vec![u64::MAX - 1, u64::MAX]
+        );
+        assert!(next.on_miss(&mk(u64::MAX)).is_empty());
     }
 }

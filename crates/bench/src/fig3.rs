@@ -25,7 +25,7 @@ use hnp_trace::Pattern;
 
 /// Any model trainable on (token window -> next token) examples; the
 /// interference protocol is model-agnostic across the DL baselines.
-pub trait WindowModel {
+trait WindowModel {
     /// One gradient step at learning rate `lr`.
     fn train(&mut self, tokens: &[usize], target: usize, lr: f32) -> SoftmaxLoss;
     /// Confidence probe without learning.
@@ -97,6 +97,7 @@ impl Default for Fig3Options {
 
 /// One sampled point of the confidence curves.
 #[derive(Debug, Clone, Serialize)]
+// hnp-lint: allow(unused_pub) caller: bin/fig3_interference.rs reads `Fig3Series::points`
 pub struct ConfidencePoint {
     /// Steps into phase 2.
     pub step: usize,
@@ -155,7 +156,7 @@ pub fn pattern_tokens(pattern: Pattern, len: usize, seed: u64, vocab: &DeltaVoca
 }
 
 /// [`pattern_tokens`] with an explicit cycle length.
-pub fn pattern_tokens_with(
+fn pattern_tokens_with(
     pattern: Pattern,
     len: usize,
     seed: u64,

@@ -50,6 +50,7 @@ impl Default for Fig5Options {
 
 /// One (application, prefetcher) result row.
 #[derive(Debug, Clone, Serialize)]
+// hnp-lint: allow(unused_pub) caller: bin/fig5_online.rs reads the rows `run_grid` returns
 pub struct Fig5Row {
     /// Application name.
     pub app: String,
@@ -68,7 +69,7 @@ pub struct Fig5Row {
 }
 
 /// The prefetchers compared in the Fig.-5 harness.
-pub fn prefetcher_names() -> Vec<&'static str> {
+fn prefetcher_names() -> Vec<&'static str> {
     vec![
         "stride",
         "markov",
@@ -81,7 +82,7 @@ pub fn prefetcher_names() -> Vec<&'static str> {
 
 /// Builds a prefetcher by name, with default configs: the one
 /// name→model table behind the Fig.-5 harness and `hnpctl`. Names are
-/// `none`, `next-n` and those of [`prefetcher_names`]. `seed` seeds
+/// `none`, `next-n` and the six models Fig. 5 compares. `seed` seeds
 /// the LSTM and transformer weight init; the CLS models only hand it
 /// to their training sampler, which the default `EveryMiss` never
 /// draws from, so `hebbian` and `cls-hebbian` are the same network
@@ -107,7 +108,7 @@ pub fn build_prefetcher(name: &str, seed: u64) -> Result<Box<dyn Prefetcher>, St
 }
 
 /// Runs one application against one prefetcher (plus the baseline).
-pub fn run_app(app: AppWorkload, prefetcher_name: &str, opts: &Fig5Options) -> Fig5Row {
+fn run_app(app: AppWorkload, prefetcher_name: &str, opts: &Fig5Options) -> Fig5Row {
     let trace = app.generate(opts.accesses, opts.seed);
     let cfg = SimConfig {
         miss_latency: opts.miss_latency,

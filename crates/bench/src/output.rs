@@ -5,15 +5,8 @@
 //! best-effort semantics (a read-only filesystem degrades a run to
 //! console output, it never aborts one).
 
-use std::path::PathBuf;
-
 use hnp_obs::ReportSink;
 use serde::Serialize;
-
-/// Where JSON experiment artifacts are written.
-pub fn experiments_dir() -> PathBuf {
-    ReportSink::experiments().dir().to_path_buf()
-}
 
 /// Serializes `value` to `target/experiments/<id>.json`. Prints the
 /// path on success; errors are reported and swallowed (see
@@ -60,7 +53,9 @@ mod tests {
             x: u32,
         }
         write_json("unit-test-artifact", &T { x: 7 });
-        let path = experiments_dir().join("unit-test-artifact.json");
+        let path = ReportSink::experiments()
+            .dir()
+            .join("unit-test-artifact.json");
         let text = std::fs::read_to_string(&path).expect("artifact written");
         assert!(text.contains("\"x\": 7"));
         std::fs::remove_file(path).ok();

@@ -557,7 +557,6 @@ fn cmd_serve_bench(args: &Args) -> Result<(), String> {
             workers,
             queue_depth,
             flush_per_shard: batch,
-            ingest_per_epoch: 0,
             snapshot_interval,
             hash_seed: seed ^ 0x5e44e,
             crashes: crashes.clone(),
@@ -636,7 +635,7 @@ fn cmd_serve_bench(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs the hnp-lint workspace invariant checker (HNP01-HNP04) and
+/// Runs the hnp-lint workspace invariant checker (HNP01-HNP05) and
 /// fails if any unsuppressed finding remains.
 fn cmd_lint(args: &Args) -> Result<(), String> {
     let root = match args.get("root", "") {

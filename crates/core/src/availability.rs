@@ -5,15 +5,12 @@
 //! where training is applied to a separate model copy, which is later
 //! redeployed when the live model's confidence/accuracy decreases."
 //!
-//! [`ShadowDeployment`] keeps a live network behind a mutex (inference
-//! may run from any thread) and trains a private shadow copy; when the
-//! live model's windowed accuracy drops below a threshold the shadow
-//! is atomically redeployed. The `availability` bench harness also
-//! exercises the paper's counter-hypothesis — that Hebbian networks
-//! are robust enough to train in place — by comparing both modes under
-//! concurrent inference.
-
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+//! [`ShadowDeployment`] serves inference from a live network and
+//! trains a private shadow copy; when the live model's windowed
+//! accuracy drops below a threshold the shadow is redeployed. The
+//! `availability` bench harness also exercises the paper's
+//! counter-hypothesis — that Hebbian networks are robust enough to
+//! train in place — by comparing both modes.
 
 use hnp_hebbian::{HebbianNetwork, HebbianOutcome};
 
@@ -30,7 +27,7 @@ const WINDOW: usize = 128;
 
 /// A live/shadow pair of Hebbian networks.
 pub struct ShadowDeployment {
-    live: Arc<Mutex<HebbianNetwork>>,
+    live: HebbianNetwork,
     shadow: HebbianNetwork,
     tracker: ConfidenceTracker,
     steps: u64,
@@ -42,17 +39,12 @@ impl ShadowDeployment {
     /// Starts the protocol with `net` as both live and shadow.
     pub fn new(net: HebbianNetwork) -> Self {
         Self {
-            live: Arc::new(Mutex::new(net.clone())),
+            live: net.clone(),
             shadow: net,
             tracker: ConfidenceTracker::new(0.05, WINDOW),
             steps: 0,
             redeployments: 0,
         }
-    }
-
-    /// A handle to the live model for concurrent inference threads.
-    pub fn live_handle(&self) -> Arc<Mutex<HebbianNetwork>> {
-        Arc::clone(&self.live)
     }
 
     /// The live model's tracked accuracy.
@@ -65,10 +57,7 @@ impl ShadowDeployment {
     /// redeploy condition is evaluated. Returns the live outcome and
     /// whether a redeploy happened.
     pub fn step(&mut self, pattern: &[u32], target: usize) -> (HebbianOutcome, bool) {
-        let outcome = {
-            let mut live = lock(&self.live);
-            live.infer_advance(pattern, target)
-        };
+        let outcome = self.live.infer_advance(pattern, target);
         self.tracker.record(outcome.confidence, outcome.correct);
         self.shadow.train_step(pattern, target);
         self.steps += 1;
@@ -84,20 +73,13 @@ impl ShadowDeployment {
     }
 
     /// Forces a redeploy: the shadow's weights become live.
-    pub fn redeploy(&mut self) {
-        let mut live = lock(&self.live);
-        *live = self.shadow.clone();
+    fn redeploy(&mut self) {
+        self.live = self.shadow.clone();
         self.redeployments += 1;
         // Reset the accuracy window: the new model deserves a fresh
         // assessment.
         self.tracker = ConfidenceTracker::new(0.05, WINDOW);
     }
-}
-
-/// Locks the live model, ignoring poisoning: a panicked inference
-/// thread must not take the protocol down with it.
-fn lock(live: &Mutex<HebbianNetwork>) -> MutexGuard<'_, HebbianNetwork> {
-    live.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -147,54 +129,12 @@ mod tests {
         }
         // The live model never trained; the shadow did.
         dep.redeploy();
-        let live = dep.live_handle();
-        let mut live = lock(&live);
+        let live = &mut dep.live;
         live.reset_state();
         // Warm the recurrent state one step (the shadow trained with a
         // steady-state context), then probe.
         let _ = live.infer_advance(&oh(3), 3);
         let out = live.infer_advance(&oh(3), 3);
         assert!(out.correct, "redeployed model must know the mapping");
-    }
-
-    #[test]
-    fn live_handle_is_shared() {
-        let dep = ShadowDeployment::new(net());
-        let h1 = dep.live_handle();
-        let h2 = dep.live_handle();
-        assert!(Arc::ptr_eq(&h1, &h2));
-    }
-
-    #[test]
-    fn concurrent_inference_during_training_is_safe() {
-        let mut dep = ShadowDeployment::new(net());
-        let handle = dep.live_handle();
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        // Training starts only after the reader's first inference, so
-        // the two really overlap however the threads are scheduled.
-        let started = Arc::new(std::sync::Barrier::new(2));
-        let started2 = Arc::clone(&started);
-        let reader = std::thread::spawn(move || {
-            let mut inferences = 0u64;
-            loop {
-                let _ = lock(&handle).infer_advance(&[1], 1);
-                inferences += 1;
-                if inferences == 1 {
-                    started2.wait();
-                }
-                if stop2.load(std::sync::atomic::Ordering::Relaxed) {
-                    break;
-                }
-            }
-            inferences
-        });
-        started.wait();
-        for i in 0..2000usize {
-            dep.step(&[(i % 8) as u32], (i % 8).min(15));
-        }
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        let inferences = reader.join().expect("reader thread");
-        assert!(inferences > 0, "inference proceeded concurrently");
     }
 }

@@ -107,16 +107,6 @@ impl ClsConfig {
         self
     }
 
-    /// The paper's §3.1 configuration: miss history of one input (the
-    /// recurrent state carries the rest), training on every miss,
-    /// unbounded hippocampus.
-    pub fn paper() -> Self {
-        Self {
-            episodic: EpisodicBackend::Exact(CapacityPolicy::Unbounded),
-            ..Self::default()
-        }
-    }
-
     /// A plain Hebbian prefetcher: no hippocampus, no replay (the
     /// "Hebbian" series in Fig. 5 before replay is added).
     pub fn hebbian_only() -> Self {
@@ -428,7 +418,7 @@ impl Prefetcher for ClsPrefetcher {
 mod tests {
     use super::*;
     use hnp_memsim::{NoPrefetcher, SimConfig, Simulator};
-    use hnp_trace::{phased, Pattern};
+    use hnp_trace::{phased, Access, Pattern, Trace};
 
     fn sim() -> Simulator {
         Simulator::new(SimConfig {
@@ -506,7 +496,10 @@ mod tests {
 
     #[test]
     fn names_reflect_replay_mode() {
-        assert_eq!(ClsPrefetcher::new(ClsConfig::paper()).name(), "cls-hebbian");
+        assert_eq!(
+            ClsPrefetcher::new(ClsConfig::default()).name(),
+            "cls-hebbian"
+        );
         assert_eq!(
             ClsPrefetcher::new(ClsConfig::hebbian_only()).name(),
             "hebbian"
@@ -562,7 +555,17 @@ mod tests {
             };
             Pattern::Stride.generate_with(3000, 2, &params)
         };
-        let trace = phased::interleave(&[a, b], 1);
+        let accesses: Vec<Access> = a
+            .accesses()
+            .iter()
+            .zip(b.accesses())
+            .flat_map(|(x, y)| [(x, 0), (y, 1)])
+            .map(|(x, stream)| Access {
+                addr: x.addr,
+                stream,
+            })
+            .collect();
+        let trace = Trace::from_accesses(accesses, a.page_shift());
         let s = sim();
         let base = s.run(&trace, &mut NoPrefetcher);
         let mut isolated = ClsPrefetcher::new(ClsConfig {

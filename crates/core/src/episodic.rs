@@ -145,7 +145,7 @@ impl AssociativeHippocampus {
 
     /// Recalls the consolidated target for an input pattern, with its
     /// overlap score.
-    pub fn recall_target(&self, pattern: &[u32]) -> Option<(usize, usize)> {
+    fn recall_target(&self, pattern: &[u32]) -> Option<(usize, usize)> {
         let key = self.key_of(pattern);
         let scores = self.memory.recall_scores(&key);
         scores[..self.cfg.targets]

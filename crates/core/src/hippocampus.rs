@@ -160,8 +160,6 @@ pub struct Hippocampus {
     offered: u64,
     /// Episodes rejected by the confidence filter.
     skipped: u64,
-    /// Episodes merged into prototypes.
-    merged: u64,
 }
 
 impl Hippocampus {
@@ -177,7 +175,6 @@ impl Hippocampus {
             scan: false,
             offered: 0,
             skipped: 0,
-            merged: 0,
         }
     }
 
@@ -214,11 +211,6 @@ impl Hippocampus {
     /// Episodes rejected by the confidence filter.
     pub fn skipped(&self) -> u64 {
         self.skipped
-    }
-
-    /// Episodes merged into prototypes.
-    pub fn merged(&self) -> u64 {
-        self.merged
     }
 
     /// Read access to the stored episodes.
@@ -311,7 +303,6 @@ impl Hippocampus {
                     self.episodes[i].stored_at = episode.stored_at;
                     self.episodes[i].confidence =
                         0.5 * (self.episodes[i].confidence + episode.confidence);
-                    self.merged += 1;
                     return;
                 }
                 if self.episodes.len() >= capacity {
@@ -409,7 +400,7 @@ impl Hippocampus {
     /// # Panics
     ///
     /// Panics if `index` is out of range.
-    pub fn mark_replayed(&mut self, index: usize) -> bool {
+    fn mark_replayed(&mut self, index: usize) -> bool {
         let e = &mut self.episodes[index];
         e.replays += 1;
         if let CapacityPolicy::Consolidating { max_replays, .. } = self.policy {
@@ -711,7 +702,6 @@ mod tests {
         ep(&mut h, &[1, 2, 3, 5], 7, 0.7, 1); // Jaccard 3/5 = 0.6.
         assert_eq!(h.len(), 1);
         assert_eq!(h.episodes()[0].weight, 2);
-        assert_eq!(h.merged(), 1);
         // Different target never merges.
         ep(&mut h, &[1, 2, 3, 4], 9, 0.5, 2);
         assert_eq!(h.len(), 2);

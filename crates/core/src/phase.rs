@@ -31,7 +31,7 @@ impl Default for PhaseConfig {
 
 /// A reported phase transition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PhaseChange {
+pub(crate) struct PhaseChange {
     /// Phase before the change.
     pub from: u64,
     /// Phase after the change.
@@ -84,18 +84,13 @@ impl PhaseDetector {
         self.current_phase
     }
 
-    /// Number of distinct phases seen.
-    pub fn phase_count(&self) -> usize {
-        self.ids.len()
-    }
-
     /// Feeds one token; returns a change event when a window completes
     /// and the phase assignment changes.
     ///
     /// # Panics
     ///
     /// Panics if `token` is out of vocabulary.
-    pub fn observe(&mut self, token: usize) -> Option<PhaseChange> {
+    pub(crate) fn observe(&mut self, token: usize) -> Option<PhaseChange> {
         assert!(token < self.vocab_len, "token out of vocabulary");
         self.current_window[token] += 1.0;
         self.filled += 1;
@@ -206,7 +201,7 @@ mod tests {
             d.observe(1);
         }
         assert_eq!(d.current_phase(), phase_a, "must recognize the old phase");
-        assert_eq!(d.phase_count(), 2);
+        assert_eq!(d.ids.len(), 2);
         assert!(changes.iter().any(|c| c.is_new));
     }
 
@@ -246,7 +241,7 @@ mod tests {
                 d.observe(tok);
             }
         }
-        assert!(d.phase_count() <= MAX_PHASES);
+        assert!(d.ids.len() <= MAX_PHASES);
     }
 
     #[test]

@@ -9,8 +9,6 @@
 //! hypervectors:
 //!
 //! * **random hypervectors** — quasi-orthogonal symbol codes;
-//! * **binding** (XOR) — associates two symbols; invertible and
-//!   similarity-destroying;
 //! * **bundling** (majority) — superposes a set; similarity-
 //!   preserving;
 //! * **permutation** (rotate) — encodes sequence position.
@@ -30,44 +28,26 @@ const DEFAULT_WORDS: usize = 16;
 
 /// A dense binary hypervector.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HyperVector {
+struct HyperVector {
     words: Vec<u64>,
 }
 
 impl HyperVector {
     /// Dimension in bits.
-    pub fn dim(&self) -> usize {
+    fn dim(&self) -> usize {
         self.words.len() * 64
     }
 
     /// A random hypervector of `words * 64` bits.
-    pub fn random(words: usize, rng: &mut impl Rng) -> Self {
+    fn random(words: usize, rng: &mut impl Rng) -> Self {
         Self {
             words: (0..words).map(|_| rng.gen()).collect(),
         }
     }
 
-    /// Binding: elementwise XOR. Self-inverse:
-    /// `a.bind(b).bind(b) == a`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch.
-    pub fn bind(&self, other: &HyperVector) -> HyperVector {
-        assert_eq!(self.words.len(), other.words.len(), "dim mismatch");
-        HyperVector {
-            words: self
-                .words
-                .iter()
-                .zip(other.words.iter())
-                .map(|(a, b)| a ^ b)
-                .collect(),
-        }
-    }
-
     /// Permutation: rotates the whole vector left by `k` bits, encoding
     /// sequence position.
-    pub fn permute(&self, k: usize) -> HyperVector {
+    fn permute(&self, k: usize) -> HyperVector {
         let n = self.dim();
         if n == 0 {
             return self.clone();
@@ -94,7 +74,8 @@ impl HyperVector {
     /// # Panics
     ///
     /// Panics on dimension mismatch.
-    pub fn similarity(&self, other: &HyperVector) -> f64 {
+    #[cfg(test)]
+    fn similarity(&self, other: &HyperVector) -> f64 {
         assert_eq!(self.words.len(), other.words.len(), "dim mismatch");
         let differing: u32 = self
             .words
@@ -110,7 +91,7 @@ impl HyperVector {
     /// # Panics
     ///
     /// Panics on an empty set or dimension mismatch.
-    pub fn bundle(vectors: &[HyperVector], tie: &HyperVector) -> HyperVector {
+    fn bundle(vectors: &[HyperVector], tie: &HyperVector) -> HyperVector {
         assert!(!vectors.is_empty(), "empty bundle");
         let words = vectors[0].words.len();
         let dim = words * 64;
@@ -141,7 +122,7 @@ impl HyperVector {
     /// The indices of the `k` bits chosen by a fixed random projection
     /// order — a sparse readout of the hypervector for networks that
     /// take active-bit lists. Deterministic per (vector, space, k).
-    pub fn sparse_bits(&self, space: usize, k: usize) -> Vec<u32> {
+    fn sparse_bits(&self, space: usize, k: usize) -> Vec<u32> {
         // Hash each set bit into the target space; keep the k smallest
         // hashes for determinism.
         let mut hashed: Vec<(u64, u32)> = Vec::new();
@@ -234,6 +215,7 @@ impl VsaEncoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(7)
@@ -246,19 +228,6 @@ mod tests {
         let b = HyperVector::random(16, &mut r);
         assert!((a.similarity(&b)).abs() < 0.15, "{}", a.similarity(&b));
         assert_eq!(a.similarity(&a), 1.0);
-    }
-
-    #[test]
-    fn binding_is_self_inverse_and_destroys_similarity() {
-        let mut r = rng();
-        let a = HyperVector::random(16, &mut r);
-        let b = HyperVector::random(16, &mut r);
-        let bound = a.bind(&b);
-        assert_eq!(bound.bind(&b), a, "unbinding recovers the operand");
-        assert!(
-            bound.similarity(&a).abs() < 0.15,
-            "bound vector is unrelated"
-        );
     }
 
     #[test]
@@ -321,5 +290,18 @@ mod tests {
     fn oov_token_panics() {
         let e = VsaEncoder::new(4, 64, 4, 2, 0);
         e.encode(&[4]);
+    }
+
+    proptest! {
+        /// Permutation is invertible and similarity is symmetric.
+        #[test]
+        fn vsa_algebra_laws(seed in any::<u64>(), k in 1usize..1000) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let a = HyperVector::random(8, &mut rng);
+            let b = HyperVector::random(8, &mut rng);
+            let d = a.dim();
+            prop_assert_eq!(a.permute(k % d).permute(d - (k % d)), a.clone());
+            prop_assert!((a.similarity(&b) - b.similarity(&a)).abs() < 1e-12);
+        }
     }
 }

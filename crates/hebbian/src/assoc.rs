@@ -64,16 +64,6 @@ impl PatternSeparator {
         }
     }
 
-    /// Code width.
-    pub fn code_bits(&self) -> usize {
-        self.code_bits
-    }
-
-    /// Active units per code.
-    pub fn code_active(&self) -> usize {
-        self.code_active
-    }
-
     /// Separates `pattern` into a sparse code.
     ///
     /// # Panics
@@ -141,29 +131,10 @@ impl WillshawMemory {
         self.stored += 1;
     }
 
-    /// Recalls the value for `key`: value units whose stored key
-    /// overlap reaches `threshold` fire. With `threshold` equal to the
-    /// key's active-bit count, recall is exact for undersaturated
-    /// memories.
-    ///
-    /// # Panics
-    ///
-    /// Panics on width mismatch.
-    pub fn recall(&self, key: &BitSet, threshold: usize) -> BitSet {
-        assert_eq!(key.len(), self.key_bits, "key width mismatch");
-        let mut out = BitSet::new(self.value_bits);
-        for (v, row) in self.weights.iter().enumerate() {
-            if row.overlap(key) >= threshold {
-                out.insert(v);
-            }
-        }
-        out
-    }
-
     /// Per-value-bit overlap scores for `key`: how many of the key's
     /// active bits each value unit is connected to. Decoders that need
     /// a ranking (e.g. "which target class does this cue recall?") use
-    /// this instead of thresholded [`recall`](Self::recall).
+    /// these scores directly.
     ///
     /// # Panics
     ///
@@ -183,85 +154,21 @@ impl WillshawMemory {
     }
 }
 
-/// A binary auto-associative memory (CA3-style): stored codes become
-/// attractors that can be completed from partial cues.
-#[derive(Debug, Clone)]
-pub struct AutoAssociativeMemory {
-    bits: usize,
-    active: usize,
-    weights: Vec<BitSet>,
-    stored: usize,
-}
-
-impl AutoAssociativeMemory {
-    /// Creates an empty auto-associator over codes of `bits` width and
-    /// `active` active units.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `active` is zero or exceeds `bits`.
-    pub fn new(bits: usize, active: usize) -> Self {
-        assert!(active > 0 && active <= bits);
-        Self {
-            bits,
-            active,
-            weights: (0..bits).map(|_| BitSet::new(bits)).collect(),
-            stored: 0,
-        }
-    }
-
-    /// Number of stored codes.
-    pub fn stored(&self) -> usize {
-        self.stored
-    }
-
-    /// Stores `code` as an attractor (self-connections excluded).
-    ///
-    /// # Panics
-    ///
-    /// Panics on width mismatch.
-    pub fn store(&mut self, code: &BitSet) {
-        assert_eq!(code.len(), self.bits, "code width mismatch");
-        for a in code.iter() {
-            for b in code.iter() {
-                if a != b {
-                    self.weights[a].insert(b);
-                }
-            }
-        }
-        self.stored += 1;
-    }
-
-    /// Completes a partial cue by iterating thresholded recall until a
-    /// fixed point or `max_iters`. Each iteration re-activates the
-    /// `active` units with the highest recurrent support.
-    ///
-    /// # Panics
-    ///
-    /// Panics on width mismatch.
-    pub fn complete(&self, cue: &BitSet, max_iters: usize) -> BitSet {
-        assert_eq!(cue.len(), self.bits, "cue width mismatch");
-        let mut current = cue.clone();
-        for _ in 0..max_iters {
-            let scores: Vec<i32> = self
-                .weights
-                .iter()
-                .map(|row| row.overlap(&current) as i32)
-                .collect();
-            let winners = k_winners(&scores, self.active);
-            let next = BitSet::from_indices(self.bits, &winners);
-            if next == current {
-                break;
-            }
-            current = next;
-        }
-        current
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Thresholded recall: the value units whose stored key overlap
+    /// reaches `threshold`.
+    fn recall(mem: &WillshawMemory, key: &BitSet, threshold: usize) -> BitSet {
+        let mut out = BitSet::new(mem.value_bits);
+        for (v, score) in mem.recall_scores(key).into_iter().enumerate() {
+            if score >= threshold {
+                out.insert(v);
+            }
+        }
+        out
+    }
 
     fn random_code(bits: usize, active: usize, rng: &mut StdRng) -> BitSet {
         let mut s = BitSet::new(bits);
@@ -313,7 +220,7 @@ mod tests {
             mem.store(k, v);
         }
         for (k, v) in &pairs {
-            let r = mem.recall(k, k.count());
+            let r = recall(&mem, k, k.count());
             // Exact threshold recall returns a superset containing the
             // stored value; for low saturation it is exactly the value.
             for bit in v.iter() {
@@ -330,14 +237,14 @@ mod tests {
         let probe_k = random_code(64, 8, &mut rng);
         let probe_v = random_code(64, 8, &mut rng);
         mem.store(&probe_k, &probe_v);
-        let clean = mem.recall(&probe_k, probe_k.count());
+        let clean = recall(&mem, &probe_k, probe_k.count());
         // Saturate with many random pairs.
         for _ in 0..500 {
             let k = random_code(64, 8, &mut rng);
             let v = random_code(64, 8, &mut rng);
             mem.store(&k, &v);
         }
-        let noisy = mem.recall(&probe_k, probe_k.count());
+        let noisy = recall(&mem, &probe_k, probe_k.count());
         assert!(mem.saturation() > 0.5);
         assert!(
             noisy.count() >= clean.count(),
@@ -346,31 +253,9 @@ mod tests {
     }
 
     #[test]
-    fn auto_associator_completes_partial_cues() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut mem = AutoAssociativeMemory::new(256, 12);
-        let codes: Vec<BitSet> = (0..10).map(|_| random_code(256, 12, &mut rng)).collect();
-        for c in &codes {
-            mem.store(c);
-        }
-        for c in &codes {
-            // Cue with 7 of 12 bits.
-            let mut cue = BitSet::new(256);
-            for (n, bit) in c.iter().enumerate() {
-                if n < 7 {
-                    cue.insert(bit);
-                }
-            }
-            let completed = mem.complete(&cue, 5);
-            let overlap = completed.overlap(c);
-            assert!(overlap >= 10, "completion recovered only {overlap}/12 bits");
-        }
-    }
-
-    #[test]
     fn empty_memory_recall_is_empty() {
         let mem = WillshawMemory::new(32, 32);
         let k = BitSet::from_indices(32, &[1, 2, 3]);
-        assert_eq!(mem.recall(&k, 3).count(), 0);
+        assert_eq!(recall(&mem, &k, 3).count(), 0);
     }
 }

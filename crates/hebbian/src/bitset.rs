@@ -7,7 +7,7 @@ pub struct BitSet {
     len: usize,
 }
 
-// `len` is bit capacity, so an `is_empty` would mislead; see `none_set`.
+// `len` is bit capacity, so an `is_empty` would mislead.
 #[allow(clippy::len_without_is_empty)]
 impl BitSet {
     /// Creates an empty bitset over `len` bits.
@@ -34,15 +34,6 @@ impl BitSet {
     /// Bit capacity.
     pub fn len(&self) -> usize {
         self.len
-    }
-
-    /// Whether no bit is set.
-    ///
-    /// (Not `is_empty`: that name would pair with [`BitSet::len`],
-    /// which reports bit *capacity*, and break the Rust convention
-    /// `is_empty() ⇔ len() == 0` for callers.)
-    pub fn none_set(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
     }
 
     /// The backing `u64` words, least-significant bits first: bit `i`
@@ -169,9 +160,8 @@ mod tests {
     #[test]
     fn clear_resets_everything() {
         let mut s = BitSet::from_indices(70, &[0, 69]);
-        assert!(!s.none_set());
+        assert_ne!(s.count(), 0);
         s.clear();
-        assert!(s.none_set());
         assert_eq!(s.count(), 0);
     }
 

@@ -317,7 +317,7 @@ mod memo_equivalence {
                         outcome_bits(&reference.train_step(p, *t))
                     ),
                     Op::TrainOpts(p, t, n, anti) => {
-                        let scale = LrScale::from_ratio(*n, 10);
+                        let scale = LrScale::from_f32(*n as f32 / 10.0);
                         prop_assert_eq!(
                             outcome_bits(&memo.train_step_opts(p, *t, scale, *anti)),
                             outcome_bits(&reference.train_step_opts(p, *t, scale, *anti))
@@ -350,7 +350,7 @@ mod memo_equivalence {
                         reference.set_recurrent_state(bits);
                     }
                     Op::Replay(p, t, n, bits) => {
-                        let scale = LrScale::from_ratio(*n, 10);
+                        let scale = LrScale::from_f32(*n as f32 / 10.0);
                         memo.replay_step(p, bits, *t, scale);
                         let saved = reference.recurrent_state().to_vec();
                         reference.set_recurrent_state(bits);

@@ -18,32 +18,15 @@ pub struct LrScale(u32);
 
 impl LrScale {
     /// Number of fractional bits.
-    pub const FRAC_BITS: u32 = 24;
+    const FRAC_BITS: u32 = 24;
     /// The identity scale (1.0).
     pub const ONE: LrScale = LrScale(1 << Self::FRAC_BITS);
     /// The zero scale (never update).
     pub const ZERO: LrScale = LrScale(0);
 
-    /// Builds a scale from its raw Q24 representation.
-    pub const fn from_raw(raw: u32) -> Self {
-        LrScale(raw)
-    }
-
     /// The raw Q24 representation.
     pub const fn raw(self) -> u32 {
         self.0
-    }
-
-    /// `num / den` as a Q24 scale, computed entirely in integers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `den == 0` or the ratio overflows the Q24 range.
-    pub const fn from_ratio(num: u32, den: u32) -> Self {
-        assert!(den != 0, "zero denominator");
-        let raw = (((num as u64) << Self::FRAC_BITS) + den as u64 / 2) / den as u64;
-        assert!(raw <= u32::MAX as u64, "ratio overflows Q24");
-        LrScale(raw as u32)
     }
 
     /// Boundary constructor from a float configuration knob (e.g. the
@@ -82,14 +65,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ratio_matches_float_constructor() {
-        assert_eq!(LrScale::from_ratio(1, 10), LrScale::from_f32(0.1));
-        assert_eq!(LrScale::from_ratio(1, 1), LrScale::ONE);
-        assert_eq!(LrScale::from_ratio(0, 7), LrScale::ZERO);
-        assert_eq!(LrScale::from_ratio(3, 1), LrScale::from_f32(3.0));
-    }
-
-    #[test]
     fn scale_step_rounds_to_nearest() {
         assert_eq!(LrScale::ONE.scale_step(4), 4);
         assert_eq!(LrScale::from_f32(2.0).scale_step(4), 8);
@@ -102,14 +77,8 @@ mod tests {
     fn at_least_one_boundary() {
         assert!(LrScale::ONE.at_least_one());
         assert!(LrScale::from_f32(1.5).at_least_one());
-        assert!(!LrScale::from_raw(LrScale::ONE.raw() - 1).at_least_one());
+        assert!(!LrScale(LrScale::ONE.raw() - 1).at_least_one());
         assert!(!LrScale::ZERO.at_least_one());
-    }
-
-    #[test]
-    #[should_panic(expected = "zero denominator")]
-    fn zero_denominator_panics() {
-        let _ = LrScale::from_ratio(1, 0);
     }
 
     #[test]

@@ -26,6 +26,12 @@ use crate::sparse::SparseLayer;
 /// Initial weight magnitude of the fixed hidden expansion. Wider
 /// ranges give the expansion better pattern separation.
 const HIDDEN_INIT_MAG: i16 = 8;
+/// Base integer potentiation step (LTP).
+const STEP: i16 = 4;
+/// Integer depression step (LTD) for inactive inputs of an updated
+/// output. Must be smaller than `STEP` for outputs that fire in
+/// several contexts (see `SparseLayer::hebbian_update`).
+const LTD_STEP: i16 = 1;
 
 /// Hyper-parameters of the Hebbian prefetch network.
 #[derive(Debug, Clone)]
@@ -50,12 +56,6 @@ pub struct HebbianConfig {
     pub recurrent_sample: usize,
     /// Weight magnitude clamp.
     pub weight_clamp: i16,
-    /// Base integer potentiation step (LTP).
-    pub step: i16,
-    /// Integer depression step (LTD) for inactive inputs of an updated
-    /// output. Must be smaller than `step` for outputs that fire in
-    /// several contexts (see `SparseLayer::hebbian_update`).
-    pub ltd_step: i16,
     /// RNG seed for connectivity and stochastic scaled updates.
     pub seed: u64,
 }
@@ -81,8 +81,6 @@ impl HebbianConfig {
             hidden_active: 100,
             recurrent_sample: 16,
             weight_clamp: 64,
-            step: 4,
-            ltd_step: 1,
             seed: 0xb1a1,
         }
     }
@@ -104,8 +102,6 @@ impl HebbianConfig {
             hidden_active: 16,
             recurrent_sample: 6,
             weight_clamp: 32,
-            step: 4,
-            ltd_step: 1,
             seed: 0xb1a1,
         }
     }
@@ -169,6 +165,7 @@ pub struct NetState {
 
 /// Why a [`NetState`] could not be imported.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+// hnp-lint: allow(unused_pub) caller: hnp-serve's tenant.rs checks `import_state`'s result
 pub enum StateError {
     /// A weight vector has the wrong length for the layer geometry or
     /// carries a value beyond the clamp.
@@ -399,15 +396,9 @@ impl HebbianNetwork {
         &self.out_scores
     }
 
-    /// Instrumentation counters accumulated since construction (or the
-    /// last [`HebbianNetwork::reset_stats`]).
+    /// Instrumentation counters accumulated since construction.
     pub fn stats(&self) -> NetStats {
         self.stats
-    }
-
-    /// Zeroes the instrumentation counters.
-    pub fn reset_stats(&mut self) {
-        self.stats = NetStats::default();
     }
 
     /// The configuration this network was built from.
@@ -738,7 +729,8 @@ impl HebbianNetwork {
     /// Call after any `infer*`/`train*` step to read multi-candidate
     /// predictions (§5.2's prefetch width).
     /// Ties go to the lower class index; `width == 0` yields nothing.
-    pub fn top_predictions(&self, width: usize) -> Vec<usize> {
+    #[cfg(test)]
+    pub(crate) fn top_predictions(&self, width: usize) -> Vec<usize> {
         // Rollout calls this every lookahead step: select straight
         // into the step's result instead of sorting every output.
         let mut top = Vec::with_capacity(width.min(self.out_scores.len()));
@@ -748,11 +740,11 @@ impl HebbianNetwork {
 
     /// One online training step with the base integer step size.
     pub fn train_step(&mut self, pattern: &[u32], target: usize) -> HebbianOutcome {
-        self.train_step_scaled(pattern, target, LrScale::ONE)
+        self.train_step_opts(pattern, target, LrScale::ONE, true)
     }
 
-    /// One online training step with a scaled learning rate, with
-    /// anti-Hebbian competitor depression.
+    /// One online training step with a scaled learning rate and
+    /// optional anti-Hebbian competitor depression.
     ///
     /// Integer weights cannot take fractional steps, so `scale < 1`
     /// applies the update stochastically with probability `scale`
@@ -761,23 +753,10 @@ impl HebbianNetwork {
     /// multiplies the integer step. The scale is Q24 fixed point, so
     /// the whole training path stays integer.
     ///
-    /// # Panics
-    ///
-    /// Panics if `target` is out of range.
-    pub fn train_step_scaled(
-        &mut self,
-        pattern: &[u32],
-        target: usize,
-        scale: LrScale,
-    ) -> HebbianOutcome {
-        self.train_step_opts(pattern, target, scale, true)
-    }
-
-    /// [`train_step_scaled`](Self::train_step_scaled) with explicit
-    /// control over anti-Hebbian depression. Replay passes `false`:
-    /// replayed examples should reinforce stored associations without
-    /// depressing whatever the network currently predicts (which is
-    /// usually the *new* pattern being learned).
+    /// Replay passes `anti_hebbian = false`: replayed examples should
+    /// reinforce stored associations without depressing whatever the
+    /// network currently predicts (which is usually the *new* pattern
+    /// being learned).
     ///
     /// # Panics
     ///
@@ -818,7 +797,7 @@ impl HebbianNetwork {
     /// (most replay steps, at a fractional rate) runs only layer 1 and
     /// the winner statistics: nothing reads its output scores. No
     /// allocation once the scratch buffers have capacity. Afterwards
-    /// [`top_predictions`](Self::top_predictions) is not meaningful.
+    /// the output scores are not meaningful.
     ///
     /// [`set_recurrent_state`]: Self::set_recurrent_state
     /// [`train_step_opts`]: Self::train_step_opts
@@ -859,12 +838,9 @@ impl HebbianNetwork {
     /// scores of the last forward pass); returns its ops.
     fn apply_update(&mut self, target: usize, scale: LrScale, anti_hebbian: bool) -> usize {
         let (step, ltd) = if scale.at_least_one() {
-            (
-                scale.scale_step(self.cfg.step),
-                scale.scale_step(self.cfg.ltd_step),
-            )
+            (scale.scale_step(STEP), scale.scale_step(LTD_STEP))
         } else {
-            (self.cfg.step, self.cfg.ltd_step)
+            (STEP, LTD_STEP)
         };
         let mut ops = self
             .layer2
@@ -1128,7 +1104,7 @@ mod tests {
         net.reset_state();
         let before = net.infer(&oh(4), 4).confidence;
         for _ in 0..50 {
-            net.train_step_scaled(&oh(9), 9, LrScale::ZERO);
+            net.train_step_opts(&oh(9), 9, LrScale::ZERO, true);
         }
         net.reset_state();
         let after = net.infer(&oh(4), 4).confidence;
@@ -1214,15 +1190,17 @@ mod tests {
         // Restored and original continue identically, including the
         // stochastic scaled-update schedule.
         for w in 0..cycle.len() {
-            let a = net.train_step_scaled(
+            let a = net.train_step_opts(
                 &oh(cycle[w]),
                 cycle[(w + 1) % 4],
-                LrScale::from_ratio(1, 10),
+                LrScale::from_f32(0.1),
+                true,
             );
-            let b = fresh.train_step_scaled(
+            let b = fresh.train_step_opts(
                 &oh(cycle[w]),
                 cycle[(w + 1) % 4],
-                LrScale::from_ratio(1, 10),
+                LrScale::from_f32(0.1),
+                true,
             );
             assert_eq!(a.predicted, b.predicted);
             assert_eq!(a.ops, b.ops);

@@ -154,11 +154,6 @@ impl SparseLayer {
         }
     }
 
-    /// Input dimension.
-    pub fn inputs(&self) -> usize {
-        self.inputs
-    }
-
     /// Output dimension.
     pub fn outputs(&self) -> usize {
         self.outputs
@@ -180,7 +175,8 @@ impl SparseLayer {
     /// # Panics
     ///
     /// Panics if `input` is out of range.
-    pub fn fan_out(&self, input: u32) -> usize {
+    #[cfg(test)]
+    pub(crate) fn fan_out(&self, input: u32) -> usize {
         let i = input as usize;
         assert!(i < self.inputs, "input out of range");
         (self.offsets[i + 1] - self.offsets[i]) as usize

@@ -99,7 +99,7 @@ fn steady_state_kernels_do_not_allocate() {
         let pattern = [i % 61, (i * 7) % 61 + 61];
         let context = [i % 128, (i * 3) % 128, (i * 11) % 128, i % 128];
         let target = (i as usize + 1) % outputs;
-        net.replay_step(&pattern, &context, target, LrScale::from_ratio(1, 10));
+        net.replay_step(&pattern, &context, target, LrScale::from_f32(0.1));
         net.train_step(&pattern, target);
         net.set_recurrent_state(&context[..2]);
         net.infer(&pattern, target);

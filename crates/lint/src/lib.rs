@@ -17,10 +17,15 @@
 //! * **HNP03 `panic_hygiene`** — no `unwrap`/`expect`/`panic!`-family
 //!   calls in library crates outside `#[cfg(test)]`;
 //! * **HNP04 `integer_purity`** — no `f32`/`f64` arithmetic in the
-//!   Hebbian substrate (Eq. 1 / Table 2 ops accounting).
+//!   Hebbian substrate (Eq. 1 / Table 2 ops accounting);
+//! * **HNP05 `unused_pub`** — no `pub` item in a library's `src/` whose
+//!   name no other non-test file (under `crates/*/src`, `src/`,
+//!   `examples/` or `perfbench/src`) uses: the surface only tests use
+//!   is deleted, the surface only its own file uses is private.
 //!
 //! Violations that are deliberate carry a
-//! `// hnp-lint: allow(<rule>)` pragma with a justification; the
+//! `// hnp-lint: allow(<rule>)` pragma with a justification (for
+//! HNP05, `caller: <who>` naming the caller the lint cannot see); the
 //! report counts suppressions separately so they stay auditable.
 //!
 //! Run as `cargo run -p hnp-lint`, `hnpctl lint`, or through the
@@ -33,4 +38,4 @@ pub mod tokenizer;
 pub mod workspace;
 
 pub use rules::{Finding, Rule};
-pub use workspace::{check_source, check_workspace, find_root, LintError, Report};
+pub use workspace::{check_workspace, find_root, Report};

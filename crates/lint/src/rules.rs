@@ -6,15 +6,18 @@
 //! | HNP02 | `layering`       | every workspace crate                  |
 //! | HNP03 | `panic_hygiene`  | library crates, outside `#[cfg(test)]` |
 //! | HNP04 | `integer_purity` | hebbian, outside `#[cfg(test)]`        |
+//! | HNP05 | `unused_pub`     | library `src/`, outside `#[cfg(test)]` |
 //!
 //! Each rule can be suppressed per-line with
 //! `// hnp-lint: allow(<rule>)` (covering that line and the next) or
-//! per-file with `// hnp-lint: allow-file(<rule>)`.
+//! per-file with `// hnp-lint: allow-file(<rule>)`. An HNP05 pragma
+//! must also name the caller the lint cannot see:
+//! `// hnp-lint: allow(unused_pub) caller: <who>`.
 
 use std::collections::BTreeSet;
 
-use crate::tokenizer::{test_spans, LexOutput, TokKind};
-use crate::workspace::CrateInfo;
+use crate::tokenizer::{test_spans, LexOutput, Tok, TokKind};
+use crate::workspace::{CrateInfo, SourceFile};
 
 /// Rule families.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -32,6 +35,9 @@ pub enum Rule {
     /// HNP04: the Hebbian substrate stays integer-pure (Eq. 1 /
     /// Table 2 ops accounting).
     IntegerPurity,
+    /// HNP05: no `pub` library item that only its own file or tests
+    /// use.
+    UnusedPub,
 }
 
 impl Rule {
@@ -42,6 +48,7 @@ impl Rule {
             Rule::Layering => "layering",
             Rule::PanicHygiene => "panic_hygiene",
             Rule::IntegerPurity => "integer_purity",
+            Rule::UnusedPub => "unused_pub",
         }
     }
 
@@ -52,16 +59,18 @@ impl Rule {
             Rule::Layering => "HNP02",
             Rule::PanicHygiene => "HNP03",
             Rule::IntegerPurity => "HNP04",
+            Rule::UnusedPub => "HNP05",
         }
     }
 
     /// All rules, in id order.
-    pub fn all() -> [Rule; 4] {
+    pub fn all() -> [Rule; 5] {
         [
             Rule::Determinism,
             Rule::Layering,
             Rule::PanicHygiene,
             Rule::IntegerPurity,
+            Rule::UnusedPub,
         ]
     }
 }
@@ -83,7 +92,7 @@ pub struct Finding {
 }
 
 /// Crates whose runtime state must be bit-reproducible (HNP01).
-pub const DETERMINISM_CRATES: &[&str] = &[
+const DETERMINISM_CRATES: &[&str] = &[
     "hnp-core",
     "hnp-hebbian",
     "hnp-memsim",
@@ -94,7 +103,7 @@ pub const DETERMINISM_CRATES: &[&str] = &[
 
 /// Library crates held to panic hygiene (HNP03). Binaries (`hnp-cli`,
 /// `hnp-bench`, `hnp-lint`) may abort on operator error.
-pub const LIBRARY_CRATES: &[&str] = &[
+const LIBRARY_CRATES: &[&str] = &[
     "hnp-nn",
     "hnp-hebbian",
     "hnp-trace",
@@ -108,7 +117,7 @@ pub const LIBRARY_CRATES: &[&str] = &[
 
 /// Crates whose learning/inference arithmetic must be integer-only
 /// (HNP04).
-pub const INTEGER_PURE_CRATES: &[&str] = &["hnp-hebbian"];
+const INTEGER_PURE_CRATES: &[&str] = &["hnp-hebbian"];
 
 /// The layered architecture (HNP02): a crate may depend only on
 /// crates of a strictly lower layer. Leaves first:
@@ -116,7 +125,7 @@ pub const INTEGER_PURE_CRATES: &[&str] = &["hnp-hebbian"];
 /// systems/serve → bench → cli`. (`hnp-obs` is a leaf so every layer above it can emit
 /// events; `hnp-hebbian` shares its layer and therefore stays
 /// observer-free — its stats surface through getters instead.)
-pub const LAYERS: &[(&str, u32)] = &[
+const LAYERS: &[(&str, u32)] = &[
     ("hnp-trace", 0),
     ("hnp-nn", 0),
     ("hnp-hebbian", 0),
@@ -312,7 +321,7 @@ pub fn check_manifest(krate: &CrateInfo, out: &mut Vec<Finding>) {
 /// identifier anywhere in the crate's `src/` files (HNP02): an edge no
 /// code uses is deleted, or moved to `[dev-dependencies]` when only
 /// tests use it. Dev-dependencies are not checked.
-pub fn check_unused_deps(krate: &CrateInfo, sources: &[LexOutput], out: &mut Vec<Finding>) {
+pub fn check_unused_deps(krate: &CrateInfo, sources: &[&LexOutput], out: &mut Vec<Finding>) {
     let idents: BTreeSet<&str> = sources
         .iter()
         .flat_map(|lexed| &lexed.tokens)
@@ -333,5 +342,109 @@ pub fn check_unused_deps(krate: &CrateInfo, sources: &[LexOutput], out: &mut Vec
             ),
             suppressed: false,
         });
+    }
+}
+
+/// Item keywords whose `pub` definitions HNP05 checks.
+const ITEM_KINDS: &[&str] = &[
+    "fn", "struct", "enum", "trait", "type", "const", "static", "union",
+];
+
+/// Qualifiers that may sit between `pub` and the item keyword.
+const ITEM_QUALIFIERS: &[&str] = &["const", "unsafe", "async", "extern"];
+
+/// The name of the item a `pub` token at `i` opens, if it is a plain
+/// `pub` (not `pub(crate)`) item of one of [`ITEM_KINDS`].
+fn pub_item_name(toks: &[Tok], i: usize) -> Option<&Tok> {
+    let is_any = |t: &Tok, words: &[&str]| words.iter().any(|w| t.is_ident(w));
+    let mut j = i + 1;
+    // Skip `const fn`, `unsafe fn`, `extern "C" fn`; `const NAME` stops.
+    while toks.get(j).is_some_and(|t| {
+        t.kind == TokKind::StrLit
+            || is_any(t, ITEM_QUALIFIERS)
+                && toks.get(j + 1).is_some_and(|n| {
+                    n.kind == TokKind::StrLit || is_any(n, ITEM_KINDS) || is_any(n, ITEM_QUALIFIERS)
+                })
+    }) {
+        j += 1;
+    }
+    if !is_any(toks.get(j)?, ITEM_KINDS) {
+        return None;
+    }
+    toks.get(j + 1).filter(|n| n.kind == TokKind::Ident)
+}
+
+/// The identifiers `lexed` uses outside `#[cfg(test)]` code and outside
+/// re-export statements (`pub use …;`), which name an item without
+/// using it.
+fn used_idents(lexed: &LexOutput) -> BTreeSet<&str> {
+    let toks = &lexed.tokens;
+    let in_test = test_spans(toks);
+    let mut idents = BTreeSet::new();
+    let mut in_reexport = false;
+    for (i, t) in toks.iter().enumerate() {
+        if in_reexport {
+            in_reexport = !t.is_punct(';');
+            continue;
+        }
+        if t.is_ident("pub") {
+            // `pub use` or `pub(crate) use`.
+            let after = if toks.get(i + 1).is_some_and(|n| n.is_punct('(')) {
+                toks[i + 1..]
+                    .iter()
+                    .position(|n| n.is_punct(')'))
+                    .map(|p| i + p + 2)
+            } else {
+                Some(i + 1)
+            };
+            if after
+                .and_then(|a| toks.get(a))
+                .is_some_and(|n| n.is_ident("use"))
+            {
+                in_reexport = true;
+                continue;
+            }
+        }
+        if !in_test[i] && t.kind == TokKind::Ident {
+            idents.insert(t.text.as_str());
+        }
+    }
+    idents
+}
+
+/// Flags each `pub` item of a library file whose name no *other*
+/// file uses as an identifier (HNP05). Uses inside `#[cfg(test)]`
+/// code and re-exports do not count, and `tests/` directories are
+/// never read. An item only its own file uses should be private; one
+/// nothing outside tests uses should be deleted.
+pub(crate) fn check_unused_pub(files: &[SourceFile], out: &mut Vec<Finding>) {
+    let used: Vec<BTreeSet<&str>> = files.iter().map(|f| used_idents(&f.lexed)).collect();
+    for (me, file) in files.iter().enumerate().filter(|(_, f)| f.library) {
+        let toks = &file.lexed.tokens;
+        let in_test = test_spans(toks);
+        for (i, t) in toks.iter().enumerate() {
+            if in_test[i] || !t.is_ident("pub") {
+                continue;
+            }
+            let Some(name) = pub_item_name(toks, i) else {
+                continue;
+            };
+            let elsewhere = used
+                .iter()
+                .enumerate()
+                .any(|(other, idents)| other != me && idents.contains(name.text.as_str()));
+            if !elsewhere {
+                out.push(Finding {
+                    rule: Rule::UnusedPub,
+                    file: file.rel.clone(),
+                    line: name.line,
+                    message: format!(
+                        "`pub` item `{}` is used by no other non-test file: make it private (or `pub(crate)`), or delete it if only tests use it",
+                        name.text
+                    ),
+                    suppressed: false,
+                });
+            }
+        }
     }
 }

@@ -65,6 +65,8 @@ pub struct Suppression {
     pub rules: Vec<String>,
     /// `allow-file(...)` form: suppresses the whole file.
     pub whole_file: bool,
+    /// The comment text after `allow(...)`: the justification.
+    pub note: String,
 }
 
 /// Lexer output: the token stream plus extracted pragmas.
@@ -366,6 +368,7 @@ fn scan_pragma(comment: &str, line: u32, out: &mut Vec<Suppression>) {
         line,
         rules,
         whole_file,
+        note: body[close + 1..].trim().to_string(),
     });
 }
 

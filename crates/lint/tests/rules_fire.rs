@@ -1,164 +1,129 @@
-//! Proof that each rule family actually fires: one fixture file per
-//! rule (under `tests/fixtures/`) that must trip it, plus pragma
-//! suppression semantics and layering back-edge detection at the
-//! manifest level.
+//! Proof that HNP05 fires through the public entry point: a fixture
+//! workspace on disk, run through `check_workspace`. The per-file
+//! fixtures of HNP01-HNP04 (under `tests/fixtures/`) are checked by
+//! the unit tests in `src/workspace.rs`.
+
+use std::fs;
+use std::path::{Path, PathBuf};
 
 use hnp_lint::rules::Rule;
-use hnp_lint::workspace::{check_manifest_of, check_source, check_unused_deps_of};
+use hnp_lint::{check_workspace, Finding};
 
-fn count(findings: &[hnp_lint::Finding], rule: Rule, suppressed: bool) -> usize {
-    findings
-        .iter()
-        .filter(|f| f.rule == rule && f.suppressed == suppressed)
-        .count()
-}
-
-#[test]
-fn determinism_fixture_trips_hnp01() {
-    let findings = check_source(
-        "hnp-memsim",
-        "fixtures/determinism.rs",
-        include_str!("fixtures/determinism.rs"),
-    );
-    // Instant (x2: use + path + call), HashMap (x2), thread_rng,
-    // HashSet — at least one finding per construct kind.
-    let det = count(&findings, Rule::Determinism, false);
-    assert!(det >= 6, "expected >= 6 determinism findings, got {det}");
-    for needle in ["Instant", "HashMap", "HashSet", "thread_rng"] {
-        assert!(
-            findings.iter().any(|f| f.message.contains(needle)),
-            "no finding mentions {needle}"
-        );
+/// A fresh fixture workspace named `name`: one library crate
+/// `hnp-trace` whose `src/` holds `files`, plus `examples/` files.
+fn fixture(name: &str, files: &[(&str, &str)]) -> PathBuf {
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    let _ = fs::remove_dir_all(&root);
+    let src = root.join("crates/trace/src");
+    fs::create_dir_all(&src).expect("create fixture crate");
+    fs::create_dir_all(root.join("examples")).expect("create fixture examples");
+    fs::write(
+        root.join("crates/trace/Cargo.toml"),
+        "[package]\nname = \"hnp-trace\"\n",
+    )
+    .expect("write fixture manifest");
+    for (path, text) in files {
+        fs::write(root.join(path), text).expect("write fixture file");
     }
+    root
+}
+
+fn unused_pub(root: &Path) -> Vec<Finding> {
+    let report = check_workspace(root).expect("lint engine must run");
+    report
+        .findings
+        .into_iter()
+        .filter(|f| f.rule == Rule::UnusedPub)
+        .collect()
+}
+
+const LIB: &str = "pub mod stats;\npub use stats::mean;\n";
+
+const STATS: &str = "\
+/// Used by another file.
+pub fn mean(xs: &[u64]) -> u64 { xs.iter().sum::<u64>() / tail(xs) }
+pub fn tail(xs: &[u64]) -> u64 { xs.len() as u64 }
+pub(crate) fn private_enough() {}
+pub struct Window { pub len: usize }
+pub const fn spare() -> u32 { 0 }
+#[cfg(test)]
+mod tests {
+    pub fn helper() { let _ = super::Window { len: 0 }; }
+}
+";
+
+#[test]
+fn unused_pub_fixture_trips_hnp05() {
+    let root = fixture(
+        "hnp05_fires",
+        &[
+            ("crates/trace/src/lib.rs", LIB),
+            ("crates/trace/src/stats.rs", STATS),
+            (
+                "examples/demo.rs",
+                "fn main() { hnp_trace::stats::mean(&[1]); }\n",
+            ),
+        ],
+    );
+    let findings = unused_pub(&root);
+    let mut names: Vec<&str> = findings
+        .iter()
+        .map(|f| f.message.split('`').nth(3).unwrap_or_default())
+        .collect();
+    names.sort_unstable();
+    // `mean` is used by the example; the re-export in lib.rs does not
+    // count, nor does the test module's use of `Window`. `tail` is used
+    // only in its own file; fields, `pub(crate)` and test code are not
+    // checked.
+    assert_eq!(names, ["Window", "spare", "tail"], "{findings:?}");
+    assert!(findings.iter().all(|f| !f.suppressed));
+    assert!(findings
+        .iter()
+        .all(|f| f.file == "crates/trace/src/stats.rs"));
+    let tail = findings.iter().find(|f| f.message.contains("`tail`"));
+    assert_eq!(tail.map(|f| f.line), Some(3));
 }
 
 #[test]
-fn determinism_rule_only_applies_to_critical_crates() {
-    let findings = check_source(
-        "hnp-trace",
-        "fixtures/determinism.rs",
-        include_str!("fixtures/determinism.rs"),
+fn unused_pub_is_quiet_once_a_second_file_uses_the_name() {
+    let root = fixture(
+        "hnp05_quiet",
+        &[
+            ("crates/trace/src/lib.rs", LIB),
+            ("crates/trace/src/stats.rs", STATS),
+            (
+                "examples/demo.rs",
+                "use hnp_trace::stats::{mean, spare, tail, Window};\nfn main() { let _ = (mean(&[1]), tail(&[]), spare(), Window { len: 1 }); }\n",
+            ),
+        ],
     );
-    assert_eq!(count(&findings, Rule::Determinism, false), 0);
-}
-
-#[test]
-fn panic_hygiene_fixture_trips_hnp03_outside_tests_only() {
-    let findings = check_source(
-        "hnp-core",
-        "fixtures/panic_hygiene.rs",
-        include_str!("fixtures/panic_hygiene.rs"),
-    );
-    // unwrap, expect, panic!, unreachable! — and nothing from the
-    // #[cfg(test)] module or from unwrap_or.
-    assert_eq!(count(&findings, Rule::PanicHygiene, false), 4);
-    assert!(findings.iter().all(|f| f.line < 23), "test-mod leak");
-}
-
-#[test]
-fn panic_hygiene_does_not_apply_to_binaries() {
-    let findings = check_source(
-        "hnp-cli",
-        "fixtures/panic_hygiene.rs",
-        include_str!("fixtures/panic_hygiene.rs"),
-    );
-    assert_eq!(count(&findings, Rule::PanicHygiene, false), 0);
-}
-
-#[test]
-fn integer_purity_fixture_trips_hnp04() {
-    let findings = check_source(
-        "hnp-hebbian",
-        "fixtures/integer_purity.rs",
-        include_str!("fixtures/integer_purity.rs"),
-    );
-    let n = count(&findings, Rule::IntegerPurity, false);
-    // f32 (type + cast), f64 (x3), 0.5, 8.0, 2.0 literals.
-    assert!(n >= 6, "expected >= 6 purity findings, got {n}");
-    // The integer fixed-point variant must be clean.
-    assert!(
-        !findings.iter().any(|f| (15..=17).contains(&f.line)),
-        "fine_integer must not trip"
-    );
-}
-
-#[test]
-fn integer_purity_only_applies_to_hebbian() {
-    let findings = check_source(
-        "hnp-core",
-        "fixtures/integer_purity.rs",
-        include_str!("fixtures/integer_purity.rs"),
-    );
-    assert_eq!(count(&findings, Rule::IntegerPurity, false), 0);
-}
-
-#[test]
-fn layering_fixture_trips_hnp02_in_source() {
-    let findings = check_source(
-        "hnp-memsim",
-        "fixtures/layering.rs",
-        include_str!("fixtures/layering.rs"),
-    );
-    let backs = count(&findings, Rule::Layering, false);
-    assert_eq!(backs, 2, "hnp_systems and hnp_core are back-edges");
-    assert!(
-        !findings.iter().any(|f| f.message.contains("hnp-trace")),
-        "downward reference must be fine"
-    );
-}
-
-#[test]
-fn layering_manifest_back_edge_fails() {
-    // A back-edge like the acceptance criterion's example: a low layer
-    // depending on a higher one.
-    let findings = check_manifest_of("hnp-memsim", &["hnp-trace", "hnp-core"], &[]);
-    assert_eq!(findings.len(), 1);
-    assert!(findings[0].message.contains("back-edge"));
-    // Same-layer edges are back-edges too (keeps the graph acyclic).
-    let findings = check_manifest_of("hnp-core", &["hnp-baselines"], &[]);
-    assert_eq!(findings.len(), 1);
-    // The real edges are clean.
-    let findings = check_manifest_of(
-        "hnp-systems",
-        &["hnp-core", "hnp-baselines", "hnp-memsim", "hnp-trace"],
-        &["hnp-trace"],
-    );
+    let findings = unused_pub(&root);
     assert!(findings.is_empty(), "{findings:?}");
 }
 
 #[test]
-fn layering_flags_an_unused_dependency_edge() {
-    let src = "use hnp_memsim::Prefetcher;\nfn f() -> u32 { rand::random() }\n";
-    // `rand` and `hnp-memsim` are named (`-` read as `_`); `crossbeam`
-    // is not, and a mention in a comment does not count.
-    let findings = check_unused_deps_of(
-        "hnp-core",
-        &["hnp-memsim", "rand", "crossbeam"],
-        &[src, "// crossbeam would go here\n"],
+fn unused_pub_pragma_must_name_the_caller() {
+    let stats = "\
+// hnp-lint: allow(unused_pub): kept for later
+pub fn no_caller_named() {}
+// hnp-lint: allow(unused_pub) caller:
+pub fn empty_caller() {}
+// hnp-lint: allow(unused_pub) caller: an out-of-tree consumer
+pub fn caller_named() {}
+";
+    let root = fixture(
+        "hnp05_pragma",
+        &[
+            ("crates/trace/src/lib.rs", "pub mod stats;\n"),
+            ("crates/trace/src/stats.rs", stats),
+        ],
     );
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    assert_eq!(findings[0].rule, Rule::Layering);
-    assert!(findings[0].message.contains("unused dependency"));
-    assert!(findings[0].message.contains("`crossbeam`"));
-    // Every edge used: quiet.
-    let findings = check_unused_deps_of("hnp-core", &["hnp-memsim", "rand"], &[src]);
-    assert!(findings.is_empty(), "{findings:?}");
-}
-
-#[test]
-fn layering_flags_unmapped_crates() {
-    let findings = check_manifest_of("hnp-mystery", &[], &[]);
-    assert_eq!(findings.len(), 1);
-    assert!(findings[0].message.contains("no layer assignment"));
-}
-
-#[test]
-fn pragma_fixture_suppresses_two_of_three() {
-    let findings = check_source(
-        "hnp-core",
-        "fixtures/pragmas.rs",
-        include_str!("fixtures/pragmas.rs"),
-    );
-    assert_eq!(count(&findings, Rule::PanicHygiene, true), 2);
-    assert_eq!(count(&findings, Rule::PanicHygiene, false), 1);
+    let findings = unused_pub(&root);
+    let unsuppressed: Vec<u32> = findings
+        .iter()
+        .filter(|f| !f.suppressed)
+        .map(|f| f.line)
+        .collect();
+    assert_eq!(unsuppressed, [2, 4], "{findings:?}");
+    assert_eq!(findings.iter().filter(|f| f.suppressed).count(), 1);
 }

@@ -38,7 +38,7 @@ impl DeltaVocab {
     }
 
     /// The out-of-vocabulary token.
-    pub fn oov(&self) -> usize {
+    fn oov(&self) -> usize {
         (2 * self.range + 1) as usize
     }
 
@@ -62,7 +62,7 @@ impl DeltaVocab {
     /// # Panics
     ///
     /// Panics if `token >= len()`.
-    pub fn delta_of(&self, token: usize) -> Option<i64> {
+    fn delta_of(&self, token: usize) -> Option<i64> {
         assert!(token < self.len(), "token {} out of range", token);
         if token == self.oov() {
             None

@@ -39,5 +39,5 @@ pub use deltas::DeltaVocab;
 pub use ledger::PrefetchLedger;
 pub use prefetcher::PrefetchFeedback;
 pub use prefetcher::{DemuxPrefetcher, MissEvent, NoPrefetcher, Prefetcher};
-pub use resilient::{HealthState, ResilienceStats, ResilientPrefetcher};
+pub use resilient::{HealthState, ResilientPrefetcher};
 pub use sim::{SimConfig, SimReport, Simulator};

@@ -8,6 +8,7 @@
 
 /// Metadata kept per resident page for prefetch accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+// hnp-lint: allow(unused_pub) caller: sim.rs and hnp-systems read what `LocalMemory` returns
 pub struct PageMeta {
     /// Whether the page arrived via prefetch (vs. demand fetch).
     pub prefetched: bool,

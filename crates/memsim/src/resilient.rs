@@ -28,7 +28,6 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use hnp_obs::{Event, Registry};
-use serde::Serialize;
 
 use crate::prefetcher::{MissEvent, PrefetchFeedback, Prefetcher};
 
@@ -91,8 +90,8 @@ impl serde::Serialize for HealthState {
 }
 
 /// What the watchdog did over a run (for reports).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
-pub struct ResilienceStats {
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct ResilienceStats {
     /// State transitions taken.
     pub transitions: u64,
     /// Misses observed while Healthy.
@@ -166,7 +165,8 @@ impl StrideState {
     fn observe(&mut self, page: u64) -> Vec<u64> {
         let mut out = Vec::new();
         if let Some(last) = self.last_page {
-            let d = page as i64 - last as i64;
+            // Two's-complement delta: total over `u64` pages.
+            let d = page.wrapping_sub(last) as i64;
             if d != 0 && d == self.delta {
                 self.streak += 1;
             } else {
@@ -174,11 +174,15 @@ impl StrideState {
                 self.streak = u32::from(d != 0);
             }
             if self.streak >= 2 {
-                for k in 1..=2i64 {
-                    let cand = page as i64 + self.delta * k;
-                    if cand >= 0 {
-                        out.push(cand as u64);
-                    }
+                // Two steps along the stride, stopping at either end
+                // of the page space.
+                let mut cand = page;
+                for _ in 0..2 {
+                    let Some(next) = cand.checked_add_signed(self.delta) else {
+                        break;
+                    };
+                    cand = next;
+                    out.push(cand);
                 }
             }
         }
@@ -210,7 +214,7 @@ pub struct ResilientPrefetcher<P: Prefetcher> {
     misses_since_disable: usize,
     misses_since_probe: usize,
     /// What-happened counters.
-    pub stats: ResilienceStats,
+    pub(crate) stats: ResilienceStats,
 }
 
 impl<P: Prefetcher> ResilientPrefetcher<P> {
@@ -475,6 +479,8 @@ impl<P: Prefetcher> Prefetcher for ResilientPrefetcher<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::{SimConfig, Simulator};
+    use hnp_trace::Pattern;
 
     /// Issues `page + 1`; name for reports.
     struct NextLine;
@@ -712,5 +718,96 @@ mod tests {
         assert_eq!(p.state(), HealthState::Throttled);
         let out = p.on_miss(&miss(9_999_999, t));
         assert_eq!(out.len(), 1, "throttled = reduced issue width");
+    }
+
+    #[test]
+    fn stride_fallback_is_total_over_u64_pages() {
+        // Regression: `page as i64 - last as i64` overflowed on pages
+        // either side of 2^63, and `page as i64 + delta * k` ran past
+        // the ends of the page space.
+        let half = 1u64 << 63;
+        let mut s = StrideState::default();
+        s.observe(half - 2);
+        s.observe(half - 1);
+        assert_eq!(s.observe(half), vec![half + 1, half + 2]);
+        let mut top = StrideState::default();
+        top.observe(u64::MAX - 3);
+        top.observe(u64::MAX - 2);
+        assert_eq!(top.observe(u64::MAX - 1), vec![u64::MAX]);
+        let mut jump = StrideState::default();
+        for page in [0, half, 0, half, u64::MAX, 0, u64::MAX] {
+            jump.observe(page);
+        }
+    }
+
+    /// Keeps every event it observes.
+    #[derive(Clone, Default)]
+    struct Collect(std::rc::Rc<std::cell::RefCell<Vec<Event>>>);
+
+    impl hnp_obs::Observer for Collect {
+        fn on_event(&mut self, ev: &Event) {
+            self.0.borrow_mut().push(ev.clone());
+        }
+    }
+
+    fn report_fingerprint(rep: &crate::sim::SimReport) -> String {
+        serde_json::to_string(rep).unwrap_or_default()
+    }
+
+    #[test]
+    fn degradation_ladder_transitions_are_observable_and_inert() {
+        /// A polluter: always-wrong candidates walk the wrapper down the
+        /// ladder.
+        struct Polluter;
+        impl Prefetcher for Polluter {
+            fn name(&self) -> &str {
+                "polluter"
+            }
+            fn on_miss(&mut self, miss: &MissEvent) -> Vec<u64> {
+                vec![miss.page + 500_000]
+            }
+        }
+
+        let trace = Pattern::Stride.generate(3000, 0);
+        let sim = Simulator::new(SimConfig {
+            capacity_pages: 32,
+            ..SimConfig::default()
+        });
+
+        let mut plain = ResilientPrefetcher::new(Polluter);
+        let unobserved = sim.run(&trace, &mut plain);
+
+        let reg = Registry::new();
+        let tracer = Collect::default();
+        reg.attach(tracer.clone());
+        let mut wrapped = ResilientPrefetcher::with_observer(Polluter, reg);
+        let observed = sim.run(&trace, &mut wrapped);
+
+        assert_eq!(
+            report_fingerprint(&unobserved),
+            report_fingerprint(&observed)
+        );
+        assert_eq!(plain.stats, wrapped.stats);
+        let transitions: Vec<_> = tracer
+            .0
+            .take()
+            .into_iter()
+            .filter(|e| matches!(e, Event::Degradation { .. }))
+            .collect();
+        assert_eq!(
+            transitions.len() as u64,
+            wrapped.stats.transitions,
+            "every ladder move must be emitted"
+        );
+        assert!(
+            matches!(
+                transitions.first(),
+                Some(Event::Degradation {
+                    from: "healthy",
+                    ..
+                })
+            ),
+            "first transition leaves Healthy"
+        );
     }
 }

@@ -68,36 +68,6 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// Sets the local-memory capacity in pages.
-    pub fn with_capacity_pages(mut self, pages: usize) -> Self {
-        self.capacity_pages = pages;
-        self
-    }
-
-    /// Sets the full-miss stall latency.
-    pub fn with_miss_latency(mut self, ticks: u64) -> Self {
-        self.miss_latency = ticks;
-        self
-    }
-
-    /// Sets the prefetch arrival latency.
-    pub fn with_prefetch_latency(mut self, ticks: u64) -> Self {
-        self.prefetch_latency = ticks;
-        self
-    }
-
-    /// Sets the outstanding-prefetch cap.
-    pub fn with_max_inflight(mut self, n: usize) -> Self {
-        self.max_inflight = n;
-        self
-    }
-
-    /// Sets the per-miss issue-width cap.
-    pub fn with_max_issue_per_miss(mut self, n: usize) -> Self {
-        self.max_issue_per_miss = n;
-        self
-    }
-
     /// Attaches an observer registry; the run emits an [`Event`] at
     /// every decision point into it.
     pub fn with_observer(mut self, obs: Registry) -> Self {
@@ -621,7 +591,7 @@ mod tests {
     #[test]
     fn report_metrics_handle_empty_trace() {
         let sim = Simulator::new(small_cfg());
-        let rep = sim.run(&Trace::empty(), &mut NoPrefetcher);
+        let rep = sim.run(&Trace::from_addrs(Vec::new()), &mut NoPrefetcher);
         assert_eq!(rep.accesses, 0);
         assert_eq!(rep.miss_rate(), 0.0);
         assert_eq!(rep.avg_access_ticks(), 0.0);

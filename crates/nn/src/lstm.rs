@@ -302,12 +302,7 @@ impl LstmNetwork {
     }
 
     /// Like [`rollout`](Self::rollout) but returns the `width` most
-    /// probable tokens at each step (feeding back the top-1).
-    pub fn rollout_top_k(&self, token: usize, steps: usize, width: usize) -> Vec<Vec<usize>> {
-        self.rollout_top_k_with_confidence(token, steps, width).0
-    }
-
-    /// [`rollout_top_k`](Self::rollout_top_k) that also reports the
+    /// probable tokens at each step (feeding back the top-1), and the
     /// softmax probability of the first step's top prediction, for
     /// confidence-gated issuing (§5.2).
     pub fn rollout_top_k_with_confidence(
@@ -345,18 +340,12 @@ impl LstmNetwork {
     ///
     /// Returns the loss/confidence of the pre-update prediction.
     pub fn train_step(&mut self, token: usize, target: usize) -> SoftmaxLoss {
-        self.train_step_lr(token, target, self.cfg.learning_rate)
-    }
-
-    /// [`train_step`](Self::train_step) with an explicit learning rate;
-    /// the replay path uses this to apply the paper's 0.1x replay rate.
-    pub fn train_step_lr(&mut self, token: usize, target: usize, lr: f32) -> SoftmaxLoss {
         let cache = self.cell_forward(token, &self.state.h, &self.state.c);
         let logits = self.project(&cache.h);
         let loss = softmax_cross_entropy(&logits, target);
         let dlogits = softmax_cross_entropy_grad(&loss.probs, target);
         self.backward_through(std::slice::from_ref(&cache), &dlogits);
-        self.apply_grads(lr);
+        self.apply_grads(self.cfg.learning_rate);
         self.state.h = cache.h;
         self.state.c = cache.c;
         loss

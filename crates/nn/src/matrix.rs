@@ -47,23 +47,6 @@ impl Matrix {
         m
     }
 
-    /// Creates a matrix from a row-major data vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
-        assert_eq!(
-            data.len(),
-            rows * cols,
-            "data length {} does not match {}x{}",
-            data.len(),
-            rows,
-            cols
-        );
-        Self { rows, cols, data }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -174,7 +157,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if inner dimensions disagree or `out` has the wrong shape.
-    pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
+    fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, other.rows,
             "inner dimension mismatch: {}x{} * {}x{}",
@@ -328,6 +311,12 @@ impl fmt::Debug for Matrix {
 mod tests {
     use super::*;
 
+    /// A matrix from a row-major data vector.
+    fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Matrix {
+        assert_eq!(data.len(), rows * cols);
+        Matrix::from_fn(rows, cols, |r, c| data[r * cols + c])
+    }
+
     #[test]
     fn zeros_has_right_shape_and_content() {
         let m = Matrix::zeros(3, 4);
@@ -345,8 +334,8 @@ mod tests {
 
     #[test]
     fn matmul_matches_hand_computed_product() {
-        let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let b = Matrix::from_vec(3, 2, vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0]);
+        let a = from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let b = from_vec(3, 2, vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0]);
         let c = a.matmul(&b);
         assert_eq!(c.as_slice(), &[58.0, 64.0, 139.0, 154.0]);
     }
@@ -363,7 +352,7 @@ mod tests {
         let x = [1.0, -2.0, 3.0];
         let mut out = vec![0.0; 4];
         a.matvec_acc(&x, &mut out);
-        let xm = Matrix::from_vec(3, 1, x.to_vec());
+        let xm = from_vec(3, 1, x.to_vec());
         let expect = a.matmul(&xm);
         for (o, e) in out.iter().zip(expect.as_slice()) {
             assert!((o - e).abs() < 1e-6);
@@ -393,7 +382,7 @@ mod tests {
 
     #[test]
     fn clip_bounds_elements() {
-        let mut m = Matrix::from_vec(1, 4, vec![-10.0, -0.5, 0.5, 10.0]);
+        let mut m = from_vec(1, 4, vec![-10.0, -0.5, 0.5, 10.0]);
         m.clip(1.0);
         assert_eq!(m.as_slice(), &[-1.0, -0.5, 0.5, 1.0]);
     }
@@ -408,8 +397,8 @@ mod tests {
 
     #[test]
     fn axpy_accumulates() {
-        let mut a = Matrix::from_vec(1, 2, vec![1.0, 2.0]);
-        let b = Matrix::from_vec(1, 2, vec![10.0, 20.0]);
+        let mut a = from_vec(1, 2, vec![1.0, 2.0]);
+        let b = from_vec(1, 2, vec![10.0, 20.0]);
         a.axpy(0.5, &b);
         assert_eq!(a.as_slice(), &[6.0, 12.0]);
     }

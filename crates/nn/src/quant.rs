@@ -14,7 +14,7 @@ use crate::matrix::Matrix;
 
 /// A row-quantized INT8 matrix with per-row symmetric scales.
 #[derive(Debug, Clone)]
-pub struct QuantizedMatrix {
+struct QuantizedMatrix {
     rows: usize,
     cols: usize,
     data: Vec<i8>,
@@ -25,7 +25,7 @@ pub struct QuantizedMatrix {
 impl QuantizedMatrix {
     /// Quantizes `m` row-wise: each row is scaled so its maximum
     /// absolute value maps to 127.
-    pub fn from_matrix(m: &Matrix) -> Self {
+    fn from_matrix(m: &Matrix) -> Self {
         let rows = m.rows();
         let cols = m.cols();
         let mut data = Vec::with_capacity(rows * cols);
@@ -47,11 +47,6 @@ impl QuantizedMatrix {
         }
     }
 
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
     /// Number of columns.
     pub fn cols(&self) -> usize {
         self.cols
@@ -61,13 +56,6 @@ impl QuantizedMatrix {
     /// row scales).
     pub fn storage_bytes(&self) -> usize {
         self.data.len() + 4 * self.scales.len()
-    }
-
-    /// Dequantizes back to an `f32` matrix (for error measurement).
-    pub fn dequantize(&self) -> Matrix {
-        Matrix::from_fn(self.rows, self.cols, |r, c| {
-            self.data[r * self.cols + c] as f32 * self.scales[r]
-        })
     }
 
     /// `out += self * x` using INT8 arithmetic with i32 accumulation.
@@ -93,7 +81,7 @@ impl QuantizedMatrix {
 
 /// Quantizes a vector symmetrically to i8, returning the values and the
 /// dequantization scale.
-pub fn quantize_vector(x: &[f32]) -> (Vec<i8>, f32) {
+fn quantize_vector(x: &[f32]) -> (Vec<i8>, f32) {
     let max = x.iter().fold(0.0f32, |a, &v| a.max(v.abs()));
     let scale = if max == 0.0 { 1.0 } else { max / 127.0 };
     let q = x
@@ -221,7 +209,9 @@ mod tests {
     fn quantization_roundtrip_error_is_small() {
         let m = Matrix::from_fn(8, 16, |r, c| ((r * 13 + c * 7) % 29) as f32 / 29.0 - 0.5);
         let q = QuantizedMatrix::from_matrix(&m);
-        let d = q.dequantize();
+        let d = Matrix::from_fn(q.rows, q.cols, |r, c| {
+            q.data[r * q.cols + c] as f32 * q.scales[r]
+        });
         for (a, b) in m.as_slice().iter().zip(d.as_slice()) {
             assert!((a - b).abs() < 0.01, "{a} vs {b}");
         }

@@ -4,7 +4,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use crate::event::{Event, EventKind, FaultKind, FeedbackKind};
+use crate::event::{Event, FaultKind, FeedbackKind};
 use crate::observer::Observer;
 
 /// Counts events by kind, with per-outcome sub-keys for misses
@@ -29,18 +29,13 @@ impl Counters {
         Self::default()
     }
 
-    /// The count under `key` (an [`EventKind::name`] or sub-key).
+    /// The count under `key`: an event kind's name (`"miss"`) or a sub-key.
     pub fn get(&self, key: &str) -> u64 {
         self.inner
             .try_borrow()
             .ok()
             .and_then(|m| m.get(key).copied())
             .unwrap_or(0)
-    }
-
-    /// The count for a whole event kind.
-    pub fn of_kind(&self, kind: EventKind) -> u64 {
-        self.get(kind.name())
     }
 
     /// All non-zero counters, sorted by key.
@@ -101,6 +96,7 @@ impl Observer for Counters {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::EventKind;
     use crate::observer::Registry;
 
     #[test]
@@ -153,12 +149,12 @@ mod tests {
             hits: 1,
             misses: 2,
         });
-        assert_eq!(c.of_kind(EventKind::Hit), 1);
-        assert_eq!(c.of_kind(EventKind::Miss), 2);
+        assert_eq!(c.get(EventKind::Hit.name()), 1);
+        assert_eq!(c.get(EventKind::Miss.name()), 2);
         assert_eq!(c.get("miss_full"), 1);
         assert_eq!(c.get("miss_late"), 1);
         assert_eq!(c.get("stall_ticks"), 140);
-        assert_eq!(c.of_kind(EventKind::Feedback), 4);
+        assert_eq!(c.get(EventKind::Feedback.name()), 4);
         for key in [
             "feedback_useful",
             "feedback_late",
@@ -167,7 +163,7 @@ mod tests {
         ] {
             assert_eq!(c.get(key), 1, "{key}");
         }
-        assert_eq!(c.of_kind(EventKind::Fault), 5);
+        assert_eq!(c.get(EventKind::Fault.name()), 5);
         for key in [
             "fault_crash",
             "fault_restart",

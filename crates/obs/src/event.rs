@@ -235,7 +235,7 @@ pub enum Event {
 
 /// Discriminant of an [`Event`], used for counter keys and filters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum EventKind {
+pub(crate) enum EventKind {
     /// [`Event::Hit`].
     Hit,
     /// [`Event::Miss`].
@@ -272,7 +272,8 @@ pub enum EventKind {
 
 impl EventKind {
     /// Every kind, in taxonomy order.
-    pub const ALL: [EventKind; 16] = [
+    #[cfg(test)]
+    const ALL: [EventKind; 16] = [
         EventKind::Hit,
         EventKind::Miss,
         EventKind::PrefetchIssued,
@@ -292,7 +293,7 @@ impl EventKind {
     ];
 
     /// Stable snake_case name used in exports and counter keys.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             EventKind::Hit => "hit",
             EventKind::Miss => "miss",
@@ -329,7 +330,7 @@ pub enum Field {
 
 impl Event {
     /// The event's discriminant.
-    pub fn kind(&self) -> EventKind {
+    pub(crate) fn kind(&self) -> EventKind {
         match self {
             Event::Hit { .. } => EventKind::Hit,
             Event::Miss { .. } => EventKind::Miss,

@@ -46,7 +46,7 @@ fn push_field(out: &mut String, f: Field) {
 
 /// Renders one event as a single JSON object line
 /// (`{"event":"miss","tick":7,...}`).
-pub fn event_to_jsonl(ev: &Event) -> String {
+fn event_to_jsonl(ev: &Event) -> String {
     let mut out = String::with_capacity(64);
     out.push_str("{\"event\":\"");
     json_escape(ev.kind().name(), &mut out);
@@ -62,14 +62,14 @@ pub fn event_to_jsonl(ev: &Event) -> String {
 }
 
 /// Extracts the `"event"` kind from a JSONL line produced by
-/// [`event_to_jsonl`]. Returns `None` for malformed lines.
+/// [`JsonlExporter`]. Returns `None` for malformed lines.
 pub fn jsonl_kind(line: &str) -> Option<&str> {
     let rest = line.split_once("\"event\":\"")?.1;
     rest.split_once('"').map(|(kind, _)| kind)
 }
 
 /// Extracts an unsigned-integer field from a JSONL line produced by
-/// [`event_to_jsonl`]. Returns `None` when the key is absent or the
+/// [`JsonlExporter`]. Returns `None` when the key is absent or the
 /// value is not a bare integer.
 pub fn jsonl_u64(line: &str, key: &str) -> Option<u64> {
     let needle = format!("\"{key}\":");

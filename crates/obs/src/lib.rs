@@ -5,9 +5,8 @@
 //! transition, a fault, a degradation-ladder move — is described by a
 //! typed [`Event`]. Components emit events through a fan-out
 //! [`Registry`] of [`Observer`]s; sinks aggregate them into counters
-//! ([`Counters`]), fixed-bucket histograms ([`Histogram`]), a bounded
-//! trace ([`RingTracer`]), or a JSON Lines export stream
-//! ([`JsonlExporter`]). Artifacts are written through [`ReportSink`].
+//! ([`Counters`]), fixed-bucket histograms ([`Histogram`]), or a JSON
+//! Lines export stream ([`JsonlExporter`]). Artifacts are written through [`ReportSink`].
 //!
 //! ## Determinism contract
 //!
@@ -32,12 +31,10 @@ mod export;
 mod hist;
 mod observer;
 mod report;
-mod tracer;
 
 pub use counters::Counters;
-pub use event::{Event, EventKind, FaultKind, FeedbackKind, Field};
-pub use export::{event_to_jsonl, json_escape, jsonl_kind, jsonl_u64, JsonlExporter};
+pub use event::{Event, FaultKind, FeedbackKind, Field};
+pub use export::{json_escape, jsonl_kind, jsonl_u64, JsonlExporter};
 pub use hist::{Histogram, Metric};
 pub use observer::{Observer, Registry};
 pub use report::ReportSink;
-pub use tracer::RingTracer;

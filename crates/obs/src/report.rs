@@ -22,11 +22,6 @@ impl ReportSink {
         Self { dir: dir.into() }
     }
 
-    /// The conventional checked-in results directory (`results/`).
-    pub fn results() -> Self {
-        Self::new("results")
-    }
-
     /// The conventional experiment scratch directory
     /// (`$CARGO_TARGET_DIR/experiments`, defaulting to
     /// `target/experiments`).

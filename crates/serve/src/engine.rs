@@ -42,10 +42,9 @@ pub struct ServeConfig {
     /// beyond it).
     pub queue_depth: usize,
     /// Maximum requests drained per shard per epoch (the batch size).
+    /// Each epoch ingests `shards * flush_per_shard` arrivals from the
+    /// request stream (a balanced offered load).
     pub flush_per_shard: usize,
-    /// Arrivals ingested from the request stream per epoch; `0` means
-    /// `shards * flush_per_shard` (a balanced offered load).
-    pub ingest_per_epoch: usize,
     /// Snapshot every N epochs (plus a closing capture); `0` disables
     /// snapshotting.
     pub snapshot_interval: u64,
@@ -74,7 +73,6 @@ impl Default for ServeConfig {
             workers: 1,
             queue_depth: 64,
             flush_per_shard: 32,
-            ingest_per_epoch: 0,
             snapshot_interval: 0,
             hash_seed: 0x5e44e,
             crashes: Vec::new(),
@@ -89,18 +87,6 @@ impl ServeConfig {
     /// Sets the worker-thread count.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Sets the shard count.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
-    /// Sets the snapshot cadence in epochs (`0` disables).
-    pub fn with_snapshot_interval(mut self, epochs: u64) -> Self {
-        self.snapshot_interval = epochs;
         self
     }
 
@@ -152,6 +138,7 @@ impl TenantReport {
 
 /// Per-shard queue totals.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+// hnp-lint: allow(unused_pub) caller: hnpctl and perfbench compare `ServeReport::shards`
 pub struct ShardReport {
     /// Shard index.
     pub shard: u64,
@@ -416,11 +403,7 @@ impl ServeEngine {
         let shards = self.cfg.shards.max(1);
         let workers = self.cfg.workers.clamp(1, shards);
         let flush = self.cfg.flush_per_shard.max(1);
-        let ingest = if self.cfg.ingest_per_epoch == 0 {
-            shards * flush
-        } else {
-            self.cfg.ingest_per_epoch
-        };
+        let ingest = shards * flush;
         let pred = CoverageParams {
             window: self.cfg.pred_window.max(1),
             horizon: self.cfg.pred_horizon.max(1),
@@ -696,7 +679,10 @@ mod tests {
     fn snapshot_interval_populates_archive() {
         let reg = small_registry();
         let requests = synthesize(&reg, 150, 3);
-        let cfg = ServeConfig::default().with_snapshot_interval(4);
+        let cfg = ServeConfig {
+            snapshot_interval: 4,
+            ..ServeConfig::default()
+        };
         let engine = ServeEngine::new(cfg, reg, PrefetcherFactory::new());
         let out = engine.run(&requests);
         // Hebbian-family tenants (ids 0 and 3) snapshot; baselines
@@ -726,9 +712,11 @@ mod tests {
     fn crash_after_snapshot_warm_starts() {
         let reg = small_registry();
         let requests = synthesize(&reg, 200, 3);
-        let cfg = ServeConfig::default()
-            .with_snapshot_interval(2)
-            .with_crash(5, 0);
+        let cfg = ServeConfig {
+            snapshot_interval: 2,
+            ..ServeConfig::default()
+        }
+        .with_crash(5, 0);
         let engine = ServeEngine::new(cfg, reg, PrefetcherFactory::new());
         let out = engine.run(&requests);
         assert_eq!(out.report.crashes, 1);
@@ -743,10 +731,12 @@ mod tests {
         let reg = small_registry();
         let requests = synthesize(&reg, 120, 9);
         let run = |workers: usize| {
-            let cfg = ServeConfig::default()
-                .with_workers(workers)
-                .with_snapshot_interval(3)
-                .with_crash(4, 3);
+            let cfg = ServeConfig {
+                snapshot_interval: 3,
+                ..ServeConfig::default()
+            }
+            .with_workers(workers)
+            .with_crash(4, 3);
             let engine = ServeEngine::new(cfg, small_registry(), PrefetcherFactory::new());
             engine.run(&requests)
         };

@@ -34,7 +34,11 @@
 //!     });
 //! }
 //! let requests = synthesize(&registry, 100, 42);
-//! let cfg = ServeConfig::default().with_workers(2).with_snapshot_interval(8);
+//! let cfg = ServeConfig {
+//!     snapshot_interval: 8,
+//!     ..ServeConfig::default()
+//! }
+//! .with_workers(2);
 //! let engine = ServeEngine::new(cfg, registry, PrefetcherFactory::new());
 //! let outcome = engine.run(&requests);
 //! assert_eq!(outcome.report.offered, 400);
@@ -45,12 +49,11 @@
 
 pub mod engine;
 pub mod shard;
-pub mod snapshot;
+mod snapshot;
 pub mod tenant;
 pub mod workload;
 
 pub use engine::{ServeConfig, ServeEngine, ServeOutcome, ServeReport, ShardReport, TenantReport};
-pub use shard::{shard_of, Admission, Offer, ShardQueue, ShardStats};
-pub use snapshot::{decode, encode, SnapshotError, TenantSnapshot, MAGIC, VERSION};
+pub use shard::{shard_of, Offer, ShardQueue};
 pub use tenant::{ModelKind, PrefetcherFactory, TenantId, TenantModel, TenantRegistry, TenantSpec};
 pub use workload::{synthesize, ServeRequest};

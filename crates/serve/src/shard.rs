@@ -34,7 +34,7 @@ pub fn shard_of(tenant: TenantId, shards: usize, seed: u64) -> usize {
 
 /// Admission ladder position of one shard queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Admission {
+enum Admission {
     /// Below the high watermark: admit everything.
     Open,
     /// Congested: admit every other request.
@@ -42,17 +42,6 @@ pub enum Admission {
     /// Full: shed everything until the queue drains to the low
     /// watermark.
     Shedding,
-}
-
-impl Admission {
-    /// Stable lowercase label for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            Admission::Open => "open",
-            Admission::Throttled => "throttled",
-            Admission::Shedding => "shedding",
-        }
-    }
 }
 
 /// What the queue did with an offered request.
@@ -66,7 +55,7 @@ pub enum Offer {
 
 /// Counters one shard accumulates over a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardStats {
+pub(crate) struct ShardStats {
     /// Requests admitted into the queue.
     pub enqueued: u64,
     /// Requests shed by admission control.
@@ -109,13 +98,8 @@ impl ShardQueue {
         self.pending.is_empty()
     }
 
-    /// Current admission ladder position.
-    pub fn admission(&self) -> Admission {
-        self.state
-    }
-
     /// Run counters.
-    pub fn stats(&self) -> ShardStats {
+    pub(crate) fn stats(&self) -> ShardStats {
         self.stats
     }
 
@@ -212,13 +196,13 @@ mod tests {
             outcomes.push(q.offer(req(i)));
         }
         assert_eq!(q.len(), 8, "hard cap holds");
-        assert_eq!(q.admission(), Admission::Shedding);
+        assert_eq!(q.state, Admission::Shedding);
         assert!(outcomes.contains(&Offer::Shed));
         // Draining to the low watermark recovers one rung per check.
         let _ = q.flush(7);
-        assert_eq!(q.admission(), Admission::Throttled);
+        assert_eq!(q.state, Admission::Throttled);
         let _ = q.flush(1);
-        assert_eq!(q.admission(), Admission::Open);
+        assert_eq!(q.state, Admission::Open);
         assert!(q.is_empty());
         let s = q.stats();
         assert_eq!(s.enqueued, 8);

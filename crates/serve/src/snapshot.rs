@@ -30,13 +30,13 @@ use hnp_hebbian::{NetState, NetStats};
 use crate::tenant::{ModelKind, TenantId};
 
 /// File magic: "HNPS".
-pub const MAGIC: [u8; 4] = *b"HNPS";
+pub(crate) const MAGIC: [u8; 4] = *b"HNPS";
 /// Current format version.
-pub const VERSION: u16 = 1;
+pub(crate) const VERSION: u16 = 1;
 
 /// Why a snapshot blob could not be decoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SnapshotError {
+pub(crate) enum SnapshotError {
     /// The blob is shorter than its headers or length fields claim.
     Truncated,
     /// The magic bytes are not `HNPS`.
@@ -63,7 +63,7 @@ impl std::fmt::Display for SnapshotError {
 
 /// A decoded snapshot: header metadata plus the captured state.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TenantSnapshot {
+pub(crate) struct TenantSnapshot {
     /// Tenant the state belongs to.
     pub tenant: TenantId,
     /// Model family that produced it.
@@ -73,7 +73,7 @@ pub struct TenantSnapshot {
 }
 
 /// Encodes `state` for `tenant` into the versioned wire format.
-pub fn encode(tenant: TenantId, kind: ModelKind, state: &NetState) -> Vec<u8> {
+pub(crate) fn encode(tenant: TenantId, kind: ModelKind, state: &NetState) -> Vec<u8> {
     let mut out = Vec::with_capacity(
         64 + 2 * state.layer1_weights.len()
             + 2 * state.layer2_weights.len()
@@ -168,7 +168,7 @@ impl<'a> Reader<'a> {
 
 /// Decodes a blob produced by [`encode`]. Never panics on malformed
 /// input — every failure mode is a typed [`SnapshotError`].
-pub fn decode(buf: &[u8]) -> Result<TenantSnapshot, SnapshotError> {
+pub(crate) fn decode(buf: &[u8]) -> Result<TenantSnapshot, SnapshotError> {
     let mut r = Reader { buf, pos: 0 };
     if r.take(4)? != MAGIC {
         return Err(SnapshotError::BadMagic);
@@ -213,6 +213,7 @@ pub fn decode(buf: &[u8]) -> Result<TenantSnapshot, SnapshotError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample_state() -> NetState {
         NetState {
@@ -266,5 +267,82 @@ mod tests {
 
         let truncated = &blob[..blob.len() - 1];
         assert_eq!(decode(truncated), Err(SnapshotError::Truncated));
+    }
+
+    // Property tests: encode/decode is a lossless round trip for
+    // arbitrary well-formed state, and `decode` never panics (or
+    // over-reads) on arbitrary bytes.
+
+    fn state_from(
+        l1: Vec<i16>,
+        l2: Vec<i16>,
+        recurrent: Vec<u32>,
+        winners: Vec<u32>,
+        nums: (u64, u64, u64, u64, u64),
+        rng_key: u64,
+    ) -> NetState {
+        NetState {
+            layer1_weights: l1,
+            layer2_weights: l2,
+            recurrent,
+            prev_winners: winners,
+            stats: NetStats {
+                steps: nums.0,
+                overlap_sum: nums.1,
+                winner_slots: nums.2,
+                weight_updates: nums.3,
+                update_ops: nums.4,
+            },
+            rng_key,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn round_trip_is_lossless(
+            tenant in any::<u64>(),
+            tag in 0u8..7,
+            l1 in prop::collection::vec(any::<i16>(), 0..200),
+            l2 in prop::collection::vec(any::<i16>(), 0..200),
+            recurrent in prop::collection::vec(any::<u32>(), 0..64),
+            winners in prop::collection::vec(any::<u32>(), 0..32),
+            nums in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+            rng_key in any::<u64>(),
+        ) {
+            let kind = ModelKind::from_tag(tag).expect("tags 0..7 are all valid");
+            let state = state_from(l1, l2, recurrent, winners, nums, rng_key);
+            let blob = encode(tenant, kind, &state);
+            let snap = decode(&blob).expect("encoded blobs always decode");
+            prop_assert_eq!(snap.tenant, tenant);
+            prop_assert_eq!(snap.kind, kind);
+            prop_assert_eq!(snap.state, state);
+        }
+
+        #[test]
+        fn decode_never_panics_on_arbitrary_bytes(
+            bytes in prop::collection::vec(any::<u8>(), 0..512),
+        ) {
+            // Any outcome is fine; panicking or over-reading is not.
+            let _ = decode(&bytes);
+        }
+
+        #[test]
+        fn truncation_is_always_detected(
+            tenant in any::<u64>(),
+            l1 in prop::collection::vec(any::<i16>(), 0..64),
+            l2 in prop::collection::vec(any::<i16>(), 0..64),
+            recurrent in prop::collection::vec(any::<u32>(), 0..16),
+            winners in prop::collection::vec(any::<u32>(), 0..8),
+        ) {
+            let state = state_from(l1, l2, recurrent, winners, (1, 2, 3, 4, 5), 6);
+            let blob = encode(tenant, ModelKind::Cls, &state);
+            // Section lengths are explicit, so every strict prefix is
+            // detectably incomplete — never a silent partial decode.
+            for cut in 0..blob.len() {
+                prop_assert_eq!(decode(&blob[..cut]), Err(SnapshotError::Truncated));
+            }
+        }
     }
 }

@@ -42,13 +42,14 @@ fn run(workers: usize) -> (String, hnp_serve::ServeReport, Vec<(u64, Vec<u8>)>) 
     let obs = Registry::new();
     let jsonl = JsonlExporter::new();
     obs.attach(jsonl.clone());
-    let cfg = ServeConfig::default()
-        .with_workers(workers)
-        .with_shards(8)
-        .with_snapshot_interval(3)
-        .with_crash(4, 0)
-        .with_crash(6, 5)
-        .with_observer(obs);
+    let cfg = ServeConfig {
+        snapshot_interval: 3,
+        ..ServeConfig::default()
+    }
+    .with_workers(workers)
+    .with_crash(4, 0)
+    .with_crash(6, 5)
+    .with_observer(obs);
     let engine = ServeEngine::new(cfg, reg, PrefetcherFactory::new());
     let out = engine.run(&requests);
     let archive: Vec<(u64, Vec<u8>)> = out.archive.into_iter().collect();
@@ -91,7 +92,6 @@ fn shed_requests_are_accounted_not_lost() {
         shards: 4,
         queue_depth: 8,
         flush_per_shard: 4,
-        ingest_per_epoch: 64,
         ..ServeConfig::default()
     };
     let engine = ServeEngine::new(cfg, reg, PrefetcherFactory::new());

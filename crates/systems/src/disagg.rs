@@ -38,6 +38,8 @@ const RETRY_BACKOFF_CAP: u64 = 400;
 /// Extra stall charged when demand-fetch retries are exhausted (the
 /// recovery path — the fetch then completes out-of-band).
 const TIMEOUT_PENALTY: u64 = 500;
+/// Dropped-demand-fetch retries before declaring a timeout.
+const MAX_RETRIES: u32 = 4;
 
 /// Cluster parameters.
 #[derive(Debug, Clone)]
@@ -58,8 +60,6 @@ pub struct DisaggConfig {
     /// Extra stall ticks per queued transfer ahead of a demand fetch
     /// on a saturated switch.
     pub contention_penalty: u64,
-    /// Dropped-demand-fetch retries before declaring a timeout.
-    pub max_retries: u32,
     /// Observer registry; every decision point in the run emits a
     /// typed event into it. An empty registry keeps the run
     /// bit-identical to an unobserved one.
@@ -74,19 +74,12 @@ impl Default for DisaggConfig {
             max_inflight: 16,
             shared_link_slots: 0,
             contention_penalty: 10,
-            max_retries: 4,
             obs: Registry::new(),
         }
     }
 }
 
 impl DisaggConfig {
-    /// Sets the shared-switch slot budget (`0` = uncontended).
-    pub fn with_shared_link_slots(mut self, slots: usize) -> Self {
-        self.shared_link_slots = slots;
-        self
-    }
-
     /// Attaches an observer registry to the cluster run.
     pub fn with_observer(mut self, obs: Registry) -> Self {
         self.obs = obs;
@@ -263,23 +256,10 @@ impl DisaggregatedCluster {
         traces: &[Trace],
         prefetcher: &mut dyn Prefetcher,
     ) -> DisaggReport {
-        self.run_centralized_with_faults(traces, prefetcher, &mut FaultInjector::disabled())
-    }
-
-    /// [`Self::run_centralized`] under a fault injector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `traces` is empty.
-    pub fn run_centralized_with_faults(
-        &self,
-        traces: &[Trace],
-        prefetcher: &mut dyn Prefetcher,
-        injector: &mut FaultInjector,
-    ) -> DisaggReport {
         assert!(!traces.is_empty(), "no nodes");
         let mut single: Vec<&mut dyn Prefetcher> = vec![prefetcher];
-        self.run_inner(traces, &mut single, true, "centralized", injector)
+        let mut injector = FaultInjector::disabled();
+        self.run_inner(traces, &mut single, true, "centralized", &mut injector)
     }
 
     /// The lockstep-round driver. Nodes advance one access per round
@@ -462,7 +442,7 @@ impl DisaggregatedCluster {
                         // A fresh remote fetch. Lossy links drop it;
                         // each drop costs the wasted round trip plus a
                         // capped exponential backoff before the retry.
-                        // After `max_retries` the fetch times out: the
+                        // After `MAX_RETRIES` the fetch times out: the
                         // recovery path completes it with a flat
                         // penalty so the node always makes progress.
                         let mut attempt = 0u32;
@@ -473,7 +453,7 @@ impl DisaggregatedCluster {
                                 break;
                             }
                             total += injector.transfer_latency(now + total, self.cfg.link_latency);
-                            if attempt >= self.cfg.max_retries {
+                            if attempt >= MAX_RETRIES {
                                 node.report.timeouts += 1;
                                 timed_out = true;
                                 total += TIMEOUT_PENALTY;
@@ -760,13 +740,12 @@ mod tests {
         let obs = Registry::new();
         obs.attach(counters.clone());
         let cluster = DisaggregatedCluster::new(DisaggConfig {
-            max_retries: 64,
             contention_penalty: 1_000_000,
             obs,
             ..DisaggConfig::default()
         });
         let schedule = crate::FaultSchedule::none()
-            .with_lossy_link(0, 5_000, 1.0)
+            .with_lossy_link(0, 700, 1.0)
             .with_brownout(0, u64::MAX, 1);
         let trace = Trace::from_addrs((0..200).map(|k| k * 4096).collect());
         let mut pfs: Vec<Box<dyn Prefetcher>> = vec![Box::new(SamePage)];

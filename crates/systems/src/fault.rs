@@ -18,7 +18,14 @@ use std::collections::BTreeSet;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
+
+/// The most latency, in ticks, that faults may add to one transfer.
+/// It bounds a spike's `extra + jitter` and what a slowdown adds to a
+/// one-tick transfer (`factor` is at most `MAX_FAULT_DELAY + 1`), and
+/// [`FaultInjector::transfer_latency`] caps the sum over overlapping
+/// events at it. Every stall a schedule causes is therefore finite,
+/// so every run with an accepted schedule ends.
+const MAX_FAULT_DELAY: u64 = 10_000;
 
 /// One kind of injected fault.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,9 +67,40 @@ pub enum FaultKind {
     },
 }
 
+impl FaultKind {
+    /// Checks the event parameters: a spike within
+    /// [`MAX_FAULT_DELAY`], a drop probability in `[0, 1]`, and a
+    /// finite, non-negative slowdown factor within the same ceiling.
+    fn check(&self) -> Result<(), String> {
+        match *self {
+            FaultKind::LatencySpike { extra, jitter }
+                if extra
+                    .checked_add(jitter)
+                    .is_none_or(|d| d > MAX_FAULT_DELAY) =>
+            {
+                Err(format!(
+                    "spike extra + jitter must be at most {MAX_FAULT_DELAY} ticks"
+                ))
+            }
+            FaultKind::LossyLink { drop_prob } if !(0.0..=1.0).contains(&drop_prob) => {
+                Err("drop_prob must be in [0,1]".to_string())
+            }
+            FaultKind::RemoteSlowdown { factor }
+                if !(0.0..=MAX_FAULT_DELAY as f64 + 1.0).contains(&factor) =>
+            {
+                Err(format!(
+                    "slowdown factor must be finite, non-negative and at most {}",
+                    MAX_FAULT_DELAY + 1
+                ))
+            }
+            _ => Ok(()),
+        }
+    }
+}
+
 /// A fault active during `[start, start + duration)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultEvent {
+struct FaultEvent {
     /// First tick at which the fault is active.
     pub start: u64,
     /// Number of ticks the fault stays active.
@@ -95,23 +133,21 @@ impl FaultSchedule {
         Self::default()
     }
 
-    /// A schedule from explicit events.
-    pub fn new(events: Vec<FaultEvent>) -> Self {
-        Self { events }
-    }
-
     /// Whether the schedule has no events.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
 
-    /// The scripted events.
-    pub fn events(&self) -> &[FaultEvent] {
-        &self.events
-    }
-
     /// Appends an event (builder style).
-    pub fn with(mut self, event: FaultEvent) -> Self {
+    ///
+    /// # Panics
+    ///
+    /// Panics if the event's parameters fail [`FaultKind::check`].
+    fn with(mut self, event: FaultEvent) -> Self {
+        if let Err(why) = event.kind.check() {
+            // hnp-lint: allow(panic_hygiene): documented builder contract
+            panic!("{why}");
+        }
         self.events.push(event);
         self
     }
@@ -127,10 +163,6 @@ impl FaultSchedule {
 
     /// Appends a lossy-link window.
     pub fn with_lossy_link(self, start: u64, duration: u64, drop_prob: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&drop_prob),
-            "drop_prob must be in [0,1]"
-        );
         self.with(FaultEvent {
             start,
             duration,
@@ -149,7 +181,6 @@ impl FaultSchedule {
 
     /// Appends a remote-pool slowdown.
     pub fn with_slowdown(self, start: u64, duration: u64, factor: f64) -> Self {
-        assert!(factor >= 0.0, "slowdown factor must be non-negative");
         self.with(FaultEvent {
             start,
             duration,
@@ -176,7 +207,10 @@ impl FaultSchedule {
     /// * `crash:START:DUR:NODE`
     ///
     /// e.g. `lossy:1000:500:0.3,crash:3000:200:1`. An empty string
-    /// parses to the empty schedule.
+    /// parses to the empty schedule. Values the builders would reject
+    /// are errors: a drop probability outside `[0, 1]`, a spike whose
+    /// `EXTRA + JITTER` exceeds 10 000 ticks, and a slowdown factor
+    /// that is not finite, is negative or exceeds 10 001.
     pub fn parse(spec: &str) -> Result<Self, String> {
         let mut schedule = Self::none();
         for item in spec.split(',').map(str::trim).filter(|s| !s.is_empty()) {
@@ -198,13 +232,9 @@ impl FaultSchedule {
                         None => 0,
                     },
                 },
-                "lossy" => {
-                    let p: f64 = parts[3].parse().map_err(|_| bad("drop_prob"))?;
-                    if !(0.0..=1.0).contains(&p) {
-                        return Err(bad("drop_prob (must be in [0,1])"));
-                    }
-                    FaultKind::LossyLink { drop_prob: p }
-                }
+                "lossy" => FaultKind::LossyLink {
+                    drop_prob: parts[3].parse().map_err(|_| bad("drop_prob"))?,
+                },
                 "brownout" => FaultKind::Brownout {
                     slots: parts[3].parse().map_err(|_| bad("slots"))?,
                 },
@@ -216,6 +246,8 @@ impl FaultSchedule {
                 },
                 other => return Err(format!("unknown fault kind `{other}` in `{item}`")),
             };
+            kind.check()
+                .map_err(|why| format!("bad fault event `{item}`: {why}"))?;
             schedule.events.push(FaultEvent {
                 start,
                 duration,
@@ -227,8 +259,8 @@ impl FaultSchedule {
 }
 
 /// Counters of what the injector actually did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
-pub struct FaultStats {
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct FaultStats {
     /// Transfers dropped by lossy-link events.
     pub transfers_dropped: u64,
     /// Extra latency ticks added by spikes and slowdowns.
@@ -251,7 +283,7 @@ pub struct FaultInjector {
     /// Crash events already delivered, by index into the schedule.
     crashes_taken: BTreeSet<usize>,
     /// What-happened counters.
-    pub stats: FaultStats,
+    pub(crate) stats: FaultStats,
 }
 
 impl FaultInjector {
@@ -288,9 +320,9 @@ impl FaultInjector {
             }
             match ev.kind {
                 FaultKind::LatencySpike { extra, jitter } => {
-                    latency += extra;
+                    latency = latency.saturating_add(extra);
                     if jitter > 0 {
-                        latency += self.rng.gen_range(0..=jitter);
+                        latency = latency.saturating_add(self.rng.gen_range(0..=jitter));
                     }
                 }
                 FaultKind::RemoteSlowdown { factor } => {
@@ -299,6 +331,7 @@ impl FaultInjector {
                 _ => {}
             }
         }
+        let latency = latency.min(base.saturating_add(MAX_FAULT_DELAY));
         self.stats.extra_latency += latency.saturating_sub(base);
         latency
     }
@@ -373,6 +406,7 @@ impl FaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn empty_schedule_is_transparent() {
@@ -473,9 +507,9 @@ mod tests {
             "spike:100:50:30:10, lossy:200:100:0.25,brownout:0:10:3,slow:5:5:1.5,crash:9:1:2",
         )
         .unwrap();
-        assert_eq!(s.events().len(), 5);
+        assert_eq!(s.events.len(), 5);
         assert_eq!(
-            s.events()[0],
+            s.events[0],
             FaultEvent {
                 start: 100,
                 duration: 50,
@@ -485,11 +519,156 @@ mod tests {
                 }
             }
         );
-        assert_eq!(s.events()[1].kind, FaultKind::LossyLink { drop_prob: 0.25 });
-        assert_eq!(s.events()[4].kind, FaultKind::NodeCrash { node: 2 });
+        assert_eq!(s.events[1].kind, FaultKind::LossyLink { drop_prob: 0.25 });
+        assert_eq!(s.events[4].kind, FaultKind::NodeCrash { node: 2 });
         assert!(FaultSchedule::parse("").unwrap().is_empty());
         assert!(FaultSchedule::parse("spike:1:2").is_err());
         assert!(FaultSchedule::parse("meteor:1:2:3").is_err());
         assert!(FaultSchedule::parse("lossy:1:2:1.5").is_err());
+    }
+
+    #[test]
+    fn parse_rejects_values_that_hang_or_break_a_run() {
+        for spec in [
+            "slow:0:100000:inf",
+            "slow:0:100000:1e300",
+            "slow:0:100000:-1",
+            "slow:0:100000:NaN",
+            "spike:0:100000:18446744073709551615",
+            "spike:0:100000:1:18446744073709551615",
+            "spike:0:100000:10000:1",
+            "lossy:0:100000:NaN",
+        ] {
+            assert!(
+                FaultSchedule::parse(spec).is_err(),
+                "{spec} must be rejected"
+            );
+        }
+        assert!(FaultSchedule::parse("spike:0:100000:9000:1000").is_ok());
+        assert!(FaultSchedule::parse("slow:0:100000:10001").is_ok());
+    }
+
+    #[test]
+    fn transfer_latency_is_capped_and_does_not_wrap() {
+        let schedule = FaultSchedule::none()
+            .with_latency_spike(0, 100, MAX_FAULT_DELAY, 0)
+            .with_latency_spike(0, 100, MAX_FAULT_DELAY, 0)
+            .with_slowdown(0, 100, MAX_FAULT_DELAY as f64 + 1.0);
+        let mut inj = FaultInjector::new(schedule, 1);
+        assert_eq!(inj.transfer_latency(5, 100), 100 + MAX_FAULT_DELAY);
+        assert_eq!(inj.transfer_latency(5, u64::MAX - 1), u64::MAX);
+        assert_eq!(inj.transfer_latency(500, 100), 100, "events over");
+    }
+
+    /// A schedule exercising every fault kind, parameterised so cases
+    /// cover disjoint, nested, and overlapping windows.
+    fn schedule(
+        spike: (u64, u64, u64, u64),
+        lossy: (u64, u64, f64),
+        brownout: (u64, u64, usize),
+        slow: (u64, u64, f64),
+    ) -> FaultSchedule {
+        FaultSchedule::none()
+            .with_latency_spike(spike.0, spike.1, spike.2, spike.3)
+            .with_lossy_link(lossy.0, lossy.1, lossy.2)
+            .with_brownout(brownout.0, brownout.1, brownout.2)
+            .with_slowdown(slow.0, slow.1, slow.2)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Same schedule + same seed => every query answers identically,
+        /// across an interleaved mix of all query kinds.
+        #[test]
+        fn injector_is_deterministic(
+            seed in 0u64..1_000_000,
+            spike in (0u64..500, 1u64..500, 0u64..200, 0u64..50),
+            lossy in (0u64..500, 1u64..500, 0.0f64..1.0),
+            brownout in (0u64..500, 1u64..500, 1usize..8),
+            slow in (0u64..500, 1u64..500, 1.0f64..3.0),
+            queries in proptest::collection::vec((0u64..1200, 1u64..300), 1..200),
+        ) {
+            let sched = schedule(spike, lossy, brownout, slow);
+            let mut a = FaultInjector::new(sched.clone(), seed);
+            let mut b = FaultInjector::new(sched, seed);
+            for (tick, base) in &queries {
+                prop_assert_eq!(
+                    a.transfer_latency(*tick, *base),
+                    b.transfer_latency(*tick, *base)
+                );
+                prop_assert_eq!(a.transfer_dropped(*tick), b.transfer_dropped(*tick));
+                prop_assert_eq!(a.in_brownout(*tick), b.in_brownout(*tick));
+                prop_assert_eq!(
+                    a.effective_slots(*tick, *base as usize),
+                    b.effective_slots(*tick, *base as usize)
+                );
+            }
+            prop_assert_eq!(a.stats.transfers_dropped, b.stats.transfers_dropped);
+        }
+
+        /// An empty schedule is inert: base latency passes through
+        /// untouched, nothing drops, no brownout, whatever the seed.
+        #[test]
+        fn empty_schedule_is_inert(
+            seed in 0u64..1_000_000,
+            queries in proptest::collection::vec((0u64..5000, 1u64..300), 1..100),
+        ) {
+            let mut inj = FaultInjector::new(FaultSchedule::none(), seed);
+            prop_assert!(inj.is_idle());
+            for (tick, base) in &queries {
+                prop_assert_eq!(inj.transfer_latency(*tick, *base), *base);
+                prop_assert!(!inj.transfer_dropped(*tick));
+                prop_assert!(!inj.in_brownout(*tick));
+                prop_assert_eq!(inj.effective_slots(*tick, 4), 4);
+            }
+            prop_assert_eq!(inj.stats.transfers_dropped, 0);
+        }
+    }
+
+    /// Pieces the DSL proptest strings together from, so that most
+    /// inputs get past the field splitting into the value checks.
+    const FRAGMENTS: &[&str] = &[
+        "spike",
+        "lossy",
+        "brownout",
+        "slow",
+        "crash",
+        ":",
+        ":",
+        ":",
+        ",",
+        "0",
+        "1",
+        "7",
+        "100000",
+        "10000",
+        "10001",
+        "0.5",
+        "-1",
+        "inf",
+        "NaN",
+        "1e300",
+        "18446744073709551615",
+    ];
+
+    proptest! {
+        /// `parse` never panics on arbitrary text, and whatever it
+        /// accepts keeps every transfer's added delay under the
+        /// ceiling.
+        #[test]
+        fn parse_never_panics_and_accepted_delays_are_bounded(
+            picks in prop::collection::vec(0usize..FRAGMENTS.len(), 0..24),
+            bytes in prop::collection::vec(any::<u8>(), 0..64),
+            tick in 0u64..1000,
+            base in 0u64..1000,
+        ) {
+            let _ = FaultSchedule::parse(&String::from_utf8_lossy(&bytes));
+            let spec: String = picks.iter().map(|&i| FRAGMENTS[i]).collect();
+            if let Ok(schedule) = FaultSchedule::parse(&spec) {
+                let mut inj = FaultInjector::new(schedule, 3);
+                prop_assert!(inj.transfer_latency(tick, base) <= base + MAX_FAULT_DELAY);
+            }
+        }
     }
 }

@@ -27,7 +27,7 @@ pub mod fault;
 pub mod uvm;
 
 pub use disagg::{DisaggConfig, DisaggReport, DisaggregatedCluster};
-pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultSchedule, FaultStats};
+pub use fault::{FaultInjector, FaultKind, FaultSchedule};
 pub use uvm::{UvmConfig, UvmReport, UvmSim};
 
 use hnp_memsim::Prefetcher;

@@ -38,9 +38,11 @@ fn disagg_event_counts_reproduce_report() {
     reg.attach(counters.clone());
     // A tight switch so the drop path fires too.
     let sim = DisaggregatedCluster::new(
-        DisaggConfig::default()
-            .with_shared_link_slots(3)
-            .with_observer(reg),
+        DisaggConfig {
+            shared_link_slots: 3,
+            ..DisaggConfig::default()
+        }
+        .with_observer(reg),
     );
     let mut pfs = boxed(3);
     let rep = sim.run_decentralized(&ts, &mut pfs);

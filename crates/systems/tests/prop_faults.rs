@@ -1,15 +1,8 @@
-//! Property tests for the fault-injection layer.
-//!
-//! Two invariants anchor the whole design:
-//!
-//! 1. **Determinism** — a `FaultInjector` is a pure function of
-//!    (schedule, seed, query sequence). Two injectors built the same
-//!    way answer every query identically, so any faulted run can be
-//!    replayed bit-for-bit.
-//! 2. **No-fault regression** — with an empty `FaultSchedule` the
-//!    `*_with_faults` entry points are bit-identical to the plain
-//!    runs, regardless of the injector's seed. Fault support must be
-//!    free when faults are off.
+//! Property tests for the fault-injection layer: the **no-fault
+//! regression**. With an empty `FaultSchedule` the `*_with_faults`
+//! entry points are bit-identical to the plain runs, regardless of the
+//! injector's seed. Fault support must be free when faults are off.
+//! (The injector's own determinism is tested in `src/fault.rs`.)
 
 use proptest::prelude::*;
 
@@ -21,21 +14,6 @@ use hnp_systems::{
 };
 use hnp_trace::apps::AppWorkload;
 use hnp_trace::Trace;
-
-/// A schedule exercising every fault kind, parameterised so cases
-/// cover disjoint, nested, and overlapping windows.
-fn schedule(
-    spike: (u64, u64, u64, u64),
-    lossy: (u64, u64, f64),
-    brownout: (u64, u64, usize),
-    slow: (u64, u64, f64),
-) -> FaultSchedule {
-    FaultSchedule::none()
-        .with_latency_spike(spike.0, spike.1, spike.2, spike.3)
-        .with_lossy_link(lossy.0, lossy.1, lossy.2)
-        .with_brownout(brownout.0, brownout.1, brownout.2)
-        .with_slowdown(slow.0, slow.1, slow.2)
-}
 
 fn traces(accesses: usize) -> Vec<Trace> {
     vec![
@@ -62,53 +40,6 @@ fn prefetchers(n: usize, resilient: bool) -> Vec<Box<dyn Prefetcher>> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Same schedule + same seed => every query answers identically,
-    /// across an interleaved mix of all query kinds.
-    #[test]
-    fn injector_is_deterministic(
-        seed in 0u64..1_000_000,
-        spike in (0u64..500, 1u64..500, 0u64..200, 0u64..50),
-        lossy in (0u64..500, 1u64..500, 0.0f64..1.0),
-        brownout in (0u64..500, 1u64..500, 1usize..8),
-        slow in (0u64..500, 1u64..500, 1.0f64..3.0),
-        queries in proptest::collection::vec((0u64..1200, 1u64..300), 1..200),
-    ) {
-        let sched = schedule(spike, lossy, brownout, slow);
-        let mut a = FaultInjector::new(sched.clone(), seed);
-        let mut b = FaultInjector::new(sched, seed);
-        for (tick, base) in &queries {
-            prop_assert_eq!(
-                a.transfer_latency(*tick, *base),
-                b.transfer_latency(*tick, *base)
-            );
-            prop_assert_eq!(a.transfer_dropped(*tick), b.transfer_dropped(*tick));
-            prop_assert_eq!(a.in_brownout(*tick), b.in_brownout(*tick));
-            prop_assert_eq!(
-                a.effective_slots(*tick, *base as usize),
-                b.effective_slots(*tick, *base as usize)
-            );
-        }
-        prop_assert_eq!(a.stats.transfers_dropped, b.stats.transfers_dropped);
-    }
-
-    /// An empty schedule is inert: base latency passes through
-    /// untouched, nothing drops, no brownout, whatever the seed.
-    #[test]
-    fn empty_schedule_is_inert(
-        seed in 0u64..1_000_000,
-        queries in proptest::collection::vec((0u64..5000, 1u64..300), 1..100),
-    ) {
-        let mut inj = FaultInjector::new(FaultSchedule::none(), seed);
-        prop_assert!(inj.is_idle());
-        for (tick, base) in &queries {
-            prop_assert_eq!(inj.transfer_latency(*tick, *base), *base);
-            prop_assert!(!inj.transfer_dropped(*tick));
-            prop_assert!(!inj.in_brownout(*tick));
-            prop_assert_eq!(inj.effective_slots(*tick, 4), 4);
-        }
-        prop_assert_eq!(inj.stats.transfers_dropped, 0);
-    }
 
     /// With an empty schedule `run_decentralized_with_faults` is
     /// bit-identical to `run_decentralized`, for any injector seed and

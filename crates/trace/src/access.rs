@@ -58,14 +58,6 @@ impl Trace {
         }
     }
 
-    /// An empty trace with the default page size.
-    pub fn empty() -> Self {
-        Self {
-            accesses: Vec::new(),
-            page_shift: PAGE_SHIFT,
-        }
-    }
-
     /// Page shift.
     pub fn page_shift(&self) -> u32 {
         self.page_shift
@@ -110,18 +102,6 @@ impl Trace {
         self.accesses.extend_from_slice(&other.accesses);
     }
 
-    /// Repeats the trace `times` times (epochs of the same phase).
-    pub fn repeat(&self, times: usize) -> Trace {
-        let mut accesses = Vec::with_capacity(self.accesses.len() * times);
-        for _ in 0..times {
-            accesses.extend_from_slice(&self.accesses);
-        }
-        Trace {
-            accesses,
-            page_shift: self.page_shift,
-        }
-    }
-
     /// Keeps only the first `n` accesses.
     pub fn truncate(&mut self, n: usize) {
         self.accesses.truncate(n);
@@ -152,14 +132,6 @@ mod tests {
         let t = Trace::from_addrs(vec![0x1000, 0x1008, 0x2000, 0x2f00, 0x3000]);
         assert_eq!(t.footprint_pages(), 3);
         assert_eq!(t.len(), 5);
-    }
-
-    #[test]
-    fn repeat_multiplies_length_not_footprint() {
-        let t = Trace::from_addrs(vec![0x1000, 0x2000]);
-        let r = t.repeat(3);
-        assert_eq!(r.len(), 6);
-        assert_eq!(r.footprint_pages(), 2);
     }
 
     #[test]

@@ -11,6 +11,9 @@ pub enum TraceError {
     BadMagic(String),
     /// The binary header line failed to parse.
     BadHeader(serde_json::Error),
+    /// The binary header's page shift is 64 or more, which leaves no
+    /// page bits in a `u64` address.
+    BadPageShift(u32),
     /// The record stream ended before `expected` records were read.
     Truncated {
         /// Index of the record that could not be read.
@@ -28,6 +31,7 @@ impl fmt::Display for TraceError {
             TraceError::Io(e) => write!(f, "trace I/O error: {e}"),
             TraceError::BadMagic(m) => write!(f, "bad trace magic {m:?}"),
             TraceError::BadHeader(e) => write!(f, "bad trace header: {e}"),
+            TraceError::BadPageShift(s) => write!(f, "bad trace page shift {s} (must be < 64)"),
             TraceError::Truncated { record, expected } => {
                 write!(f, "trace truncated at record {record} of {expected}")
             }

@@ -26,6 +26,9 @@ struct Header {
 
 const MAGIC: &str = "hnp-trace";
 
+/// Bytes per record: a `u64` address and a `u16` stream tag.
+const RECORD_BYTES: u64 = 10;
+
 /// Writes `trace` to `path` in the binary format.
 ///
 /// # Errors
@@ -55,10 +58,12 @@ pub fn write_binary(trace: &Trace, path: &Path) -> Result<(), TraceError> {
 /// # Errors
 ///
 /// Returns [`TraceError::Io`] on I/O failure, [`TraceError::BadMagic`]
-/// / [`TraceError::BadHeader`] on header problems, and
-/// [`TraceError::Truncated`] when the record stream ends early.
+/// / [`TraceError::BadHeader`] / [`TraceError::BadPageShift`] on
+/// header problems, and [`TraceError::Truncated`] when the record
+/// stream ends early.
 pub fn read_binary(path: &Path) -> Result<Trace, TraceError> {
     let file = File::open(path)?;
+    let file_bytes = file.metadata()?.len();
     let mut r = BufReader::new(file);
     let mut header_line = String::new();
     r.read_line(&mut header_line)?;
@@ -67,7 +72,13 @@ pub fn read_binary(path: &Path) -> Result<Trace, TraceError> {
     if header.magic != MAGIC {
         return Err(TraceError::BadMagic(header.magic));
     }
-    let mut accesses = Vec::with_capacity(header.len);
+    if header.page_shift >= u64::BITS {
+        return Err(TraceError::BadPageShift(header.page_shift));
+    }
+    // The header's `len` is untrusted: reserve only for the records
+    // the file can actually hold.
+    let in_file = file_bytes.saturating_sub(header_line.len() as u64) / RECORD_BYTES;
+    let mut accesses = Vec::with_capacity(header.len.min(in_file as usize));
     let mut addr_bytes = [0u8; 8];
     let mut stream_bytes = [0u8; 2];
     for i in 0..header.len {
@@ -136,6 +147,35 @@ mod tests {
     }
 
     #[test]
+    fn huge_header_len_is_truncated_not_a_capacity_overflow() {
+        let path = temp_path("hugelen.hnpt");
+        std::fs::write(
+            &path,
+            b"{\"magic\":\"hnp-trace\",\"version\":1,\"page_shift\":12,\"len\":1152921504606846975}\n",
+        )
+        .unwrap();
+        let err = read_binary(&path).unwrap_err();
+        assert!(
+            matches!(err, TraceError::Truncated { record: 0, .. }),
+            "{err:?}"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn page_shift_of_64_or_more_is_a_typed_error() {
+        let path = temp_path("badshift.hnpt");
+        std::fs::write(
+            &path,
+            b"{\"magic\":\"hnp-trace\",\"version\":1,\"page_shift\":70,\"len\":0}\n",
+        )
+        .unwrap();
+        let err = read_binary(&path).unwrap_err();
+        assert!(matches!(err, TraceError::BadPageShift(70)), "{err:?}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn missing_file_maps_to_io() {
         let err = read_binary(Path::new("/nonexistent/hnp-nope.hnpt")).unwrap_err();
         assert!(matches!(err, TraceError::Io(_)));
@@ -144,7 +184,7 @@ mod tests {
 
     #[test]
     fn empty_trace_roundtrips() {
-        let t = Trace::empty();
+        let t = Trace::from_addrs(Vec::new());
         let path = temp_path("empty.hnpt");
         write_binary(&t, &path).unwrap();
         assert_eq!(read_binary(&path).unwrap(), t);

@@ -1,13 +1,7 @@
-//! Phase composition and multi-stream interleaving.
-//!
-//! The interference study (Fig. 3) presents patterns back to back —
-//! phases. The UVM target (§4) sees several applications' access
-//! streams interleaved through one centralized prefetcher; the paper
-//! conjectures "such interleaving of access streams may naturally
-//! offer more resistance to catastrophic interference". Both trace
-//! shapes are built here.
+//! Phase composition: the interference study (Fig. 3) presents
+//! patterns back to back, as phases.
 
-use crate::access::{Access, Trace};
+use crate::access::Trace;
 use crate::patterns::Pattern;
 
 /// Concatenates traces in order.
@@ -15,7 +9,7 @@ use crate::patterns::Pattern;
 /// # Panics
 ///
 /// Panics if page shifts differ or `traces` is empty.
-pub fn concat(traces: &[Trace]) -> Trace {
+fn concat(traces: &[Trace]) -> Trace {
     assert!(!traces.is_empty(), "no traces to concatenate");
     let mut out = traces[0].clone();
     for t in &traces[1..] {
@@ -35,61 +29,6 @@ pub fn phases(specs: &[(Pattern, usize)], seed: u64) -> Trace {
     concat(&traces)
 }
 
-/// Interleaves traces round-robin in chunks of `chunk` accesses,
-/// labelling each access with its source stream index. Shorter traces
-/// drop out as they are exhausted.
-///
-/// # Panics
-///
-/// Panics if `chunk == 0`, `traces` is empty, or page shifts differ.
-pub fn interleave(traces: &[Trace], chunk: usize) -> Trace {
-    assert!(chunk > 0, "chunk must be positive");
-    assert!(!traces.is_empty(), "no traces to interleave");
-    let shift = traces[0].page_shift();
-    assert!(
-        traces.iter().all(|t| t.page_shift() == shift),
-        "page shift mismatch"
-    );
-    let mut cursors = vec![0usize; traces.len()];
-    let total: usize = traces.iter().map(|t| t.len()).sum();
-    let mut out: Vec<Access> = Vec::with_capacity(total);
-    while out.len() < total {
-        for (s, t) in traces.iter().enumerate() {
-            let start = cursors[s];
-            let end = (start + chunk).min(t.len());
-            for a in &t.accesses()[start..end] {
-                out.push(Access {
-                    addr: a.addr,
-                    stream: s as u16,
-                });
-            }
-            cursors[s] = end;
-        }
-    }
-    Trace::from_accesses(out, shift)
-}
-
-/// Splits an interleaved trace back into per-stream traces, in stream
-/// order (the de-interleaving a centralized prefetcher must perform,
-/// §4).
-pub fn split_streams(trace: &Trace) -> Vec<Trace> {
-    let max_stream = trace
-        .accesses()
-        .iter()
-        .map(|a| a.stream)
-        .max()
-        .map(|m| m as usize + 1)
-        .unwrap_or(0);
-    let mut buckets: Vec<Vec<Access>> = vec![Vec::new(); max_stream];
-    for a in trace.accesses() {
-        buckets[a.stream as usize].push(*a);
-    }
-    buckets
-        .into_iter()
-        .map(|b| Trace::from_accesses(b, trace.page_shift()))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,43 +37,5 @@ mod tests {
     fn phases_concatenate_lengths() {
         let t = phases(&[(Pattern::Stride, 100), (Pattern::PointerChase, 50)], 1);
         assert_eq!(t.len(), 150);
-    }
-
-    #[test]
-    fn interleave_preserves_every_access() {
-        let a = Pattern::Stride.generate(100, 1);
-        let b = Pattern::PointerChase.generate(70, 2);
-        let i = interleave(&[a.clone(), b.clone()], 8);
-        assert_eq!(i.len(), 170);
-        let parts = split_streams(&i);
-        assert_eq!(parts.len(), 2);
-        let a_addrs: Vec<u64> = a.accesses().iter().map(|x| x.addr).collect();
-        let got: Vec<u64> = parts[0].accesses().iter().map(|x| x.addr).collect();
-        assert_eq!(a_addrs, got, "stream 0 must round-trip in order");
-        assert_eq!(parts[1].len(), b.len());
-    }
-
-    #[test]
-    fn interleave_chunk_one_alternates() {
-        let a = Trace::from_addrs(vec![0x1000, 0x2000]);
-        let b = Trace::from_addrs(vec![0x3000, 0x4000]);
-        let i = interleave(&[a, b], 1);
-        let streams: Vec<u16> = i.accesses().iter().map(|x| x.stream).collect();
-        assert_eq!(streams, vec![0, 1, 0, 1]);
-    }
-
-    #[test]
-    fn split_streams_of_single_stream_trace() {
-        let t = Trace::from_addrs(vec![1, 2, 3]);
-        let parts = split_streams(&t);
-        assert_eq!(parts.len(), 1);
-        assert_eq!(parts[0].len(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk must be positive")]
-    fn zero_chunk_rejected() {
-        let t = Trace::from_addrs(vec![1]);
-        let _ = interleave(&[t], 0);
     }
 }

@@ -96,28 +96,6 @@ impl TraceStats {
             (self.top_delta_coverage(64) * 1000.0) as u64,
         )
     }
-
-    /// Mean reuse distance (distinct pages between consecutive uses of
-    /// the same page), sampled over the whole trace. `None` when no
-    /// page repeats.
-    pub fn mean_reuse_distance(trace: &Trace) -> Option<f64> {
-        let pages: Vec<u64> = trace.pages().collect();
-        let mut last_seen: HashMap<u64, usize> = HashMap::new();
-        let mut sum = 0.0f64;
-        let mut n = 0usize;
-        for (i, &p) in pages.iter().enumerate() {
-            if let Some(&j) = last_seen.get(&p) {
-                // Distinct pages in the window (exact but O(w)); traces
-                // in tests are small, experiment harnesses sample.
-                let window: std::collections::HashSet<u64> =
-                    pages[j + 1..i].iter().copied().collect();
-                sum += window.len() as f64;
-                n += 1;
-            }
-            last_seen.insert(p, i);
-        }
-        (n > 0).then(|| sum / n as f64)
-    }
 }
 
 #[cfg(test)]
@@ -153,21 +131,11 @@ mod tests {
 
     #[test]
     fn empty_and_single_access_traces_are_safe() {
-        let s = TraceStats::compute(&Trace::empty());
+        let s = TraceStats::compute(&Trace::from_addrs(Vec::new()));
         assert_eq!(s.unique_deltas, 0);
         assert_eq!(s.top_delta_coverage(5), 0.0);
         let s1 = TraceStats::compute(&Trace::from_addrs(vec![0x1000]));
         assert_eq!(s1.unique_deltas, 0);
-    }
-
-    #[test]
-    fn reuse_distance_of_tight_loop_is_small() {
-        // [A B A B ...] has reuse distance 1 everywhere.
-        let addrs: Vec<u64> = (0..100)
-            .map(|i| if i % 2 == 0 { 0x1000 } else { 0x2000 })
-            .collect();
-        let d = TraceStats::mean_reuse_distance(&Trace::from_addrs(addrs)).unwrap();
-        assert!((d - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -180,11 +148,5 @@ mod tests {
         let fields: Vec<u64> = row.split(',').map(|f| f.parse().unwrap()).collect();
         assert_eq!(fields[0], 1000, "accesses column");
         assert!(fields[4] > 970, "top-1 coverage in thousandths");
-    }
-
-    #[test]
-    fn reuse_distance_none_when_no_repeats() {
-        let t = Trace::from_addrs(vec![0x1000, 0x2000, 0x3000]);
-        assert!(TraceStats::mean_reuse_distance(&t).is_none());
     }
 }

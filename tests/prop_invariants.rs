@@ -6,23 +6,29 @@ use proptest::prelude::*;
 use hnp::core::{CapacityPolicy, Hippocampus};
 use hnp::hebbian::bitset::BitSet;
 use hnp::hebbian::kwta::k_winners;
+use hnp::memsim::deltas::pages_from_rollout;
 use hnp::memsim::memory::LocalMemory;
 use hnp::memsim::{DeltaVocab, NoPrefetcher, SimConfig, Simulator};
 use hnp::traces::Trace;
 
 proptest! {
     /// Delta <-> token mapping is a bijection on the in-range domain.
+    /// Tokens decode through the rollout walk: a one-step rollout moves
+    /// the base page by exactly the token's delta, and the OOV token
+    /// yields no page.
     #[test]
     fn delta_vocab_roundtrip(range in 1i64..200, delta in -500i64..500) {
         let v = DeltaVocab::new(range);
         let t = v.token_of(delta);
         prop_assert!(t < v.len());
-        match v.delta_of(t) {
-            Some(d) => {
-                prop_assert_eq!(d, delta);
+        let base = 1_000u64;
+        match pages_from_rollout(&v, base, [[t]]).as_slice() {
+            [page] => {
+                prop_assert_eq!(*page as i64 - base as i64, delta);
                 prop_assert!(delta != 0 && delta.abs() <= range);
             }
-            None => prop_assert!(delta == 0 || delta.abs() > range),
+            [] => prop_assert!(delta == 0 || delta.abs() > range),
+            pages => prop_assert!(false, "one step decoded to {:?}", pages),
         }
     }
 

@@ -3,7 +3,6 @@
 
 use proptest::prelude::*;
 
-use hnp::core::vsa::HyperVector;
 use hnp::core::{ClsConfig, ClsPrefetcher};
 use hnp::hebbian::{HebbianConfig, HebbianNetwork};
 use hnp::memsim::prefetcher::{MissEvent, Prefetcher};
@@ -11,8 +10,6 @@ use hnp::memsim::{SimConfig, Simulator};
 use hnp::nn::transformer::{TransformerConfig, TransformerNetwork};
 use hnp::nn::{LstmConfig, LstmNetwork};
 use hnp::traces::Trace;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// A hostile prefetcher: returns arbitrary (possibly absurd) pages.
 struct Chaos {
@@ -96,19 +93,6 @@ proptest! {
             prop_assert!(t.loss.is_finite());
             prop_assert!(t.probs.iter().all(|p| p.is_finite()));
         }
-    }
-
-    /// VSA algebra: binding is self-inverse and permutation is
-    /// invertible by completing the rotation, for arbitrary seeds.
-    #[test]
-    fn vsa_algebra_laws(seed in any::<u64>(), k in 1usize..1000) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let a = HyperVector::random(8, &mut rng);
-        let b = HyperVector::random(8, &mut rng);
-        prop_assert_eq!(a.bind(&b).bind(&b), a.clone());
-        let d = a.dim();
-        prop_assert_eq!(a.permute(k % d).permute(d - (k % d)), a.clone());
-        prop_assert!((a.similarity(&b) - b.similarity(&a)).abs() < 1e-12);
     }
 
     /// The CLS prefetcher emits only non-negative, bounded candidate
