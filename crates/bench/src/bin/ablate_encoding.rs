@@ -1,13 +1,11 @@
 //! §5.3 ablation: input encodings.
 //!
 //! Compares the one-hot delta encoding of prior work against the
-//! history-window and path-hash encodings on the Table-1 patterns and
+//! history-window, path-hash and VSA encodings on the Table-1 patterns and
 //! the application workloads, including the paper's negative result:
 //! pointer-based key-value workloads defeat every delta encoding.
 //!
 //! Usage: `cargo run --release -p hnp-bench --bin ablate_encoding [accesses]`
-
-use serde::Serialize;
 
 use hnp_bench::output;
 use hnp_core::encoder::EncoderKind;
@@ -15,14 +13,6 @@ use hnp_core::{ClsConfig, ClsPrefetcher};
 use hnp_memsim::{NoPrefetcher, SimConfig, Simulator};
 use hnp_trace::apps::AppWorkload;
 use hnp_trace::Trace;
-
-#[derive(Serialize)]
-struct Row {
-    workload: String,
-    encoder: String,
-    pct_misses_removed: f64,
-    accuracy: f64,
-}
 
 fn encoders() -> Vec<(&'static str, EncoderKind)> {
     vec![
@@ -47,7 +37,7 @@ fn encoders() -> Vec<(&'static str, EncoderKind)> {
     ]
 }
 
-fn run_workload(name: &str, trace: &Trace, rows: &mut Vec<Row>) {
+fn run_workload(name: &str, trace: &Trace) {
     let cfg = SimConfig::default().sized_to(trace, 0.5);
     let sim = Simulator::new(cfg);
     let base = sim.run(trace, &mut NoPrefetcher);
@@ -65,30 +55,23 @@ fn run_workload(name: &str, trace: &Trace, rows: &mut Vec<Row>) {
             rep.pct_misses_removed(&base),
             rep.accuracy()
         );
-        rows.push(Row {
-            workload: name.to_string(),
-            encoder: ename.to_string(),
-            pct_misses_removed: rep.pct_misses_removed(&base),
-            accuracy: rep.accuracy(),
-        });
     }
 }
 
 fn main() {
-    let accesses = output::arg_or(1, "HNP_ACCESSES", 80_000);
+    let accesses = output::arg_or(1, "accesses", 80_000);
     output::header("§5.3 ablation: input encodings");
     println!(
         "{:<14} {:<12} {:>10} {:>9}",
         "workload", "encoder", "removed%", "accuracy"
     );
-    let mut rows = Vec::new();
     for app in [
         AppWorkload::TensorFlowLike,
         AppWorkload::McfLike,
         AppWorkload::KvStoreLike,
     ] {
         let trace = app.generate(accesses, 31);
-        run_workload(app.name(), &trace, &mut rows);
+        run_workload(app.name(), &trace);
     }
     // A second-order pattern where history should beat one-hot: an
     // alternating composite whose next delta depends on two steps of
@@ -104,8 +87,7 @@ fn main() {
             3,
         )
     };
-    run_workload("composite", &composite, &mut rows);
+    run_workload("composite", &composite);
     println!();
     println!("note: kv-store is the §5.3 negative result — no delta encoding should rescue it.");
-    output::write_json("ablate_encoding", &rows);
 }

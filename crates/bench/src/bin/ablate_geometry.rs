@@ -9,23 +9,12 @@
 //!
 //! Usage: `cargo run --release -p hnp-bench --bin ablate_geometry [accesses]`
 
-use serde::Serialize;
-
 use hnp_bench::output;
 use hnp_core::encoder::EncoderKind;
 use hnp_core::{ClsConfig, ClsPrefetcher};
 use hnp_memsim::{NoPrefetcher, SimConfig, Simulator};
 use hnp_trace::apps::AppWorkload;
 use hnp_trace::Trace;
-
-#[derive(Serialize)]
-struct Row {
-    axis: String,
-    value: String,
-    pct_misses_removed: f64,
-    accuracy: f64,
-    issued: usize,
-}
 
 fn run_one(
     trace: &Trace,
@@ -34,7 +23,6 @@ fn run_one(
     cfg: ClsConfig,
     axis: &str,
     value: String,
-    rows: &mut Vec<Row>,
 ) {
     let mut p = ClsPrefetcher::new(cfg);
     let rep = sim.run(trace, &mut p);
@@ -46,19 +34,11 @@ fn run_one(
         rep.accuracy(),
         rep.prefetches_issued
     );
-    rows.push(Row {
-        axis: axis.to_string(),
-        value,
-        pct_misses_removed: rep.pct_misses_removed(base),
-        accuracy: rep.accuracy(),
-        issued: rep.prefetches_issued,
-    });
 }
 
 fn main() {
-    let accesses = output::arg_or(1, "HNP_ACCESSES", 100_000);
+    let accesses = output::arg_or(1, "accesses", 100_000);
     let trace = AppWorkload::TensorFlowLike.generate(accesses, 11);
-    let mut rows = Vec::new();
 
     output::header("§5.2 ablation: prefetch length (lookahead), width, history");
     println!(
@@ -79,7 +59,6 @@ fn main() {
             },
             "length",
             lookahead.to_string(),
-            &mut rows,
         );
     }
     for width in [1usize, 2, 4] {
@@ -93,7 +72,6 @@ fn main() {
             },
             "width",
             width.to_string(),
-            &mut rows,
         );
     }
     for window in [1usize, 2, 4, 8] {
@@ -111,7 +89,6 @@ fn main() {
             },
             "history",
             window.to_string(),
-            &mut rows,
         );
     }
 
@@ -142,13 +119,6 @@ fn main() {
                 rep.accuracy(),
                 rep.prefetches_issued
             );
-            rows.push(Row {
-                axis: format!("timeliness-inf{inference_latency}"),
-                value: format!("lookahead{lookahead}"),
-                pct_misses_removed: rep.pct_misses_removed(&base_l),
-                accuracy: rep.accuracy(),
-                issued: rep.prefetches_issued,
-            });
         }
     }
     output::header("§5.2 co-design: adaptive geometry under inference latency");
@@ -182,14 +152,6 @@ fn main() {
                 rep.accuracy(),
                 rep.prefetches_issued
             );
-            rows.push(Row {
-                axis: format!("adaptive-inf{inference_latency}"),
-                value: if adaptive { "adaptive" } else { "static" }.to_string(),
-                pct_misses_removed: rep.pct_misses_removed(&base_l),
-                accuracy: rep.accuracy(),
-                issued: rep.prefetches_issued,
-            });
         }
     }
-    output::write_json("ablate_geometry", &rows);
 }

@@ -9,8 +9,6 @@
 //!
 //! Usage: `cargo run --release -p hnp-bench --bin ablate_phase [accesses]`
 
-use serde::Serialize;
-
 use hnp_bench::output;
 use hnp_core::phase::PhaseConfig;
 use hnp_core::{ClsConfig, ClsPrefetcher, ReplayConfig, ReplayForm};
@@ -18,16 +16,7 @@ use hnp_memsim::{NoPrefetcher, SimConfig, Simulator};
 use hnp_trace::apps::AppWorkload;
 use hnp_trace::{phased, Pattern, Trace};
 
-#[derive(Serialize)]
-struct Row {
-    workload: String,
-    condition: String,
-    pct_misses_removed: f64,
-    phases_detected: u64,
-    replayed: u64,
-}
-
-fn run(workload: &str, trace: &Trace, rows: &mut Vec<Row>) {
+fn run(workload: &str, trace: &Trace) {
     let sim = Simulator::new(SimConfig::default().sized_to(trace, 0.5));
     let base = sim.run(trace, &mut NoPrefetcher);
     let conditions: Vec<(&str, ClsConfig)> = vec![
@@ -76,28 +65,19 @@ fn run(workload: &str, trace: &Trace, rows: &mut Vec<Row>) {
             p.current_phase(),
             p.replayed()
         );
-        rows.push(Row {
-            workload: workload.to_string(),
-            condition: name.to_string(),
-            pct_misses_removed: rep.pct_misses_removed(&base),
-            phases_detected: p.current_phase(),
-            replayed: p.replayed(),
-        });
     }
 }
 
 fn main() {
-    let accesses = output::arg_or(1, "HNP_ACCESSES", 100_000);
+    let accesses = output::arg_or(1, "accesses", 100_000);
     output::header("§5.4 ablation: phase detection (phase ids are allocation counters)");
     println!(
         "{:<12} {:<22} {:>10} {:>8} {:>9}",
         "workload", "condition", "removed%", "phase-id", "replayed"
     );
-    let mut rows = Vec::new();
     run(
         "serverless",
         &AppWorkload::ServerlessLike.generate(accesses, 3),
-        &mut rows,
     );
     run(
         "aba",
@@ -109,7 +89,5 @@ fn main() {
             ],
             5,
         ),
-        &mut rows,
     );
-    output::write_json("ablate_phase", &rows);
 }

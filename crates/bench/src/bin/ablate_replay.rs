@@ -9,28 +9,12 @@
 //!
 //! Usage: `cargo run --release -p hnp-bench --bin ablate_replay [accesses_per_phase]`
 
-use serde::Serialize;
-
 use hnp_bench::output;
 use hnp_core::{
     CapacityPolicy, ClsConfig, ClsPrefetcher, EpisodicBackend, ReplayConfig, ReplayForm,
 };
 use hnp_memsim::{NoPrefetcher, SimConfig, Simulator};
 use hnp_trace::{phased, Pattern, Trace};
-
-#[derive(Serialize)]
-struct Row {
-    condition: String,
-    pct_misses_removed: f64,
-    /// Misses removed within the third phase only — the A-return
-    /// segment where retention of the first phase's pattern pays off.
-    pct_return_phase_removed: f64,
-    episodes_stored: usize,
-    episodes_offered: u64,
-    replayed: u64,
-    /// Approximate episodic-store footprint.
-    storage_bytes: usize,
-}
 
 fn aba_trace(per_phase: usize) -> Trace {
     phased::phases(
@@ -50,7 +34,6 @@ fn run_condition(
     sim: &Simulator,
     base: &(hnp_memsim::SimReport, Vec<usize>),
     per_phase: usize,
-    rows: &mut Vec<Row>,
 ) {
     let mut p = ClsPrefetcher::new(cfg);
     let checkpoints = [2 * per_phase];
@@ -73,24 +56,14 @@ fn run_condition(
         p.replayed(),
         p.episodic().storage_bytes()
     );
-    rows.push(Row {
-        condition: name.to_string(),
-        pct_misses_removed: rep.pct_misses_removed(&base.0),
-        pct_return_phase_removed: return_removed,
-        episodes_stored: p.episodic().stored(),
-        episodes_offered: p.episodic().offered(),
-        replayed: p.replayed(),
-        storage_bytes: p.episodic().storage_bytes(),
-    });
 }
 
 fn main() {
-    let per_phase = output::arg_or(1, "HNP_ACCESSES", 40_000);
+    let per_phase = output::arg_or(1, "accesses_per_phase", 40_000);
     let trace = aba_trace(per_phase);
     let cfg0 = SimConfig::default().sized_to(&trace, 0.5);
     let sim = Simulator::new(cfg0);
     let base = sim.run_with_checkpoints(&trace, &mut NoPrefetcher, &[2 * per_phase]);
-    let mut rows = Vec::new();
 
     output::header("§5.4 ablation: replay OFF vs forms (A-B-A phase trace)");
     println!(
@@ -108,7 +81,6 @@ fn main() {
         &sim,
         &base,
         per_phase,
-        &mut rows,
     );
     for (name, form) in [
         ("interleaved", ReplayForm::Interleaved),
@@ -130,7 +102,6 @@ fn main() {
             &sim,
             &base,
             per_phase,
-            &mut rows,
         );
     }
 
@@ -155,7 +126,6 @@ fn main() {
         &sim,
         &base,
         per_phase,
-        &mut rows,
     );
     for (name, capacity) in [
         ("unbounded", CapacityPolicy::Unbounded),
@@ -197,8 +167,6 @@ fn main() {
             &sim,
             &base,
             per_phase,
-            &mut rows,
         );
     }
-    output::write_json("ablate_replay", &rows);
 }

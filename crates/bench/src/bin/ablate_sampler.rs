@@ -7,24 +7,13 @@
 //!
 //! Usage: `cargo run --release -p hnp-bench --bin ablate_sampler [accesses]`
 
-use serde::Serialize;
-
 use hnp_bench::output;
 use hnp_core::{ClsConfig, ClsPrefetcher, TrainingSampler};
 use hnp_memsim::{NoPrefetcher, SimConfig, Simulator};
 use hnp_trace::apps::AppWorkload;
 
-#[derive(Serialize)]
-struct Row {
-    sampler: String,
-    pct_misses_removed: f64,
-    trained: u64,
-    skipped: u64,
-    accuracy: f64,
-}
-
 fn main() {
-    let accesses = output::arg_or(1, "HNP_ACCESSES", 100_000);
+    let accesses = output::arg_or(1, "accesses", 100_000);
     let trace = AppWorkload::TensorFlowLike.generate(accesses, 7);
     let cfg = SimConfig::default().sized_to(&trace, 0.5);
     let sim = Simulator::new(cfg);
@@ -44,7 +33,6 @@ fn main() {
         "{:<16} {:>10} {:>10} {:>10} {:>9}",
         "sampler", "removed%", "trained", "skipped", "accuracy"
     );
-    let mut rows = Vec::new();
     for (name, sampler) in samplers {
         let mut p = ClsPrefetcher::new(ClsConfig {
             sampler,
@@ -61,13 +49,5 @@ fn main() {
             skipped,
             rep.accuracy()
         );
-        rows.push(Row {
-            sampler: name.to_string(),
-            pct_misses_removed: rep.pct_misses_removed(&base),
-            trained,
-            skipped,
-            accuracy: rep.accuracy(),
-        });
     }
-    output::write_json("ablate_sampler", &rows);
 }

@@ -10,21 +10,11 @@
 //!
 //! Usage: `cargo run --release -p hnp-bench --bin availability [steps]`
 
-use serde::Serialize;
-
 use hnp_bench::output;
 use hnp_core::availability::ShadowDeployment;
 use hnp_hebbian::{HebbianConfig, HebbianNetwork, LrScale};
 use hnp_memsim::DeltaVocab;
 use hnp_trace::Pattern;
-
-#[derive(Serialize)]
-struct Summary {
-    shadow_redeployments: u64,
-    shadow_final_accuracy: f32,
-    in_place_final_accuracy: f32,
-    perturbation_agreement: Vec<(i16, f64)>,
-}
 
 fn tokens(pattern: Pattern, n: usize, seed: u64) -> Vec<usize> {
     let vocab = DeltaVocab::new(64);
@@ -32,7 +22,7 @@ fn tokens(pattern: Pattern, n: usize, seed: u64) -> Vec<usize> {
 }
 
 fn main() {
-    let steps = output::arg_or(1, "HNP_STEPS", 20_000);
+    let steps = output::arg_or(1, "steps", 20_000);
     let phase_a = tokens(Pattern::Stride, 1000, 1);
     let phase_b = tokens(Pattern::PointerChase, 1000, 2);
 
@@ -74,7 +64,6 @@ fn main() {
     // --- Noise robustness: perturb weights, measure output agreement. ---
     output::header("§5.5: output agreement under weight perturbation (noise robustness)");
     println!("{:>12} {:>12}", "perturb +/-", "agreement");
-    let mut agreements = Vec::new();
     for mag in [0i16, 1, 2, 4, 8] {
         let mut reference = HebbianNetwork::new(cfg.clone());
         for _ in 0..4 {
@@ -105,18 +94,8 @@ fn main() {
         }
         let frac = agree as f64 / total as f64;
         println!("{:>12} {:>11.1}%", mag, 100.0 * frac);
-        agreements.push((mag, frac));
     }
     println!();
     println!("high agreement at small perturbations supports concurrent train/infer;");
     println!("the shadow protocol remains the safe default for large drifts.");
-    output::write_json(
-        "availability",
-        &Summary {
-            shadow_redeployments: shadow.redeployments,
-            shadow_final_accuracy: shadow.live_accuracy(),
-            in_place_final_accuracy: in_place_acc,
-            perturbation_agreement: agreements,
-        },
-    );
 }

@@ -15,26 +15,17 @@
 //!
 //! Usage: `cargo run --release -p hnp-bench --bin fig2_latency [iters]`
 
-use serde::Serialize;
-
 use hnp_bench::{output, timing};
 use hnp_hebbian::{HebbianConfig, HebbianNetwork};
 use hnp_nn::quant::QuantizedLstm;
 use hnp_nn::transformer::{TransformerConfig, TransformerNetwork};
 use hnp_nn::{LstmConfig, LstmNetwork};
 
-#[derive(Serialize)]
-struct Fig2Json {
-    inference_ns: Vec<(String, usize, f64)>,
-    training_ns: Vec<(String, usize, f64)>,
-}
-
 fn main() {
-    let iters = output::arg_or(1, "HNP_ITERS", 200);
-    let mut json = Fig2Json {
-        inference_ns: Vec::new(),
-        training_ns: Vec::new(),
-    };
+    let iters = output::arg_or(1, "iters", 200);
+    // Single-prediction inference times for the summary ratio.
+    let mut lstm1 = 0.0;
+    let mut heb1 = 0.0;
 
     output::header("Fig. 2a: inference time vs number of future predictions");
     println!(
@@ -55,7 +46,9 @@ fn main() {
                 std::hint::black_box(net.rollout(1, steps));
             });
             row.push_str(&format!(" {:>6.1}", ns / 1000.0));
-            json.inference_ns.push((label.clone(), steps, ns));
+            if threads == 1 && steps == 1 {
+                lstm1 = ns;
+            }
         }
         println!("{row}");
     }
@@ -69,7 +62,6 @@ fn main() {
                 std::hint::black_box(q.rollout(1, steps));
             });
             row.push_str(&format!(" {:>6.1}", ns / 1000.0));
-            json.inference_ns.push(("lstm-int8-1t".into(), steps, ns));
         }
         println!("{row}");
     }
@@ -83,8 +75,6 @@ fn main() {
                 std::hint::black_box(net.rollout_top_k_with_confidence(&ctx, steps, 1));
             });
             row.push_str(&format!(" {:>6.1}", ns / 1000.0));
-            json.inference_ns
-                .push(("transformer-fp32-1t".into(), steps, ns));
         }
         println!("{row}");
     }
@@ -99,7 +89,9 @@ fn main() {
                 std::hint::black_box(net.rollout(&[1], steps, |t| vec![(t % 128) as u32]));
             });
             row.push_str(&format!(" {:>6.1}", ns / 1000.0));
-            json.inference_ns.push(("hebbian-int-1t".into(), steps, ns));
+            if steps == 1 {
+                heb1 = ns;
+            }
         }
         println!("{row}");
     }
@@ -126,7 +118,6 @@ fn main() {
                 std::hint::black_box(net.train_batch(&examples, 0.05));
             }) / batch as f64;
             row.push_str(&format!(" {:>6.1}", ns / 1000.0));
-            json.training_ns.push((label.clone(), batch, ns));
         }
         println!("{row}");
     }
@@ -144,7 +135,6 @@ fn main() {
                 std::hint::black_box(net.train_batch_fused(&examples, 0.05));
             }) / batch as f64;
             row.push_str(&format!(" {:>6.1}", ns / 1000.0));
-            json.training_ns.push(("lstm-fp32-fused".into(), batch, ns));
         }
         println!("{row}");
     }
@@ -161,8 +151,6 @@ fn main() {
                 }
             }) / batch as f64;
             row.push_str(&format!(" {:>6.1}", ns / 1000.0));
-            json.training_ns
-                .push(("transformer-fp32-1t".into(), batch, ns));
         }
         println!("{row}");
     }
@@ -181,24 +169,10 @@ fn main() {
                 }
             }) / batch as f64;
             row.push_str(&format!(" {:>6.1}", ns / 1000.0));
-            json.training_ns.push(("hebbian-int-1t".into(), batch, ns));
         }
         println!("{row}");
     }
 
-    // Summary ratios.
-    let lstm1 = json
-        .inference_ns
-        .iter()
-        .find(|(l, s, _)| l == "lstm-fp32-1t" && *s == 1)
-        .map(|&(_, _, ns)| ns)
-        .unwrap_or(0.0);
-    let heb1 = json
-        .inference_ns
-        .iter()
-        .find(|(l, s, _)| l == "hebbian-int-1t" && *s == 1)
-        .map(|&(_, _, ns)| ns)
-        .unwrap_or(1.0);
     println!();
     println!(
         "single-prediction inference: LSTM {:.1} us vs Hebbian {:.1} us ({:.1}x)",
@@ -206,5 +180,4 @@ fn main() {
         heb1 / 1000.0,
         lstm1 / heb1
     );
-    output::write_json("fig2_latency", &json);
 }

@@ -44,7 +44,7 @@ fn print_series(s: &Fig3Series) {
 }
 
 fn main() {
-    let steps_b = output::arg_or(1, "HNP_STEPS_B", 4000);
+    let steps_b = output::arg_or(1, "steps_b", 4000);
     let opts = Fig3Options {
         steps_b,
         ..Fig3Options::default()
@@ -112,5 +112,4 @@ fn main() {
             );
         }
     }
-    output::write_json("fig3_interference", &all);
 }

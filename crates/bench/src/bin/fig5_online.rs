@@ -13,7 +13,7 @@ use hnp_bench::fig5::{run_grid, Fig5Options};
 use hnp_bench::output;
 
 fn main() {
-    let accesses = output::arg_or(1, "HNP_ACCESSES", 200_000);
+    let accesses = output::arg_or(1, "accesses", 200_000);
     let opts = Fig5Options {
         accesses,
         ..Fig5Options::default()
@@ -61,5 +61,4 @@ fn main() {
         }
         println!();
     }
-    output::write_json("fig5_online", &rows);
 }

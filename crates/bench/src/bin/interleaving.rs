@@ -13,8 +13,6 @@
 //!
 //! Usage: `cargo run --release -p hnp-bench --bin interleaving [steps]`
 
-use serde::Serialize;
-
 use hnp_bench::fig3::pattern_tokens;
 use hnp_bench::output;
 use hnp_hebbian::{HebbianConfig, HebbianNetwork};
@@ -22,7 +20,6 @@ use hnp_memsim::DeltaVocab;
 use hnp_nn::{LstmConfig, LstmNetwork};
 use hnp_trace::Pattern;
 
-#[derive(Serialize)]
 struct Row {
     model: String,
     presentation: String,
@@ -148,7 +145,7 @@ fn run_hebbian(a: &[usize], b: &[usize], chunk: Option<usize>, steps: usize) -> 
 }
 
 fn main() {
-    let steps = output::arg_or(1, "HNP_STEPS", 6_000);
+    let steps = output::arg_or(1, "steps", 6_000);
     let vocab = DeltaVocab::new(64);
     let a = pattern_tokens(Pattern::Stride, 1000, 1, &vocab);
     let b = pattern_tokens(Pattern::PointerChase, 1000, 2, &vocab);
@@ -172,5 +169,4 @@ fn main() {
     println!("interleaving keeps both patterns alive without replay (the paper's §4");
     println!("conjecture) — but a context-carrying model needs the interleave bursts");
     println!("to be longer than its context depth (compare hebbian at chunk 1 vs 16).");
-    output::write_json("interleaving", &rows);
 }

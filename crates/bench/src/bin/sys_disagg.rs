@@ -13,23 +13,12 @@
 //!
 //! Usage: `cargo run --release -p hnp-bench --bin sys_disagg [accesses_per_node]`
 
-use serde::Serialize;
-
 use hnp_bench::output;
 use hnp_core::{ClsConfig, ClsPrefetcher};
 use hnp_memsim::{NoPrefetcher, Prefetcher};
 use hnp_systems::{DisaggConfig, DisaggregatedCluster};
 use hnp_trace::apps::AppWorkload;
 use hnp_trace::Trace;
-
-#[derive(Serialize)]
-struct Row {
-    link_latency: u64,
-    placement: String,
-    pct_misses_removed: f64,
-    avg_stall_per_access: f64,
-    total_ticks: u64,
-}
 
 fn node_traces(accesses: usize) -> Vec<Trace> {
     // Heterogeneous nodes: different applications per node.
@@ -42,9 +31,8 @@ fn node_traces(accesses: usize) -> Vec<Trace> {
 }
 
 fn main() {
-    let accesses = output::arg_or(1, "HNP_ACCESSES", 60_000);
+    let accesses = output::arg_or(1, "accesses_per_node", 60_000);
     let traces = node_traces(accesses);
-    let mut rows = Vec::new();
     output::header("Disaggregated cluster: placement comparison across link latencies");
     println!(
         "{:<8} {:<17} {:>10} {:>12} {:>12}",
@@ -106,13 +94,6 @@ fn main() {
                 rep.avg_stall_per_access(),
                 rep.total_ticks
             );
-            rows.push(Row {
-                link_latency,
-                placement: label.to_string(),
-                pct_misses_removed: rep.pct_misses_removed(&base),
-                avg_stall_per_access: rep.avg_stall_per_access(),
-                total_ticks: rep.total_ticks,
-            });
         }
     }
     output::header("§5.2 selectivity under a constrained switch (decentralized CLS)");
@@ -149,14 +130,6 @@ fn main() {
                 rep.avg_stall_per_access(),
                 dropped
             );
-            rows.push(Row {
-                link_latency: 100,
-                placement: format!("slots{shared_link_slots}-width{width}"),
-                pct_misses_removed: rep.pct_misses_removed(&base),
-                avg_stall_per_access: rep.avg_stall_per_access(),
-                total_ticks: rep.total_ticks,
-            });
         }
     }
-    output::write_json("sys_disagg", &rows);
 }

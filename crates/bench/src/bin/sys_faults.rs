@@ -6,21 +6,19 @@
 //! brownouts, and a full storm with node crashes — each with and
 //! without the `ResilientPrefetcher` graceful-degradation wrapper.
 //!
-//! The question the JSON answers: how much of a prefetcher's
+//! The question the tables answer: how much of a prefetcher's
 //! fair-weather benefit survives a degraded system, and how much of
-//! the loss the watchdog wrapper claws back. `stall_ticks` is the
-//! cluster's total link stall for the disaggregated target and the
-//! run's total ticks for UVM (whose stall is embedded in wall-clock).
+//! the loss the watchdog wrapper claws back. The disaggregated table's
+//! `stall` column is the cluster's total link stall; the UVM table
+//! reports the run's total `ticks` instead (its stall is embedded in
+//! wall-clock).
 //!
 //! Schedules are sized relative to each target's fault-free horizon so
 //! the fault window always covers the middle half of the run.
 //!
 //! Usage: `cargo run --release -p hnp-bench --bin sys_faults [accesses]`
-//! `HNP_FAULTS=<dsl>` replaces the built-in schedules with a custom
-//! one (see `FaultSchedule::parse`); `HNP_FAULT_SEED` reseeds the
-//! injector.
-
-use serde::Serialize;
+//! A custom schedule or injector seed runs through
+//! `hnpctl faults --schedule <dsl> --fault-seed <n>` instead.
 
 use hnp_baselines::{LstmPrefetcher, StrideConfig, StridePrefetcher};
 use hnp_bench::output;
@@ -32,24 +30,10 @@ use hnp_systems::{
 use hnp_trace::apps::AppWorkload;
 use hnp_trace::Trace;
 
-#[derive(Serialize)]
-struct Row {
-    target: String,
-    schedule: String,
-    prefetcher: String,
-    resilient: bool,
-    stall_ticks: u64,
-    total_ticks: u64,
-    misses: usize,
-    prefetches_issued: usize,
-    prefetches_useful: usize,
-    prefetches_cancelled: usize,
-    retries: usize,
-    timeouts: usize,
-    restarts: usize,
-}
-
 const MODELS: [&str; 3] = ["cls-hebbian", "lstm", "stride"];
+
+/// The fault injector's seed, shared by every schedule and target.
+const FAULT_SEED: u64 = 0xfa017;
 
 fn make_model(name: &str, seed: u64) -> Box<dyn Prefetcher> {
     match name {
@@ -87,10 +71,6 @@ fn make(name: &str, seed: u64, resilient: bool) -> Box<dyn Prefetcher> {
 /// meaningful for the disaggregated cluster's shared switch; pass 0
 /// for the UVM target, whose interconnect has no admission stage.
 fn schedules(h: u64, brownout_slots: usize) -> Vec<(&'static str, FaultSchedule)> {
-    if let Ok(spec) = std::env::var("HNP_FAULTS") {
-        let custom = FaultSchedule::parse(&spec).unwrap_or_else(|e| panic!("HNP_FAULTS: {e}"));
-        return vec![("custom", custom)];
-    }
     let start = h / 6;
     let dur = h / 2;
     let mut lossy = FaultSchedule::none().with_lossy_link(start, dur, 0.5);
@@ -118,13 +98,6 @@ fn schedules(h: u64, brownout_slots: usize) -> Vec<(&'static str, FaultSchedule)
     ]
 }
 
-fn fault_seed() -> u64 {
-    std::env::var("HNP_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xfa017)
-}
-
 fn node_traces(accesses: usize) -> Vec<Trace> {
     vec![
         AppWorkload::TensorFlowLike.generate(accesses, 11),
@@ -144,9 +117,7 @@ fn warp_traces(accesses: usize) -> Vec<Trace> {
 }
 
 fn main() {
-    let accesses = output::arg_or(1, "HNP_ACCESSES", 15_000);
-    let seed = fault_seed();
-    let mut rows = Vec::new();
+    let accesses = output::arg_or(1, "accesses", 15_000);
 
     // ---- Disaggregated cluster -------------------------------------
     // A moderately constrained switch: brownouts and wasted
@@ -175,9 +146,9 @@ fn main() {
         let mut none: Vec<Box<dyn Prefetcher>> = (0..traces.len())
             .map(|_| Box::new(NoPrefetcher) as Box<dyn Prefetcher>)
             .collect();
-        let mut inj = FaultInjector::new(schedule.clone(), seed);
+        let mut inj = FaultInjector::new(schedule.clone(), FAULT_SEED);
         let base = cluster.run_decentralized_with_faults(&traces, &mut none, &mut inj);
-        let mut emit = |label: &str, resilient: bool, rep: &hnp_systems::DisaggReport| {
+        let emit = |label: &str, resilient: bool, rep: &hnp_systems::DisaggReport| {
             let sum = |f: fn(&hnp_systems::disagg::NodeReport) -> usize| -> usize {
                 rep.nodes.iter().map(f).sum()
             };
@@ -192,21 +163,6 @@ fn main() {
                 sum(|n| n.retries),
                 sum(|n| n.restarts),
             );
-            rows.push(Row {
-                target: "disagg".into(),
-                schedule: sched_name.into(),
-                prefetcher: label.into(),
-                resilient,
-                stall_ticks: rep.total_stall(),
-                total_ticks: rep.total_ticks,
-                misses: rep.total_misses(),
-                prefetches_issued: sum(|n| n.prefetches_issued),
-                prefetches_useful: sum(|n| n.prefetches_useful),
-                prefetches_cancelled: sum(|n| n.prefetches_cancelled),
-                retries: sum(|n| n.retries),
-                timeouts: sum(|n| n.timeouts),
-                restarts: sum(|n| n.restarts),
-            });
         };
         emit("baseline", false, &base);
         for model in MODELS {
@@ -214,7 +170,7 @@ fn main() {
                 let mut pfs: Vec<Box<dyn Prefetcher>> = (0..traces.len())
                     .map(|i| make(model, 0xd15a + i as u64, resilient))
                     .collect();
-                let mut inj = FaultInjector::new(schedule.clone(), seed);
+                let mut inj = FaultInjector::new(schedule.clone(), FAULT_SEED);
                 let rep = cluster.run_decentralized_with_faults(&traces, &mut pfs, &mut inj);
                 emit(model, resilient, &rep);
             }
@@ -231,7 +187,7 @@ fn main() {
         "schedule", "prefetcher", "resilient", "ticks", "faults", "cancel", "retries", "restarts"
     );
     for (sched_name, schedule) in schedules(horizon, 0) {
-        let mut emit = |label: &str, resilient: bool, rep: &hnp_systems::UvmReport| {
+        let emit = |label: &str, resilient: bool, rep: &hnp_systems::UvmReport| {
             println!(
                 "{:<8} {:<14} {:>9} {:>12} {:>10} {:>9} {:>8} {:>8}",
                 sched_name,
@@ -243,33 +199,17 @@ fn main() {
                 rep.retries,
                 rep.restarts,
             );
-            rows.push(Row {
-                target: "uvm".into(),
-                schedule: sched_name.into(),
-                prefetcher: label.into(),
-                resilient,
-                stall_ticks: rep.total_ticks,
-                total_ticks: rep.total_ticks,
-                misses: rep.faults,
-                prefetches_issued: rep.prefetches_issued,
-                prefetches_useful: rep.prefetches_useful,
-                prefetches_cancelled: rep.prefetches_cancelled,
-                retries: rep.retries,
-                timeouts: rep.timeouts,
-                restarts: rep.restarts,
-            });
         };
-        let mut inj = FaultInjector::new(schedule.clone(), seed);
+        let mut inj = FaultInjector::new(schedule.clone(), FAULT_SEED);
         let base = sim.run_with_faults(&warps, &mut NoPrefetcher, &mut inj);
         emit("baseline", false, &base);
         for model in MODELS {
             for resilient in [false, true] {
                 let mut p = make(model, 0x07a, resilient);
-                let mut inj = FaultInjector::new(schedule.clone(), seed);
+                let mut inj = FaultInjector::new(schedule.clone(), FAULT_SEED);
                 let rep = sim.run_with_faults(&warps, p.as_mut(), &mut inj);
                 emit(model, resilient, &rep);
             }
         }
     }
-    output::write_json("sys_faults", &rows);
 }

@@ -10,25 +10,12 @@
 //!
 //! Usage: `cargo run --release -p hnp-bench --bin sys_uvm [accesses_per_warp]`
 
-use serde::Serialize;
-
 use hnp_bench::output;
 use hnp_core::{ClsConfig, ClsPrefetcher};
 use hnp_memsim::NoPrefetcher;
 use hnp_systems::{UvmConfig, UvmSim};
 use hnp_trace::apps::AppWorkload;
 use hnp_trace::Trace;
-
-#[derive(Serialize)]
-struct Row {
-    prefetcher: String,
-    isolation: bool,
-    width: usize,
-    pct_faults_removed: f64,
-    throughput: f64,
-    max_batch: usize,
-    total_ticks: u64,
-}
 
 fn warp_traces(accesses: usize) -> Vec<Trace> {
     (0..8u64)
@@ -40,19 +27,10 @@ fn warp_traces(accesses: usize) -> Vec<Trace> {
 }
 
 fn main() {
-    let accesses = output::arg_or(1, "HNP_ACCESSES", 30_000);
+    let accesses = output::arg_or(1, "accesses_per_warp", 30_000);
     let warps = warp_traces(accesses);
     let sim = UvmSim::new(UvmConfig::default());
     let base = sim.run(&warps, &mut NoPrefetcher);
-    let mut rows = vec![Row {
-        prefetcher: "baseline".into(),
-        isolation: false,
-        width: 0,
-        pct_faults_removed: 0.0,
-        throughput: base.throughput(),
-        max_batch: base.max_batch,
-        total_ticks: base.total_ticks,
-    }];
     output::header(
         "UVM: centralized prefetcher, width x stream-isolation sweep (8 warps, lockstep)",
     );
@@ -95,16 +73,6 @@ fn main() {
                 rep.max_batch,
                 rep.total_ticks
             );
-            rows.push(Row {
-                prefetcher: "cls-hebbian".into(),
-                isolation,
-                width,
-                pct_faults_removed: rep.pct_faults_removed(&base),
-                throughput: rep.throughput(),
-                max_batch: rep.max_batch,
-                total_ticks: rep.total_ticks,
-            });
         }
     }
-    output::write_json("sys_uvm", &rows);
 }

@@ -7,22 +7,9 @@
 //!
 //! Usage: `cargo run -p hnp-bench --bin table1_patterns [accesses]`
 
-use serde::Serialize;
-
 use hnp_bench::output;
 use hnp_trace::stats::TraceStats;
 use hnp_trace::Pattern;
-
-#[derive(Serialize)]
-struct Row {
-    pattern: String,
-    behavior: String,
-    sample_pages: Vec<u64>,
-    unique_deltas: usize,
-    top4_delta_coverage: f64,
-    delta_entropy_bits: f64,
-    footprint_pages: usize,
-}
 
 fn behavior(p: Pattern) -> &'static str {
     match p {
@@ -35,13 +22,12 @@ fn behavior(p: Pattern) -> &'static str {
 }
 
 fn main() {
-    let n = output::arg_or(1, "HNP_ACCESSES", 1000);
+    let n = output::arg_or(1, "accesses", 1000);
     output::header("Table 1: memory access patterns");
     println!(
         "{:<16} {:<44} {:>8} {:>8} {:>9} {:>10}",
         "pattern", "behavior", "deltas", "top4cov", "entropy", "footprint"
     );
-    let mut rows = Vec::new();
     for p in Pattern::ALL {
         let t = p.generate(n, 42);
         let s = TraceStats::compute(&t);
@@ -56,15 +42,5 @@ fn main() {
             s.footprint_pages
         );
         println!("    first pages: {:?}", sample);
-        rows.push(Row {
-            pattern: p.name().to_string(),
-            behavior: behavior(p).to_string(),
-            sample_pages: sample,
-            unique_deltas: s.unique_deltas,
-            top4_delta_coverage: s.top_delta_coverage(4),
-            delta_entropy_bits: s.delta_entropy_bits,
-            footprint_pages: s.footprint_pages,
-        });
     }
-    output::write_json("table1_patterns", &rows);
 }

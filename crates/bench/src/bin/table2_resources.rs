@@ -8,14 +8,11 @@
 //!
 //! Usage: `cargo run -p hnp-bench --bin table2_resources`
 
-use serde::Serialize;
-
 use hnp_bench::output;
 use hnp_hebbian::{HebbianConfig, HebbianNetwork};
 use hnp_nn::transformer::{TransformerConfig, TransformerNetwork};
 use hnp_nn::{LstmConfig, LstmNetwork, OpCounts};
 
-#[derive(Serialize)]
 struct Row {
     model: String,
     params: usize,
@@ -126,5 +123,4 @@ fn main() {
         "hebbian formula cross-check: {} params, {} inf ops, {} train ops",
         heb_formula.params, heb_formula.inference_ops, heb_formula.training_ops
     );
-    output::write_json("table2_resources", &rows);
 }

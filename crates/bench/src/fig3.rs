@@ -14,7 +14,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
 
 use hnp_hebbian::{HebbianConfig, HebbianNetwork, LrScale};
 use hnp_memsim::DeltaVocab;
@@ -96,11 +95,9 @@ impl Default for Fig3Options {
 }
 
 /// One sampled point of the confidence curves.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 // hnp-lint: allow(unused_pub) caller: bin/fig3_interference.rs reads `Fig3Series::points`
 pub struct ConfidencePoint {
-    /// Steps into phase 2.
-    pub step: usize,
     /// Mean confidence on the *old* pattern (red curve in Fig. 3).
     pub conf_old: f32,
     /// Mean confidence on the *new* pattern (blue curve).
@@ -109,7 +106,7 @@ pub struct ConfidencePoint {
 
 /// A full confidence series for one (pattern pair, model, replay)
 /// condition.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig3Series {
     /// Model label ("lstm" / "hebbian").
     pub model: String,
@@ -128,10 +125,9 @@ pub struct Fig3Series {
 impl ConfidencePoint {
     /// A sampled point, its confidences truncated to thousandths (the
     /// resolution the curves are reported at).
-    fn sampled(step: usize, conf_old: f32, conf_new: f32) -> Self {
+    fn sampled(conf_old: f32, conf_new: f32) -> Self {
         let milli = |c: f32| (c * 1000.0) as u64 as f32 / 1000.0;
         Self {
-            step,
             conf_old: milli(conf_old),
             conf_new: milli(conf_new),
         }
@@ -248,7 +244,7 @@ fn run_window_model(
         if step % opts.sample_every == 0 || step + 1 == opts.steps_b {
             let conf_old = mean_confidence(net, &tokens_a, w, 32, &mut rng);
             let conf_new = mean_confidence(net, &tokens_b, w, 32, &mut rng);
-            points.push(ConfidencePoint::sampled(step, conf_old, conf_new));
+            points.push(ConfidencePoint::sampled(conf_old, conf_new));
         }
     }
     Fig3Series {
@@ -378,7 +374,7 @@ pub fn run_hebbian(old: Pattern, new: Pattern, replay: bool, opts: &Fig3Options)
         if step % opts.sample_every == 0 || step + 1 == opts.steps_b {
             let conf_old = hebbian_mean_confidence(&mut net, &tokens_a);
             let conf_new = hebbian_mean_confidence(&mut net, &tokens_b);
-            points.push(ConfidencePoint::sampled(step, conf_old, conf_new));
+            points.push(ConfidencePoint::sampled(conf_old, conf_new));
         }
     }
     Fig3Series {

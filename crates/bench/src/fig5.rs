@@ -8,8 +8,6 @@
 //! recurrent state), and the metric is the percentage of the
 //! no-prefetch baseline's misses that were removed.
 
-use serde::Serialize;
-
 use hnp_baselines::{
     LstmPrefetcher, MarkovPrefetcher, NextNPrefetcher, StrideConfig, StridePrefetcher,
     TransformerPrefetcher,
@@ -49,7 +47,7 @@ impl Default for Fig5Options {
 }
 
 /// One (application, prefetcher) result row.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 // hnp-lint: allow(unused_pub) caller: bin/fig5_online.rs reads the rows `run_grid` returns
 pub struct Fig5Row {
     /// Application name.
@@ -60,12 +58,6 @@ pub struct Fig5Row {
     pub pct_misses_removed: f64,
     /// Useful / issued prefetches.
     pub accuracy: f64,
-    /// Prefetches issued.
-    pub issued: usize,
-    /// Miss rate of this run.
-    pub miss_rate: f64,
-    /// Baseline miss rate.
-    pub baseline_miss_rate: f64,
 }
 
 /// The prefetchers compared in the Fig.-5 harness.
@@ -142,9 +134,6 @@ fn run_app(app: AppWorkload, prefetcher_name: &str, opts: &Fig5Options) -> Fig5R
         prefetcher: prefetcher_name.to_string(),
         pct_misses_removed: rep.pct_misses_removed(&base),
         accuracy: rep.accuracy(),
-        issued: rep.prefetches_issued,
-        miss_rate: rep.miss_rate(),
-        baseline_miss_rate: base.miss_rate(),
     }
 }
 

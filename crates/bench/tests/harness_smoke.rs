@@ -1,20 +1,19 @@
 //! Smoke tests: every lightweight experiment harness must run to
-//! completion with tiny parameters and produce its JSON artifact.
+//! completion with tiny parameters, its stdout table must depend only
+//! on argv, and a malformed argument must fail the run.
 //! (The trace-heavy harnesses — fig3/fig5/sys_* — are exercised via
 //! the `hnp-bench` library tests instead; running them as processes
 //! at debug-build speed would dominate CI time.)
 
-use std::process::Command;
+use std::process::{Command, Output};
+
+fn launch(cmd: &mut Command) -> Output {
+    cmd.output()
+        .unwrap_or_else(|e| panic!("cannot launch {cmd:?}: {e}"))
+}
 
 fn run(bin: &str, args: &[&str]) -> String {
-    let out = Command::new(bin)
-        .args(args)
-        .env(
-            "CARGO_TARGET_DIR",
-            std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".into()),
-        )
-        .output()
-        .unwrap_or_else(|e| panic!("cannot launch {bin}: {e}"));
+    let out = launch(Command::new(bin).args(args));
     assert!(
         out.status.success(),
         "{bin} failed: {}",
@@ -35,7 +34,36 @@ fn table1_runs_and_lists_all_patterns() {
     ] {
         assert!(out.contains(name), "missing {name} in:\n{out}");
     }
-    assert!(out.contains("[artifact]"));
+}
+
+#[test]
+fn capture_does_not_depend_on_the_build_directory() {
+    let in_dir = |dir: std::path::PathBuf| {
+        launch(
+            Command::new(env!("CARGO_BIN_EXE_table1_patterns"))
+                .arg("200")
+                .env("CARGO_TARGET_DIR", dir),
+        )
+    };
+    let a = in_dir("target".into());
+    let b = in_dir(std::env::temp_dir().join("hnp-other-target"));
+    assert!(a.status.success() && b.status.success());
+    assert_eq!(
+        String::from_utf8_lossy(&a.stdout),
+        String::from_utf8_lossy(&b.stdout)
+    );
+}
+
+#[test]
+fn malformed_size_argument_fails_and_names_it() {
+    let out = launch(Command::new(env!("CARGO_BIN_EXE_table1_patterns")).arg("2k"));
+    assert!(
+        !out.status.success(),
+        "a malformed size must not run the default scale"
+    );
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("accesses") && err.contains("2k"), "{err}");
+    assert!(out.stdout.is_empty(), "no table is printed");
 }
 
 #[test]

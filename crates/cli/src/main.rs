@@ -45,7 +45,7 @@ use hnp_trace::{io, Pattern, Trace};
 const USAGE: &str =
     "usage: hnpctl <trace-gen|trace-stats|run|stats|compare|patterns|faults|lint|serve-bench> [--key value ...]
   trace-gen   --workload NAME --accesses N [--seed S] --out FILE
-  trace-stats --trace FILE [--csv true]
+  trace-stats --trace FILE
   run         --trace FILE --prefetcher NAME [--capacity-frac F] [--seed S] [--json true]
               [--obs FILE]  (writes the event stream as JSON Lines; alias: sim)
   stats       --events FILE  (aggregate a --obs JSONL stream)
@@ -153,11 +153,6 @@ fn cmd_trace_gen(args: &Args) -> Result<(), String> {
 fn cmd_trace_stats(args: &Args) -> Result<(), String> {
     let trace = load_trace(args)?;
     let s = TraceStats::compute(&trace);
-    if args.get("csv", "false") == "true" {
-        println!("{}", TraceStats::csv_header());
-        println!("{}", s.csv_row());
-        return Ok(());
-    }
     println!("accesses:        {}", s.len);
     println!("footprint pages: {}", s.footprint_pages);
     println!("unique deltas:   {}", s.unique_deltas);

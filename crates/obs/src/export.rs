@@ -1,5 +1,5 @@
-//! JSONL export of the event stream, plus the escape helpers shared by
-//! every report writer in the workspace (one escape/format path).
+//! JSONL export of the event stream, plus the line readers `hnpctl`
+//! uses to fold an exported stream back up.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -11,7 +11,7 @@ use crate::observer::Observer;
 /// appending to `out`. Handles quotes, backslashes, and control
 /// characters; everything else passes through (the exporters only
 /// ever see ASCII labels, but correctness is cheap).
-pub fn json_escape(s: &str, out: &mut String) {
+fn json_escape(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),

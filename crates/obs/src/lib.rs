@@ -6,7 +6,7 @@
 //! typed [`Event`]. Components emit events through a fan-out
 //! [`Registry`] of [`Observer`]s; sinks aggregate them into counters
 //! ([`Counters`]), fixed-bucket histograms ([`Histogram`]), or a JSON
-//! Lines export stream ([`JsonlExporter`]). Artifacts are written through [`ReportSink`].
+//! Lines export stream ([`JsonlExporter`]).
 //!
 //! ## Determinism contract
 //!
@@ -30,11 +30,9 @@ mod event;
 mod export;
 mod hist;
 mod observer;
-mod report;
 
 pub use counters::Counters;
 pub use event::{Event, FaultKind, FeedbackKind, Field};
-pub use export::{json_escape, jsonl_kind, jsonl_u64, JsonlExporter};
+pub use export::{jsonl_kind, jsonl_u64, JsonlExporter};
 pub use hist::{Histogram, Metric};
 pub use observer::{Observer, Registry};
-pub use report::ReportSink;

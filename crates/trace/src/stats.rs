@@ -72,30 +72,6 @@ impl TraceStats {
     pub fn top_deltas(&self, k: usize) -> Vec<i64> {
         self.delta_counts.iter().take(k).map(|&(d, _)| d).collect()
     }
-
-    /// Column names matching [`csv_row`](Self::csv_row), for
-    /// machine-readable summaries (`hnpctl trace-stats --csv true`,
-    /// experiment manifests).
-    pub fn csv_header() -> &'static str {
-        "accesses,footprint_pages,unique_deltas,delta_entropy_milli_bits,\
-         top1_coverage_milli,top16_coverage_milli,top64_coverage_milli"
-    }
-
-    /// One CSV row of the summary. Fractional quantities are scaled to
-    /// integer thousandths, matching the fixed-point convention of the
-    /// observability event stream (`hnp-obs`).
-    pub fn csv_row(&self) -> String {
-        format!(
-            "{},{},{},{},{},{},{}",
-            self.len,
-            self.footprint_pages,
-            self.unique_deltas,
-            (self.delta_entropy_bits * 1000.0) as u64,
-            (self.top_delta_coverage(1) * 1000.0) as u64,
-            (self.top_delta_coverage(16) * 1000.0) as u64,
-            (self.top_delta_coverage(64) * 1000.0) as u64,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -136,17 +112,5 @@ mod tests {
         assert_eq!(s.top_delta_coverage(5), 0.0);
         let s1 = TraceStats::compute(&Trace::from_addrs(vec![0x1000]));
         assert_eq!(s1.unique_deltas, 0);
-    }
-
-    #[test]
-    fn csv_row_matches_header_arity_and_fixed_point() {
-        let t = Pattern::Stride.generate(1000, 0);
-        let s = TraceStats::compute(&t);
-        let header_cols = TraceStats::csv_header().split(',').count();
-        let row = s.csv_row();
-        assert_eq!(row.split(',').count(), header_cols);
-        let fields: Vec<u64> = row.split(',').map(|f| f.parse().unwrap()).collect();
-        assert_eq!(fields[0], 1000, "accesses column");
-        assert!(fields[4] > 970, "top-1 coverage in thousandths");
     }
 }
