@@ -66,12 +66,6 @@ impl LstmPrefetcher {
         self.ema_confidence
     }
 
-    /// Access to the underlying network (availability experiments swap
-    /// weights between live and shadow copies).
-    pub fn network_mut(&mut self) -> &mut LstmNetwork {
-        &mut self.net
-    }
-
     /// Translates a rollout of token predictions into prefetch pages
     /// (see [`hnp_memsim::deltas::pages_from_rollout`]).
     fn pages_from_rollout(&self, base: u64, rollout: &[Vec<usize>]) -> Vec<u64> {

@@ -9,19 +9,15 @@
 //!
 //! Usage: `cargo run --release -p hnp-bench --bin fig5_online [accesses]`
 
-use hnp_bench::fig5::{run_grid, Fig5Options};
+use hnp_bench::fig5::run_grid;
 use hnp_bench::output;
 
 fn main() {
     let accesses = output::arg_or(1, "accesses", 200_000);
-    let opts = Fig5Options {
-        accesses,
-        ..Fig5Options::default()
-    };
     output::header(&format!(
         "Fig. 5: % misses removed vs no-prefetch baseline ({accesses} accesses/app, memory = 50% footprint)"
     ));
-    let rows = run_grid(&opts);
+    let rows = run_grid(accesses);
     let apps: Vec<String> = {
         let mut v: Vec<String> = rows.iter().map(|r| r.app.clone()).collect();
         v.dedup();

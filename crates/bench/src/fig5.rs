@@ -17,34 +17,14 @@ use hnp_memsim::{NoPrefetcher, Prefetcher, SimConfig, Simulator};
 use hnp_obs::{Counters, Registry};
 use hnp_trace::apps::AppWorkload;
 
-/// Experiment parameters.
-#[derive(Debug, Clone)]
-pub struct Fig5Options {
-    /// Accesses per application trace (the paper used 2 B; default is
-    /// laptop-scale and configurable upward).
-    pub accesses: usize,
-    /// Memory capacity as a fraction of the trace footprint (paper:
-    /// 0.5).
-    pub capacity_frac: f64,
-    /// Demand-miss latency in ticks.
-    pub miss_latency: u64,
-    /// Prefetch latency in ticks.
-    pub prefetch_latency: u64,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for Fig5Options {
-    fn default() -> Self {
-        Self {
-            accesses: 200_000,
-            capacity_frac: 0.5,
-            miss_latency: 100,
-            prefetch_latency: 100,
-            seed: 5,
-        }
-    }
-}
+/// Memory capacity as a fraction of the trace footprint (paper: 0.5).
+const CAPACITY_FRAC: f64 = 0.5;
+/// Demand-miss latency in ticks.
+const MISS_LATENCY: u64 = 100;
+/// Prefetch latency in ticks.
+const PREFETCH_LATENCY: u64 = 100;
+/// Trace and model seed.
+const SEED: u64 = 5;
 
 /// One (application, prefetcher) result row.
 #[derive(Debug, Clone)]
@@ -99,23 +79,24 @@ pub fn build_prefetcher(name: &str, seed: u64) -> Result<Box<dyn Prefetcher>, St
     })
 }
 
-/// Runs one application against one prefetcher (plus the baseline).
-fn run_app(app: AppWorkload, prefetcher_name: &str, opts: &Fig5Options) -> Fig5Row {
-    let trace = app.generate(opts.accesses, opts.seed);
+/// Runs one application's `accesses`-long trace against one
+/// prefetcher (plus the baseline).
+fn run_app(app: AppWorkload, prefetcher_name: &str, accesses: usize) -> Fig5Row {
+    let trace = app.generate(accesses, SEED);
     let cfg = SimConfig {
-        miss_latency: opts.miss_latency,
-        prefetch_latency: opts.prefetch_latency,
+        miss_latency: MISS_LATENCY,
+        prefetch_latency: PREFETCH_LATENCY,
         max_issue_per_miss: 4,
         max_inflight: 32,
         ..SimConfig::default()
     }
-    .sized_to(&trace, opts.capacity_frac);
+    .sized_to(&trace, CAPACITY_FRAC);
     let base = Simulator::new(cfg.clone()).run(&trace, &mut NoPrefetcher);
     let counters = Counters::new();
     let obs = Registry::new();
     obs.attach(counters.clone());
     let sim = Simulator::new(cfg.with_observer(obs));
-    let mut p = build_prefetcher(prefetcher_name, opts.seed).unwrap_or_else(|e| panic!("{e}"));
+    let mut p = build_prefetcher(prefetcher_name, SEED).unwrap_or_else(|e| panic!("{e}"));
     let rep = sim.run(&trace, p.as_mut());
     // The report and the counters are two independent folds of the same
     // event stream; a mismatch means an emission site drifted.
@@ -137,13 +118,13 @@ fn run_app(app: AppWorkload, prefetcher_name: &str, opts: &Fig5Options) -> Fig5R
     }
 }
 
-/// Runs the full grid: every Fig.-5 application against every
-/// prefetcher.
-pub fn run_grid(opts: &Fig5Options) -> Vec<Fig5Row> {
+/// Runs the full grid: every Fig.-5 application, `accesses` long
+/// (the paper used 2 B), against every prefetcher.
+pub fn run_grid(accesses: usize) -> Vec<Fig5Row> {
     let mut rows = Vec::new();
     for app in AppWorkload::FIG5 {
         for name in prefetcher_names() {
-            rows.push(run_app(app, name, opts));
+            rows.push(run_app(app, name, accesses));
         }
     }
     rows
@@ -153,18 +134,13 @@ pub fn run_grid(opts: &Fig5Options) -> Vec<Fig5Row> {
 mod tests {
     use super::*;
 
-    fn quick_opts() -> Fig5Options {
-        Fig5Options {
-            accesses: 30_000,
-            ..Fig5Options::default()
-        }
-    }
+    /// Short traces for test speed.
+    const QUICK: usize = 30_000;
 
     #[test]
     fn hebbian_and_lstm_both_remove_misses_on_tensorflow() {
-        let opts = quick_opts();
-        let heb = run_app(AppWorkload::TensorFlowLike, "hebbian", &opts);
-        let lstm = run_app(AppWorkload::TensorFlowLike, "lstm", &opts);
+        let heb = run_app(AppWorkload::TensorFlowLike, "hebbian", QUICK);
+        let lstm = run_app(AppWorkload::TensorFlowLike, "lstm", QUICK);
         // Short traces for test speed; the full-scale harness uses
         // 200 k+ accesses and lands both models far higher.
         assert!(
@@ -189,8 +165,7 @@ mod tests {
 
     #[test]
     fn kv_store_defeats_delta_models() {
-        let opts = quick_opts();
-        let heb = run_app(AppWorkload::KvStoreLike, "hebbian", &opts);
+        let heb = run_app(AppWorkload::KvStoreLike, "hebbian", QUICK);
         assert!(
             heb.pct_misses_removed < 15.0,
             "kv-store should be unlearnable: {:.1}%",

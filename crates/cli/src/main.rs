@@ -4,17 +4,21 @@
 //! hnpctl trace-gen  --workload pagerank --accesses 100000 --seed 1 --out t.hnpt
 //! hnpctl trace-stats --trace t.hnpt
 //! hnpctl run        --trace t.hnpt --prefetcher cls-hebbian [--capacity-frac 0.5]
-//!                   [--obs events.jsonl]   (alias: sim)
+//!                   [--obs events.jsonl]
 //! hnpctl stats      --events events.jsonl
 //! hnpctl stats      --trace t.hnpt [--prefetcher NAME]
 //! hnpctl compare    --trace t.hnpt [--capacity-frac 0.5]
-//! hnpctl patterns   [--accesses 1000]
 //! hnpctl faults     --workload pagerank --schedule lossy:5000:40000:0.5 \
 //!                   [--target disagg|uvm] [--resilient true]
-//! hnpctl lint       [--root DIR] [--json FILE] [--quiet true]
 //! hnpctl serve-bench [--tenants 32] [--accesses 200] [--threads 1,2,4]
 //!                   [--shards 8] [--obs events.jsonl] [--snapshot-dir DIR]
 //! ```
+//!
+//! A subcommand rejects an option it does not read, a flag other than
+//! `true`/`false`, and any argument that is not an option: the command
+//! exits 2 before doing any work. Other failures exit 1. The Table-1
+//! pattern summary is `table1_patterns` (hnp-bench), and the lint gate
+//! is the `hnp-lint` binary.
 //!
 //! Workloads: `tensorflow`, `pagerank`, `mcf`, `graph500`, `kv-store`,
 //! or any Table-1 pattern (`stride`, `pointer-chase`, `indirect-stride`,
@@ -29,7 +33,6 @@ use std::process::ExitCode;
 
 use args::Args;
 use hnp_bench::fig5::build_prefetcher;
-use hnp_lint as lint;
 use hnp_memsim::{NoPrefetcher, Prefetcher, ResilientPrefetcher, SimConfig, Simulator};
 use hnp_obs::{jsonl_kind, jsonl_u64, Counters, Histogram, JsonlExporter, Metric, Registry};
 use hnp_serve::{
@@ -43,21 +46,19 @@ use hnp_trace::stats::TraceStats;
 use hnp_trace::{io, Pattern, Trace};
 
 const USAGE: &str =
-    "usage: hnpctl <trace-gen|trace-stats|run|stats|compare|patterns|faults|lint|serve-bench> [--key value ...]
+    "usage: hnpctl <trace-gen|trace-stats|run|stats|compare|faults|serve-bench> [--key value ...]
   trace-gen   --workload NAME --accesses N [--seed S] --out FILE
   trace-stats --trace FILE
   run         --trace FILE --prefetcher NAME [--capacity-frac F] [--seed S] [--json true]
-              [--obs FILE]  (writes the event stream as JSON Lines; alias: sim)
+              [--obs FILE]  (writes the event stream as JSON Lines)
   stats       --events FILE  (aggregate a --obs JSONL stream)
               | --trace FILE [--prefetcher NAME] [--capacity-frac F] [--seed S]
   compare     --trace FILE [--capacity-frac F] [--seed S]
-  patterns    [--accesses N]
   faults      --workload NAME [--target disagg|uvm] [--nodes K] [--accesses N]
-              [--prefetcher NAME] [--resilient true] [--schedule DSL]
-              [--seed S] [--fault-seed S] [--json true]
+              [--prefetcher NAME] [--resilient true|false] [--schedule DSL]
+              [--seed S] [--fault-seed S] [--json true|false]
               (DSL: comma-separated spike:S:D:EXTRA[:JIT] lossy:S:D:P
                brownout:S:D:SLOTS slow:S:D:F crash:S:D:NODE)
-  lint        [--root DIR] [--json FILE] [--quiet true]
   serve-bench [--tenants N] [--accesses N] [--threads LIST] [--shards N]
               [--queue-depth N] [--batch N] [--snapshot-interval N]
               [--model mix|NAME] [--crashes E:T,E:T] [--seed S]
@@ -65,32 +66,76 @@ const USAGE: &str =
               (multi-tenant serving engine: scaling table + determinism
                check across thread counts)";
 
+/// A subcommand's entry point.
+type Command = fn(&Args) -> Result<(), String>;
+
 fn main() -> ExitCode {
+    let fail = |e: String, code: u8| {
+        eprintln!("error: {e}\n{USAGE}");
+        ExitCode::from(code)
+    };
     let args = match Args::parse(std::env::args().skip(1)) {
         Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(e, 2),
     };
-    let result = match args.command.as_str() {
-        "trace-gen" => cmd_trace_gen(&args),
-        "trace-stats" => cmd_trace_stats(&args),
-        "sim" | "run" => cmd_sim(&args),
-        "stats" => cmd_stats(&args),
-        "compare" => cmd_compare(&args),
-        "patterns" => cmd_patterns(&args),
-        "faults" => cmd_faults(&args),
-        "lint" => cmd_lint(&args),
-        "serve-bench" => cmd_serve_bench(&args),
-        other => Err(format!("unknown subcommand {other:?}")),
+    // Each subcommand with the options it reads.
+    let (run, options): (Command, &[&str]) = match args.command.as_str() {
+        "trace-gen" => (cmd_trace_gen, &["workload", "accesses", "seed", "out"]),
+        "trace-stats" => (cmd_trace_stats, &["trace"]),
+        "run" => (
+            cmd_run,
+            &[
+                "trace",
+                "prefetcher",
+                "capacity-frac",
+                "seed",
+                "json",
+                "obs",
+            ],
+        ),
+        "stats" if args.options.contains_key("events") => (cmd_stats, &["events"]),
+        "stats" => (cmd_stats, &["trace", "prefetcher", "capacity-frac", "seed"]),
+        "compare" => (cmd_compare, &["trace", "capacity-frac", "seed"]),
+        "faults" => (
+            cmd_faults,
+            &[
+                "workload",
+                "target",
+                "nodes",
+                "accesses",
+                "prefetcher",
+                "resilient",
+                "schedule",
+                "seed",
+                "fault-seed",
+                "json",
+            ],
+        ),
+        "serve-bench" => (
+            cmd_serve_bench,
+            &[
+                "tenants",
+                "accesses",
+                "threads",
+                "shards",
+                "queue-depth",
+                "batch",
+                "snapshot-interval",
+                "model",
+                "crashes",
+                "seed",
+                "obs",
+                "snapshot-dir",
+            ],
+        ),
+        other => return fail(format!("unknown subcommand {other:?}"), 2),
     };
-    match result {
+    if let Err(e) = args.check(options) {
+        return fail(e, 2);
+    }
+    match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            ExitCode::FAILURE
-        }
+        Err(e) => fail(e, 1),
     }
 }
 
@@ -115,15 +160,7 @@ fn workload(name: &str, accesses: usize, seed: u64) -> Result<Trace, String> {
 }
 
 fn load_trace(args: &Args) -> Result<Trace, String> {
-    // `--trace FILE`, or the first positional argument.
-    let path = match args.options.get("trace") {
-        Some(p) => p.as_str(),
-        None => args
-            .positional
-            .first()
-            .map(String::as_str)
-            .ok_or("--trace FILE (or a positional path) is required")?,
-    };
+    let path = args.require("trace")?;
     io::read_binary(Path::new(path)).map_err(|e| format!("cannot read {path}: {e}"))
 }
 
@@ -164,7 +201,7 @@ fn cmd_trace_stats(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_sim(args: &Args) -> Result<(), String> {
+fn cmd_run(args: &Args) -> Result<(), String> {
     let trace = load_trace(args)?;
     let seed: u64 = args.get_num("seed", 1)?;
     let name = args.get("prefetcher", "cls-hebbian");
@@ -186,7 +223,7 @@ fn cmd_sim(args: &Args) -> Result<(), String> {
             .map_err(|e| format!("cannot write {obs_path}: {e}"))?;
         println!("wrote {obs_path}: {} events", exporter.len());
     }
-    if args.get("json", "false") == "true" {
+    if args.flag("json") {
         println!(
             "{}",
             serde_json::to_string_pretty(&rep).map_err(|e| e.to_string())?
@@ -225,9 +262,8 @@ fn cmd_sim(args: &Args) -> Result<(), String> {
 /// file written by `hnpctl run`, or a fresh observed run over
 /// `--trace` with counter and histogram sinks attached.
 fn cmd_stats(args: &Args) -> Result<(), String> {
-    let events_path = args.get("events", "");
-    if !events_path.is_empty() {
-        return stats_from_file(events_path);
+    if let Some(path) = args.options.get("events") {
+        return stats_from_file(path);
     }
     let trace = load_trace(args)?;
     let seed: u64 = args.get_num("seed", 1)?;
@@ -364,7 +400,7 @@ fn cmd_faults(args: &Args) -> Result<(), String> {
     let seed: u64 = args.get_num("seed", 1)?;
     let fault_seed: u64 = args.get_num("fault-seed", 0xfa017)?;
     let pname = args.get("prefetcher", "cls-hebbian");
-    let resilient = args.get("resilient", "false") == "true";
+    let resilient = args.flag("resilient");
     let spec = args.get("schedule", "");
     let schedule = if spec.is_empty() {
         FaultSchedule::none()
@@ -380,7 +416,7 @@ fn cmd_faults(args: &Args) -> Result<(), String> {
         })
     };
     let mut inj = FaultInjector::new(schedule, fault_seed);
-    let json = args.get("json", "false") == "true";
+    let json = args.flag("json");
     match args.get("target", "disagg") {
         "disagg" => {
             let traces: Vec<Trace> = (0..nodes)
@@ -626,54 +662,6 @@ fn cmd_serve_bench(args: &Args) -> Result<(), String> {
             r.coverage_milli() as f64 / 10.0
         );
         println!("outcome identical across thread counts {threads:?}");
-    }
-    Ok(())
-}
-
-/// Runs the hnp-lint workspace invariant checker (HNP01-HNP05) and
-/// fails if any unsuppressed finding remains.
-fn cmd_lint(args: &Args) -> Result<(), String> {
-    let root = match args.get("root", "") {
-        "" => {
-            lint::find_root(&std::env::current_dir().map_err(|e| format!("cannot read cwd: {e}"))?)
-                .ok_or("no workspace root found; pass --root")?
-        }
-        dir => std::path::PathBuf::from(dir),
-    };
-    let report = lint::check_workspace(&root).map_err(|e| format!("lint failed: {e}"))?;
-    let json_out = args.get("json", "");
-    if !json_out.is_empty() {
-        std::fs::write(json_out, lint::report::json(&report))
-            .map_err(|e| format!("cannot write {json_out}: {e}"))?;
-    }
-    if args.get("quiet", "false") != "true" {
-        print!("{}", lint::report::human(&report));
-    }
-    if report.unsuppressed_count() > 0 {
-        return Err(format!(
-            "{} unsuppressed finding(s)",
-            report.unsuppressed_count()
-        ));
-    }
-    Ok(())
-}
-
-fn cmd_patterns(args: &Args) -> Result<(), String> {
-    let accesses: usize = args.get_num("accesses", 1000)?;
-    println!(
-        "{:<16} {:>8} {:>9} {:>10}",
-        "pattern", "deltas", "entropy", "footprint"
-    );
-    for p in Pattern::ALL {
-        let t = p.generate(accesses, 42);
-        let s = TraceStats::compute(&t);
-        println!(
-            "{:<16} {:>8} {:>9.2} {:>10}",
-            p.name(),
-            s.unique_deltas,
-            s.delta_entropy_bits,
-            s.footprint_pages
-        );
     }
     Ok(())
 }

@@ -39,8 +39,6 @@ pub struct AdaptiveGeometry {
     unused: u32,
     late: u32,
     seen: u32,
-    /// Total adaptation decisions taken (reporting).
-    pub adaptations: u64,
 }
 
 impl AdaptiveGeometry {
@@ -66,7 +64,6 @@ impl AdaptiveGeometry {
             unused: 0,
             late: 0,
             seen: 0,
-            adaptations: 0,
         }
     }
 
@@ -117,7 +114,6 @@ impl AdaptiveGeometry {
         self.unused = 0;
         self.late = 0;
         self.seen = 0;
-        self.adaptations += 1;
     }
 }
 
@@ -180,8 +176,9 @@ mod tests {
     fn no_feedback_no_adaptation() {
         let mut g = AdaptiveGeometry::new(2, 2);
         feed(&mut g, 3, 0, 0); // Below the period.
-        assert_eq!(g.width(), 2);
-        assert_eq!(g.adaptations, 0);
+        assert_eq!((g.width(), g.lookahead()), (2, 2));
+        // A decision would have closed the period.
+        assert_eq!(g.seen, 3);
     }
 
     #[test]

@@ -88,7 +88,17 @@ mod tests {
     use hnp_hebbian::HebbianConfig;
 
     fn net() -> HebbianNetwork {
-        HebbianNetwork::new(HebbianConfig::tiny())
+        HebbianNetwork::new(HebbianConfig {
+            pattern_bits: 16,
+            recurrent_bits: 32,
+            hidden: 128,
+            outputs: 16,
+            connectivity: 0.375,
+            hidden_active: 16,
+            recurrent_sample: 6,
+            weight_clamp: 32,
+            seed: 0xb1a1,
+        })
     }
 
     fn oh(t: usize) -> Vec<u32> {

@@ -101,12 +101,6 @@ impl ClsConfig {
         self
     }
 
-    /// Attaches an observer registry to the prefetcher.
-    pub fn with_observer(mut self, obs: Registry) -> Self {
-        self.obs = obs;
-        self
-    }
-
     /// A plain Hebbian prefetcher: no hippocampus, no replay (the
     /// "Hebbian" series in Fig. 5 before replay is added).
     pub fn hebbian_only() -> Self {
@@ -668,7 +662,7 @@ mod tests {
         let reg = Registry::new();
         let counters = Counters::new();
         reg.attach(counters.clone());
-        let mut observed = ClsPrefetcher::new(cfg.with_observer(reg));
+        let mut observed = ClsPrefetcher::new(ClsConfig { obs: reg, ..cfg });
         let rep_obs = s.run(&t, &mut observed);
 
         assert_eq!(rep_plain, rep_obs, "observers must not perturb the model");

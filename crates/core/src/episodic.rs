@@ -133,11 +133,6 @@ impl AssociativeHippocampus {
         }
     }
 
-    /// Saturation of the underlying Willshaw matrix.
-    pub fn saturation(&self) -> f64 {
-        self.memory.saturation()
-    }
-
     fn key_of(&self, pattern: &[u32]) -> BitSet {
         let p = BitSet::from_indices(self.cfg.pattern_bits, pattern);
         self.separator.separate(&p)
@@ -325,7 +320,7 @@ mod tests {
     }
 
     #[test]
-    fn saturation_grows_with_distinct_content_and_degrades_recall() {
+    fn recall_survives_saturating_content() {
         let mut h = AssociativeHippocampus::new(AssociativeConfig {
             key_bits: 128,
             key_active: 12,
@@ -334,11 +329,9 @@ mod tests {
         h.store_episode(episode(vec![1, 2], 3));
         let clean = h.recall_target(&[1, 2]).unwrap();
         assert_eq!(clean.0, 3);
-        let s0 = h.saturation();
         for i in 0..2_000u32 {
             h.store_episode(episode(vec![i % 64, (i * 7) % 64], (i % 16) as usize));
         }
-        assert!(h.saturation() > s0, "saturation must grow");
         // Recall still returns something, but no exactness guarantee.
         assert!(h.recall_target(&[1, 2]).is_some());
     }

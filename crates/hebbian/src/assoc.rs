@@ -143,15 +143,6 @@ impl WillshawMemory {
         assert_eq!(key.len(), self.key_bits, "key width mismatch");
         self.weights.iter().map(|row| row.overlap(key)).collect()
     }
-
-    /// Fraction of set weight bits (saturation). Willshaw capacity
-    /// analysis says recall degrades as this approaches 0.5.
-    // hnp-lint: allow(integer_purity): diagnostic capacity readout
-    pub fn saturation(&self) -> f64 {
-        let set: usize = self.weights.iter().map(|r| r.count()).sum();
-        // hnp-lint: allow(integer_purity): diagnostic capacity readout
-        set as f64 / (self.key_bits * self.value_bits) as f64
-    }
 }
 
 #[cfg(test)]
@@ -168,6 +159,13 @@ mod tests {
             }
         }
         out
+    }
+
+    /// Fraction of set weight bits. Willshaw capacity analysis says
+    /// recall degrades as this approaches 0.5.
+    fn saturation(mem: &WillshawMemory) -> f64 {
+        let set: usize = mem.weights.iter().map(|r| r.count()).sum();
+        set as f64 / (mem.key_bits * mem.value_bits) as f64
     }
 
     fn random_code(bits: usize, active: usize, rng: &mut StdRng) -> BitSet {
@@ -227,7 +225,7 @@ mod tests {
                 assert!(r.contains(bit), "missing stored value bit {bit}");
             }
         }
-        assert!(mem.saturation() < 0.2, "memory should be undersaturated");
+        assert!(saturation(&mem) < 0.2, "memory should be undersaturated");
     }
 
     #[test]
@@ -245,7 +243,7 @@ mod tests {
             mem.store(&k, &v);
         }
         let noisy = recall(&mem, &probe_k, probe_k.count());
-        assert!(mem.saturation() > 0.5);
+        assert!(saturation(&mem) > 0.5);
         assert!(
             noisy.count() >= clean.count(),
             "saturated recall adds spurious bits"

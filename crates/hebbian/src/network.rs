@@ -84,27 +84,6 @@ impl HebbianConfig {
             seed: 0xb1a1,
         }
     }
-
-    /// A small configuration for unit tests.
-    ///
-    /// Connectivity is denser than the paper's 12.5 % because at these
-    /// widths sparse fan-in would leave some (winner-set, output) pairs
-    /// structurally disconnected; at paper scale (125-wide fan-in vs.
-    /// 100 winners of 1000) that probability is negligible (~1e-6).
-    pub fn tiny() -> Self {
-        Self {
-            pattern_bits: 16,
-            recurrent_bits: 32,
-            hidden: 128,
-            outputs: 16,
-            // hnp-lint: allow(integer_purity): construction-time geometry
-            connectivity: 0.375,
-            hidden_active: 16,
-            recurrent_sample: 6,
-            weight_clamp: 32,
-            seed: 0xb1a1,
-        }
-    }
 }
 
 /// Integer-only instrumentation counters maintained inline in the
@@ -1005,6 +984,29 @@ impl<'a> Rollout<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl HebbianConfig {
+        /// A small configuration for unit tests.
+        ///
+        /// Connectivity is denser than the paper's 12.5 % because at
+        /// these widths sparse fan-in would leave some (winner-set,
+        /// output) pairs structurally disconnected; at paper scale
+        /// (125-wide fan-in vs. 100 winners of 1000) that probability
+        /// is negligible (~1e-6).
+        pub(crate) fn tiny() -> Self {
+            Self {
+                pattern_bits: 16,
+                recurrent_bits: 32,
+                hidden: 128,
+                outputs: 16,
+                connectivity: 0.375,
+                hidden_active: 16,
+                recurrent_sample: 6,
+                weight_clamp: 32,
+                seed: 0xb1a1,
+            }
+        }
+    }
 
     /// One-hot helper.
     fn oh(t: usize) -> Vec<u32> {

@@ -20,15 +20,16 @@
 //!   Hebbian substrate (Eq. 1 / Table 2 ops accounting);
 //! * **HNP05 `unused_pub`** — no `pub` item in a library's `src/` whose
 //!   name no other non-test file (under `crates/*/src`, `src/`,
-//!   `examples/` or `perfbench/src`) uses: the surface only tests use
-//!   is deleted, the surface only its own file uses is private.
+//!   `examples/` or `perfbench/src`) of its own crate or of a crate
+//!   that depends on it uses: the surface only tests use is deleted,
+//!   the surface only its own file uses is private.
 //!
 //! Violations that are deliberate carry a
 //! `// hnp-lint: allow(<rule>)` pragma with a justification (for
 //! HNP05, `caller: <who>` naming the caller the lint cannot see); the
 //! report counts suppressions separately so they stay auditable.
 //!
-//! Run as `cargo run -p hnp-lint`, `hnpctl lint`, or through the
+//! Run as `cargo run -p hnp-lint`, or through the
 //! workspace integration test `crates/lint/tests/workspace_clean.rs`
 //! (which is what puts it on the tier-1 `cargo test` path).
 

@@ -374,9 +374,10 @@ fn pub_item_name(toks: &[Tok], i: usize) -> Option<&Tok> {
     toks.get(j + 1).filter(|n| n.kind == TokKind::Ident)
 }
 
-/// The identifiers `lexed` uses outside `#[cfg(test)]` code and outside
+/// The identifiers `lexed` uses outside `#[cfg(test)]` code, outside
 /// re-export statements (`pub use …;`), which name an item without
-/// using it.
+/// using it, and other than the name an item definition declares
+/// (`fn tiny`, `struct Window`).
 fn used_idents(lexed: &LexOutput) -> BTreeSet<&str> {
     let toks = &lexed.tokens;
     let in_test = test_spans(toks);
@@ -405,7 +406,11 @@ fn used_idents(lexed: &LexOutput) -> BTreeSet<&str> {
                 continue;
             }
         }
-        if !in_test[i] && t.kind == TokKind::Ident {
+        // `*const T` names `T`; `const T: u8` defines it.
+        let defines = i > 0
+            && ITEM_KINDS.iter().any(|k| toks[i - 1].is_ident(k))
+            && !(i > 1 && toks[i - 2].is_punct('*'));
+        if !in_test[i] && t.kind == TokKind::Ident && !defines {
             idents.insert(t.text.as_str());
         }
     }
@@ -413,13 +418,17 @@ fn used_idents(lexed: &LexOutput) -> BTreeSet<&str> {
 }
 
 /// Flags each `pub` item of a library file whose name no *other*
-/// file uses as an identifier (HNP05). Uses inside `#[cfg(test)]`
-/// code and re-exports do not count, and `tests/` directories are
-/// never read. An item only its own file uses should be private; one
-/// nothing outside tests uses should be deleted.
+/// file that can see the item uses as an identifier (HNP05). A file
+/// sees the items of its own crate and of the crates its manifest's
+/// `[dependencies]` list, so a same-named item elsewhere cannot hide
+/// an unused one. Uses inside `#[cfg(test)]` code and re-exports do
+/// not count, and `tests/` directories are never read. An item only
+/// its own file uses should be private; one nothing outside tests uses
+/// should be deleted.
 pub(crate) fn check_unused_pub(files: &[SourceFile], out: &mut Vec<Finding>) {
     let used: Vec<BTreeSet<&str>> = files.iter().map(|f| used_idents(&f.lexed)).collect();
     for (me, file) in files.iter().enumerate().filter(|(_, f)| f.library) {
+        let sees_me = |f: &SourceFile| f.krate == file.krate || f.deps.contains(&file.krate);
         let toks = &file.lexed.tokens;
         let in_test = test_spans(toks);
         for (i, t) in toks.iter().enumerate() {
@@ -429,17 +438,16 @@ pub(crate) fn check_unused_pub(files: &[SourceFile], out: &mut Vec<Finding>) {
             let Some(name) = pub_item_name(toks, i) else {
                 continue;
             };
-            let elsewhere = used
-                .iter()
-                .enumerate()
-                .any(|(other, idents)| other != me && idents.contains(name.text.as_str()));
+            let elsewhere = used.iter().enumerate().any(|(other, idents)| {
+                other != me && sees_me(&files[other]) && idents.contains(name.text.as_str())
+            });
             if !elsewhere {
                 out.push(Finding {
                     rule: Rule::UnusedPub,
                     file: file.rel.clone(),
                     line: name.line,
                     message: format!(
-                        "`pub` item `{}` is used by no other non-test file: make it private (or `pub(crate)`), or delete it if only tests use it",
+                        "`pub` item `{}` is used by no other non-test file of its crate or of a crate that depends on it: make it private (or `pub(crate)`), or delete it if only tests use it",
                         name.text
                     ),
                     suppressed: false,

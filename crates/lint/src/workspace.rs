@@ -35,6 +35,11 @@ pub(crate) struct SourceFile {
     /// True for a library file (a library crate's `src/`, outside
     /// `main.rs` and `src/bin/`), whose `pub` items HNP05 checks.
     pub library: bool,
+    /// Package name of the crate the file belongs to.
+    pub krate: String,
+    /// That crate's `[dependencies]`: the other crates whose items the
+    /// file can name.
+    pub deps: Vec<String>,
 }
 
 /// Full engine output.
@@ -202,8 +207,13 @@ fn apply_suppressions(
 }
 
 /// Directories outside `crates/` whose files call into the library
-/// crates: HNP05 counts their uses but does not lint them.
-const CALLER_ROOTS: &[&str] = &["src", "examples", "perfbench/src"];
+/// crates, each with the manifest of the package it belongs to: HNP05
+/// counts their uses but does not lint them.
+const CALLER_ROOTS: &[(&str, &str)] = &[
+    ("src", "Cargo.toml"),
+    ("examples", "Cargo.toml"),
+    ("perfbench/src", "perfbench/Cargo.toml"),
+];
 
 /// Runs every rule over the workspace at `root`.
 pub fn check_workspace(root: &Path) -> io::Result<Report> {
@@ -237,16 +247,21 @@ pub fn check_workspace(root: &Path) -> io::Result<Report> {
                 rel,
                 lexed,
                 library,
+                krate: krate.name.clone(),
+                deps: krate.deps.clone(),
             });
         }
         let sources: Vec<&LexOutput> = all_files[first..].iter().map(|f| &f.lexed).collect();
         check_unused_deps(krate, &sources, &mut findings);
     }
-    for dir in CALLER_ROOTS
-        .iter()
-        .map(|d| root.join(d))
-        .filter(|d| d.is_dir())
-    {
+    for (dir, manifest) in CALLER_ROOTS {
+        let dir = root.join(dir);
+        if !dir.is_dir() {
+            continue;
+        }
+        let manifest = root.join(manifest);
+        let (krate, deps, _) =
+            parse_manifest(&fs::read_to_string(&manifest).map_err(at(&manifest))?);
         let mut files = Vec::new();
         collect_rs_files(&dir, &mut files)?;
         for file in files {
@@ -254,6 +269,8 @@ pub fn check_workspace(root: &Path) -> io::Result<Report> {
                 rel: rel_of(&file),
                 lexed: read(&file)?,
                 library: false,
+                krate: krate.clone(),
+                deps: deps.clone(),
             });
         }
     }

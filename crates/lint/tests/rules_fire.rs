@@ -10,7 +10,8 @@ use hnp_lint::rules::Rule;
 use hnp_lint::{check_workspace, Finding};
 
 /// A fresh fixture workspace named `name`: one library crate
-/// `hnp-trace` whose `src/` holds `files`, plus `examples/` files.
+/// `hnp-trace`, a root package that depends on it, and `files`
+/// (written last, so they may replace either manifest).
 fn fixture(name: &str, files: &[(&str, &str)]) -> PathBuf {
     let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
     let _ = fs::remove_dir_all(&root);
@@ -22,8 +23,17 @@ fn fixture(name: &str, files: &[(&str, &str)]) -> PathBuf {
         "[package]\nname = \"hnp-trace\"\n",
     )
     .expect("write fixture manifest");
+    fs::write(
+        root.join("Cargo.toml"),
+        "[package]\nname = \"fixture\"\n\n[dependencies]\nhnp-trace = { path = \"crates/trace\" }\n",
+    )
+    .expect("write fixture root manifest");
     for (path, text) in files {
-        fs::write(root.join(path), text).expect("write fixture file");
+        let path = root.join(path);
+        if let Some(dir) = path.parent() {
+            fs::create_dir_all(dir).expect("create fixture directory");
+        }
+        fs::write(path, text).expect("write fixture file");
     }
     root
 }
@@ -126,4 +136,71 @@ pub fn caller_named() {}
         .collect();
     assert_eq!(unsuppressed, [2, 4], "{findings:?}");
     assert_eq!(findings.iter().filter(|f| f.suppressed).count(), 1);
+}
+
+const NN_MANIFEST: &str = "[package]\nname = \"hnp-nn\"\n";
+
+/// Only this crate's tests call `LstmConfig::tiny`.
+const NN_LIB: &str = "\
+pub struct LstmConfig { pub hidden: usize }
+impl LstmConfig {
+    pub fn tiny() -> Self { LstmConfig { hidden: 4 } }
+}
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn tiny_is_small() { assert_eq!(super::LstmConfig::tiny().hidden, 4); }
+}
+";
+
+const HEBBIAN_MANIFEST: &str =
+    "[package]\nname = \"hnp-hebbian\"\n\n[dependencies]\nhnp-nn.workspace = true\n";
+
+/// Depends on `hnp-nn` and defines a `tiny` of its own.
+const HEBBIAN_LIB: &str = "\
+pub struct HebbianConfig { pub hidden: usize }
+impl HebbianConfig {
+    pub fn tiny() -> Self { HebbianConfig { hidden: 8 } }
+    pub fn like(lstm: &hnp_nn::LstmConfig) -> Self { HebbianConfig { hidden: lstm.hidden } }
+}
+";
+
+#[test]
+fn unused_pub_is_not_hidden_by_a_same_named_item_in_another_crate() {
+    let files = |root_manifest, example| {
+        [
+            ("Cargo.toml", root_manifest),
+            ("crates/nn/Cargo.toml", NN_MANIFEST),
+            ("crates/nn/src/lib.rs", NN_LIB),
+            ("crates/hebbian/Cargo.toml", HEBBIAN_MANIFEST),
+            ("crates/hebbian/src/lib.rs", HEBBIAN_LIB),
+            ("examples/demo.rs", example),
+        ]
+    };
+    // The example depends on hnp-hebbian only, so its `tiny()` call is
+    // `HebbianConfig::tiny`; hnp-hebbian's own `fn tiny` defines a name
+    // and uses none. Nothing outside tests calls `LstmConfig::tiny`.
+    let root = fixture(
+        "hnp05_collision",
+        &files(
+            "[package]\nname = \"fixture\"\n\n[dependencies]\nhnp-hebbian = { path = \"crates/hebbian\" }\n",
+            "use hnp_hebbian::HebbianConfig;\nfn main() { let _ = (HebbianConfig::tiny(), HebbianConfig::like); }\n",
+        ),
+    );
+    let findings = unused_pub(&root);
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(findings[0].file, "crates/nn/src/lib.rs");
+    assert_eq!(findings[0].line, 3);
+    assert!(findings[0].message.contains("`tiny`"));
+
+    // Once a dependent of hnp-nn calls it, it is used.
+    let root = fixture(
+        "hnp05_collision_quiet",
+        &files(
+            "[package]\nname = \"fixture\"\n\n[dependencies]\nhnp-hebbian.workspace = true\nhnp-nn.workspace = true\n",
+            "use hnp_hebbian::HebbianConfig;\nfn main() { let _ = (HebbianConfig::tiny(), HebbianConfig::like, hnp_nn::LstmConfig::tiny()); }\n",
+        ),
+    );
+    let findings = unused_pub(&root);
+    assert!(findings.is_empty(), "{findings:?}");
 }

@@ -152,12 +152,6 @@ impl LocalMemory {
         evicted
     }
 
-    /// Invalidates a page (e.g. remote revocation in the disaggregated
-    /// system). Returns its metadata if it was resident.
-    pub fn invalidate(&mut self, page: u64) -> Option<PageMeta> {
-        self.remove(page).map(|(_, meta)| meta)
-    }
-
     /// Drops every resident page (a node crash/restart loses local
     /// memory). Capacity survives; contents do not.
     pub fn flush(&mut self) {
@@ -302,20 +296,6 @@ mod tests {
         // Original metadata is preserved, and 1 stays least recent.
         assert!(!m.meta(1).unwrap().prefetched);
         assert_eq!(m.insert(3, false).unwrap().0, 1);
-    }
-
-    #[test]
-    fn invalidate_frees_a_slot() {
-        let mut m = LocalMemory::new(2);
-        m.insert(1, false);
-        m.insert(2, false);
-        assert!(m.invalidate(1).is_some());
-        assert!(m.invalidate(1).is_none());
-        assert_eq!(m.len(), 1);
-        // Room for one more insert without eviction.
-        assert!(m.insert(3, false).is_none());
-        let (victim, _) = m.insert(4, false).unwrap();
-        assert_eq!(victim, 2);
     }
 
     #[test]

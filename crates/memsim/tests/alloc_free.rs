@@ -1,9 +1,9 @@
 //! Allocation accounting for the resident-page store.
 //!
 //! `LocalMemory` allocates its slab and index at construction; after
-//! that, insert (with and without eviction), touch, invalidate and
-//! flush must perform **zero** heap allocation. A counting global
-//! allocator makes that a hard test instead of a code-review claim.
+//! that, insert (with and without eviction), touch and flush must
+//! perform **zero** heap allocation. A counting global allocator makes
+//! that a hard test instead of a code-review claim.
 //!
 //! Single `#[test]` in this file: the counter is process-global, and
 //! a concurrently running test could otherwise attribute its
@@ -54,9 +54,6 @@ fn page_table_operations_do_not_allocate() {
             evictions += memory.insert(page, i % 3 == 0).is_some() as usize;
             memory.touch(page);
             memory.touch(page / 2);
-            if i % 5 == 0 {
-                memory.invalidate(page.saturating_sub(14));
-            }
         }
         // A crash loses local memory.
         memory.flush();

@@ -67,17 +67,6 @@ impl LstmConfig {
             ..Self::default()
         }
     }
-
-    /// A small configuration for unit tests.
-    pub fn tiny() -> Self {
-        Self {
-            vocab: 12,
-            embed_dim: 6,
-            hidden: 10,
-            learning_rate: 0.1,
-            ..Self::default()
-        }
-    }
 }
 
 /// Cached per-timestep activations needed by the backward pass.
@@ -255,15 +244,6 @@ impl LstmNetwork {
     fn project(&self, h: &[f32]) -> Vec<f32> {
         let mut logits = self.b_out.clone();
         self.slicer.matvec_acc(&self.w_out, h, &mut logits);
-        logits
-    }
-
-    /// Runs inference from the current online state without mutating
-    /// it, returning the post-softmax distribution over the next token.
-    pub fn infer(&self, token: usize) -> Vec<f32> {
-        let cache = self.cell_forward(token, &self.state.h, &self.state.c);
-        let mut logits = self.project(&cache.h);
-        crate::activations::softmax_in_place(&mut logits);
         logits
     }
 
@@ -651,6 +631,19 @@ impl LstmNetwork {
 mod tests {
     use super::*;
 
+    impl LstmConfig {
+        /// A small configuration for unit tests.
+        pub(crate) fn tiny() -> Self {
+            Self {
+                vocab: 12,
+                embed_dim: 6,
+                hidden: 10,
+                learning_rate: 0.1,
+                ..Self::default()
+            }
+        }
+    }
+
     /// Trains the network on a deterministic cyclic token sequence and
     /// expects near-perfect next-token confidence.
     #[test]
@@ -812,11 +805,9 @@ mod tests {
     }
 
     #[test]
-    fn infer_does_not_mutate_state_but_infer_advance_does() {
+    fn infer_advance_consumes_the_token() {
         let mut net = LstmNetwork::new(LstmConfig::tiny());
         let s0 = net.state();
-        let _ = net.infer(3);
-        assert_eq!(net.state(), s0);
         let _ = net.infer_advance(3);
         assert_ne!(net.state(), s0);
     }
@@ -825,10 +816,10 @@ mod tests {
     fn two_thread_forward_matches_single_thread() {
         let mut cfg = LstmConfig::tiny();
         cfg.threads = 2;
-        let net2 = LstmNetwork::new(cfg);
-        let net1 = LstmNetwork::new(LstmConfig::tiny());
-        let p1 = net1.infer(5);
-        let p2 = net2.infer(5);
+        let mut net2 = LstmNetwork::new(cfg);
+        let mut net1 = LstmNetwork::new(LstmConfig::tiny());
+        let p1 = net1.infer_advance(5);
+        let p2 = net2.infer_advance(5);
         for (a, b) in p1.iter().zip(p2.iter()) {
             assert!((a - b).abs() < 1e-6);
         }

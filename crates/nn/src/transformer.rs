@@ -56,21 +56,6 @@ impl Default for TransformerConfig {
     }
 }
 
-impl TransformerConfig {
-    /// A small configuration for unit tests.
-    pub fn tiny() -> Self {
-        Self {
-            vocab: 12,
-            dim: 16,
-            heads: 2,
-            ff: 32,
-            window: 4,
-            learning_rate: 0.1,
-            ..Self::default()
-        }
-    }
-}
-
 /// The transformer network.
 pub struct TransformerNetwork {
     cfg: TransformerConfig,
@@ -358,6 +343,21 @@ impl TransformerNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TransformerConfig {
+        /// A small configuration for unit tests.
+        fn tiny() -> Self {
+            Self {
+                vocab: 12,
+                dim: 16,
+                heads: 2,
+                ff: 32,
+                window: 4,
+                learning_rate: 0.1,
+                ..Self::default()
+            }
+        }
+    }
 
     #[test]
     fn learns_a_fixed_mapping() {

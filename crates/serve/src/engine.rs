@@ -21,8 +21,6 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread;
 
-use serde::Serialize;
-
 use hnp_memsim::{CheckpointCursor, MissEvent, PrefetchFeedback, PrefetchLedger};
 use hnp_obs::{Event, FaultKind, Registry};
 
@@ -105,7 +103,7 @@ impl ServeConfig {
 }
 
 /// Per-tenant serving totals.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TenantReport {
     /// Tenant id.
     pub tenant: TenantId,
@@ -137,7 +135,7 @@ impl TenantReport {
 }
 
 /// Per-shard queue totals.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 // hnp-lint: allow(unused_pub) caller: hnpctl and perfbench compare `ServeReport::shards`
 pub struct ShardReport {
     /// Shard index.
@@ -151,7 +149,7 @@ pub struct ShardReport {
 }
 
 /// Closing totals of one serving run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeReport {
     /// Epochs the engine ran (excluding the closing snapshot pass).
     pub epochs: u64,

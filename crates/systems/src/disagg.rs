@@ -26,20 +26,16 @@ use hnp_obs::{Event, FaultKind as ObsFaultKind, FeedbackKind, Registry};
 use hnp_trace::Trace;
 
 use crate::fault::FaultInjector;
-use crate::notify;
+use crate::{cancel_all, notify};
 
 /// Prefetches accepted per miss.
 const MAX_ISSUE_PER_MISS: usize = 4;
 /// Base backoff in ticks before retrying a demand fetch dropped by a
-/// lossy link (doubles per attempt, capped at `RETRY_BACKOFF_CAP`).
+/// lossy link (doubles per attempt).
 const RETRY_BACKOFF: u64 = 25;
-/// Ceiling for the exponential retry backoff.
-const RETRY_BACKOFF_CAP: u64 = 400;
 /// Extra stall charged when demand-fetch retries are exhausted (the
 /// recovery path — the fetch then completes out-of-band).
 const TIMEOUT_PENALTY: u64 = 500;
-/// Dropped-demand-fetch retries before declaring a timeout.
-const MAX_RETRIES: u32 = 4;
 
 /// Cluster parameters.
 #[derive(Debug, Clone)]
@@ -175,28 +171,6 @@ struct NodeState {
     report: NodeReport,
 }
 
-impl NodeState {
-    /// Cancels every outstanding transfer, killed or not (crash, or a
-    /// connection reset after a timeout), telling the model about each
-    /// one in page order.
-    fn cancel_all(&mut self, obs: &Registry, pf: &mut dyn Prefetcher, now: u64) {
-        self.report.prefetches_cancelled += self.inflight.len();
-        self.doomed.clear();
-        self.inflight.drain_all(|page| {
-            notify(
-                obs,
-                pf,
-                Event::Feedback {
-                    tick: now,
-                    page,
-                    kind: FeedbackKind::Cancelled,
-                    remaining: 0,
-                },
-            );
-        });
-    }
-}
-
 /// The cluster simulator.
 pub struct DisaggregatedCluster {
     cfg: DisaggConfig,
@@ -327,7 +301,9 @@ impl DisaggregatedCluster {
                 // and hold the node down until the event ends.
                 if let Some(restart) = injector.take_crash(i, now) {
                     node.report.restarts += 1;
-                    node.cancel_all(obs, pf, now);
+                    node.report.prefetches_cancelled +=
+                        cancel_all(obs, pf, &mut node.inflight, now);
+                    node.doomed.clear();
                     node.memory.flush();
                     notify(
                         obs,
@@ -439,41 +415,32 @@ impl DisaggregatedCluster {
                             );
                             total += arrival.saturating_sub(now);
                         }
-                        // A fresh remote fetch. Lossy links drop it;
-                        // each drop costs the wasted round trip plus a
-                        // capped exponential backoff before the retry.
-                        // After `MAX_RETRIES` the fetch times out: the
-                        // recovery path completes it with a flat
-                        // penalty so the node always makes progress.
-                        let mut attempt = 0u32;
-                        loop {
-                            if !injector.transfer_dropped(now + total) {
-                                total +=
-                                    injector.transfer_latency(now + total, self.cfg.link_latency);
-                                break;
-                            }
-                            total += injector.transfer_latency(now + total, self.cfg.link_latency);
-                            if attempt >= MAX_RETRIES {
-                                node.report.timeouts += 1;
-                                timed_out = true;
-                                total += TIMEOUT_PENALTY;
-                                obs.emit(&Event::Fault {
-                                    tick: now,
-                                    domain: i as u64,
-                                    kind: ObsFaultKind::Timeout,
-                                });
-                                break;
-                            }
-                            node.report.retries += 1;
+                        // A fresh remote fetch, retried over a lossy
+                        // link until it lands or times out.
+                        let fetch = injector.fetch(
+                            now + total,
+                            self.cfg.link_latency,
+                            RETRY_BACKOFF,
+                            TIMEOUT_PENALTY,
+                        );
+                        node.report.retries += fetch.retries as usize;
+                        for _ in 0..fetch.retries {
                             obs.emit(&Event::Fault {
                                 tick: now,
                                 domain: i as u64,
                                 kind: ObsFaultKind::Retry,
                             });
-                            total += (RETRY_BACKOFF << attempt.min(16)).min(RETRY_BACKOFF_CAP);
-                            attempt += 1;
                         }
-                        total
+                        if fetch.timed_out {
+                            node.report.timeouts += 1;
+                            timed_out = true;
+                            obs.emit(&Event::Fault {
+                                tick: now,
+                                domain: i as u64,
+                                kind: ObsFaultKind::Timeout,
+                            });
+                        }
+                        total + fetch.ticks
                     }
                 };
                 // Retry exhaustion means the node tears down and
@@ -484,7 +451,9 @@ impl DisaggregatedCluster {
                 // transport-level reset stays below its horizon.
                 // Local memory survives the reset.
                 if timed_out {
-                    node.cancel_all(obs, pf, now);
+                    node.report.prefetches_cancelled +=
+                        cancel_all(obs, pf, &mut node.inflight, now);
+                    node.doomed.clear();
                 }
                 // Demand fetches queue behind a saturated switch.
                 if slots > 0 && occupancy > slots {

@@ -27,6 +27,21 @@ use rand::{Rng, SeedableRng};
 /// so every run with an accepted schedule ends.
 const MAX_FAULT_DELAY: u64 = 10_000;
 
+/// Dropped-transfer retries before a fetch times out. With four, the
+/// backoff shift in [`FaultInjector::fetch`] is at most 3.
+const MAX_RETRIES: u32 = 4;
+
+/// What one fetch through [`FaultInjector::fetch`] cost.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Fetch {
+    /// Ticks from the first attempt to completion.
+    pub ticks: u64,
+    /// Dropped attempts that were retried.
+    pub retries: u32,
+    /// Whether the retries ran out and the fetch timed out.
+    pub timed_out: bool,
+}
+
 /// One kind of injected fault.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
@@ -258,17 +273,6 @@ impl FaultSchedule {
     }
 }
 
-/// Counters of what the injector actually did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct FaultStats {
-    /// Transfers dropped by lossy-link events.
-    pub transfers_dropped: u64,
-    /// Extra latency ticks added by spikes and slowdowns.
-    pub extra_latency: u64,
-    /// Crash events delivered.
-    pub crashes_fired: u64,
-}
-
 /// The seeded, deterministic fault injector.
 ///
 /// The simulators consult it on every transfer and at every round
@@ -282,8 +286,6 @@ pub struct FaultInjector {
     rng: StdRng,
     /// Crash events already delivered, by index into the schedule.
     crashes_taken: BTreeSet<usize>,
-    /// What-happened counters.
-    pub(crate) stats: FaultStats,
 }
 
 impl FaultInjector {
@@ -293,7 +295,6 @@ impl FaultInjector {
             schedule,
             rng: StdRng::seed_from_u64(seed),
             crashes_taken: BTreeSet::new(),
-            stats: FaultStats::default(),
         }
     }
 
@@ -331,9 +332,44 @@ impl FaultInjector {
                 _ => {}
             }
         }
-        let latency = latency.min(base.saturating_add(MAX_FAULT_DELAY));
-        self.stats.extra_latency += latency.saturating_sub(base);
-        latency
+        latency.min(base.saturating_add(MAX_FAULT_DELAY))
+    }
+
+    /// Runs a fetch (a demand page, or a batch migration) started at
+    /// `tick` whose fault-free latency is `base`. Lossy links drop attempts; each drop costs the wasted
+    /// round trip plus `backoff << retries` before the next attempt.
+    /// After [`MAX_RETRIES`] retries the fetch times out: the recovery
+    /// path completes it for a flat `timeout_penalty`, so the caller
+    /// always makes progress.
+    pub(crate) fn fetch(
+        &mut self,
+        tick: u64,
+        base: u64,
+        backoff: u64,
+        timeout_penalty: u64,
+    ) -> Fetch {
+        let mut ticks = 0;
+        let mut retries = 0;
+        loop {
+            let dropped = self.transfer_dropped(tick + ticks);
+            ticks += self.transfer_latency(tick + ticks, base);
+            if !dropped {
+                return Fetch {
+                    ticks,
+                    retries,
+                    timed_out: false,
+                };
+            }
+            if retries == MAX_RETRIES {
+                return Fetch {
+                    ticks: ticks + timeout_penalty,
+                    retries,
+                    timed_out: true,
+                };
+            }
+            ticks += backoff << retries;
+            retries += 1;
+        }
     }
 
     /// Whether a transfer started at `tick` is dropped by an active
@@ -342,7 +378,6 @@ impl FaultInjector {
         for ev in &self.schedule.events {
             if let FaultKind::LossyLink { drop_prob } = ev.kind {
                 if ev.active(tick) && self.rng.gen_bool(drop_prob) {
-                    self.stats.transfers_dropped += 1;
                     return true;
                 }
             }
@@ -394,7 +429,6 @@ impl FaultInjector {
             if let FaultKind::NodeCrash { node } = ev.kind {
                 if matches(node) && ev.active(tick) && !self.crashes_taken.contains(&idx) {
                     self.crashes_taken.insert(idx);
-                    self.stats.crashes_fired += 1;
                     return Some(ev.end());
                 }
             }
@@ -419,7 +453,6 @@ mod tests {
             assert_eq!(inj.effective_slots(t, 7), 7);
             assert!(inj.take_crash(0, t).is_none());
         }
-        assert_eq!(inj.stats, FaultStats::default());
     }
 
     #[test]
@@ -437,7 +470,6 @@ mod tests {
             "event windows are half-open"
         );
         assert_eq!(inj.transfer_latency(210, 100), 200);
-        assert!(inj.stats.extra_latency >= 30 + 30 + 100);
     }
 
     #[test]
@@ -448,7 +480,30 @@ mod tests {
         assert!(inj.transfer_dropped(50));
         assert!(inj.transfer_dropped(149));
         assert!(!inj.transfer_dropped(150));
-        assert_eq!(inj.stats.transfers_dropped, 2);
+    }
+
+    #[test]
+    fn fetch_retries_with_backoff_then_times_out() {
+        let sched = FaultSchedule::none().with_lossy_link(0, 100_000, 1.0);
+        let mut inj = FaultInjector::new(sched, 2);
+        let (base, backoff, penalty) = (100, 25, 500);
+        assert_eq!(
+            inj.fetch(10, base, backoff, penalty),
+            Fetch {
+                ticks: 5 * base + backoff * (1 + 2 + 4 + 8) + penalty,
+                retries: 4,
+                timed_out: true,
+            }
+        );
+        let mut clear = FaultInjector::disabled();
+        assert_eq!(
+            clear.fetch(10, base, backoff, penalty),
+            Fetch {
+                ticks: base,
+                retries: 0,
+                timed_out: false,
+            }
+        );
     }
 
     #[test]
@@ -472,7 +527,6 @@ mod tests {
         assert!(inj.take_crash(0, 110).is_none(), "other nodes unaffected");
         assert_eq!(inj.take_crash(1, 110), Some(140));
         assert!(inj.take_crash(1, 120).is_none(), "each event fires once");
-        assert_eq!(inj.stats.crashes_fired, 1);
     }
 
     #[test]
@@ -498,7 +552,6 @@ mod tests {
             assert_eq!(a.transfer_dropped(t), b.transfer_dropped(t));
             assert_eq!(a.transfer_latency(t, 100), b.transfer_latency(t, 100));
         }
-        assert_eq!(a.stats, b.stats);
     }
 
     #[test]
@@ -604,7 +657,6 @@ mod tests {
                     b.effective_slots(*tick, *base as usize)
                 );
             }
-            prop_assert_eq!(a.stats.transfers_dropped, b.stats.transfers_dropped);
         }
 
         /// An empty schedule is inert: base latency passes through
@@ -622,7 +674,6 @@ mod tests {
                 prop_assert!(!inj.in_brownout(*tick));
                 prop_assert_eq!(inj.effective_slots(*tick, 4), 4);
             }
-            prop_assert_eq!(inj.stats.transfers_dropped, 0);
         }
     }
 

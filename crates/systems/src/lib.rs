@@ -30,8 +30,8 @@ pub use disagg::{DisaggConfig, DisaggReport, DisaggregatedCluster};
 pub use fault::{FaultInjector, FaultKind, FaultSchedule};
 pub use uvm::{UvmConfig, UvmReport, UvmSim};
 
-use hnp_memsim::Prefetcher;
-use hnp_obs::{Event, Registry};
+use hnp_memsim::{PrefetchLedger, Prefetcher};
+use hnp_obs::{Event, FeedbackKind, Registry};
 
 /// The single prefetcher notification point of both simulators: every
 /// occurrence the prefetcher is entitled to see goes through here as a
@@ -41,4 +41,29 @@ use hnp_obs::{Event, Registry};
 fn notify(obs: &Registry, prefetcher: &mut dyn Prefetcher, ev: Event) {
     prefetcher.on_event(&ev);
     obs.emit(&ev);
+}
+
+/// Cancels every outstanding prefetch (a crash, or a connection reset
+/// after a timeout), telling the model about each one in page order.
+/// Returns how many were cancelled.
+fn cancel_all(
+    obs: &Registry,
+    prefetcher: &mut dyn Prefetcher,
+    inflight: &mut PrefetchLedger,
+    now: u64,
+) -> usize {
+    let cancelled = inflight.len();
+    inflight.drain_all(|page| {
+        notify(
+            obs,
+            prefetcher,
+            Event::Feedback {
+                tick: now,
+                page,
+                kind: FeedbackKind::Cancelled,
+                remaining: 0,
+            },
+        );
+    });
+    cancelled
 }

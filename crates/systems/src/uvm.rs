@@ -21,7 +21,7 @@ use hnp_obs::{Event, FaultKind as ObsFaultKind, FeedbackKind, Registry};
 use hnp_trace::Trace;
 
 use crate::fault::FaultInjector;
-use crate::notify;
+use crate::{cancel_all, notify};
 
 /// GPU-memory capacity as a fraction of the combined footprint.
 const CAPACITY_FRAC: f64 = 0.5;
@@ -36,13 +36,8 @@ const MAX_INFLIGHT: usize = 64;
 /// Prefetches accepted per fault.
 const MAX_ISSUE_PER_FAULT: usize = 4;
 /// Base backoff in ticks before retrying a fault-batch migration
-/// dropped by a lossy interconnect (doubles per attempt, capped at
-/// `RETRY_BACKOFF_CAP`).
+/// dropped by a lossy interconnect (doubles per attempt).
 const RETRY_BACKOFF: u64 = 50;
-/// Ceiling for the exponential retry backoff.
-const RETRY_BACKOFF_CAP: u64 = 800;
-/// Dropped-migration retries before declaring a timeout.
-const MAX_RETRIES: u32 = 4;
 /// Extra stall charged when migration retries are exhausted (the
 /// recovery path — the batch then completes out-of-band).
 const TIMEOUT_PENALTY: u64 = 1000;
@@ -190,7 +185,7 @@ impl UvmSim {
             // state; the device stays down until the event ends.
             if let Some(restart) = injector.take_crash_any(now) {
                 report.restarts += 1;
-                cancel_all(obs, prefetcher, &mut inflight, &mut report, now);
+                report.prefetches_cancelled += cancel_all(obs, prefetcher, &mut inflight, now);
                 memory.flush();
                 notify(
                     obs,
@@ -255,43 +250,31 @@ impl UvmSim {
             report.faults += batch_pages.len();
             report.max_batch = report.max_batch.max(batch_pages.len());
             let base_service = FAULT_LATENCY + PER_PAGE_LATENCY * (batch_pages.len() as u64 - 1);
-            // A lossy interconnect can drop the whole batch migration:
-            // each drop costs the wasted (shaped) round trip plus a
-            // capped exponential backoff; exhausted retries time out
-            // and the recovery path completes the batch with a flat
-            // penalty so warps always make progress.
-            let mut service = 0u64;
-            let mut attempt = 0u32;
-            loop {
-                if !injector.transfer_dropped(now + service) {
-                    service += injector.transfer_latency(now + service, base_service);
-                    break;
-                }
-                service += injector.transfer_latency(now + service, base_service);
-                if attempt >= MAX_RETRIES {
-                    report.timeouts += 1;
-                    service += TIMEOUT_PENALTY;
-                    obs.emit(&Event::Fault {
-                        tick: now,
-                        domain: 0,
-                        kind: ObsFaultKind::Timeout,
-                    });
-                    // The recovery path tears down and re-establishes
-                    // the interconnect: every outstanding prefetch
-                    // migration dies with it. The cancellations are
-                    // the model's only signal — a transport-level
-                    // reset stays below its horizon.
-                    cancel_all(obs, prefetcher, &mut inflight, &mut report, now);
-                    break;
-                }
-                report.retries += 1;
+            // A lossy interconnect can drop the whole batch migration,
+            // which is retried until it lands or times out.
+            let fetch = injector.fetch(now, base_service, RETRY_BACKOFF, TIMEOUT_PENALTY);
+            let service = fetch.ticks;
+            report.retries += fetch.retries as usize;
+            for _ in 0..fetch.retries {
                 obs.emit(&Event::Fault {
                     tick: now,
                     domain: 0,
                     kind: ObsFaultKind::Retry,
                 });
-                service += (RETRY_BACKOFF << attempt.min(16)).min(RETRY_BACKOFF_CAP);
-                attempt += 1;
+            }
+            if fetch.timed_out {
+                report.timeouts += 1;
+                obs.emit(&Event::Fault {
+                    tick: now,
+                    domain: 0,
+                    kind: ObsFaultKind::Timeout,
+                });
+                // The recovery path tears down and re-establishes the
+                // interconnect: every outstanding prefetch migration
+                // dies with it. The cancellations are the model's only
+                // signal — a transport-level reset stays below its
+                // horizon.
+                report.prefetches_cancelled += cancel_all(obs, prefetcher, &mut inflight, now);
             }
             // Driver-side prefetching: consult the model per faulting
             // page (interleaved streams), issue concurrently with the
@@ -372,30 +355,6 @@ impl UvmSim {
         });
         report
     }
-}
-
-/// Cancels every outstanding prefetch (device reset or interconnect
-/// teardown), telling the model about each one in page order.
-fn cancel_all(
-    obs: &Registry,
-    prefetcher: &mut dyn Prefetcher,
-    inflight: &mut PrefetchLedger,
-    report: &mut UvmReport,
-    now: u64,
-) {
-    report.prefetches_cancelled += inflight.len();
-    inflight.drain_all(|page| {
-        notify(
-            obs,
-            prefetcher,
-            Event::Feedback {
-                tick: now,
-                page,
-                kind: FeedbackKind::Cancelled,
-                remaining: 0,
-            },
-        );
-    });
 }
 
 #[cfg(test)]

@@ -66,8 +66,15 @@ proptest! {
         seed in 0u64..32,
     ) {
         let mut net = HebbianNetwork::new(HebbianConfig {
+            pattern_bits: 16,
+            recurrent_bits: 32,
+            hidden: 128,
+            outputs: 16,
+            connectivity: 0.375,
+            hidden_active: 16,
+            recurrent_sample: 6,
+            weight_clamp: 32,
             seed,
-            ..HebbianConfig::tiny()
         });
         for w in tokens.windows(2) {
             let o = net.train_step(&[w[0] as u32], w[1]);
@@ -83,8 +90,22 @@ proptest! {
     fn dl_models_stay_finite(
         tokens in proptest::collection::vec(0usize..12, 6..60),
     ) {
-        let mut lstm = LstmNetwork::new(LstmConfig::tiny());
-        let mut tf = TransformerNetwork::new(TransformerConfig::tiny());
+        let mut lstm = LstmNetwork::new(LstmConfig {
+            vocab: 12,
+            embed_dim: 6,
+            hidden: 10,
+            learning_rate: 0.1,
+            ..LstmConfig::default()
+        });
+        let mut tf = TransformerNetwork::new(TransformerConfig {
+            vocab: 12,
+            dim: 16,
+            heads: 2,
+            ff: 32,
+            window: 4,
+            learning_rate: 0.1,
+            ..TransformerConfig::default()
+        });
         for w in tokens.windows(5) {
             let l = lstm.train_window(&w[..4], w[4], 0.1);
             prop_assert!(l.loss.is_finite());
