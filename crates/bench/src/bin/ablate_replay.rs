@@ -1,18 +1,18 @@
 //! §5.4 ablation: replay buffers and replay forms.
 //!
-//! Sweeps the hippocampal capacity policies (unbounded, ring,
-//! confidence-filtered, consolidating, averaging) and the replay forms
-//! (interleaved, other-phases, generative, self-reinforcing) on a
-//! phase-switching A-B-A workload where old-pattern retention matters,
-//! reporting prefetch quality, storage actually used, and replay
-//! volume.
+//! Sweeps the replay forms (interleaved, other-phases,
+//! self-reinforcing) against no replay, and the hippocampal ring's
+//! capacity, on a phase-switching A-B-A workload where old-pattern
+//! retention matters, reporting prefetch quality, storage actually
+//! used, and replay volume. The unbounded, confidence-filtered,
+//! consolidating, averaging and associative stores and generative
+//! replay were measured here too; none beat `ring-256`, so they were
+//! deleted (EXPERIMENTS.md §5.4).
 //!
 //! Usage: `cargo run --release -p hnp-bench --bin ablate_replay [accesses_per_phase]`
 
 use hnp_bench::output;
-use hnp_core::{
-    CapacityPolicy, ClsConfig, ClsPrefetcher, EpisodicBackend, ReplayConfig, ReplayForm,
-};
+use hnp_core::{CapacityPolicy, ClsConfig, ClsPrefetcher, EpisodicStore, ReplayConfig, ReplayForm};
 use hnp_memsim::{NoPrefetcher, SimConfig, Simulator};
 use hnp_trace::{phased, Pattern, Trace};
 
@@ -74,7 +74,6 @@ fn main() {
         "no-replay",
         ClsConfig {
             replay: ReplayConfig::off(),
-            episodic: EpisodicBackend::Exact(CapacityPolicy::Ring { capacity: 1 }),
             ..ClsConfig::default()
         },
         &trace,
@@ -85,7 +84,6 @@ fn main() {
     for (name, form) in [
         ("interleaved", ReplayForm::Interleaved),
         ("other-phases", ReplayForm::OtherPhases),
-        ("generative-3", ReplayForm::Generative { rollout_len: 3 }),
         ("self-reinforce", ReplayForm::SelfReinforce),
     ] {
         run_condition(
@@ -110,53 +108,11 @@ fn main() {
         "{:<26} {:>10} {:>10} {:>9} {:>9} {:>9} {:>10}",
         "condition", "removed%", "return%", "stored", "offered", "replayed", "bytes"
     );
-    // The compressed associative backend (§3: "compressed format ...
-    // associative memory"): fixed-size Willshaw matrix + cue reservoir.
-    run_condition(
-        "capacity/assoc-willshaw",
-        ClsConfig {
-            episodic: EpisodicBackend::Associative,
-            replay: ReplayConfig {
-                per_step: 2,
-                ..ReplayConfig::default()
-            },
-            ..ClsConfig::default()
-        },
-        &trace,
-        &sim,
-        &base,
-        per_phase,
-    );
-    for (name, capacity) in [
-        ("unbounded", CapacityPolicy::Unbounded),
-        ("ring-4096", CapacityPolicy::Ring { capacity: 4096 }),
-        ("ring-256", CapacityPolicy::Ring { capacity: 256 }),
-        (
-            "conf-filtered-4096",
-            CapacityPolicy::ConfidenceFiltered {
-                capacity: 4096,
-                skip_above: 0.9,
-            },
-        ),
-        (
-            "consolidating-4096",
-            CapacityPolicy::Consolidating {
-                capacity: 4096,
-                max_replays: 8,
-            },
-        ),
-        (
-            "averaging-1024",
-            CapacityPolicy::Averaging {
-                capacity: 1024,
-                merge_overlap: 0.8,
-            },
-        ),
-    ] {
+    for (name, capacity) in [("ring-4096", 4096), ("ring-256", 256)] {
         run_condition(
             &format!("capacity/{name}"),
             ClsConfig {
-                episodic: EpisodicBackend::Exact(capacity),
+                episodic: CapacityPolicy::Ring { capacity },
                 replay: ReplayConfig {
                     per_step: 2,
                     ..ReplayConfig::default()

@@ -98,3 +98,36 @@ fn interleaving_reports_all_conditions() {
     assert!(out.contains("interleave-1"));
     assert!(out.contains("interleave-16"));
 }
+
+#[test]
+fn ablate_replay_lists_the_surviving_conditions() {
+    let out = run(env!("CARGO_BIN_EXE_ablate_replay"), &["300"]);
+    let conditions: Vec<&str> = out
+        .lines()
+        .filter_map(|line| line.split_whitespace().next())
+        .filter(|word| *word == "no-replay" || word.contains('/'))
+        .collect();
+    assert_eq!(
+        conditions,
+        [
+            "no-replay",
+            "replay/interleaved",
+            "replay/other-phases",
+            "replay/self-reinforce",
+            "capacity/ring-4096",
+            "capacity/ring-256",
+        ],
+        "in:\n{out}"
+    );
+    // Without replay, nothing is stored.
+    let no_replay: Vec<&str> = out
+        .lines()
+        .find(|line| line.starts_with("no-replay"))
+        .map(|line| line.split_whitespace().skip(3).collect())
+        .unwrap_or_default();
+    assert_eq!(
+        no_replay,
+        ["0", "0", "0", "0"],
+        "stored offered replayed bytes"
+    );
+}

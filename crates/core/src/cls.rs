@@ -15,8 +15,7 @@ use hnp_obs::{Event, Registry};
 use crate::adaptive::AdaptiveGeometry;
 use crate::confidence::ConfidenceTracker;
 use crate::encoder::{Encoder, EncoderKind};
-use crate::episodic::{AssociativeConfig, AssociativeHippocampus, EpisodicBackend, EpisodicStore};
-use crate::hippocampus::{CapacityPolicy, EpisodeRef, Hippocampus};
+use crate::hippocampus::{CapacityPolicy, EpisodeRef, EpisodicStore, Hippocampus};
 use crate::neocortex::{Neocortex, NeocortexConfig};
 use crate::phase::{PhaseConfig, PhaseDetector};
 use crate::replay::{ReplayConfig, ReplayScheduler};
@@ -39,9 +38,9 @@ pub struct ClsConfig {
     pub replay: ReplayConfig,
     /// Training-instance selection (§5.1).
     pub sampler: TrainingSampler,
-    /// Episodic-store backend (§5.4): the exact buffer with a
-    /// capacity policy, or the compressed associative store.
-    pub episodic: EpisodicBackend,
+    /// Episodic-store capacity (§5.4): a ring of recent episodes. Only
+    /// a configuration with replay enabled stores any.
+    pub episodic: CapacityPolicy,
     /// Phase detection (§5.4); `None` disables it.
     pub phase: Option<PhaseConfig>,
     /// Minimum first-step prediction confidence required to issue
@@ -83,7 +82,7 @@ impl Default for ClsConfig {
             width: 2,
             replay: ReplayConfig::default(),
             sampler: TrainingSampler::EveryMiss,
-            episodic: EpisodicBackend::Exact(CapacityPolicy::Ring { capacity: 4096 }),
+            episodic: CapacityPolicy::Ring { capacity: 4096 },
             phase: Some(PhaseConfig::default()),
             min_confidence: 0.03,
             adaptive: false,
@@ -106,7 +105,6 @@ impl ClsConfig {
     pub fn hebbian_only() -> Self {
         Self {
             replay: ReplayConfig::off(),
-            episodic: EpisodicBackend::Exact(CapacityPolicy::Ring { capacity: 1 }),
             phase: None,
             ..Self::default()
         }
@@ -137,7 +135,7 @@ pub struct ClsPrefetcher {
     vocab: DeltaVocab,
     encoder: Encoder,
     cortex: Neocortex,
-    hippo: Box<dyn EpisodicStore>,
+    hippo: Hippocampus,
     replay: ReplayScheduler,
     sampler: SamplerState,
     phase: Option<PhaseDetector>,
@@ -171,16 +169,7 @@ impl ClsPrefetcher {
         let vocab = DeltaVocab::new(cfg.delta_range);
         let encoder = Encoder::new(cfg.encoder, vocab.len());
         let cortex = Neocortex::new(&encoder, vocab.len(), &cfg.neocortex);
-        let hippo: Box<dyn EpisodicStore> = match cfg.episodic {
-            EpisodicBackend::Exact(policy) => Box::new(Hippocampus::new(policy)),
-            EpisodicBackend::Associative => {
-                Box::new(AssociativeHippocampus::new(AssociativeConfig::sized(
-                    encoder.pattern_bits(),
-                    cfg.neocortex.recurrent_bits,
-                    vocab.len(),
-                )))
-            }
-        };
+        let hippo = Hippocampus::new(cfg.episodic);
         let name = if cfg.replay.enabled {
             "cls-hebbian".to_string()
         } else {
@@ -224,8 +213,8 @@ impl ClsPrefetcher {
     }
 
     /// The episodic store (inspection).
-    pub fn episodic(&self) -> &dyn EpisodicStore {
-        self.hippo.as_ref()
+    pub fn episodic(&self) -> &Hippocampus {
+        &self.hippo
     }
 
     /// Total replayed examples.
@@ -263,8 +252,8 @@ impl ClsPrefetcher {
         out.extend(history.iter().skip(history.len().saturating_sub(window)));
     }
 
-    /// Learns the transition `self.ctx` → `token`, stores it as an
-    /// episode, and replays.
+    /// Learns the transition `self.ctx` → `token` and, when replay is
+    /// on, stores it as an episode and replays.
     fn learn(&mut self, token: usize) {
         if self.ctx.is_empty() {
             return;
@@ -304,6 +293,9 @@ impl ClsPrefetcher {
             }
         };
         self.tracker.record(outcome.confidence, outcome.correct);
+        if !self.cfg.replay.enabled {
+            return;
+        }
         self.hippo.store_ref(EpisodeRef {
             history: &self.ctx,
             pattern: &self.pattern,
@@ -315,7 +307,7 @@ impl ClsPrefetcher {
         });
         if decision == SampleDecision::Train {
             self.replay
-                .after_train(&mut self.cortex, self.hippo.as_mut(), &self.encoder, phase);
+                .after_train(&mut self.cortex, &mut self.hippo, &self.encoder, phase);
         }
     }
 }
@@ -474,7 +466,6 @@ mod tests {
         });
         let mut without = ClsPrefetcher::new(ClsConfig {
             replay: ReplayConfig::off(),
-            episodic: EpisodicBackend::Exact(CapacityPolicy::Ring { capacity: 1 }),
             ..ClsConfig::small()
         });
         let rep_with = s.run(&t, &mut with);
@@ -528,7 +519,7 @@ mod tests {
     fn hippocampus_respects_ring_capacity() {
         let t = Pattern::PointerChase.generate(3000, 2);
         let mut p = ClsPrefetcher::new(ClsConfig {
-            episodic: EpisodicBackend::Exact(CapacityPolicy::Ring { capacity: 100 }),
+            episodic: CapacityPolicy::Ring { capacity: 100 },
             ..ClsConfig::small()
         });
         let _ = sim().run(&t, &mut p);
@@ -578,30 +569,6 @@ mod tests {
             iso.pct_misses_removed(&base),
             mix.pct_misses_removed(&base)
         );
-    }
-
-    #[test]
-    fn associative_backend_works_end_to_end() {
-        let t = Pattern::PointerChase.generate(6000, 1);
-        let s = sim();
-        let base = s.run(&t, &mut NoPrefetcher);
-        let mut p = ClsPrefetcher::new(ClsConfig {
-            episodic: EpisodicBackend::Associative,
-            ..ClsConfig::small()
-        });
-        let rep = s.run(&t, &mut p);
-        assert!(
-            rep.pct_misses_removed(&base) > 15.0,
-            "associative-backend removal {:.1}%",
-            rep.pct_misses_removed(&base)
-        );
-        assert!(p.replayed() > 0, "replay ran from the associative store");
-        assert!(
-            p.episodic().stored() <= 256,
-            "cue reservoir bound: {}",
-            p.episodic().stored()
-        );
-        assert!(p.episodic().offered() > 1000);
     }
 
     #[test]

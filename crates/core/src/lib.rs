@@ -9,11 +9,10 @@
 //!
 //! * [`encoder`] — input encodings over the delta vocabulary (§5.3);
 //! * [`neocortex`] — the slow learner: a sparse Hebbian network;
-//! * [`hippocampus`] — the episodic store with capacity policies
-//!   (§5.4): unbounded, ring, confidence-filtered, consolidating,
-//!   averaging;
+//! * [`hippocampus`] — the episodic store (§5.4): a ring of recent
+//!   episodes;
 //! * [`replay`] — the replay scheduler and its forms (§3.2, §5.4):
-//!   interleaved, generative/hindsight, self-reinforcing;
+//!   interleaved, other-phases, self-reinforcing;
 //! * [`sampler`] — training-instance selection (§5.1);
 //! * [`phase`] — online phase detection by clustering (§5.4);
 //! * [`confidence`] — confidence/accuracy tracking;
@@ -30,7 +29,6 @@ pub mod availability;
 pub mod cls;
 pub mod confidence;
 pub mod encoder;
-pub mod episodic;
 pub mod hippocampus;
 pub mod neocortex;
 pub mod phase;
@@ -41,7 +39,6 @@ pub mod vsa;
 pub use adaptive::AdaptiveGeometry;
 pub use cls::{ClsConfig, ClsPrefetcher};
 pub use encoder::{Encoder, EncoderKind};
-pub use episodic::{AssociativeHippocampus, EpisodicBackend, EpisodicStore};
-pub use hippocampus::{CapacityPolicy, EpisodeRef, Hippocampus};
+pub use hippocampus::{CapacityPolicy, EpisodeRef, EpisodicStore, Hippocampus};
 pub use replay::{ReplayConfig, ReplayForm};
 pub use sampler::TrainingSampler;

@@ -137,23 +137,11 @@ impl Neocortex {
         self.net.infer_advance(pattern, probe)
     }
 
-    /// Multi-step, multi-width prediction from the current state.
-    /// `history` is the token history ending in the newest token; the
-    /// rollout extends it autoregressively under `encoder`.
-    pub fn predict(
-        &mut self,
-        history: &[usize],
-        encoder: &Encoder,
-        steps: usize,
-        width: usize,
-    ) -> Vec<Vec<usize>> {
-        self.predict_with_confidence(history, encoder, steps, width)
-            .0
-    }
-
-    /// [`predict`](Self::predict) that also reports the first step's
-    /// top-prediction confidence, for confidence-gated issuing (§5.2).
-    /// A wrapper over [`predict_into`](Self::predict_into).
+    /// Multi-step, multi-width prediction from the current state, with
+    /// the first step's top-prediction confidence for confidence-gated
+    /// issuing (§5.2). `history` is the token history ending in the
+    /// newest token; the rollout extends it autoregressively under
+    /// `encoder`. A wrapper over [`predict_into`](Self::predict_into).
     pub fn predict_with_confidence(
         &mut self,
         history: &[usize],
@@ -249,7 +237,7 @@ mod tests {
         // predict three steps from history [9, 1].
         n.network_mut().reset_state();
         let _ = n.observe(&e.encode(&[9]), 0);
-        let preds = n.predict(&[9, 1], &e, 3, 2);
+        let (preds, _) = n.predict_with_confidence(&[9, 1], &e, 3, 2);
         assert_eq!(preds.len(), 3);
         assert_eq!(preds[0].len(), 2);
         assert_eq!(preds[0][0], 5, "next after 1 is 5");

@@ -11,9 +11,6 @@
 //!
 //! * [`ReplayForm::OtherPhases`] — interleaved replay biased toward
 //!   phases other than the current one (replay *old* memories);
-//! * [`ReplayForm::Generative`] — hindsight replay: the network
-//!   re-rolls sequences from stored seed contexts and learns its own
-//!   generated continuations, trading compute for storage;
 //! * [`ReplayForm::SelfReinforce`] — recall a stored context, run the
 //!   forward pass, and train on the network's own output "to reinforce
 //!   existing behavior".
@@ -23,8 +20,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::encoder::Encoder;
-use crate::episodic::EpisodicStore;
-use crate::hippocampus::EpisodeRef;
+use crate::hippocampus::{EpisodeRef, EpisodicStore, Hippocampus};
 use crate::neocortex::Neocortex;
 
 /// The replay variant.
@@ -34,12 +30,6 @@ pub enum ReplayForm {
     Interleaved,
     /// Episodes sampled preferentially from other phases.
     OtherPhases,
-    /// Hindsight: re-roll `rollout_len` steps from a stored context and
-    /// train on the generated sequence.
-    Generative {
-        /// Steps generated per replayed episode.
-        rollout_len: usize,
-    },
     /// Train the stored context on the network's own current output.
     SelfReinforce,
 }
@@ -107,12 +97,14 @@ impl ReplayScheduler {
     /// Runs one round of replay (called after each online training
     /// step). Returns the number of replayed examples. The drawn
     /// episodes are read in place ([`EpisodicStore::replay_each`]);
-    /// the default interleaved form allocates nothing.
+    /// the default interleaved form allocates nothing. No form reads
+    /// the encoder: each trains on the stored pattern. The parameter
+    /// stays because perfbench's per-layer probe calls this signature.
     pub fn after_train(
         &mut self,
         cortex: &mut Neocortex,
-        store: &mut dyn EpisodicStore,
-        encoder: &Encoder,
+        store: &mut Hippocampus,
+        _encoder: &Encoder,
         current_phase: u64,
     ) -> usize {
         if !self.cfg.enabled || self.cfg.per_step == 0 || store.stored() == 0 {
@@ -124,33 +116,6 @@ impl ReplayScheduler {
         let mut done = 0usize;
         let mut replay = |episode: EpisodeRef<'_>| match form {
             ReplayForm::Interleaved | ReplayForm::OtherPhases => {
-                cortex.replay_train(episode.pattern, episode.target, scale, episode.recurrent);
-                done += 1;
-            }
-            ReplayForm::Generative { rollout_len } if !episode.history.is_empty() => {
-                // Generate a continuation from the stored context
-                // and learn the generated transitions, all under
-                // the episode's reinstated recurrent context.
-                let saved = cortex.recurrent_state();
-                cortex.network_mut().set_recurrent_state(episode.recurrent);
-                let preds = cortex.predict(episode.history, encoder, rollout_len, 1);
-                let mut hist = episode.history.to_vec();
-                // First transition: the episode's real target.
-                cortex.train_scaled(episode.pattern, episode.target, scale);
-                done += 1;
-                for step in preds {
-                    let next = step[0];
-                    hist.push(next);
-                    let ctx = &hist[..hist.len() - 1];
-                    let pattern = encoder.encode(ctx);
-                    cortex.train_scaled(&pattern, next, scale);
-                    done += 1;
-                }
-                cortex.network_mut().set_recurrent_state(&saved);
-            }
-            ReplayForm::Generative { .. } => {
-                // Compressed backends recall no token history; fall
-                // back to a plain interleaved step.
                 cortex.replay_train(episode.pattern, episode.target, scale, episode.recurrent);
                 done += 1;
             }
@@ -179,7 +144,7 @@ impl ReplayScheduler {
 mod tests {
     use super::*;
     use crate::encoder::EncoderKind;
-    use crate::hippocampus::{CapacityPolicy, Hippocampus};
+    use crate::hippocampus::CapacityPolicy;
     use crate::neocortex::NeocortexConfig;
 
     fn setup() -> (Neocortex, Hippocampus, Encoder) {
@@ -195,7 +160,11 @@ mod tests {
                 recurrent_sample: 6,
             },
         );
-        (cortex, Hippocampus::new(CapacityPolicy::Unbounded), encoder)
+        (
+            cortex,
+            Hippocampus::new(CapacityPolicy::Ring { capacity: 4096 }),
+            encoder,
+        )
     }
 
     /// Trains pattern A (cycle), then pattern B with/without replay of
@@ -222,12 +191,7 @@ mod tests {
             for w in 0..b.len() {
                 let pattern = encoder.encode(&[b[w]]);
                 cortex.train(&pattern, b[(w + 1) % b.len()]);
-                sched.after_train(
-                    &mut cortex,
-                    &mut hippo as &mut dyn EpisodicStore,
-                    &encoder,
-                    2,
-                );
+                sched.after_train(&mut cortex, &mut hippo, &encoder, 2);
             }
         }
         // Accuracy on A afterwards.
@@ -259,45 +223,8 @@ mod tests {
         let (mut cortex, mut hippo, encoder) = setup();
         hippo.store(vec![1], encoder.encode(&[1]), vec![], 2, 0.5, 0, 0);
         let mut sched = ReplayScheduler::new(ReplayConfig::off());
-        assert_eq!(
-            sched.after_train(
-                &mut cortex,
-                &mut hippo as &mut dyn EpisodicStore,
-                &encoder,
-                0
-            ),
-            0
-        );
+        assert_eq!(sched.after_train(&mut cortex, &mut hippo, &encoder, 0), 0);
         assert_eq!(sched.replayed, 0);
-    }
-
-    #[test]
-    fn generative_replay_counts_generated_steps() {
-        let (mut cortex, mut hippo, encoder) = setup();
-        for t in 0..8usize {
-            hippo.store(
-                vec![t],
-                encoder.encode(&[t]),
-                vec![],
-                (t + 1) % 8,
-                0.5,
-                0,
-                0,
-            );
-        }
-        let mut sched = ReplayScheduler::new(ReplayConfig {
-            form: ReplayForm::Generative { rollout_len: 3 },
-            per_step: 2,
-            ..ReplayConfig::default()
-        });
-        let n = sched.after_train(
-            &mut cortex,
-            &mut hippo as &mut dyn EpisodicStore,
-            &encoder,
-            0,
-        );
-        // Each of the 2 episodes yields 1 real + 3 generated examples.
-        assert_eq!(n, 8);
     }
 
     #[test]
@@ -311,29 +238,13 @@ mod tests {
             per_step: 3,
             ..ReplayConfig::default()
         });
-        assert_eq!(
-            sched.after_train(
-                &mut cortex,
-                &mut hippo as &mut dyn EpisodicStore,
-                &encoder,
-                0
-            ),
-            3
-        );
+        assert_eq!(sched.after_train(&mut cortex, &mut hippo, &encoder, 0), 3);
     }
 
     #[test]
     fn empty_hippocampus_replays_nothing() {
         let (mut cortex, mut hippo, encoder) = setup();
         let mut sched = ReplayScheduler::new(ReplayConfig::default());
-        assert_eq!(
-            sched.after_train(
-                &mut cortex,
-                &mut hippo as &mut dyn EpisodicStore,
-                &encoder,
-                0
-            ),
-            0
-        );
+        assert_eq!(sched.after_train(&mut cortex, &mut hippo, &encoder, 0), 0);
     }
 }

@@ -18,7 +18,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use hnp_core::{CapacityPolicy, ClsConfig, ClsPrefetcher, EpisodicBackend};
+use hnp_core::{CapacityPolicy, ClsConfig, ClsPrefetcher, EpisodicStore};
 use hnp_memsim::prefetcher::{MissEvent, Prefetcher};
 use hnp_memsim::{SimConfig, Simulator};
 use hnp_trace::apps::AppWorkload;
@@ -77,9 +77,7 @@ fn default_miss_allocates_only_the_pages_it_returns() {
     let misses = misses.0;
 
     let cfg = ClsConfig::default();
-    let EpisodicBackend::Exact(CapacityPolicy::Ring { capacity }) = cfg.episodic else {
-        panic!("the default store is a ring");
-    };
+    let CapacityPolicy::Ring { capacity } = cfg.episodic;
     let mut p = ClsPrefetcher::new(cfg);
     for miss in &misses {
         p.on_miss(miss);

@@ -76,7 +76,7 @@ fn bytes_per_window(capacity: usize, ops: u64) -> u64 {
     for i in 0..fill {
         store(&mut h, i);
     }
-    assert_eq!(h.len(), capacity, "the window must run on a full ring");
+    assert_eq!(h.stored(), capacity, "the window must run on a full ring");
     miss(&mut h, &mut rng, fill);
     let before = BYTES.load(Ordering::Relaxed);
     let mut replayed = 0;

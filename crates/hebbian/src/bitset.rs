@@ -18,19 +18,6 @@ impl BitSet {
         }
     }
 
-    /// Builds a bitset over `len` bits with the given bits set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of range.
-    pub fn from_indices(len: usize, indices: &[u32]) -> Self {
-        let mut s = Self::new(len);
-        for &i in indices {
-            s.insert(i as usize);
-        }
-        s
-    }
-
     /// Bit capacity.
     pub fn len(&self) -> usize {
         self.len
@@ -122,6 +109,22 @@ impl BitSet {
             .zip(other.words.iter())
             .map(|(a, b)| (a & b).count_ones() as usize)
             .sum()
+    }
+}
+
+#[cfg(test)]
+impl BitSet {
+    /// Builds a bitset over `len` bits with the given bits set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any index is out of range.
+    pub(crate) fn from_indices(len: usize, indices: &[u32]) -> Self {
+        let mut s = Self::new(len);
+        for &i in indices {
+            s.insert(i as usize);
+        }
+        s
     }
 }
 

@@ -11,17 +11,21 @@
 /// Ties are broken toward the lower index so that results are fully
 /// deterministic. Returns all indices if `k >= scores.len()`.
 ///
-/// Allocates two fresh buffers per call; the per-miss hot path uses
-/// [`k_winners_into`] with reusable scratch instead.
-pub fn k_winners(scores: &[i32], k: usize) -> Vec<u32> {
+/// Allocates two fresh buffers per call: the test wrapper around
+/// [`k_winners_into`], which the per-miss hot path calls with reusable
+/// scratch.
+#[cfg(test)]
+pub(crate) fn k_winners(scores: &[i32], k: usize) -> Vec<u32> {
     let mut scratch = Vec::new();
     let mut winners = Vec::new();
     k_winners_into(scores, k, &mut scratch, &mut winners);
     winners
 }
 
-/// Allocation-free [`k_winners`]: writes the winner set into
-/// `winners` (cleared first), using `scratch` as the workspace.
+/// The indices of the `k` highest scores, ascending by index, ties
+/// broken toward the lower index (all indices if `k >= scores.len()`):
+/// writes the winner set into `winners` (cleared first), using
+/// `scratch` as the workspace.
 /// In steady state — once both buffers have reached their high-water
 /// capacity — no heap allocation occurs.
 ///

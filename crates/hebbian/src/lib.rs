@@ -1,4 +1,4 @@
-//! Sparse Hebbian networks and associative memories.
+//! Sparse Hebbian networks.
 //!
 //! This crate is the "brain-inspired" substrate of the HNP project
 //! (§3 of the paper):
@@ -11,9 +11,7 @@
 //!   1000 neurons, 12.5 % connectivity, 10 % hidden activity, and a
 //!   recurrent state for sequence memory;
 //! * [`lr`] — Q24 fixed-point learning-rate scales, keeping scaled
-//!   (replay) updates on the integer path;
-//! * [`assoc`] — pattern separation and Willshaw-style associative
-//!   memories modelling the hippocampal fast store.
+//!   (replay) updates on the integer path.
 //!
 //! All arithmetic on the inference/training path is integer, matching
 //! the Table-2 accounting.
@@ -21,7 +19,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod assoc;
 pub mod bitset;
 #[cfg(test)]
 mod differential;

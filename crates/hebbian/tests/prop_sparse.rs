@@ -11,6 +11,15 @@ const INPUTS: usize = 24;
 const OUTPUTS: usize = 10;
 const CLAMP: i16 = 16;
 
+/// A set over the layer's inputs with the given bits set.
+fn input_set(active: &[u32]) -> BitSet {
+    let mut set = BitSet::new(INPUTS);
+    for &i in active {
+        set.insert(i as usize);
+    }
+    set
+}
+
 /// A dense shadow of the sparse layer: `None` where no connection
 /// exists.
 fn dense_shadow(layer: &SparseLayer) -> Vec<Vec<Option<i16>>> {
@@ -42,7 +51,7 @@ proptest! {
             .collect::<Vec<_>>();
         let mut model = dense_shadow(&layer);
         for (out, active, step, anti) in &ops {
-            let set = BitSet::from_indices(INPUTS, active);
+            let set = input_set(active);
             if *anti {
                 layer.anti_update(*out, &set, *step);
                 for (i, w) in model[*out as usize].iter_mut().enumerate() {

@@ -7,10 +7,7 @@
 //! ```
 
 use hnp::core::encoder::EncoderKind;
-use hnp::core::{
-    CapacityPolicy, ClsConfig, ClsPrefetcher, EpisodicBackend, ReplayConfig, ReplayForm,
-    TrainingSampler,
-};
+use hnp::core::{CapacityPolicy, ClsConfig, ClsPrefetcher, ReplayConfig, TrainingSampler};
 use hnp::memsim::{NoPrefetcher, SimConfig, SimReport, Simulator};
 use hnp::traces::apps::AppWorkload;
 use hnp::traces::Trace;
@@ -114,7 +111,6 @@ fn main() {
         "no replay",
         ClsConfig {
             replay: ReplayConfig::off(),
-            episodic: EpisodicBackend::Exact(CapacityPolicy::Ring { capacity: 1 }),
             ..ClsConfig::default()
         },
     );
@@ -129,12 +125,9 @@ fn main() {
         &trace,
         &sim,
         &base,
-        "generative replay",
+        "ring of 256 episodes",
         ClsConfig {
-            replay: ReplayConfig {
-                form: ReplayForm::Generative { rollout_len: 3 },
-                ..ReplayConfig::default()
-            },
+            episodic: CapacityPolicy::Ring { capacity: 256 },
             ..ClsConfig::default()
         },
     );

@@ -6,7 +6,7 @@
 //! ```
 
 use hnp::baselines::{StrideConfig, StridePrefetcher};
-use hnp::core::{ClsConfig, ClsPrefetcher};
+use hnp::core::{ClsConfig, ClsPrefetcher, EpisodicStore};
 use hnp::memsim::{NoPrefetcher, SimConfig, Simulator};
 use hnp::traces::apps::AppWorkload;
 

@@ -10,7 +10,7 @@
 //! This umbrella crate re-exports the workspace:
 //!
 //! * [`nn`] — the neural substrate (matrices, LSTM, quantization);
-//! * [`hebbian`] — sparse Hebbian networks and associative memories;
+//! * [`hebbian`] — sparse Hebbian networks (k-WTA, the Eq.-1 update);
 //! * [`traces`] — Table-1 patterns and application-like workloads;
 //! * [`memsim`] — the page-memory simulator and prefetcher interface;
 //! * [`baselines`] — stride/Markov/next-N and the LSTM prefetcher;

@@ -3,9 +3,9 @@
 
 use proptest::prelude::*;
 
-use hnp::core::{CapacityPolicy, Hippocampus};
+use hnp::core::{CapacityPolicy, EpisodeRef, EpisodicStore, Hippocampus};
 use hnp::hebbian::bitset::BitSet;
-use hnp::hebbian::kwta::k_winners;
+use hnp::hebbian::kwta::k_winners_into;
 use hnp::memsim::deltas::pages_from_rollout;
 use hnp::memsim::memory::LocalMemory;
 use hnp::memsim::{DeltaVocab, NoPrefetcher, SimConfig, Simulator};
@@ -61,7 +61,8 @@ proptest! {
     /// dominate every non-winner.
     #[test]
     fn kwta_winners_dominate(scores in proptest::collection::vec(-1000i32..1000, 1..300), k in 0usize..310) {
-        let winners = k_winners(&scores, k);
+        let (mut scratch, mut winners) = (Vec::new(), Vec::new());
+        k_winners_into(&scores, k, &mut scratch, &mut winners);
         prop_assert_eq!(winners.len(), k.min(scores.len()));
         let wset: std::collections::HashSet<u32> = winners.iter().copied().collect();
         prop_assert_eq!(wset.len(), winners.len(), "distinct winners");
@@ -112,32 +113,25 @@ proptest! {
         prop_assert!(rep.total_ticks >= rep.accesses as u64);
     }
 
-    /// Hippocampus capacity policies never exceed their configured
-    /// capacity, including a capacity of 0.
+    /// The hippocampal ring never exceeds its configured capacity,
+    /// including a capacity of 0.
     #[test]
     fn hippocampus_capacity_bound(
         capacity in 0usize..64,
         n in 1usize..300,
-        policy_pick in 0u8..4,
     ) {
-        let policy = match policy_pick {
-            0 => CapacityPolicy::Ring { capacity },
-            1 => CapacityPolicy::ConfidenceFiltered { capacity, skip_above: 0.8 },
-            2 => CapacityPolicy::Consolidating { capacity, max_replays: 4 },
-            _ => CapacityPolicy::Averaging { capacity, merge_overlap: 0.9 },
-        };
-        let mut h = Hippocampus::new(policy);
+        let mut h = Hippocampus::new(CapacityPolicy::Ring { capacity });
         for i in 0..n {
-            h.store(
-                vec![i % 16],
-                vec![(i % 50) as u32],
-                vec![],
-                i % 10,
-                (i % 100) as f32 / 100.0,
-                i as u64,
-                0,
-            );
-            prop_assert!(h.len() <= capacity, "policy {:?}", policy);
+            h.store_ref(EpisodeRef {
+                history: &[i % 16],
+                pattern: &[(i % 50) as u32],
+                recurrent: &[],
+                target: i % 10,
+                confidence: (i % 100) as f32 / 100.0,
+                stored_at: i as u64,
+                phase: 0,
+            });
+            prop_assert!(h.stored() <= capacity, "capacity {}", capacity);
         }
     }
 }
