@@ -51,26 +51,6 @@ impl BitSet {
         self.words[i / 64] |= 1 << (i % 64);
     }
 
-    /// Clears bit `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len`.
-    pub fn remove(&mut self, i: usize) {
-        assert!(i < self.len, "bit {} out of range ({})", i, self.len);
-        self.words[i / 64] &= !(1 << (i % 64));
-    }
-
-    /// Whether bit `i` is set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len`.
-    pub fn contains(&self, i: usize) -> bool {
-        assert!(i < self.len, "bit {} out of range ({})", i, self.len);
-        self.words[i / 64] & (1 << (i % 64)) != 0
-    }
-
     /// Clears all bits, keeping capacity.
     pub fn clear(&mut self) {
         self.words.iter_mut().for_each(|w| *w = 0);
@@ -126,11 +106,32 @@ impl BitSet {
         }
         s
     }
+
+    /// Clears bit `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len`.
+    pub(crate) fn remove(&mut self, i: usize) {
+        assert!(i < self.len, "bit {} out of range ({})", i, self.len);
+        self.words[i / 64] &= !(1 << (i % 64));
+    }
+
+    /// Whether bit `i` is set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len`.
+    pub(crate) fn contains(&self, i: usize) -> bool {
+        assert!(i < self.len, "bit {} out of range ({})", i, self.len);
+        self.words[i / 64] & (1 << (i % 64)) != 0
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn insert_contains_remove() {
@@ -173,5 +174,34 @@ mod tests {
     fn out_of_range_insert_panics() {
         let mut s = BitSet::new(10);
         s.insert(10);
+    }
+
+    proptest! {
+        /// The bitset agrees with a HashSet model under arbitrary
+        /// insert/remove sequences.
+        #[test]
+        fn bitset_matches_model(
+            ops in proptest::collection::vec((0usize..256, any::<bool>()), 1..200),
+        ) {
+            let mut s = BitSet::new(256);
+            let mut model = std::collections::HashSet::new();
+            for (bit, insert) in ops {
+                if insert {
+                    s.insert(bit);
+                    model.insert(bit);
+                } else {
+                    s.remove(bit);
+                    model.remove(&bit);
+                }
+            }
+            prop_assert_eq!(s.count(), model.len());
+            for b in 0..256 {
+                prop_assert_eq!(s.contains(b), model.contains(&b));
+            }
+            let from_iter: Vec<usize> = s.iter().collect();
+            let mut sorted: Vec<usize> = model.into_iter().collect();
+            sorted.sort_unstable();
+            prop_assert_eq!(from_iter, sorted);
+        }
     }
 }

@@ -56,7 +56,7 @@ proptest! {
                 layer.anti_update(*out, &set, *step);
                 for (i, w) in model[*out as usize].iter_mut().enumerate() {
                     if let Some(v) = w {
-                        if set.contains(i) {
+                        if active.contains(&(i as u32)) {
                             *v = (*v - step).clamp(-CLAMP, CLAMP);
                         }
                     }
@@ -65,7 +65,7 @@ proptest! {
                 layer.hebbian_update(*out, &set, *step, 1);
                 for (i, w) in model[*out as usize].iter_mut().enumerate() {
                     if let Some(v) = w {
-                        let delta = if set.contains(i) { *step } else { -1 };
+                        let delta = if active.contains(&(i as u32)) { *step } else { -1 };
                         *v = (*v + delta).clamp(-CLAMP, CLAMP);
                     }
                 }

@@ -22,9 +22,8 @@ use hnp_obs::{Event, FeedbackKind, Registry};
 use hnp_trace::Trace;
 
 use crate::checkpoint::CheckpointCursor;
-use crate::ledger::PrefetchLedger;
-use crate::memory::LocalMemory;
 use crate::prefetcher::{MissEvent, Prefetcher};
+use crate::residency::{Access, Admit, Dispatch, EventFold, Residency};
 
 /// Simulator parameters.
 #[derive(Debug, Clone)]
@@ -86,7 +85,7 @@ impl SimConfig {
 }
 
 /// Counters and derived metrics from one simulation run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct SimReport {
     /// Prefetcher name.
     pub prefetcher: String,
@@ -153,12 +152,10 @@ impl SimReport {
             self.total_ticks as f64 / self.accesses as f64
         }
     }
+}
 
-    /// Folds one event into the counters. The report is *derived from
-    /// the event stream*: the run loop emits events and this is the
-    /// only place they become numbers, so any observer aggregating the
-    /// same stream (e.g. `hnp_obs::Counters`) reproduces the report
-    /// exactly.
+impl EventFold for SimReport {
+    #[inline]
     fn apply(&mut self, ev: &Event) {
         match *ev {
             Event::Hit { .. } => {
@@ -229,191 +226,83 @@ impl Simulator {
         checkpoints: &[usize],
     ) -> (SimReport, Vec<usize>) {
         let mut cursor = CheckpointCursor::at(checkpoints.iter().map(|&c| c as u64));
-        let mut memory = LocalMemory::new(self.cfg.capacity_pages);
-        // In-flight prefetches, due at their arrival tick.
-        let mut inflight = PrefetchLedger::new();
+        let mut res = Residency::new(self.cfg.capacity_pages);
         let mut now: u64 = 0;
         let mut report = SimReport {
             prefetcher: prefetcher.name().to_string(),
-            accesses: 0,
-            hits: 0,
-            full_misses: 0,
-            late_prefetch_hits: 0,
-            prefetches_issued: 0,
-            prefetches_dropped: 0,
-            prefetches_useful: 0,
-            prefetches_unused: 0,
-            total_ticks: 0,
+            ..SimReport::default()
         };
         let shift = trace.page_shift();
         let mut marks = Vec::with_capacity(checkpoints.len());
-        let obs = &self.cfg.obs;
+        let mut out = Dispatch {
+            obs: &self.cfg.obs,
+            report: &mut report,
+            model: prefetcher,
+        };
         for access in trace.accesses() {
-            for _ in 0..cursor.due(report.accesses as u64) {
-                marks.push(report.full_misses + report.late_prefetch_hits);
+            for _ in 0..cursor.due(out.report.accesses as u64) {
+                marks.push(out.report.misses());
             }
             let page = access.page(shift);
             now += 1;
-            // Land arrived prefetches, in page order (the ledger's
-            // drain contract), so eviction order is deterministic.
-            inflight.drain_due(now, |p| {
-                Self::insert_accounting(obs, &mut memory, &mut report, prefetcher, p, true, now);
-            });
-            // Demand path.
-            if let Some(before) = memory.touch(page) {
-                if before.prefetched && !before.touched {
-                    dispatch(
-                        obs,
-                        &mut report,
-                        prefetcher,
-                        Event::Feedback {
-                            tick: now,
-                            page,
-                            kind: FeedbackKind::Useful,
-                            remaining: 0,
-                        },
-                    );
-                }
-                dispatch(obs, &mut report, prefetcher, Event::Hit { tick: now, page });
-                continue;
-            }
-            if let Some(arrival) = inflight.take(page) {
-                // Late prefetch: wait out the remainder.
-                let remaining = arrival.saturating_sub(now);
-                let miss_tick = now;
-                now += remaining;
-                dispatch(
-                    obs,
-                    &mut report,
-                    prefetcher,
-                    Event::Miss {
+            res.land_due(now, &mut out);
+            let miss_tick = now;
+            match res.access(page, now, &mut out) {
+                Access::Hit => {}
+                Access::Late { arrival } => {
+                    // Wait out the remainder.
+                    let remaining = arrival.saturating_sub(now);
+                    now += remaining;
+                    out.send(Event::Miss {
                         tick: miss_tick,
                         page,
                         late: true,
                         stall: remaining,
-                    },
-                );
-                dispatch(
-                    obs,
-                    &mut report,
-                    prefetcher,
-                    Event::Feedback {
+                    });
+                    res.fill(page, true, now, &mut out);
+                }
+                // Nothing is lost on this simulator's link.
+                Access::Miss | Access::Lost { .. } => {
+                    // The prefetcher is consulted at miss start so its
+                    // requests travel concurrently with the demand fetch.
+                    now += self.cfg.miss_latency;
+                    out.send(Event::Miss {
                         tick: miss_tick,
                         page,
-                        kind: FeedbackKind::Late,
-                        remaining,
-                    },
-                );
-                Self::insert_accounting(obs, &mut memory, &mut report, prefetcher, page, true, now);
-                memory.touch(page);
-                continue;
-            }
-            // Full miss. The prefetcher is consulted at miss start so
-            // its requests travel concurrently with the demand fetch.
-            let miss_start = now;
-            now += self.cfg.miss_latency;
-            dispatch(
-                obs,
-                &mut report,
-                prefetcher,
-                Event::Miss {
-                    tick: miss_start,
-                    page,
-                    late: false,
-                    stall: self.cfg.miss_latency,
-                },
-            );
-            Self::insert_accounting(obs, &mut memory, &mut report, prefetcher, page, false, now);
-            memory.touch(page);
-            let miss = MissEvent {
-                page,
-                tick: miss_start,
-                stream: access.stream,
-            };
-            let candidates = prefetcher.on_miss(&miss);
-            let arrival = miss_start + self.cfg.inference_latency + self.cfg.prefetch_latency;
-            let mut accepted = 0usize;
-            for cand in candidates {
-                if accepted >= self.cfg.max_issue_per_miss {
-                    break;
-                }
-                if memory.contains(cand) || inflight.contains(cand) {
-                    continue;
-                }
-                if inflight.len() >= self.cfg.max_inflight {
-                    dispatch(
-                        obs,
-                        &mut report,
-                        prefetcher,
-                        Event::PrefetchDropped {
-                            tick: miss_start,
-                            page: cand,
-                        },
+                        late: false,
+                        stall: self.cfg.miss_latency,
+                    });
+                    res.fill(page, false, now, &mut out);
+                    let candidates = out.model.on_miss(&MissEvent {
+                        page,
+                        tick: miss_tick,
+                        stream: access.stream,
+                    });
+                    let arrival =
+                        miss_tick + self.cfg.inference_latency + self.cfg.prefetch_latency;
+                    res.offer(
+                        candidates,
+                        self.cfg.max_issue_per_miss,
+                        self.cfg.max_inflight,
+                        miss_tick,
+                        &mut out,
+                        |_, _| Admit::Issue { arrival },
                     );
-                    continue;
                 }
-                inflight.issue(cand, arrival);
-                dispatch(
-                    obs,
-                    &mut report,
-                    prefetcher,
-                    Event::PrefetchIssued {
-                        tick: miss_start,
-                        page: cand,
-                        arrival,
-                    },
-                );
-                accepted += 1;
             }
         }
         for _ in 0..cursor.drain() {
-            marks.push(report.full_misses + report.late_prefetch_hits);
+            marks.push(out.report.misses());
         }
         let end = Event::RunEnd {
             ticks: now,
-            accesses: report.accesses as u64,
-            hits: report.hits as u64,
-            misses: (report.full_misses + report.late_prefetch_hits) as u64,
+            accesses: out.report.accesses as u64,
+            hits: out.report.hits as u64,
+            misses: out.report.misses() as u64,
         };
-        dispatch(obs, &mut report, prefetcher, end);
+        out.send(end);
         (report, marks)
     }
-
-    /// Inserts a page, accounting for pollution on eviction.
-    fn insert_accounting(
-        obs: &Registry,
-        memory: &mut LocalMemory,
-        report: &mut SimReport,
-        prefetcher: &mut dyn Prefetcher,
-        page: u64,
-        prefetched: bool,
-        now: u64,
-    ) {
-        if let Some((victim, meta)) = memory.insert(page, prefetched) {
-            if meta.prefetched && !meta.touched {
-                dispatch(
-                    obs,
-                    report,
-                    prefetcher,
-                    Event::Feedback {
-                        tick: now,
-                        page: victim,
-                        kind: FeedbackKind::Unused,
-                        remaining: 0,
-                    },
-                );
-            }
-        }
-    }
-}
-
-/// The single event dispatch point: fold the event into the report,
-/// notify the prefetcher, fan out to observers — in that order, for
-/// every event the run produces.
-fn dispatch(obs: &Registry, report: &mut SimReport, prefetcher: &mut dyn Prefetcher, ev: Event) {
-    report.apply(&ev);
-    prefetcher.on_event(&ev);
-    obs.emit(&ev);
 }
 
 #[cfg(test)]

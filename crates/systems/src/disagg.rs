@@ -15,18 +15,14 @@
 //!   nodes' miss streams interleaved (stream-tagged), as a resource-
 //!   constrained alternative.
 
-use std::collections::BTreeSet;
-
 use serde::Serialize;
 
-use hnp_memsim::memory::LocalMemory;
 use hnp_memsim::prefetcher::{MissEvent, Prefetcher};
-use hnp_memsim::PrefetchLedger;
+use hnp_memsim::{Access, Admit, Dispatch, EventFold, Residency};
 use hnp_obs::{Event, FaultKind as ObsFaultKind, FeedbackKind, Registry};
 use hnp_trace::Trace;
 
 use crate::fault::FaultInjector;
-use crate::{cancel_all, notify};
 
 /// Prefetches accepted per miss.
 const MAX_ISSUE_PER_MISS: usize = 4;
@@ -84,7 +80,7 @@ impl DisaggConfig {
 }
 
 /// Per-node counters from one cluster run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct NodeReport {
     /// Node index.
     pub node: usize,
@@ -96,7 +92,8 @@ pub struct NodeReport {
     pub prefetches_issued: usize,
     /// Useful prefetches.
     pub prefetches_useful: usize,
-    /// Prefetches dropped at the saturated shared switch.
+    /// Prefetches dropped at the saturated shared switch or at the
+    /// node's `max_inflight` cap.
     pub prefetches_dropped: usize,
     /// In-flight prefetches cancelled by faults (lossy link, crash).
     pub prefetches_cancelled: usize,
@@ -108,6 +105,34 @@ pub struct NodeReport {
     pub restarts: usize,
     /// Ticks this node spent stalled on the link.
     pub stall_ticks: u64,
+}
+
+impl EventFold for NodeReport {
+    #[inline]
+    fn apply(&mut self, ev: &Event) {
+        match *ev {
+            Event::Hit { .. } => self.accesses += 1,
+            Event::Miss { stall, .. } => {
+                self.accesses += 1;
+                self.misses += 1;
+                self.stall_ticks += stall;
+            }
+            Event::PrefetchIssued { .. } => self.prefetches_issued += 1,
+            Event::PrefetchDropped { .. } => self.prefetches_dropped += 1,
+            Event::Feedback { kind, .. } => match kind {
+                FeedbackKind::Useful => self.prefetches_useful += 1,
+                FeedbackKind::Cancelled => self.prefetches_cancelled += 1,
+                FeedbackKind::Late | FeedbackKind::Unused => {}
+            },
+            Event::Fault { kind, .. } => match kind {
+                ObsFaultKind::Retry => self.retries += 1,
+                ObsFaultKind::Timeout => self.timeouts += 1,
+                ObsFaultKind::Crash => self.restarts += 1,
+                ObsFaultKind::Restart | ObsFaultKind::Drop => {}
+            },
+            _ => {}
+        }
+    }
 }
 
 /// Aggregate cluster report.
@@ -157,14 +182,7 @@ impl DisaggReport {
 
 /// Per-node simulation state.
 struct NodeState {
-    memory: LocalMemory,
-    /// Outstanding prefetch transfers, due at their scheduled arrival.
-    inflight: PrefetchLedger,
-    /// The outstanding transfers a lossy link already killed. The dead
-    /// transfer crossed the switch, so it holds its occupancy slot —
-    /// and counts against `max_inflight` — until its scheduled arrival,
-    /// where the node discovers the loss.
-    doomed: BTreeSet<u64>,
+    res: Residency,
     cursor: usize,
     /// Tick at which this node finishes its current stall.
     busy_until: u64,
@@ -257,23 +275,12 @@ impl DisaggregatedCluster {
                 let cap =
                     ((t.footprint_pages() as f64 * self.cfg.local_capacity_frac) as usize).max(1);
                 NodeState {
-                    memory: LocalMemory::new(cap),
-                    inflight: PrefetchLedger::new(),
-                    doomed: BTreeSet::new(),
+                    res: Residency::new(cap),
                     cursor: 0,
                     busy_until: 0,
                     report: NodeReport {
                         node: i,
-                        accesses: 0,
-                        misses: 0,
-                        prefetches_issued: 0,
-                        prefetches_useful: 0,
-                        prefetches_dropped: 0,
-                        prefetches_cancelled: 0,
-                        retries: 0,
-                        timeouts: 0,
-                        restarts: 0,
-                        stall_ticks: 0,
+                        ..NodeReport::default()
                     },
                 }
             })
@@ -287,7 +294,7 @@ impl DisaggregatedCluster {
             // Shared-switch occupancy snapshot for this round: nodes
             // mid-demand-fetch plus all in-flight prefetches.
             let mut occupancy = nodes.iter().filter(|n| n.busy_until > now).count()
-                + nodes.iter().map(|n| n.inflight.len()).sum::<usize>();
+                + nodes.iter().map(|n| n.res.in_flight()).sum::<usize>();
             for (i, node) in nodes.iter_mut().enumerate() {
                 let trace = &traces[i];
                 if node.cursor >= trace.len() {
@@ -295,244 +302,124 @@ impl DisaggregatedCluster {
                 }
                 all_done = false;
                 let pf_idx = if shared { 0 } else { i };
-                let pf: &mut dyn Prefetcher = &mut *prefetchers[pf_idx];
+                let mut out = Dispatch {
+                    obs,
+                    report: &mut node.report,
+                    model: &mut *prefetchers[pf_idx],
+                };
+                let fault = |kind| Event::Fault {
+                    tick: now,
+                    domain: i as u64,
+                    kind,
+                };
                 // Crash/restart: flush local memory, cancel in-flight
                 // prefetches, reset the prefetcher's transient state,
                 // and hold the node down until the event ends.
                 if let Some(restart) = injector.take_crash(i, now) {
-                    node.report.restarts += 1;
-                    node.report.prefetches_cancelled +=
-                        cancel_all(obs, pf, &mut node.inflight, now);
-                    node.doomed.clear();
-                    node.memory.flush();
-                    notify(
-                        obs,
-                        pf,
-                        Event::Fault {
-                            tick: now,
-                            domain: i as u64,
-                            kind: ObsFaultKind::Crash,
-                        },
-                    );
+                    node.res.crash(now, &mut out);
+                    out.send(fault(ObsFaultKind::Crash));
                     node.busy_until = node.busy_until.max(restart);
                 }
                 if node.busy_until > now {
                     continue; // Still stalled on the link.
                 }
-                // Land arrived prefetches in page order. A transfer
-                // the lossy link killed reaches its arrival deadline
-                // instead: the node discovers the loss and releases
-                // the slot.
-                node.inflight.drain_due(now, |page| {
-                    let kind = if node.doomed.remove(&page) {
-                        node.report.prefetches_cancelled += 1;
-                        FeedbackKind::Cancelled
-                    } else {
-                        match node.memory.insert(page, true) {
-                            Some((_, meta)) if meta.prefetched && !meta.touched => {
-                                FeedbackKind::Unused
-                            }
-                            _ => return,
-                        }
-                    };
-                    notify(
-                        obs,
-                        pf,
-                        Event::Feedback {
-                            tick: now,
-                            page,
-                            kind,
-                            remaining: 0,
-                        },
-                    );
-                });
+                // Land arrived prefetches; a transfer the lossy link
+                // killed reaches its arrival deadline instead, where
+                // the node discovers the loss and releases the slot.
+                node.res.land_due(now, &mut out);
                 // One access this round.
                 let access = trace.accesses()[node.cursor];
                 let page = access.page(trace.page_shift());
                 node.cursor += 1;
-                node.report.accesses += 1;
-                if let Some(before) = node.memory.touch(page) {
-                    if before.prefetched && !before.touched {
-                        node.report.prefetches_useful += 1;
-                        notify(
-                            obs,
-                            pf,
-                            Event::Feedback {
-                                tick: now,
-                                page,
-                                kind: FeedbackKind::Useful,
-                                remaining: 0,
-                            },
-                        );
-                    }
-                    obs.emit(&Event::Hit { tick: now, page });
-                    continue;
-                }
                 // Fault: one page at a time, node stalls for the link.
-                node.report.misses += 1;
-                let pending = node.inflight.take(page);
-                let lost = pending.is_some() && node.doomed.remove(&page);
-                let late = pending.is_some() && !lost;
-                let mut timed_out = false;
-                let mut stall = match pending {
-                    Some(arrival) if !lost => {
-                        let remaining = arrival.saturating_sub(now);
-                        // Lateness is the resilience layer's signal
-                        // that transfers are queueing; fault-free runs
-                        // keep the legacy accounting (no feedback) so
-                        // they stay bit-identical to pre-fault output.
-                        if !injector.is_idle() && remaining > 0 {
-                            notify(
-                                obs,
-                                pf,
-                                Event::Feedback {
-                                    tick: now,
-                                    page,
-                                    kind: FeedbackKind::Late,
-                                    remaining,
-                                },
-                            );
-                        }
-                        remaining
-                    }
-                    _ => {
-                        // A demand hit on a transfer the lossy link
-                        // already killed: the node waits out the
-                        // promised arrival, discovers the loss, and
-                        // only then falls back to a fresh fetch.
-                        let mut total = 0u64;
-                        if let Some(arrival) = pending {
-                            node.report.prefetches_cancelled += 1;
-                            notify(
-                                obs,
-                                pf,
-                                Event::Feedback {
-                                    tick: now,
-                                    page,
-                                    kind: FeedbackKind::Cancelled,
-                                    remaining: 0,
-                                },
-                            );
-                            total += arrival.saturating_sub(now);
-                        }
+                let (late, mut stall) = match node.res.access(page, now, &mut out) {
+                    Access::Hit => continue,
+                    Access::Late { arrival } => (true, arrival.saturating_sub(now)),
+                    missed => {
+                        // A demand for a transfer the lossy link
+                        // already killed waits out the promised
+                        // arrival, then falls back to a fresh fetch.
+                        let wait = match missed {
+                            Access::Lost { arrival } => arrival.saturating_sub(now),
+                            _ => 0,
+                        };
                         // A fresh remote fetch, retried over a lossy
                         // link until it lands or times out.
                         let fetch = injector.fetch(
-                            now + total,
+                            now + wait,
                             self.cfg.link_latency,
                             RETRY_BACKOFF,
                             TIMEOUT_PENALTY,
                         );
-                        node.report.retries += fetch.retries as usize;
                         for _ in 0..fetch.retries {
-                            obs.emit(&Event::Fault {
-                                tick: now,
-                                domain: i as u64,
-                                kind: ObsFaultKind::Retry,
-                            });
+                            out.send(fault(ObsFaultKind::Retry));
                         }
                         if fetch.timed_out {
-                            node.report.timeouts += 1;
-                            timed_out = true;
-                            obs.emit(&Event::Fault {
-                                tick: now,
-                                domain: i as u64,
-                                kind: ObsFaultKind::Timeout,
-                            });
+                            out.send(fault(ObsFaultKind::Timeout));
+                            // Retry exhaustion means the node tears
+                            // down and re-establishes its fabric
+                            // connection (the recovery path behind
+                            // `TIMEOUT_PENALTY`): every outstanding
+                            // transfer dies with it, and the
+                            // cancellations are the model's only
+                            // signal. Local memory survives the reset.
+                            node.res.cancel_all(now, &mut out);
                         }
-                        total + fetch.ticks
+                        (false, wait + fetch.ticks)
                     }
                 };
-                // Retry exhaustion means the node tears down and
-                // re-establishes its fabric connection (the recovery
-                // path behind `TIMEOUT_PENALTY`). Every outstanding
-                // prefetch transfer dies with the connection; the
-                // cancellations are the model's only signal — a
-                // transport-level reset stays below its horizon.
-                // Local memory survives the reset.
-                if timed_out {
-                    node.report.prefetches_cancelled +=
-                        cancel_all(obs, pf, &mut node.inflight, now);
-                    node.doomed.clear();
-                }
                 // Demand fetches queue behind a saturated switch.
                 if slots > 0 && occupancy > slots {
                     stall += self.cfg.contention_penalty * (occupancy - slots) as u64;
                 }
                 occupancy += 1;
-                node.report.stall_ticks += stall;
-                obs.emit(&Event::Miss {
+                out.send(Event::Miss {
                     tick: now,
                     page,
                     late,
                     stall,
                 });
                 node.busy_until = now + stall;
-                node.memory.insert(page, late);
-                node.memory.touch(page);
+                node.res.fill(page, late, now, &mut out);
                 // Consult the prefetcher at fault time.
-                let miss = MissEvent {
+                let candidates = out.model.on_miss(&MissEvent {
                     page,
                     tick: now,
                     stream: i as u16,
-                };
-                let candidates = pf.on_miss(&miss);
-                let mut accepted = 0;
-                for cand in candidates {
-                    if accepted >= MAX_ISSUE_PER_MISS {
-                        break;
-                    }
-                    // A killed transfer is still outstanding until the
-                    // node discovers the loss, so it is not issued twice.
-                    if node.memory.contains(cand) || node.inflight.contains(cand) {
-                        continue;
-                    }
-                    if node.inflight.len() >= self.cfg.max_inflight {
-                        break;
-                    }
-                    // Prefetches never queue at a healthy switch: its
-                    // admission control drops them (they are not
-                    // correctness-critical). A browned-out switch has
-                    // lost that QoS path, so prefetch packets queue
-                    // behind demand traffic instead — and arrive late.
-                    let mut arrival = now + injector.transfer_latency(now, self.cfg.link_latency);
-                    if slots > 0 && occupancy >= slots {
-                        if injector.in_brownout(now) {
+                });
+                node.res.offer(
+                    candidates,
+                    MAX_ISSUE_PER_MISS,
+                    self.cfg.max_inflight,
+                    now,
+                    &mut out,
+                    |_, out| {
+                        // Prefetches never queue at a healthy switch:
+                        // its admission control drops them (they are
+                        // not correctness-critical). A browned-out
+                        // switch has lost that QoS path, so prefetch
+                        // packets queue behind demand traffic instead —
+                        // and arrive late.
+                        let mut arrival =
+                            now + injector.transfer_latency(now, self.cfg.link_latency);
+                        if slots > 0 && occupancy >= slots {
+                            if !injector.in_brownout(now) {
+                                return Admit::Drop;
+                            }
                             arrival += self.cfg.contention_penalty * (occupancy + 1 - slots) as u64;
-                        } else {
-                            node.report.prefetches_dropped += 1;
-                            obs.emit(&Event::PrefetchDropped {
-                                tick: now,
-                                page: cand,
-                            });
-                            continue;
                         }
-                    }
-                    node.inflight.issue(cand, arrival);
-                    occupancy += 1;
-                    accepted += 1;
-                    // A lossy link eats prefetches mid-flight: the
-                    // dead transfer still crosses the switch, so it
-                    // holds its slot and issue budget until its
-                    // scheduled arrival, where the node discovers the
-                    // loss and tells the model so it can back off
-                    // (hnp_memsim::resilient reacts to these).
-                    if injector.transfer_dropped(now) {
-                        node.doomed.insert(cand);
-                        obs.emit(&Event::Fault {
-                            tick: now,
-                            domain: i as u64,
-                            kind: ObsFaultKind::Drop,
-                        });
-                        continue;
-                    }
-                    node.report.prefetches_issued += 1;
-                    obs.emit(&Event::PrefetchIssued {
-                        tick: now,
-                        page: cand,
-                        arrival,
-                    });
-                }
+                        occupancy += 1;
+                        // A lossy link eats prefetches mid-flight: the
+                        // dead transfer still crosses the switch, so it
+                        // holds its slot and issue budget until its
+                        // scheduled arrival.
+                        if injector.transfer_dropped(now) {
+                            out.send(fault(ObsFaultKind::Drop));
+                            return Admit::Lose { arrival };
+                        }
+                        Admit::Issue { arrival }
+                    },
+                );
             }
             if all_done {
                 break;

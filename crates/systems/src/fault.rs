@@ -303,11 +303,6 @@ impl FaultInjector {
         Self::new(FaultSchedule::none(), 0)
     }
 
-    /// Whether the schedule is empty (fast path for the simulators).
-    pub fn is_idle(&self) -> bool {
-        self.schedule.is_empty()
-    }
-
     /// The latency of a transfer started at `tick` whose fault-free
     /// latency is `base`, after active spikes/slowdowns.
     pub fn transfer_latency(&mut self, tick: u64, base: u64) -> u64 {
@@ -445,7 +440,6 @@ mod tests {
     #[test]
     fn empty_schedule_is_transparent() {
         let mut inj = FaultInjector::disabled();
-        assert!(inj.is_idle());
         for t in 0..1000 {
             assert_eq!(inj.transfer_latency(t, 100), 100);
             assert!(!inj.transfer_dropped(t));
@@ -667,7 +661,6 @@ mod tests {
             queries in proptest::collection::vec((0u64..5000, 1u64..300), 1..100),
         ) {
             let mut inj = FaultInjector::new(FaultSchedule::none(), seed);
-            prop_assert!(inj.is_idle());
             for (tick, base) in &queries {
                 prop_assert_eq!(inj.transfer_latency(*tick, *base), *base);
                 prop_assert!(!inj.transfer_dropped(*tick));

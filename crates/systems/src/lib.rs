@@ -11,8 +11,14 @@
 //!   centralized driver-side prefetcher that sees all streams
 //!   interleaved, so prefetching is *throughput*-oriented.
 //!
-//! Both reuse the page-memory substrate of `hnp-memsim` and accept any
-//! [`hnp_memsim::Prefetcher`].
+//! Both accept any [`hnp_memsim::Prefetcher`] and keep their pages in
+//! `hnp-memsim`'s [`Residency`](hnp_memsim::Residency), the residency
+//! model `Simulator` uses too: it owns local memory, the outstanding
+//! transfers and every prefetch-outcome rule, and each event reaches
+//! the report, the model and observers through one
+//! [`Dispatch`](hnp_memsim::Dispatch). The timing models, lockstep
+//! retry, fault batching, switch slots and fault handling are each
+//! simulator's own.
 //!
 //! The [`fault`] module adds scripted, seeded fault injection (link
 //! spikes, lossy links, brownouts, slowdowns, node crashes) to both
@@ -29,41 +35,3 @@ pub mod uvm;
 pub use disagg::{DisaggConfig, DisaggReport, DisaggregatedCluster};
 pub use fault::{FaultInjector, FaultKind, FaultSchedule};
 pub use uvm::{UvmConfig, UvmReport, UvmSim};
-
-use hnp_memsim::{PrefetchLedger, Prefetcher};
-use hnp_obs::{Event, FeedbackKind, Registry};
-
-/// The single prefetcher notification point of both simulators: every
-/// occurrence the prefetcher is entitled to see goes through here as a
-/// typed event, mirrored into the observer registry. Observer-only
-/// events (misses, issue decisions, non-crash faults) are emitted
-/// straight into the registry and never reach the prefetcher.
-fn notify(obs: &Registry, prefetcher: &mut dyn Prefetcher, ev: Event) {
-    prefetcher.on_event(&ev);
-    obs.emit(&ev);
-}
-
-/// Cancels every outstanding prefetch (a crash, or a connection reset
-/// after a timeout), telling the model about each one in page order.
-/// Returns how many were cancelled.
-fn cancel_all(
-    obs: &Registry,
-    prefetcher: &mut dyn Prefetcher,
-    inflight: &mut PrefetchLedger,
-    now: u64,
-) -> usize {
-    let cancelled = inflight.len();
-    inflight.drain_all(|page| {
-        notify(
-            obs,
-            prefetcher,
-            Event::Feedback {
-                tick: now,
-                page,
-                kind: FeedbackKind::Cancelled,
-                remaining: 0,
-            },
-        );
-    });
-    cancelled
-}

@@ -14,14 +14,12 @@ use std::collections::BTreeSet;
 
 use serde::Serialize;
 
-use hnp_memsim::memory::LocalMemory;
 use hnp_memsim::prefetcher::{MissEvent, Prefetcher};
-use hnp_memsim::PrefetchLedger;
+use hnp_memsim::{Access, Admit, Dispatch, EventFold, Residency};
 use hnp_obs::{Event, FaultKind as ObsFaultKind, FeedbackKind, Registry};
 use hnp_trace::Trace;
 
 use crate::fault::FaultInjector;
-use crate::{cancel_all, notify};
 
 /// GPU-memory capacity as a fraction of the combined footprint.
 const CAPACITY_FRAC: f64 = 0.5;
@@ -61,7 +59,7 @@ impl UvmConfig {
 }
 
 /// Counters from one UVM run.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct UvmReport {
     /// Prefetcher name.
     pub prefetcher: String,
@@ -112,6 +110,29 @@ impl UvmReport {
     }
 }
 
+impl EventFold for UvmReport {
+    #[inline]
+    fn apply(&mut self, ev: &Event) {
+        match *ev {
+            Event::Hit { .. } | Event::Miss { .. } => self.accesses += 1,
+            Event::PrefetchIssued { .. } => self.prefetches_issued += 1,
+            Event::Feedback { kind, .. } => match kind {
+                FeedbackKind::Useful => self.prefetches_useful += 1,
+                FeedbackKind::Cancelled => self.prefetches_cancelled += 1,
+                FeedbackKind::Late | FeedbackKind::Unused => {}
+            },
+            Event::Fault { kind, .. } => match kind {
+                ObsFaultKind::Retry => self.retries += 1,
+                ObsFaultKind::Timeout => self.timeouts += 1,
+                ObsFaultKind::Crash => self.restarts += 1,
+                ObsFaultKind::Restart | ObsFaultKind::Drop => {}
+            },
+            Event::RunEnd { ticks, .. } => self.total_ticks = ticks,
+            _ => {}
+        }
+    }
+}
+
 /// The UVM simulator.
 pub struct UvmSim {
     cfg: UvmConfig,
@@ -157,54 +178,45 @@ impl UvmSim {
             pages.len()
         };
         let capacity = ((combined_footprint as f64 * CAPACITY_FRAC) as usize).max(1);
-        let mut memory = LocalMemory::new(capacity);
-        let mut inflight = PrefetchLedger::new();
+        let mut res = Residency::new(capacity);
         let mut cursors = vec![0usize; warps.len()];
         let mut now: u64 = 0;
         let mut report = UvmReport {
             prefetcher: prefetcher.name().to_string(),
-            steps: 0,
-            accesses: 0,
-            fault_batches: 0,
-            faults: 0,
-            max_batch: 0,
-            prefetches_issued: 0,
-            prefetches_useful: 0,
-            prefetches_cancelled: 0,
-            retries: 0,
-            timeouts: 0,
-            restarts: 0,
-            total_ticks: 0,
+            ..UvmReport::default()
         };
-        let obs = &self.cfg.obs;
+        let mut out = Dispatch {
+            obs: &self.cfg.obs,
+            report: &mut report,
+            model: prefetcher,
+        };
+        let fault = |tick, kind| Event::Fault {
+            tick,
+            domain: 0,
+            kind,
+        };
         let mut demand_misses: u64 = 0;
+        // This step's faults, as (warp, page), and the batch's distinct
+        // pages in page order, each marked once its fault is serviced;
+        // reused across steps, so a batch allocates nothing.
+        let mut faults: Vec<(usize, u64)> = Vec::new();
+        let mut batch: Vec<(u64, bool)> = Vec::new();
         loop {
             // Device reset: the GPU is a single failure domain, so any
             // crash event flushes memory, cancels all in-flight
             // prefetches, and drops the driver model's transient
             // state; the device stays down until the event ends.
             if let Some(restart) = injector.take_crash_any(now) {
-                report.restarts += 1;
-                report.prefetches_cancelled += cancel_all(obs, prefetcher, &mut inflight, now);
-                memory.flush();
-                notify(
-                    obs,
-                    prefetcher,
-                    Event::Fault {
-                        tick: now,
-                        domain: 0,
-                        kind: ObsFaultKind::Crash,
-                    },
-                );
+                res.crash(now, &mut out);
+                out.send(fault(now, ObsFaultKind::Crash));
                 now = now.max(restart);
             }
-            // Land arrived prefetches.
-            inflight.drain_due(now, |page| {
-                let _ = memory.insert(page, true);
-            });
+            // Land arrived prefetches. Every transfer is due by the end
+            // of the batch that issued it, so none is in flight below.
+            res.land_due(now, &mut out);
             // One lockstep step: every unfinished warp issues its next
             // access.
-            let mut faults: Vec<(usize, u64)> = Vec::new();
+            faults.clear();
             let mut any_active = false;
             for (w, trace) in warps.iter().enumerate() {
                 if cursors[w] >= trace.len() {
@@ -213,22 +225,7 @@ impl UvmSim {
                 any_active = true;
                 let access = trace.accesses()[cursors[w]];
                 let page = access.page(trace.page_shift());
-                report.accesses += 1;
-                if let Some(before) = memory.touch(page) {
-                    if before.prefetched && !before.touched {
-                        report.prefetches_useful += 1;
-                        notify(
-                            obs,
-                            prefetcher,
-                            Event::Feedback {
-                                tick: now,
-                                page,
-                                kind: FeedbackKind::Useful,
-                                remaining: 0,
-                            },
-                        );
-                    }
-                    obs.emit(&Event::Hit { tick: now, page });
+                if res.access(page, now, &mut out) == Access::Hit {
                     cursors[w] += 1;
                 } else {
                     faults.push((w, page));
@@ -238,43 +235,36 @@ impl UvmSim {
             if !any_active {
                 break;
             }
-            report.steps += 1;
+            out.report.steps += 1;
             now += 1;
             if faults.is_empty() {
                 continue;
             }
             // Service the fault batch: the whole GPU stalls while the
             // batch migrates together.
-            let mut batch_pages: BTreeSet<u64> = faults.iter().map(|&(_, p)| p).collect();
-            report.fault_batches += 1;
-            report.faults += batch_pages.len();
-            report.max_batch = report.max_batch.max(batch_pages.len());
-            let base_service = FAULT_LATENCY + PER_PAGE_LATENCY * (batch_pages.len() as u64 - 1);
+            batch.clear();
+            batch.extend(faults.iter().map(|&(_, page)| (page, false)));
+            batch.sort_unstable();
+            batch.dedup_by_key(|&mut (page, _)| page);
+            out.report.fault_batches += 1;
+            out.report.faults += batch.len();
+            out.report.max_batch = out.report.max_batch.max(batch.len());
+            let base_service = FAULT_LATENCY + PER_PAGE_LATENCY * (batch.len() as u64 - 1);
             // A lossy interconnect can drop the whole batch migration,
             // which is retried until it lands or times out.
             let fetch = injector.fetch(now, base_service, RETRY_BACKOFF, TIMEOUT_PENALTY);
             let service = fetch.ticks;
-            report.retries += fetch.retries as usize;
             for _ in 0..fetch.retries {
-                obs.emit(&Event::Fault {
-                    tick: now,
-                    domain: 0,
-                    kind: ObsFaultKind::Retry,
-                });
+                out.send(fault(now, ObsFaultKind::Retry));
             }
             if fetch.timed_out {
-                report.timeouts += 1;
-                obs.emit(&Event::Fault {
-                    tick: now,
-                    domain: 0,
-                    kind: ObsFaultKind::Timeout,
-                });
+                out.send(fault(now, ObsFaultKind::Timeout));
                 // The recovery path tears down and re-establishes the
                 // interconnect: every outstanding prefetch migration
                 // dies with it. The cancellations are the model's only
                 // signal — a transport-level reset stays below its
                 // horizon.
-                report.prefetches_cancelled += cancel_all(obs, prefetcher, &mut inflight, now);
+                res.cancel_all(now, &mut out);
             }
             // Driver-side prefetching: consult the model per faulting
             // page (interleaved streams), issue concurrently with the
@@ -282,7 +272,7 @@ impl UvmSim {
             let arrival = now + service;
             for &(w, page) in &faults {
                 demand_misses += 1;
-                obs.emit(&Event::Miss {
+                out.send(Event::Miss {
                     tick: now,
                     page,
                     late: false,
@@ -290,67 +280,43 @@ impl UvmSim {
                 });
                 // Deduplicate: only the first warp faulting a page
                 // reports it (the driver coalesces duplicate faults).
-                if !batch_pages.remove(&page) {
+                let k = batch.partition_point(|&(p, _)| p < page);
+                if std::mem::replace(&mut batch[k].1, true) {
                     continue;
                 }
-                let miss = MissEvent {
+                let candidates = out.model.on_miss(&MissEvent {
                     page,
                     tick: now,
                     stream: w as u16,
-                };
-                let candidates = prefetcher.on_miss(&miss);
-                let mut accepted = 0;
-                for cand in candidates {
-                    if accepted >= MAX_ISSUE_PER_FAULT {
-                        break;
-                    }
-                    if memory.contains(cand) || inflight.contains(cand) {
-                        continue;
-                    }
-                    if inflight.len() >= MAX_INFLIGHT {
-                        break;
-                    }
-                    // Lossy interconnects silently eat prefetches; the
-                    // model learns of the cancellation so it can back
-                    // off (hnp_memsim::resilient reacts to these).
-                    if injector.transfer_dropped(now) {
-                        report.prefetches_cancelled += 1;
-                        obs.emit(&Event::Fault {
-                            tick: now,
-                            domain: 0,
-                            kind: ObsFaultKind::Drop,
-                        });
-                        notify(
-                            obs,
-                            prefetcher,
-                            Event::Feedback {
-                                tick: now,
-                                page: cand,
-                                kind: FeedbackKind::Cancelled,
-                                remaining: 0,
-                            },
-                        );
-                        continue;
-                    }
-                    inflight.issue(cand, arrival);
-                    report.prefetches_issued += 1;
-                    obs.emit(&Event::PrefetchIssued {
-                        tick: now,
-                        page: cand,
-                        arrival,
-                    });
-                    accepted += 1;
-                }
-                memory.insert(page, false);
-                memory.touch(page);
+                });
+                res.offer(
+                    candidates,
+                    MAX_ISSUE_PER_FAULT,
+                    MAX_INFLIGHT,
+                    now,
+                    &mut out,
+                    |_, out| {
+                        // Lossy interconnects silently eat prefetches;
+                        // the model learns of the cancellation so it
+                        // can back off (hnp_memsim::resilient reacts
+                        // to these).
+                        if injector.transfer_dropped(now) {
+                            out.send(fault(now, ObsFaultKind::Drop));
+                            Admit::Cancel
+                        } else {
+                            Admit::Issue { arrival }
+                        }
+                    },
+                );
+                res.fill(page, false, now, &mut out);
             }
             now += service;
         }
-        report.total_ticks = now;
-        obs.emit(&Event::RunEnd {
+        let accesses = out.report.accesses as u64;
+        out.send(Event::RunEnd {
             ticks: now,
-            accesses: report.accesses as u64,
-            hits: report.accesses as u64 - demand_misses,
+            accesses,
+            hits: accesses - demand_misses,
             misses: demand_misses,
         });
         report

@@ -4,7 +4,6 @@
 use proptest::prelude::*;
 
 use hnp::core::{CapacityPolicy, EpisodeRef, EpisodicStore, Hippocampus};
-use hnp::hebbian::bitset::BitSet;
 use hnp::hebbian::kwta::k_winners_into;
 use hnp::memsim::deltas::pages_from_rollout;
 use hnp::memsim::memory::LocalMemory;
@@ -30,31 +29,6 @@ proptest! {
             [] => prop_assert!(delta == 0 || delta.abs() > range),
             pages => prop_assert!(false, "one step decoded to {:?}", pages),
         }
-    }
-
-    /// The bitset agrees with a HashSet model under arbitrary
-    /// insert/remove sequences.
-    #[test]
-    fn bitset_matches_model(ops in proptest::collection::vec((0usize..256, any::<bool>()), 1..200)) {
-        let mut s = BitSet::new(256);
-        let mut model = std::collections::HashSet::new();
-        for (bit, insert) in ops {
-            if insert {
-                s.insert(bit);
-                model.insert(bit);
-            } else {
-                s.remove(bit);
-                model.remove(&bit);
-            }
-        }
-        prop_assert_eq!(s.count(), model.len());
-        for b in 0..256 {
-            prop_assert_eq!(s.contains(b), model.contains(&b));
-        }
-        let from_iter: Vec<usize> = s.iter().collect();
-        let mut sorted: Vec<usize> = model.into_iter().collect();
-        sorted.sort_unstable();
-        prop_assert_eq!(from_iter, sorted);
     }
 
     /// k-WTA returns exactly min(k, n) distinct indices whose scores
