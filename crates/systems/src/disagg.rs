@@ -381,6 +381,12 @@ impl DisaggregatedCluster {
                 });
                 node.busy_until = now + stall;
                 node.res.fill(page, late, now, &mut out);
+                // A late miss only waits out a prefetch already in
+                // flight: as in `Simulator`, it reaches the model as
+                // that prefetch's `Late` outcome, not as a miss.
+                if late {
+                    continue;
+                }
                 // Consult the prefetcher at fault time.
                 let candidates = out.model.on_miss(&MissEvent {
                     page,

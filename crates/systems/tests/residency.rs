@@ -1,15 +1,18 @@
 //! The simulators share one residency model, so prefetch outcomes do
 //! not depend on which driver runs the trace: a one-node cluster with
 //! an uncontended switch replays the memsim `Simulator` event for
-//! event, and pollution reaches the UVM driver's model as it does
-//! everywhere else.
+//! event, pollution reaches the UVM driver's model as it does
+//! everywhere else, and a late miss is no model consultation in
+//! either driver.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use hnp_memsim::{MissEvent, PrefetchFeedback, Prefetcher, SimConfig, Simulator};
 use hnp_obs::{Event, FeedbackKind, Observer, Registry};
-use hnp_systems::{DisaggConfig, DisaggregatedCluster, UvmConfig, UvmSim};
+use hnp_systems::{
+    DisaggConfig, DisaggregatedCluster, FaultInjector, FaultSchedule, UvmConfig, UvmSim,
+};
 use hnp_trace::apps::AppWorkload;
 use hnp_trace::{Pattern, Trace};
 
@@ -161,4 +164,49 @@ fn uvm_pollution_reaches_the_model_naming_the_victim() {
         }
     }
     assert_eq!(heard, model.unused, "the model hears every eviction");
+}
+
+/// Prefetches the next three pages and records every miss it is
+/// consulted on.
+#[derive(Clone, Default)]
+struct RecordingNextThree(Rc<RefCell<Vec<u64>>>);
+impl Prefetcher for RecordingNextThree {
+    fn name(&self) -> &str {
+        "recording-next-3"
+    }
+    fn on_miss(&mut self, miss: &MissEvent) -> Vec<u64> {
+        self.0.borrow_mut().push(miss.page);
+        NextThree.on_miss(miss)
+    }
+}
+
+#[test]
+fn a_late_miss_is_not_a_model_consultation_in_the_cluster() {
+    let trace = Pattern::Stride.generate(4_000, 5);
+    let (obs, events) = observed();
+    let model = RecordingNextThree::default();
+    let mut pfs: Vec<Box<dyn Prefetcher>> = vec![Box::new(model.clone())];
+    // Jitter lets a prefetch land after the demand fetch it raced.
+    let schedule = FaultSchedule::none().with_latency_spike(0, 1 << 20, 40, 200);
+    DisaggregatedCluster::new(DisaggConfig::default().with_observer(obs))
+        .run_decentralized_with_faults(&[trace], &mut pfs, &mut FaultInjector::new(schedule, 3));
+
+    let (mut full, mut late) = (Vec::new(), 0);
+    for ev in events.0.borrow().iter() {
+        match *ev {
+            Event::Miss {
+                page, late: false, ..
+            } => full.push(page),
+            Event::Miss { late: true, .. } => late += 1,
+            _ => {}
+        }
+    }
+    assert!(late > 0, "the spike must produce late misses");
+    let heard = model.0.borrow();
+    assert_eq!(
+        heard.len(),
+        full.len(),
+        "one on_miss per full miss, none per late miss ({late} late)"
+    );
+    assert!(*heard == full, "on_miss sees the full misses in order");
 }
