@@ -56,9 +56,9 @@ fn prefetcher_names() -> Vec<&'static str> {
 /// name→model table behind the Fig.-5 harness and `hnpctl`. Names are
 /// `none`, `next-n` and the six models Fig. 5 compares. `seed` seeds
 /// the LSTM and transformer weight init; the CLS models only hand it
-/// to their training sampler, which the default `EveryMiss` never
-/// draws from, so `hebbian` and `cls-hebbian` are the same network
-/// for every seed (see `ClsConfig::seed`).
+/// to their training sampler, and neither `hebbian`'s `EveryMiss` nor
+/// `cls-hebbian`'s `EveryNth` draws from it, so each is the same
+/// network for every seed (see `ClsConfig::seed`).
 pub fn build_prefetcher(name: &str, seed: u64) -> Result<Box<dyn Prefetcher>, String> {
     Ok(match name {
         "none" => Box::new(NoPrefetcher),

@@ -36,7 +36,9 @@ pub struct ClsConfig {
     pub width: usize,
     /// Replay configuration (§3.2, §5.4).
     pub replay: ReplayConfig,
-    /// Training-instance selection (§5.1).
+    /// Training-instance selection (§5.1). The default trains on every
+    /// 4th miss; a skipped miss still advances the recurrent state and
+    /// the confidence tracker, and replay follows only a trained one.
     pub sampler: TrainingSampler,
     /// Episodic-store capacity (§5.4): a ring of recent episodes. Only
     /// a configuration with replay enabled stores any.
@@ -81,7 +83,7 @@ impl Default for ClsConfig {
             lookahead: 2,
             width: 2,
             replay: ReplayConfig::default(),
-            sampler: TrainingSampler::EveryMiss,
+            sampler: TrainingSampler::EveryNth { n: 4 },
             episodic: CapacityPolicy::Ring { capacity: 4096 },
             phase: Some(PhaseConfig::default()),
             min_confidence: 0.03,
@@ -101,11 +103,14 @@ impl ClsConfig {
     }
 
     /// A plain Hebbian prefetcher: no hippocampus, no replay (the
-    /// "Hebbian" series in Fig. 5 before replay is added).
+    /// "Hebbian" series in Fig. 5 before replay is added). It is the
+    /// paper's series, so it keeps §3.1's protocol and trains on every
+    /// miss.
     pub fn hebbian_only() -> Self {
         Self {
             replay: ReplayConfig::off(),
             phase: None,
+            sampler: TrainingSampler::EveryMiss,
             ..Self::default()
         }
     }
@@ -513,6 +518,27 @@ mod tests {
         let (trained, skipped) = p.sampler_stats();
         assert!(trained > 0 && skipped > 0);
         assert!((trained as i64 - skipped as i64).abs() <= 1);
+    }
+
+    #[test]
+    fn default_trains_every_4th_miss_and_hebbian_only_every_miss() {
+        // `n` learning misses: the first miss only sets the stream's
+        // last page, and the second has no context to learn from yet.
+        let n = 1000;
+        let pages: Vec<u64> = (0..n + 2).map(|i| 100 + 3 * i).collect();
+        let stats = |cfg: ClsConfig| {
+            let mut p = ClsPrefetcher::new(cfg);
+            for &page in &pages {
+                p.on_miss(&MissEvent {
+                    page,
+                    tick: 0,
+                    stream: 0,
+                });
+            }
+            p.sampler_stats()
+        };
+        assert_eq!(stats(ClsConfig::default()), (n / 4, n - n / 4));
+        assert_eq!(stats(ClsConfig::hebbian_only()), (n, 0));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! "Training on every prefetch inference ... can be unnecessary and
 //! resource-consuming." The samplers here implement the alternatives
 //! the paper lists: batching, random subsampling, and confidence-
-//! gated filtering, plus the always-train default.
+//! gated filtering, plus always-train, §3.1's protocol.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

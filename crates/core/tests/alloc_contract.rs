@@ -4,7 +4,9 @@
 //! allocates at most once: the page list it returns, and only when
 //! that list is non-empty. Encoding, training, the episode store,
 //! replay, phase detection and the rollout all run in scratch the
-//! prefetcher owns (DESIGN.md §12.2). A counting global allocator
+//! prefetcher owns (DESIGN.md §12.2). The default trains on every 4th
+//! miss, so the counted pass covers both a trained miss and a skipped
+//! one, which only advances the network. A counting global allocator
 //! makes that a hard test.
 //!
 //! The miss stream is a Fig.-5 application's, recorded once through
@@ -88,12 +90,18 @@ fn default_miss_allocates_only_the_pages_it_returns() {
         "warm-up must fill the ring"
     );
 
+    let (trained_before, skipped_before) = p.sampler_stats();
     let before = ALLOCS.load(Ordering::Relaxed);
     let mut returned = 0u64;
     for miss in &misses {
         returned += u64::from(!p.on_miss(miss).is_empty());
     }
     let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let (trained, skipped) = p.sampler_stats();
+    assert!(
+        trained > trained_before && skipped > skipped_before,
+        "the counted pass must both train and skip"
+    );
     assert!(returned > 0, "the counted pass must prefetch");
     assert!(
         allocs <= returned,

@@ -35,16 +35,22 @@ fn main() {
     );
 
     println!("\n§5.1 — when to train:");
-    run(&trace, &sim, &base, "every miss", ClsConfig::default());
     run(
         &trace,
         &sim,
         &base,
-        "every 4th miss",
+        "every miss",
         ClsConfig {
-            sampler: TrainingSampler::EveryNth { n: 4 },
+            sampler: TrainingSampler::EveryMiss,
             ..ClsConfig::default()
         },
+    );
+    run(
+        &trace,
+        &sim,
+        &base,
+        "every 4th miss (default)",
+        ClsConfig::default(),
     );
     run(
         &trace,

@@ -41,7 +41,7 @@ fn main() {
     );
 
     // 5. ...versus the CLS prefetcher: sparse Hebbian neocortex, online
-    //    learning on every miss, hippocampal episodic store, and
+    //    learning on every 4th miss, hippocampal episodic store, and
     //    interleaved replay at a 0.1x rate.
     let mut cls = ClsPrefetcher::new(ClsConfig::default());
     let c = sim.run(&trace, &mut cls);
