@@ -266,10 +266,13 @@ impl ClsPrefetcher {
         self.encoder.encode_into(&self.ctx, &mut self.pattern);
         let pattern = &self.pattern;
         let phase = self.current_phase();
-        // Capture the pre-training recurrent context for the episode.
-        self.recurrent.clear();
-        self.recurrent
-            .extend_from_slice(self.cortex.network().recurrent_state());
+        // Capture the pre-training recurrent context for the episode;
+        // only a stored episode reads it.
+        if self.cfg.replay.enabled {
+            self.recurrent.clear();
+            self.recurrent
+                .extend_from_slice(self.cortex.network().recurrent_state());
+        }
         // Confidence-gated sampling needs *this example's* confidence,
         // which costs one extra (non-advancing) inference — exactly
         // the §5.1 trade: pay a cheap forward pass to skip expensive

@@ -153,8 +153,8 @@ const NONDETERMINISTIC_IDENTS: &[(&str, &str)] = &[
     ("thread_rng", "use `StdRng::seed_from_u64(cfg.seed)` so runs replay bit-identically"),
     ("from_entropy", "use `StdRng::seed_from_u64(cfg.seed)` so runs replay bit-identically"),
     ("RandomState", "use an order-stable collection (`BTreeMap`/`BTreeSet`)"),
-    ("HashMap", "use `BTreeMap` (or collect and sort before iterating): hash order must not reach simulator state"),
-    ("HashSet", "use `BTreeSet` (or collect and sort before iterating): hash order must not reach simulator state"),
+    ("HashMap", "use `BTreeMap` (or collect and sort before iterating): hash order must not reach simulator state; for lookups only, an in-crate open-addressed table (like `hnp_memsim::memory`'s page index) avoids both"),
+    ("HashSet", "use `BTreeSet` (or collect and sort before iterating): hash order must not reach simulator state; to count distinct pages use `hnp_trace::footprint_pages`, and for membership only an in-crate open-addressed table, which need neither"),
 ];
 
 /// Macro names banned by HNP03 (when followed by `!`).

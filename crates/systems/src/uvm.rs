@@ -10,14 +10,12 @@
 //! streams interleaved — hence the paper's suggestion that UVM wants a
 //! *throughput*-optimized, wide prefetcher.
 
-use std::collections::BTreeSet;
-
 use serde::Serialize;
 
 use hnp_memsim::prefetcher::{MissEvent, Prefetcher};
 use hnp_memsim::{Access, Admit, Dispatch, EventFold, Residency};
 use hnp_obs::{Event, FaultKind as ObsFaultKind, FeedbackKind, Registry};
-use hnp_trace::Trace;
+use hnp_trace::{footprint_pages, Trace};
 
 use crate::fault::FaultInjector;
 
@@ -170,14 +168,9 @@ impl UvmSim {
         injector: &mut FaultInjector,
     ) -> UvmReport {
         assert!(!warps.is_empty(), "no warps");
-        let combined_footprint: usize = {
-            let mut pages = BTreeSet::new();
-            for w in warps {
-                pages.extend(w.pages());
-            }
-            pages.len()
-        };
-        let capacity = ((combined_footprint as f64 * CAPACITY_FRAC) as usize).max(1);
+        // Sized to the warps' shared footprint: the union of their
+        // pages, not the sum.
+        let capacity = ((footprint_pages(warps) as f64 * CAPACITY_FRAC) as usize).max(1);
         let mut res = Residency::new(capacity);
         let mut cursors = vec![0usize; warps.len()];
         let mut now: u64 = 0;
@@ -406,6 +399,20 @@ mod tests {
         let per_batch = |r: &UvmReport| r.total_ticks / r.fault_batches as u64;
         assert_eq!(per_batch(&one), 2 + FAULT_LATENCY);
         assert_eq!(per_batch(&eight) - per_batch(&one), 7 * PER_PAGE_LATENCY);
+    }
+
+    #[test]
+    fn capacity_comes_from_the_union_of_the_warps_pages() {
+        // Two warps scan the same 100 pages twice, in lockstep. The
+        // union is 100 pages, so memory holds 50 and LRU evicts each
+        // page before the second scan reaches it: 200 faulting pages.
+        // Sizing to the sum (200 pages, memory 100) would keep the
+        // whole scan resident and fault only on the first pass.
+        let scan: Vec<u64> = (0..200).map(|k| (k % 100) * 4096).collect();
+        let ws = vec![Trace::from_addrs(scan.clone()), Trace::from_addrs(scan)];
+        let rep = UvmSim::new(UvmConfig::default()).run(&ws, &mut NoPrefetcher);
+        assert_eq!(rep.max_batch, 1, "the warps' shared faults coalesce");
+        assert_eq!(rep.faults, 200);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Memory-access workloads for the HNP experiments.
 //!
 //! * [`access`] — the [`access::Trace`] container (raw addresses
-//!   plus page geometry);
+//!   plus page geometry) and [`access::footprint_pages`], the
+//!   distinct-page count across traces;
 //! * [`patterns`] — the five Table-1 primitive access patterns;
 //! * [`phased`] — phase composition and multi-stream interleaving;
 //! * [`apps`] — application-like synthetic workloads standing in for
@@ -25,6 +26,6 @@ pub mod phased;
 pub mod stats;
 pub mod zipf;
 
-pub use access::{Access, Trace, PAGE_SHIFT};
+pub use access::{footprint_pages, Access, Trace, PAGE_SHIFT};
 pub use error::TraceError;
 pub use patterns::Pattern;
