@@ -20,44 +20,50 @@
 //! A custom schedule or injector seed runs through
 //! `hnpctl faults --schedule <dsl> --fault-seed <n>` instead.
 
-use hnp_baselines::{LstmPrefetcher, StrideConfig, StridePrefetcher};
+use hnp_baselines::{StrideConfig, StridePrefetcher};
 use hnp_bench::output;
 use hnp_core::{ClsConfig, ClsPrefetcher};
 use hnp_memsim::{NoPrefetcher, Prefetcher, ResilientPrefetcher};
+use hnp_serve::ModelKind;
 use hnp_systems::{
     DisaggConfig, DisaggregatedCluster, FaultInjector, FaultSchedule, UvmConfig, UvmSim,
 };
 use hnp_trace::apps::AppWorkload;
 use hnp_trace::Trace;
 
-const MODELS: [&str; 3] = ["cls-hebbian", "lstm", "stride"];
+/// Builds one model instance from a seed.
+type Build = fn(u64) -> Box<dyn Prefetcher>;
+
+/// The models under test, each with its row label.
+const MODELS: [(&str, Build); 3] = [
+    ("cls-hebbian", fair_weather_cls),
+    ("lstm", |seed| ModelKind::Lstm.build(seed)),
+    ("stride", |_| {
+        Box::new(StridePrefetcher::with_config(
+            StrideConfig::default().with_degree(2),
+        ))
+    }),
+];
 
 /// The fault injector's seed, shared by every schedule and target.
 const FAULT_SEED: u64 = 0xfa017;
 
-fn make_model(name: &str, seed: u64) -> Box<dyn Prefetcher> {
-    match name {
-        // Fair-weather tuning: wide, unfiltered issue maximises
-        // coverage on a healthy link, and is exactly the geometry a
-        // degraded link punishes (wasted transfers + pollution). The
-        // wrapper, not the model, is the safety mechanism under test.
-        "cls-hebbian" => Box::new(ClsPrefetcher::new(ClsConfig {
-            seed,
-            lookahead: 4,
-            width: 4,
-            min_confidence: 0.0,
-            ..ClsConfig::default()
-        })),
-        "lstm" => Box::new(LstmPrefetcher::new(seed)),
-        "stride" => Box::new(StridePrefetcher::with_config(
-            StrideConfig::default().with_degree(2),
-        )),
-        other => panic!("unknown model {other}"),
-    }
+/// Fair-weather tuning: wide, unfiltered issue maximises coverage on a
+/// healthy link, and is exactly the geometry a degraded link punishes
+/// (wasted transfers + pollution). The wrapper, not the model, is the
+/// safety mechanism under test.
+fn fair_weather_cls(seed: u64) -> Box<dyn Prefetcher> {
+    Box::new(ClsPrefetcher::new(ClsConfig {
+        seed,
+        lookahead: 4,
+        width: 4,
+        min_confidence: 0.0,
+        ..ClsConfig::default()
+    }))
 }
 
-fn make(name: &str, seed: u64, resilient: bool) -> Box<dyn Prefetcher> {
-    let inner = make_model(name, seed);
+fn make(build: Build, seed: u64, resilient: bool) -> Box<dyn Prefetcher> {
+    let inner = build(seed);
     if resilient {
         Box::new(ResilientPrefetcher::new(inner))
     } else {
@@ -165,14 +171,14 @@ fn main() {
             );
         };
         emit("baseline", false, &base);
-        for model in MODELS {
+        for (label, build) in MODELS {
             for resilient in [false, true] {
                 let mut pfs: Vec<Box<dyn Prefetcher>> = (0..traces.len())
-                    .map(|i| make(model, 0xd15a + i as u64, resilient))
+                    .map(|i| make(build, 0xd15a + i as u64, resilient))
                     .collect();
                 let mut inj = FaultInjector::new(schedule.clone(), FAULT_SEED);
                 let rep = cluster.run_decentralized_with_faults(&traces, &mut pfs, &mut inj);
-                emit(model, resilient, &rep);
+                emit(label, resilient, &rep);
             }
         }
     }
@@ -203,12 +209,12 @@ fn main() {
         let mut inj = FaultInjector::new(schedule.clone(), FAULT_SEED);
         let base = sim.run_with_faults(&warps, &mut NoPrefetcher, &mut inj);
         emit("baseline", false, &base);
-        for model in MODELS {
+        for (label, build) in MODELS {
             for resilient in [false, true] {
-                let mut p = make(model, 0x07a, resilient);
+                let mut p = make(build, 0x07a, resilient);
                 let mut inj = FaultInjector::new(schedule.clone(), FAULT_SEED);
                 let rep = sim.run_with_faults(&warps, p.as_mut(), &mut inj);
-                emit(model, resilient, &rep);
+                emit(label, resilient, &rep);
             }
         }
     }

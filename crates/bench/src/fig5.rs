@@ -8,13 +8,9 @@
 //! recurrent state), and the metric is the percentage of the
 //! no-prefetch baseline's misses that were removed.
 
-use hnp_baselines::{
-    LstmPrefetcher, MarkovPrefetcher, NextNPrefetcher, StrideConfig, StridePrefetcher,
-    TransformerPrefetcher,
-};
-use hnp_core::{ClsConfig, ClsPrefetcher};
-use hnp_memsim::{NoPrefetcher, Prefetcher, SimConfig, Simulator};
+use hnp_memsim::{NoPrefetcher, SimConfig, Simulator};
 use hnp_obs::{Counters, Registry};
+use hnp_serve::ModelKind;
 use hnp_trace::apps::AppWorkload;
 
 /// Memory capacity as a fraction of the trace footprint (paper: 0.5).
@@ -40,48 +36,19 @@ pub struct Fig5Row {
     pub accuracy: f64,
 }
 
-/// The prefetchers compared in the Fig.-5 harness.
-fn prefetcher_names() -> Vec<&'static str> {
-    vec![
-        "stride",
-        "markov",
-        "lstm",
-        "transformer",
-        "hebbian",
-        "cls-hebbian",
-    ]
-}
-
-/// Builds a prefetcher by name, with default configs: the one
-/// name→model table behind the Fig.-5 harness and `hnpctl`. Names are
-/// `none`, `next-n` and the six models Fig. 5 compares. `seed` seeds
-/// the LSTM and transformer weight init; the CLS models only hand it
-/// to their training sampler, and neither `hebbian`'s `EveryMiss` nor
-/// `cls-hebbian`'s `EveryNth` draws from it, so each is the same
-/// network for every seed (see `ClsConfig::seed`).
-pub fn build_prefetcher(name: &str, seed: u64) -> Result<Box<dyn Prefetcher>, String> {
-    Ok(match name {
-        "none" => Box::new(NoPrefetcher),
-        "next-n" => Box::new(NextNPrefetcher::new()),
-        "stride" => Box::new(StridePrefetcher::with_config(StrideConfig::default())),
-        "markov" => Box::new(MarkovPrefetcher::new()),
-        "lstm" => Box::new(LstmPrefetcher::new(seed)),
-        "transformer" => Box::new(TransformerPrefetcher::new(seed)),
-        "hebbian" => Box::new(ClsPrefetcher::new(ClsConfig {
-            seed,
-            ..ClsConfig::hebbian_only()
-        })),
-        "cls-hebbian" => Box::new(ClsPrefetcher::new(ClsConfig {
-            seed,
-            ..ClsConfig::default()
-        })),
-        other => return Err(format!("unknown prefetcher {other:?}")),
-    })
-}
+/// The prefetchers compared in the Fig.-5 harness, in column order.
+const MODELS: [ModelKind; 6] = [
+    ModelKind::Stride,
+    ModelKind::Markov,
+    ModelKind::Lstm,
+    ModelKind::Transformer,
+    ModelKind::Hebbian,
+    ModelKind::ClsHebbian,
+];
 
 /// Runs one application's `accesses`-long trace against one
 /// prefetcher (plus the baseline).
-fn run_app(app: AppWorkload, prefetcher_name: &str, accesses: usize) -> Fig5Row {
+fn run_app(app: AppWorkload, model: ModelKind, accesses: usize) -> Fig5Row {
     let trace = app.generate(accesses, SEED);
     let cfg = SimConfig {
         miss_latency: MISS_LATENCY,
@@ -96,7 +63,7 @@ fn run_app(app: AppWorkload, prefetcher_name: &str, accesses: usize) -> Fig5Row 
     let obs = Registry::new();
     obs.attach(counters.clone());
     let sim = Simulator::new(cfg.with_observer(obs));
-    let mut p = build_prefetcher(prefetcher_name, SEED).unwrap_or_else(|e| panic!("{e}"));
+    let mut p = model.build(SEED);
     let rep = sim.run(&trace, p.as_mut());
     // The report and the counters are two independent folds of the same
     // event stream; a mismatch means an emission site drifted.
@@ -112,7 +79,7 @@ fn run_app(app: AppWorkload, prefetcher_name: &str, accesses: usize) -> Fig5Row 
     );
     Fig5Row {
         app: app.name().to_string(),
-        prefetcher: prefetcher_name.to_string(),
+        prefetcher: model.label().to_string(),
         pct_misses_removed: rep.pct_misses_removed(&base),
         accuracy: rep.accuracy(),
     }
@@ -123,8 +90,8 @@ fn run_app(app: AppWorkload, prefetcher_name: &str, accesses: usize) -> Fig5Row 
 pub fn run_grid(accesses: usize) -> Vec<Fig5Row> {
     let mut rows = Vec::new();
     for app in AppWorkload::FIG5 {
-        for name in prefetcher_names() {
-            rows.push(run_app(app, name, accesses));
+        for model in MODELS {
+            rows.push(run_app(app, model, accesses));
         }
     }
     rows
@@ -139,8 +106,8 @@ mod tests {
 
     #[test]
     fn hebbian_and_lstm_both_remove_misses_on_tensorflow() {
-        let heb = run_app(AppWorkload::TensorFlowLike, "hebbian", QUICK);
-        let lstm = run_app(AppWorkload::TensorFlowLike, "lstm", QUICK);
+        let heb = run_app(AppWorkload::TensorFlowLike, ModelKind::Hebbian, QUICK);
+        let lstm = run_app(AppWorkload::TensorFlowLike, ModelKind::Lstm, QUICK);
         // Short traces for test speed; the full-scale harness uses
         // 200 k+ accesses and lands both models far higher.
         assert!(
@@ -165,18 +132,11 @@ mod tests {
 
     #[test]
     fn kv_store_defeats_delta_models() {
-        let heb = run_app(AppWorkload::KvStoreLike, "hebbian", QUICK);
+        let heb = run_app(AppWorkload::KvStoreLike, ModelKind::Hebbian, QUICK);
         assert!(
             heb.pct_misses_removed < 15.0,
             "kv-store should be unlearnable: {:.1}%",
             heb.pct_misses_removed
         );
-    }
-
-    #[test]
-    fn unknown_prefetcher_is_an_error() {
-        let err = build_prefetcher("nope", 0).err();
-        assert_eq!(err.as_deref(), Some("unknown prefetcher \"nope\""));
-        assert!(build_prefetcher("next-n", 0).is_ok());
     }
 }

@@ -23,8 +23,10 @@
 //! Workloads: `tensorflow`, `pagerank`, `mcf`, `graph500`, `kv-store`,
 //! or any Table-1 pattern (`stride`, `pointer-chase`, `indirect-stride`,
 //! `indirect-index`, `pointer-offset`).
-//! Prefetchers: `none`, `stride`, `markov`, `next-n`, `lstm`,
-//! `transformer`, `hebbian`, `cls-hebbian`.
+//! Prefetchers (`--prefetcher`, and serve-bench's `--model`): `none`,
+//! `stride`, `markov`, `next-n`, `lstm`, `transformer`, `hebbian`,
+//! `cls-hebbian`, and `cls`, the smaller CLS size serve's mix uses
+//! (`hnp_serve::ModelKind` is the one name→model table).
 
 mod args;
 
@@ -32,7 +34,6 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use args::Args;
-use hnp_bench::fig5::build_prefetcher;
 use hnp_memsim::{NoPrefetcher, Prefetcher, ResilientPrefetcher, SimConfig, Simulator};
 use hnp_obs::{jsonl_kind, jsonl_u64, Counters, Histogram, JsonlExporter, Metric, Registry};
 use hnp_serve::{
@@ -159,6 +160,12 @@ fn workload(name: &str, accesses: usize, seed: u64) -> Result<Trace, String> {
     Ok(pattern.generate(accesses, seed))
 }
 
+/// Builds a prefetcher by name (see [`ModelKind`]).
+fn prefetcher(name: &str, seed: u64) -> Result<Box<dyn Prefetcher>, String> {
+    let kind = ModelKind::parse(name).ok_or_else(|| format!("unknown prefetcher {name:?}"))?;
+    Ok(kind.build(seed))
+}
+
 fn load_trace(args: &Args) -> Result<Trace, String> {
     let path = args.require("trace")?;
     io::read_binary(Path::new(path)).map_err(|e| format!("cannot read {path}: {e}"))
@@ -216,7 +223,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         reg.attach(exporter.clone());
     }
     let sim = Simulator::new(cfg.with_observer(reg));
-    let mut p = build_prefetcher(name, seed)?;
+    let mut p = prefetcher(name, seed)?;
     let rep = sim.run(&trace, p.as_mut());
     if !obs_path.is_empty() {
         std::fs::write(obs_path, exporter.render())
@@ -276,7 +283,7 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
     reg.attach(stalls.clone());
     reg.attach(leads.clone());
     let sim = Simulator::new(sim_cfg_for(&trace, args)?.with_observer(reg));
-    let mut p = build_prefetcher(name, seed)?;
+    let mut p = prefetcher(name, seed)?;
     let rep = sim.run(&trace, p.as_mut());
     println!("prefetcher:      {}", rep.prefetcher);
     println!("event counters:");
@@ -368,20 +375,13 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
         "{:<14} {:>10} {:>10} {:>9}",
         "prefetcher", "removed%", "issued", "accuracy"
     );
-    for name in [
-        "stride",
-        "markov",
-        "next-n",
-        "lstm",
-        "transformer",
-        "hebbian",
-        "cls-hebbian",
-    ] {
-        let mut p = build_prefetcher(name, seed)?;
-        let rep = sim.run(&trace, p.as_mut());
+    // `none` is the baseline itself, and `cls` is serve's smaller
+    // size of `cls-hebbian`.
+    for kind in ModelKind::all().filter(|k| !matches!(k, ModelKind::None | ModelKind::Cls)) {
+        let rep = sim.run(&trace, kind.build(seed).as_mut());
         println!(
             "{:<14} {:>9.1}% {:>10} {:>9.2}",
-            name,
+            kind.label(),
             rep.pct_misses_removed(&base),
             rep.prefetches_issued,
             rep.accuracy()
@@ -408,7 +408,7 @@ fn cmd_faults(args: &Args) -> Result<(), String> {
         FaultSchedule::parse(spec)?
     };
     let make = |seed: u64| -> Result<Box<dyn Prefetcher>, String> {
-        let inner = build_prefetcher(pname, seed)?;
+        let inner = prefetcher(pname, seed)?;
         Ok(if resilient {
             Box::new(ResilientPrefetcher::new(inner))
         } else {

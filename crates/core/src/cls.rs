@@ -115,7 +115,11 @@ impl ClsConfig {
         }
     }
 
-    /// A small, fast configuration for tests.
+    /// A small, fast configuration: a 256-unit cortex and half the
+    /// default's delta range, every other field the default's. It is
+    /// the tests' configuration and serve's `cls` tenant model
+    /// (`hnp_serve::ModelKind::Cls`), so a change to the default moves
+    /// both.
     pub fn small() -> Self {
         Self {
             delta_range: 32,

@@ -137,8 +137,8 @@ const LAYERS: &[(&str, u32)] = &[
     ("hnp-systems", 3),
     ("hnp-serve", 3),
     ("hnp-bench", 4),
-    // hnpctl builds its models through `hnp_bench::fig5`, so the CLI
-    // sits one layer above the harnesses.
+    // hnpctl builds its models through `hnp_serve::ModelKind`; the CLI
+    // sits above every library crate it drives.
     ("hnp-cli", 5),
 ];
 

@@ -30,7 +30,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod checkpoint;
 pub mod deltas;
 pub mod ledger;
 pub mod memory;
@@ -39,7 +38,6 @@ pub mod residency;
 pub mod resilient;
 pub mod sim;
 
-pub use checkpoint::CheckpointCursor;
 pub use deltas::DeltaVocab;
 pub use ledger::PrefetchLedger;
 pub use prefetcher::PrefetchFeedback;

@@ -21,7 +21,6 @@ use serde::Serialize;
 use hnp_obs::{Event, FeedbackKind, Registry};
 use hnp_trace::Trace;
 
-use crate::checkpoint::CheckpointCursor;
 use crate::prefetcher::{MissEvent, Prefetcher};
 use crate::residency::{Access, Admit, Dispatch, EventFold, Residency};
 
@@ -225,7 +224,12 @@ impl Simulator {
         prefetcher: &mut dyn Prefetcher,
         checkpoints: &[usize],
     ) -> (SimReport, Vec<usize>) {
-        let mut cursor = CheckpointCursor::at(checkpoints.iter().map(|&c| c as u64));
+        assert!(
+            checkpoints.windows(2).all(|w| w[0] <= w[1]),
+            "checkpoints must be sorted"
+        );
+        // Index of the next checkpoint to record.
+        let mut next = 0;
         let mut res = Residency::new(self.cfg.capacity_pages);
         let mut now: u64 = 0;
         let mut report = SimReport {
@@ -240,8 +244,9 @@ impl Simulator {
             model: prefetcher,
         };
         for access in trace.accesses() {
-            for _ in 0..cursor.due(out.report.accesses as u64) {
+            while next < checkpoints.len() && checkpoints[next] <= out.report.accesses {
                 marks.push(out.report.misses());
+                next += 1;
             }
             let page = access.page(shift);
             now += 1;
@@ -291,9 +296,8 @@ impl Simulator {
                 }
             }
         }
-        for _ in 0..cursor.drain() {
-            marks.push(out.report.misses());
-        }
+        // Checkpoints at or past the end record the final count.
+        marks.resize(checkpoints.len(), out.report.misses());
         let end = Event::RunEnd {
             ticks: now,
             accesses: out.report.accesses as u64,
@@ -461,13 +465,18 @@ mod tests {
     fn checkpoints_record_cumulative_misses() {
         let sim = Simulator::new(small_cfg());
         let t = stride_trace();
-        let (rep, marks) =
-            sim.run_with_checkpoints(&t, &mut NoPrefetcher, &[0, 500, 1000, 2000, 9999]);
-        assert_eq!(marks.len(), 5);
+        let (rep, marks) = sim.run_with_checkpoints(
+            &t,
+            &mut NoPrefetcher,
+            &[0, 500, 500, 1000, 2000, 9999, 9999],
+        );
+        assert_eq!(marks.len(), 7, "one mark per checkpoint");
         assert_eq!(marks[0], 0, "no misses before the first access");
-        assert!(marks[1] <= marks[2] && marks[2] <= marks[3], "monotone");
-        assert_eq!(marks[3], rep.misses(), "checkpoint at trace end");
-        assert_eq!(marks[4], rep.misses(), "past-end checkpoint clamps");
+        assert_eq!(marks[1], marks[2], "a duplicate checkpoint fires twice");
+        assert!(marks[2] <= marks[3] && marks[3] <= marks[4], "monotone");
+        assert_eq!(marks[4], rep.misses(), "checkpoint at trace end");
+        assert_eq!(marks[5], rep.misses(), "past-end checkpoints drain");
+        assert_eq!(marks[6], rep.misses(), "past-end checkpoints drain");
     }
 
     #[test]

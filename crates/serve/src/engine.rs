@@ -21,7 +21,7 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread;
 
-use hnp_memsim::{CheckpointCursor, MissEvent, PrefetchFeedback, PrefetchLedger};
+use hnp_memsim::{MissEvent, PrefetchFeedback, PrefetchLedger};
 use hnp_obs::{Event, FaultKind, Registry};
 
 use crate::shard::{shard_of, Offer, ShardQueue};
@@ -485,7 +485,6 @@ impl ServeEngine {
                     }
                 };
 
-            let mut cursor = CheckpointCursor::every(self.cfg.snapshot_interval);
             let mut next = 0usize;
             let mut epoch: u64 = 0;
             while next < requests.len() || queues.iter().any(|q| !q.is_empty()) {
@@ -536,7 +535,8 @@ impl ServeEngine {
                     });
                 }
                 // 3. Flush one batch per shard and dispatch.
-                let snapshot_due = cursor.due(epoch) > 0;
+                let interval = self.cfg.snapshot_interval;
+                let snapshot_due = interval > 0 && epoch.is_multiple_of(interval);
                 let mut per_worker: Vec<EpochTask> = (0..workers)
                     .map(|_| EpochTask {
                         batches: Vec::new(),

@@ -303,7 +303,7 @@ mod tests {
         #[test]
         fn round_trip_is_lossless(
             tenant in any::<u64>(),
-            tag in 0u8..7,
+            tag in 0u8..9,
             l1 in prop::collection::vec(any::<i16>(), 0..200),
             l2 in prop::collection::vec(any::<i16>(), 0..200),
             recurrent in prop::collection::vec(any::<u32>(), 0..64),
@@ -311,7 +311,7 @@ mod tests {
             nums in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
             rng_key in any::<u64>(),
         ) {
-            let kind = ModelKind::from_tag(tag).expect("tags 0..7 are all valid");
+            let kind = ModelKind::from_tag(tag).expect("tags 0..9 are all valid");
             let state = state_from(l1, l2, recurrent, winners, nums, rng_key);
             let blob = encode(tenant, kind, &state);
             let snap = decode(&blob).expect("encoded blobs always decode");

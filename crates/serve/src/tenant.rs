@@ -12,6 +12,7 @@ use std::collections::BTreeMap;
 
 use hnp_baselines::{
     LstmPrefetcher, MarkovPrefetcher, NextNPrefetcher, StrideConfig, StridePrefetcher,
+    TransformerPrefetcher,
 };
 use hnp_core::{ClsConfig, ClsPrefetcher};
 use hnp_hebbian::NetState;
@@ -23,13 +24,12 @@ use hnp_trace::apps::AppWorkload;
 /// Identifies a tenant across the engine, reports, and snapshots.
 pub type TenantId = u64;
 
-/// Which prefetcher family serves a tenant.
+/// A named prefetcher model: what `hnpctl`, the Fig.-5 harness and
+/// the serving engine build from a name. Declared in `MODELS` order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModelKind {
-    /// The full CLS prefetcher (hippocampus + replay + Hebbian cortex).
-    Cls,
-    /// Hebbian cortex only, no replay (the paper's ablation).
-    Hebbian,
+    /// No prefetching (the baseline, and control tenants).
+    None,
     /// Stride detector baseline.
     Stride,
     /// Markov-table baseline.
@@ -38,63 +38,93 @@ pub enum ModelKind {
     NextN,
     /// LSTM baseline (the paper's deep-learning comparison point).
     Lstm,
-    /// No prefetching (control tenants).
-    None,
+    /// Transformer baseline.
+    Transformer,
+    /// Hebbian cortex only, no replay: Fig. 5's paper series.
+    Hebbian,
+    /// The full CLS prefetcher (hippocampus + replay + Hebbian cortex)
+    /// at its default size: Fig. 5's `cls-hebbian` series.
+    ClsHebbian,
+    /// The full CLS prefetcher at [`ClsConfig::small`]'s size: serve's
+    /// tenant model, 2–4× cheaper to serve than `cls-hebbian` at the
+    /// same coverage (DESIGN.md §11.1).
+    Cls,
 }
 
+/// The one name→model table: every kind with its label and its
+/// snapshot tag, one row per kind in declaration order. Tags 0–6 are
+/// the `HNPS` wire format's; a new kind takes the next free tag.
+const MODELS: [(ModelKind, &str, u8); 9] = [
+    (ModelKind::None, "none", 6),
+    (ModelKind::Stride, "stride", 2),
+    (ModelKind::Markov, "markov", 3),
+    (ModelKind::NextN, "next-n", 4),
+    (ModelKind::Lstm, "lstm", 5),
+    (ModelKind::Transformer, "transformer", 7),
+    (ModelKind::Hebbian, "hebbian", 1),
+    (ModelKind::ClsHebbian, "cls-hebbian", 8),
+    (ModelKind::Cls, "cls", 0),
+];
+
 impl ModelKind {
-    /// Stable lowercase label used in reports and snapshot headers.
+    /// Every kind, in table order.
+    pub fn all() -> impl Iterator<Item = ModelKind> {
+        MODELS.iter().map(|&(kind, _, _)| kind)
+    }
+
+    /// Stable lowercase label used in reports, snapshot headers and on
+    /// the command line.
     pub fn label(self) -> &'static str {
-        match self {
-            ModelKind::Cls => "cls",
-            ModelKind::Hebbian => "hebbian",
-            ModelKind::Stride => "stride",
-            ModelKind::Markov => "markov",
-            ModelKind::NextN => "next-n",
-            ModelKind::Lstm => "lstm",
-            ModelKind::None => "none",
-        }
+        MODELS[self as usize].1
     }
 
     /// Integer tag used in the snapshot wire format.
     pub fn tag(self) -> u8 {
-        match self {
-            ModelKind::Cls => 0,
-            ModelKind::Hebbian => 1,
-            ModelKind::Stride => 2,
-            ModelKind::Markov => 3,
-            ModelKind::NextN => 4,
-            ModelKind::Lstm => 5,
-            ModelKind::None => 6,
-        }
+        MODELS[self as usize].2
     }
 
     /// Inverse of [`ModelKind::tag`].
     pub fn from_tag(tag: u8) -> Option<ModelKind> {
-        Some(match tag {
-            0 => ModelKind::Cls,
-            1 => ModelKind::Hebbian,
-            2 => ModelKind::Stride,
-            3 => ModelKind::Markov,
-            4 => ModelKind::NextN,
-            5 => ModelKind::Lstm,
-            6 => ModelKind::None,
-            _ => return None,
-        })
+        MODELS.iter().find(|row| row.2 == tag).map(|row| row.0)
     }
 
-    /// Parses a CLI-style name (see [`ModelKind::label`]).
+    /// Inverse of [`ModelKind::label`].
     pub fn parse(name: &str) -> Option<ModelKind> {
-        Some(match name {
-            "cls" | "cls-hebbian" => ModelKind::Cls,
-            "hebbian" => ModelKind::Hebbian,
-            "stride" => ModelKind::Stride,
-            "markov" => ModelKind::Markov,
-            "next-n" => ModelKind::NextN,
-            "lstm" => ModelKind::Lstm,
-            "none" => ModelKind::None,
+        MODELS.iter().find(|row| row.1 == name).map(|row| row.0)
+    }
+
+    /// The CLS-family kinds' configuration; `None` for the baselines.
+    /// `seed` reaches only the training sampler, and none of these
+    /// samplers draws from it, so each is the same network for every
+    /// seed (see `ClsConfig::seed`).
+    fn cls_config(self, seed: u64) -> Option<ClsConfig> {
+        let cfg = match self {
+            ModelKind::Hebbian => ClsConfig::hebbian_only(),
+            ModelKind::ClsHebbian => ClsConfig::default(),
+            ModelKind::Cls => ClsConfig::small(),
             _ => return None,
-        })
+        };
+        Some(cfg.with_seed(seed))
+    }
+
+    /// Builds this model with its default configuration. `seed` seeds
+    /// the LSTM and transformer weight init and the CLS training
+    /// sampler.
+    pub fn build(self, seed: u64) -> Box<dyn Prefetcher> {
+        if let Some(cfg) = self.cls_config(seed) {
+            return Box::new(ClsPrefetcher::new(cfg));
+        }
+        match self {
+            ModelKind::Stride => Box::new(StridePrefetcher::with_config(StrideConfig::default())),
+            ModelKind::Markov => Box::new(MarkovPrefetcher::new()),
+            ModelKind::NextN => Box::new(NextNPrefetcher::new()),
+            ModelKind::Lstm => Box::new(LstmPrefetcher::new(seed)),
+            ModelKind::Transformer => Box::new(TransformerPrefetcher::new(seed)),
+            // The CLS kinds were built above.
+            ModelKind::None | ModelKind::Hebbian | ModelKind::ClsHebbian | ModelKind::Cls => {
+                Box::new(NoPrefetcher)
+            }
+        }
     }
 }
 
@@ -172,23 +202,13 @@ impl PrefetcherFactory {
     /// Builds the live model for `spec`, wrapped in a fresh
     /// [`ResilientPrefetcher`] health ladder.
     pub fn build(&self, spec: &TenantSpec) -> TenantModel {
-        match spec.model {
-            ModelKind::Cls => TenantModel::Cls(Box::new(ResilientPrefetcher::new(
-                ClsPrefetcher::new(ClsConfig::small().with_seed(spec.seed)),
+        match spec.model.cls_config(spec.seed) {
+            Some(cfg) => {
+                TenantModel::Cls(Box::new(ResilientPrefetcher::new(ClsPrefetcher::new(cfg))))
+            }
+            None => TenantModel::Other(Box::new(ResilientPrefetcher::new(
+                spec.model.build(spec.seed),
             ))),
-            ModelKind::Hebbian => TenantModel::Cls(Box::new(ResilientPrefetcher::new(
-                ClsPrefetcher::new(ClsConfig {
-                    seed: spec.seed,
-                    ..ClsConfig::hebbian_only()
-                }),
-            ))),
-            ModelKind::Stride => TenantModel::boxed(Box::new(StridePrefetcher::with_config(
-                StrideConfig::default(),
-            ))),
-            ModelKind::Markov => TenantModel::boxed(Box::new(MarkovPrefetcher::new())),
-            ModelKind::NextN => TenantModel::boxed(Box::new(NextNPrefetcher::new())),
-            ModelKind::Lstm => TenantModel::boxed(Box::new(LstmPrefetcher::new(spec.seed))),
-            ModelKind::None => TenantModel::boxed(Box::new(NoPrefetcher)),
         }
     }
 }
@@ -208,10 +228,6 @@ pub enum TenantModel {
 }
 
 impl TenantModel {
-    fn boxed(inner: Box<dyn Prefetcher>) -> Self {
-        TenantModel::Other(Box::new(ResilientPrefetcher::new(inner)))
-    }
-
     /// Forwards a miss through the health ladder.
     pub fn on_miss(&mut self, miss: &MissEvent) -> Vec<u64> {
         match self {
@@ -281,8 +297,24 @@ mod tests {
     }
 
     #[test]
-    fn model_kind_labels_round_trip() {
-        for kind in [
+    fn model_table_is_one_consistent_list() {
+        let kinds: Vec<ModelKind> = ModelKind::all().collect();
+        assert_eq!(kinds.len(), MODELS.len());
+        let mut tags = Vec::new();
+        for (i, &kind) in kinds.iter().enumerate() {
+            assert_eq!(kind as usize, i, "{kind:?} is declared out of table order");
+            assert_eq!(ModelKind::parse(kind.label()), Some(kind));
+            assert_eq!(ModelKind::from_tag(kind.tag()), Some(kind));
+            tags.push(kind.tag());
+        }
+        tags.sort_unstable();
+        tags.dedup();
+        assert_eq!(tags.len(), kinds.len(), "tags are distinct");
+        assert_eq!(ModelKind::parse("cls"), Some(ModelKind::Cls));
+        assert_eq!(ModelKind::parse("nope"), None);
+        assert_eq!(ModelKind::from_tag(200), None);
+        // The `HNPS` wire format's tags.
+        let wire = [
             ModelKind::Cls,
             ModelKind::Hebbian,
             ModelKind::Stride,
@@ -290,11 +322,42 @@ mod tests {
             ModelKind::NextN,
             ModelKind::Lstm,
             ModelKind::None,
-        ] {
-            assert_eq!(ModelKind::parse(kind.label()), Some(kind));
-            assert_eq!(ModelKind::from_tag(kind.tag()), Some(kind));
+        ];
+        for (tag, kind) in wire.into_iter().enumerate() {
+            assert_eq!(ModelKind::from_tag(tag as u8), Some(kind));
         }
-        assert_eq!(ModelKind::from_tag(200), None);
+    }
+
+    #[test]
+    fn factory_and_build_make_the_same_model() {
+        let factory = PrefetcherFactory::new();
+        for kind in ModelKind::all() {
+            let spec = TenantSpec {
+                id: 1,
+                model: kind,
+                workload: AppWorkload::McfLike,
+                seed: 11,
+            };
+            let mut served = factory.build(&spec);
+            let mut built = ResilientPrefetcher::new(kind.build(spec.seed));
+            let mut issued = 0;
+            for i in 0..200u64 {
+                let miss = MissEvent {
+                    page: 1_000 + (i % 13) * 3 + (i / 50) * 7,
+                    tick: i,
+                    stream: 0,
+                };
+                let candidates = served.on_miss(&miss);
+                assert_eq!(
+                    candidates,
+                    built.on_miss(&miss),
+                    "{} diverges at miss {i}",
+                    kind.label()
+                );
+                issued += candidates.len();
+            }
+            assert_eq!(issued == 0, kind == ModelKind::None, "{}", kind.label());
+        }
     }
 
     #[test]
