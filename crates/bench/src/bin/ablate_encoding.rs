@@ -1,8 +1,8 @@
 //! §5.3 ablation: input encodings.
 //!
 //! Compares the one-hot delta encoding of prior work against the
-//! history-window, path-hash and VSA encodings on the Table-1 patterns and
-//! the application workloads, including the paper's negative result:
+//! history-window encoding on the application workloads and a
+//! second-order composite, including the paper's negative result:
 //! pointer-based key-value workloads defeat every delta encoding.
 //!
 //! Usage: `cargo run --release -p hnp-bench --bin ablate_encoding [accesses]`
@@ -18,22 +18,6 @@ fn encoders() -> Vec<(&'static str, EncoderKind)> {
     vec![
         ("one-hot", EncoderKind::OneHot),
         ("history-3", EncoderKind::HistoryWindow { window: 3 }),
-        (
-            "path-hash",
-            EncoderKind::PathHash {
-                window: 4,
-                bits_per: 4,
-                space: 512,
-            },
-        ),
-        (
-            "vsa",
-            EncoderKind::Vsa {
-                window: 4,
-                active: 20,
-                space: 512,
-            },
-        ),
     ]
 }
 
@@ -44,7 +28,6 @@ fn run_workload(name: &str, trace: &Trace) {
     for (ename, encoder) in encoders() {
         let mut p = ClsPrefetcher::new(ClsConfig {
             encoder,
-            seed: 0xe9c,
             ..ClsConfig::default()
         });
         let rep = sim.run(trace, &mut p);

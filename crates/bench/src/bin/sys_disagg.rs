@@ -48,35 +48,25 @@ fn main() {
             .collect();
         let base = cluster.run_decentralized(&traces, &mut none);
         let mut per_node: Vec<Box<dyn Prefetcher>> = (0..traces.len())
-            .map(|i| {
-                Box::new(ClsPrefetcher::new(ClsConfig {
-                    seed: 0xd15a + i as u64,
-                    ..ClsConfig::default()
-                })) as Box<dyn Prefetcher>
-            })
+            .map(|_| Box::new(ClsPrefetcher::new(ClsConfig::default())) as Box<dyn Prefetcher>)
             .collect();
         let dec = cluster.run_decentralized(&traces, &mut per_node);
         // Centralized, naive: one shared model, cross-node deltas.
         let mut naive = ClsPrefetcher::new(ClsConfig {
-            seed: 0xd15a,
             stream_isolation: false,
             ..ClsConfig::default()
         });
         let cen_naive = cluster.run_centralized(&traces, &mut naive);
         // Centralized, per-stream history but one shared model.
         let mut shared = ClsPrefetcher::new(ClsConfig {
-            seed: 0xd15a,
             stream_isolation: true,
             ..ClsConfig::default()
         });
         let cen_iso = cluster.run_centralized(&traces, &mut shared);
         // Centralized, fully demultiplexed: one model per stream at
         // the switch (per-node fidelity, switch-side resources).
-        let mut demux = hnp_memsim::DemuxPrefetcher::new("cls", |stream| {
-            Box::new(ClsPrefetcher::new(ClsConfig {
-                seed: 0xd15a + stream as u64,
-                ..ClsConfig::default()
-            }))
+        let mut demux = hnp_memsim::DemuxPrefetcher::new("cls", |_| {
+            Box::new(ClsPrefetcher::new(ClsConfig::default()))
         });
         let cen_demux = cluster.run_centralized(&traces, &mut demux);
         for (label, rep) in [
@@ -112,10 +102,9 @@ fn main() {
         let base = cluster.run_decentralized(&traces, &mut none);
         for width in [1usize, 4] {
             let mut pfs: Vec<Box<dyn Prefetcher>> = (0..traces.len())
-                .map(|i| {
+                .map(|_| {
                     Box::new(ClsPrefetcher::new(ClsConfig {
                         width,
-                        seed: 0xd15a + i as u64,
                         ..ClsConfig::default()
                     })) as Box<dyn Prefetcher>
                 })

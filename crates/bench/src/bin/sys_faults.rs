@@ -52,9 +52,8 @@ const FAULT_SEED: u64 = 0xfa017;
 /// healthy link, and is exactly the geometry a degraded link punishes
 /// (wasted transfers + pollution). The wrapper, not the model, is the
 /// safety mechanism under test.
-fn fair_weather_cls(seed: u64) -> Box<dyn Prefetcher> {
+fn fair_weather_cls(_: u64) -> Box<dyn Prefetcher> {
     Box::new(ClsPrefetcher::new(ClsConfig {
-        seed,
         lookahead: 4,
         width: 4,
         min_confidence: 0.0,

@@ -59,7 +59,6 @@ fn main() {
                 width,
                 lookahead: 2,
                 stream_isolation: isolation,
-                seed: 0x07a + width as u64,
                 ..ClsConfig::default()
             });
             let rep = sim.run(&warps, &mut p);

@@ -16,9 +16,9 @@
 //! | `sys_disagg`, `sys_uvm` | §4 |
 //! | `interleaving` | §4 interleaving conjecture |
 //! | `sys_faults` | robustness: degradation under injected faults |
-//! | `ablate_sampler` | §5.1 |
+//! | `ablate_sampler` | §5.1: every-miss vs every-4th training |
 //! | `ablate_geometry` | §5.2 |
-//! | `ablate_encoding` | §5.3 |
+//! | `ablate_encoding` | §5.3: one-hot vs history-3 encoding |
 //! | `ablate_replay`, `ablate_phase` | §5.4 |
 //! | `availability` | §5.5 |
 

@@ -1,7 +1,7 @@
 //! The assembled CLS prefetcher.
 //!
 //! Wires the neocortex (slow Hebbian structure learner), hippocampus
-//! (fast episodic store), replay scheduler, training-instance sampler,
+//! (fast episodic store), replay scheduler, training period (§5.1),
 //! and phase detector behind the [`hnp_memsim::Prefetcher`] interface,
 //! per the deployment in Fig. 1 of the paper: the prefetcher consumes
 //! the demand-miss stream and predicts future miss deltas.
@@ -19,7 +19,6 @@ use crate::hippocampus::{CapacityPolicy, EpisodeRef, EpisodicStore, Hippocampus}
 use crate::neocortex::{Neocortex, NeocortexConfig};
 use crate::phase::{PhaseConfig, PhaseDetector};
 use crate::replay::{ReplayConfig, ReplayScheduler};
-use crate::sampler::{SampleDecision, SamplerState, TrainingSampler};
 
 /// Configuration of the full CLS prefetcher.
 #[derive(Debug, Clone)]
@@ -36,10 +35,12 @@ pub struct ClsConfig {
     pub width: usize,
     /// Replay configuration (§3.2, §5.4).
     pub replay: ReplayConfig,
-    /// Training-instance selection (§5.1). The default trains on every
-    /// 4th miss; a skipped miss still advances the recurrent state and
-    /// the confidence tracker, and replay follows only a trained one.
-    pub sampler: TrainingSampler,
+    /// Training-instance selection (§5.1): train on every
+    /// `train_every`-th learning miss, 1 being §3.1's every miss. The
+    /// default is 4. A skipped miss still advances the recurrent state
+    /// and the confidence tracker, and replay follows only a trained
+    /// one. Must be positive.
+    pub train_every: usize,
     /// Episodic-store capacity (§5.4): a ring of recent episodes. Only
     /// a configuration with replay enabled stores any.
     pub episodic: CapacityPolicy,
@@ -62,11 +63,6 @@ pub struct ClsConfig {
     /// miss-history bookkeeping is isolated. With `false`, interleaved
     /// streams produce garbage cross-stream deltas.
     pub stream_isolation: bool,
-    /// Seed of the training sampler's RNG, which only
-    /// [`TrainingSampler::RandomFraction`] draws from. It reaches
-    /// nothing else: the cortex and replay RNGs have fixed seeds, so
-    /// under any other sampler two seeds give the same network.
-    pub seed: u64,
     /// Observer registry; the prefetcher emits replay-step, phase-
     /// transition, and periodic epoch-summary events into it. Share
     /// the same registry with the simulator's config to interleave
@@ -83,25 +79,18 @@ impl Default for ClsConfig {
             lookahead: 2,
             width: 2,
             replay: ReplayConfig::default(),
-            sampler: TrainingSampler::EveryNth { n: 4 },
+            train_every: 4,
             episodic: CapacityPolicy::Ring { capacity: 4096 },
             phase: Some(PhaseConfig::default()),
             min_confidence: 0.03,
             adaptive: false,
             stream_isolation: true,
-            seed: 0xc15,
             obs: Registry::new(),
         }
     }
 }
 
 impl ClsConfig {
-    /// Sets the training sampler's seed (see [`ClsConfig::seed`]).
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// A plain Hebbian prefetcher: no hippocampus, no replay (the
     /// "Hebbian" series in Fig. 5 before replay is added). It is the
     /// paper's series, so it keeps §3.1's protocol and trains on every
@@ -110,7 +99,7 @@ impl ClsConfig {
         Self {
             replay: ReplayConfig::off(),
             phase: None,
-            sampler: TrainingSampler::EveryMiss,
+            train_every: 1,
             ..Self::default()
         }
     }
@@ -146,7 +135,9 @@ pub struct ClsPrefetcher {
     cortex: Neocortex,
     hippo: Hippocampus,
     replay: ReplayScheduler,
-    sampler: SamplerState,
+    /// Learning misses trained on and skipped (§5.1).
+    trained: u64,
+    skipped: u64,
     phase: Option<PhaseDetector>,
     tracker: ConfidenceTracker,
     adaptive: Option<AdaptiveGeometry>,
@@ -160,7 +151,6 @@ pub struct ClsPrefetcher {
     hist: Vec<usize>,
     pattern: Vec<u32>,
     recurrent: Vec<u32>,
-    batch_queue: Vec<(Vec<u32>, usize)>,
     steps: u64,
     name: String,
 }
@@ -174,7 +164,12 @@ struct StreamCtx {
 
 impl ClsPrefetcher {
     /// Builds the prefetcher from `cfg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.train_every` is 0.
     pub fn new(cfg: ClsConfig) -> Self {
+        assert!(cfg.train_every > 0, "period must be positive");
         let vocab = DeltaVocab::new(cfg.delta_range);
         let encoder = Encoder::new(cfg.encoder, vocab.len());
         let cortex = Neocortex::new(&encoder, vocab.len(), &cfg.neocortex);
@@ -189,7 +184,8 @@ impl ClsPrefetcher {
             cortex,
             hippo,
             replay: ReplayScheduler::new(cfg.replay.clone()),
-            sampler: SamplerState::new(cfg.sampler, cfg.seed),
+            trained: 0,
+            skipped: 0,
             phase: cfg
                 .phase
                 .clone()
@@ -203,7 +199,6 @@ impl ClsPrefetcher {
             hist: Vec::new(),
             pattern: Vec::new(),
             recurrent: Vec::new(),
-            batch_queue: Vec::new(),
             steps: 0,
             encoder,
             cfg,
@@ -231,9 +226,10 @@ impl ClsPrefetcher {
         self.replay.replayed
     }
 
-    /// Examples trained / skipped by the sampler.
+    /// Learning misses trained on / skipped under
+    /// [`ClsConfig::train_every`].
     pub fn sampler_stats(&self) -> (u64, u64) {
-        (self.sampler.trained, self.sampler.skipped)
+        (self.trained, self.skipped)
     }
 
     /// Current phase id (0 when phase detection is off).
@@ -277,32 +273,14 @@ impl ClsPrefetcher {
             self.recurrent
                 .extend_from_slice(self.cortex.network().recurrent_state());
         }
-        // Confidence-gated sampling needs *this example's* confidence,
-        // which costs one extra (non-advancing) inference — exactly
-        // the §5.1 trade: pay a cheap forward pass to skip expensive
-        // training on well-learned cases. Other samplers use the
-        // running EMA for free.
-        let gate_confidence = if matches!(self.cfg.sampler, TrainingSampler::ConfidenceGated { .. })
-        {
-            self.cortex.network_mut().infer(pattern, token).confidence
+        let seen = self.trained + self.skipped + 1;
+        let train = seen.is_multiple_of(self.cfg.train_every as u64);
+        let outcome = if train {
+            self.trained += 1;
+            self.cortex.train(pattern, token)
         } else {
-            self.tracker.ema()
-        };
-        let decision = self.sampler.decide(gate_confidence);
-        let outcome = match decision {
-            SampleDecision::Train => self.cortex.train(pattern, token),
-            SampleDecision::Skip => self.cortex.observe(pattern, token),
-            SampleDecision::Enqueue => {
-                self.batch_queue.push((pattern.clone(), token));
-                let o = self.cortex.observe(pattern, token);
-                if self.sampler.should_flush(self.batch_queue.len()) {
-                    self.sampler.trained += self.batch_queue.len() as u64;
-                    for (p, t) in self.batch_queue.drain(..) {
-                        self.cortex.train(&p, t);
-                    }
-                }
-                o
-            }
+            self.skipped += 1;
+            self.cortex.observe(pattern, token)
         };
         self.tracker.record(outcome.confidence, outcome.correct);
         if !self.cfg.replay.enabled {
@@ -317,7 +295,7 @@ impl ClsPrefetcher {
             stored_at: self.steps,
             phase,
         });
-        if decision == SampleDecision::Train {
+        if train {
             self.replay
                 .after_train(&mut self.cortex, &mut self.hippo, &self.encoder, phase);
         }
@@ -518,7 +496,7 @@ mod tests {
     fn sampler_stats_accumulate() {
         let t = Pattern::Stride.generate(2000, 0);
         let mut p = ClsPrefetcher::new(ClsConfig {
-            sampler: TrainingSampler::EveryNth { n: 2 },
+            train_every: 2,
             ..ClsConfig::small()
         });
         let _ = sim().run(&t, &mut p);
@@ -546,6 +524,15 @@ mod tests {
         };
         assert_eq!(stats(ClsConfig::default()), (n / 4, n - n / 4));
         assert_eq!(stats(ClsConfig::hebbian_only()), (n, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "period must be positive")]
+    fn zero_training_period_panics() {
+        let _ = ClsPrefetcher::new(ClsConfig {
+            train_every: 0,
+            ..ClsConfig::small()
+        });
     }
 
     #[test]

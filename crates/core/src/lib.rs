@@ -7,19 +7,21 @@
 //! memories from the former into the latter. This crate assembles
 //! that architecture for memory prefetching:
 //!
-//! * [`encoder`] — input encodings over the delta vocabulary (§5.3);
+//! * [`encoder`] — input encodings over the delta vocabulary (§5.3):
+//!   one-hot and the history window, one positional code;
 //! * [`neocortex`] — the slow learner: a sparse Hebbian network;
 //! * [`hippocampus`] — the episodic store (§5.4): a ring of recent
 //!   episodes;
 //! * [`replay`] — the replay scheduler and its forms (§3.2, §5.4):
 //!   interleaved, other-phases, self-reinforcing;
-//! * [`sampler`] — training-instance selection (§5.1);
 //! * [`phase`] — online phase detection by clustering (§5.4);
 //! * [`confidence`] — confidence/accuracy tracking;
 //! * [`availability`] — the shadow-model train/redeploy protocol
 //!   (§5.5);
 //! * [`cls`] — [`cls::ClsPrefetcher`], wiring it all
-//!   behind [`hnp_memsim::Prefetcher`].
+//!   behind [`hnp_memsim::Prefetcher`]; it also selects training
+//!   instances (§5.1) by training on every
+//!   [`ClsConfig::train_every`]-th miss.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,12 +35,9 @@ pub mod hippocampus;
 pub mod neocortex;
 pub mod phase;
 pub mod replay;
-pub mod sampler;
-pub mod vsa;
 
 pub use adaptive::AdaptiveGeometry;
 pub use cls::{ClsConfig, ClsPrefetcher};
 pub use encoder::{Encoder, EncoderKind};
 pub use hippocampus::{CapacityPolicy, EpisodeRef, EpisodicStore, Hippocampus};
 pub use replay::{ReplayConfig, ReplayForm};
-pub use sampler::TrainingSampler;

@@ -94,24 +94,22 @@ impl ModelKind {
     }
 
     /// The CLS-family kinds' configuration; `None` for the baselines.
-    /// `seed` reaches only the training sampler, and none of these
-    /// samplers draws from it, so each is the same network for every
-    /// seed (see `ClsConfig::seed`).
-    fn cls_config(self, seed: u64) -> Option<ClsConfig> {
-        let cfg = match self {
-            ModelKind::Hebbian => ClsConfig::hebbian_only(),
-            ModelKind::ClsHebbian => ClsConfig::default(),
-            ModelKind::Cls => ClsConfig::small(),
-            _ => return None,
-        };
-        Some(cfg.with_seed(seed))
+    /// `ClsConfig` has no seed, so each is the same network for every
+    /// tenant seed.
+    fn cls_config(self) -> Option<ClsConfig> {
+        match self {
+            ModelKind::Hebbian => Some(ClsConfig::hebbian_only()),
+            ModelKind::ClsHebbian => Some(ClsConfig::default()),
+            ModelKind::Cls => Some(ClsConfig::small()),
+            _ => None,
+        }
     }
 
     /// Builds this model with its default configuration. `seed` seeds
-    /// the LSTM and transformer weight init and the CLS training
-    /// sampler.
+    /// the LSTM and transformer weight init; the CLS kinds do not read
+    /// it.
     pub fn build(self, seed: u64) -> Box<dyn Prefetcher> {
-        if let Some(cfg) = self.cls_config(seed) {
+        if let Some(cfg) = self.cls_config() {
             return Box::new(ClsPrefetcher::new(cfg));
         }
         match self {
@@ -202,7 +200,7 @@ impl PrefetcherFactory {
     /// Builds the live model for `spec`, wrapped in a fresh
     /// [`ResilientPrefetcher`] health ladder.
     pub fn build(&self, spec: &TenantSpec) -> TenantModel {
-        match spec.model.cls_config(spec.seed) {
+        match spec.model.cls_config() {
             Some(cfg) => {
                 TenantModel::Cls(Box::new(ResilientPrefetcher::new(ClsPrefetcher::new(cfg))))
             }

@@ -126,12 +126,12 @@ struct FaultEvent {
 
 impl FaultEvent {
     /// Whether the event is active at `tick`.
-    pub fn active(&self, tick: u64) -> bool {
+    fn active(&self, tick: u64) -> bool {
         tick >= self.start && tick < self.end()
     }
 
     /// First tick at which the event is over.
-    pub fn end(&self) -> u64 {
+    fn end(&self) -> u64 {
         self.start.saturating_add(self.duration)
     }
 }

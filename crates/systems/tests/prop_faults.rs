@@ -24,11 +24,8 @@ fn traces(accesses: usize) -> Vec<Trace> {
 
 fn prefetchers(n: usize, resilient: bool) -> Vec<Box<dyn Prefetcher>> {
     (0..n)
-        .map(|i| {
-            let inner: Box<dyn Prefetcher> = Box::new(ClsPrefetcher::new(ClsConfig {
-                seed: 0xd15a + i as u64,
-                ..ClsConfig::default()
-            }));
+        .map(|_| {
+            let inner: Box<dyn Prefetcher> = Box::new(ClsPrefetcher::new(ClsConfig::default()));
             if resilient {
                 Box::new(ResilientPrefetcher::new(inner)) as Box<dyn Prefetcher>
             } else {

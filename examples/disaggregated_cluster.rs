@@ -31,12 +31,7 @@ fn main() {
     let base = cluster.run_decentralized(&traces, &mut none);
 
     let mut per_node: Vec<Box<dyn Prefetcher>> = (0..4)
-        .map(|i| {
-            Box::new(ClsPrefetcher::new(ClsConfig {
-                seed: 0xd00d + i as u64,
-                ..ClsConfig::default()
-            })) as Box<dyn Prefetcher>
-        })
+        .map(|_| Box::new(ClsPrefetcher::new(ClsConfig::default())) as Box<dyn Prefetcher>)
         .collect();
     let rep = cluster.run_decentralized(&traces, &mut per_node);
 

@@ -7,7 +7,7 @@
 //! ```
 
 use hnp::core::encoder::EncoderKind;
-use hnp::core::{CapacityPolicy, ClsConfig, ClsPrefetcher, ReplayConfig, TrainingSampler};
+use hnp::core::{CapacityPolicy, ClsConfig, ClsPrefetcher, ReplayConfig};
 use hnp::memsim::{NoPrefetcher, SimConfig, SimReport, Simulator};
 use hnp::traces::apps::AppWorkload;
 use hnp::traces::Trace;
@@ -41,7 +41,7 @@ fn main() {
         &base,
         "every miss",
         ClsConfig {
-            sampler: TrainingSampler::EveryMiss,
+            train_every: 1,
             ..ClsConfig::default()
         },
     );
@@ -56,9 +56,9 @@ fn main() {
         &trace,
         &sim,
         &base,
-        "confidence-gated (<0.5)",
+        "every 2nd miss",
         ClsConfig {
-            sampler: TrainingSampler::ConfidenceGated { threshold: 0.5 },
+            train_every: 2,
             ..ClsConfig::default()
         },
     );
