@@ -83,17 +83,13 @@ fn main() {
     );
     for (name, form) in [
         ("interleaved", ReplayForm::Interleaved),
-        ("other-phases", ReplayForm::OtherPhases),
+        ("other-phases", ReplayForm::OtherPhases { window: 64 }),
         ("self-reinforce", ReplayForm::SelfReinforce),
     ] {
         run_condition(
             &format!("replay/{name}"),
             ClsConfig {
-                replay: ReplayConfig {
-                    form,
-                    per_step: 2,
-                    ..ReplayConfig::default()
-                },
+                replay: ReplayConfig { form, per_step: 2 },
                 ..ClsConfig::default()
             },
             &trace,

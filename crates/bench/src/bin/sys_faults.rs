@@ -24,6 +24,7 @@ use hnp_baselines::{StrideConfig, StridePrefetcher};
 use hnp_bench::output;
 use hnp_core::{ClsConfig, ClsPrefetcher};
 use hnp_memsim::{NoPrefetcher, Prefetcher, ResilientPrefetcher};
+use hnp_obs::Registry;
 use hnp_serve::ModelKind;
 use hnp_systems::{
     DisaggConfig, DisaggregatedCluster, FaultInjector, FaultSchedule, UvmConfig, UvmSim,
@@ -37,7 +38,7 @@ type Build = fn(u64) -> Box<dyn Prefetcher>;
 /// The models under test, each with its row label.
 const MODELS: [(&str, Build); 3] = [
     ("cls-hebbian", fair_weather_cls),
-    ("lstm", |seed| ModelKind::Lstm.build(seed)),
+    ("lstm", |seed| ModelKind::Lstm.build(seed, &Registry::new())),
     ("stride", |_| {
         Box::new(StridePrefetcher::with_config(
             StrideConfig::default().with_degree(2),

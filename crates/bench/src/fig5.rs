@@ -62,8 +62,8 @@ fn run_app(app: AppWorkload, model: ModelKind, accesses: usize) -> Fig5Row {
     let counters = Counters::new();
     let obs = Registry::new();
     obs.attach(counters.clone());
+    let mut p = model.build(SEED, &obs);
     let sim = Simulator::new(cfg.with_observer(obs));
-    let mut p = model.build(SEED);
     let rep = sim.run(&trace, p.as_mut());
     // The report and the counters are two independent folds of the same
     // event stream; a mismatch means an emission site drifted.

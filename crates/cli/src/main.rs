@@ -160,10 +160,11 @@ fn workload(name: &str, accesses: usize, seed: u64) -> Result<Trace, String> {
     Ok(pattern.generate(accesses, seed))
 }
 
-/// Builds a prefetcher by name (see [`ModelKind`]).
-fn prefetcher(name: &str, seed: u64) -> Result<Box<dyn Prefetcher>, String> {
+/// Builds a prefetcher by name (see [`ModelKind`]); a CLS model emits
+/// its own events into `obs`.
+fn prefetcher(name: &str, seed: u64, obs: &Registry) -> Result<Box<dyn Prefetcher>, String> {
     let kind = ModelKind::parse(name).ok_or_else(|| format!("unknown prefetcher {name:?}"))?;
-    Ok(kind.build(seed))
+    Ok(kind.build(seed, obs))
 }
 
 fn load_trace(args: &Args) -> Result<Trace, String> {
@@ -222,8 +223,8 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     if !obs_path.is_empty() {
         reg.attach(exporter.clone());
     }
+    let mut p = prefetcher(name, seed, &reg)?;
     let sim = Simulator::new(cfg.with_observer(reg));
-    let mut p = prefetcher(name, seed)?;
     let rep = sim.run(&trace, p.as_mut());
     if !obs_path.is_empty() {
         std::fs::write(obs_path, exporter.render())
@@ -282,8 +283,8 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
     reg.attach(counters.clone());
     reg.attach(stalls.clone());
     reg.attach(leads.clone());
+    let mut p = prefetcher(name, seed, &reg)?;
     let sim = Simulator::new(sim_cfg_for(&trace, args)?.with_observer(reg));
-    let mut p = prefetcher(name, seed)?;
     let rep = sim.run(&trace, p.as_mut());
     println!("prefetcher:      {}", rep.prefetcher);
     println!("event counters:");
@@ -378,7 +379,7 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
     // `none` is the baseline itself, and `cls` is serve's smaller
     // size of `cls-hebbian`.
     for kind in ModelKind::all().filter(|k| !matches!(k, ModelKind::None | ModelKind::Cls)) {
-        let rep = sim.run(&trace, kind.build(seed).as_mut());
+        let rep = sim.run(&trace, kind.build(seed, &Registry::new()).as_mut());
         println!(
             "{:<14} {:>9.1}% {:>10} {:>9.2}",
             kind.label(),
@@ -408,7 +409,7 @@ fn cmd_faults(args: &Args) -> Result<(), String> {
         FaultSchedule::parse(spec)?
     };
     let make = |seed: u64| -> Result<Box<dyn Prefetcher>, String> {
-        let inner = prefetcher(pname, seed)?;
+        let inner = prefetcher(pname, seed, &Registry::new())?;
         Ok(if resilient {
             Box::new(ResilientPrefetcher::new(inner))
         } else {

@@ -4,6 +4,7 @@
 //! exactly (the report and the stream are two independent folds of
 //! the same events).
 
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use hnp_obs::{jsonl_kind, jsonl_u64};
@@ -24,15 +25,12 @@ fn report_u64(json: &str, key: &str) -> u64 {
         .unwrap_or_else(|_| panic!("report field {key} is not an integer"))
 }
 
-#[test]
-fn run_obs_stream_reproduces_report() {
-    let dir = std::env::temp_dir().join("hnpctl-obs-stream-test");
-    std::fs::create_dir_all(&dir).expect("tmp dir");
+/// Writes a 20 000-access pagerank trace to `dir/t.hnpt` and returns
+/// its path.
+fn pagerank_trace(dir: &Path) -> PathBuf {
+    std::fs::create_dir_all(dir).expect("tmp dir");
     let trace = dir.join("t.hnpt");
-    let events = dir.join("events.jsonl");
-
-    let bin = env!("CARGO_BIN_EXE_hnpctl");
-    let gen = Command::new(bin)
+    let gen = Command::new(env!("CARGO_BIN_EXE_hnpctl"))
         .args([
             "trace-gen",
             "--workload",
@@ -51,7 +49,16 @@ fn run_obs_stream_reproduces_report() {
         "trace-gen failed: {}",
         String::from_utf8_lossy(&gen.stderr)
     );
+    trace
+}
 
+#[test]
+fn run_obs_stream_reproduces_report() {
+    let dir = std::env::temp_dir().join("hnpctl-obs-stream-test");
+    let trace = pagerank_trace(&dir);
+    let events = dir.join("events.jsonl");
+
+    let bin = env!("CARGO_BIN_EXE_hnpctl");
     let run = Command::new(bin)
         .arg("run")
         .arg("--trace")
@@ -109,5 +116,35 @@ fn run_obs_stream_reproduces_report() {
     let stats_text = String::from_utf8_lossy(&stats_out.stdout);
     assert!(stats_text.contains(&format!("{misses} misses")));
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A CLS model run under `--obs` shares the simulator's registry, so
+/// its replay steps and epoch summaries reach the stream.
+#[test]
+fn cls_run_obs_stream_carries_model_events() {
+    let dir = std::env::temp_dir().join("hnpctl-obs-stream-cls-test");
+    let trace = pagerank_trace(&dir);
+    let events = dir.join("events.jsonl");
+    let run = Command::new(env!("CARGO_BIN_EXE_hnpctl"))
+        .arg("run")
+        .arg("--trace")
+        .arg(&trace)
+        .args(["--prefetcher", "cls-hebbian", "--obs"])
+        .arg(&events)
+        .output()
+        .expect("run spawns");
+    assert!(
+        run.status.success(),
+        "run failed: {}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    let text = std::fs::read_to_string(&events).expect("events written");
+    for kind in ["replay_step", "epoch_summary"] {
+        assert!(
+            text.lines().any(|line| jsonl_kind(line) == Some(kind)),
+            "no {kind} event in the stream"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

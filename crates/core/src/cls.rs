@@ -2,7 +2,8 @@
 //!
 //! Wires the neocortex (slow Hebbian structure learner), hippocampus
 //! (fast episodic store), replay scheduler, training period (§5.1),
-//! and phase detector behind the [`hnp_memsim::Prefetcher`] interface,
+//! and, under other-phases replay, the phase detector behind the
+//! [`hnp_memsim::Prefetcher`] interface,
 //! per the deployment in Fig. 1 of the paper: the prefetcher consumes
 //! the demand-miss stream and predicts future miss deltas.
 
@@ -17,8 +18,8 @@ use crate::confidence::ConfidenceTracker;
 use crate::encoder::{Encoder, EncoderKind};
 use crate::hippocampus::{CapacityPolicy, EpisodeRef, EpisodicStore, Hippocampus};
 use crate::neocortex::{Neocortex, NeocortexConfig};
-use crate::phase::{PhaseConfig, PhaseDetector};
-use crate::replay::{ReplayConfig, ReplayScheduler};
+use crate::phase::PhaseDetector;
+use crate::replay::{ReplayConfig, ReplayForm, ReplayScheduler};
 
 /// Configuration of the full CLS prefetcher.
 #[derive(Debug, Clone)]
@@ -33,7 +34,9 @@ pub struct ClsConfig {
     pub lookahead: usize,
     /// Predictions per step (prefetch width, §5.2).
     pub width: usize,
-    /// Replay configuration (§3.2, §5.4).
+    /// Replay configuration (§3.2, §5.4). Its form decides what the
+    /// model computes: [`ReplayForm::OtherPhases`] alone runs phase
+    /// detection (§5.4), and `per_step: 0` stores no episodes.
     pub replay: ReplayConfig,
     /// Training-instance selection (§5.1): train on every
     /// `train_every`-th learning miss, 1 being §3.1's every miss. The
@@ -42,10 +45,8 @@ pub struct ClsConfig {
     /// one. Must be positive.
     pub train_every: usize,
     /// Episodic-store capacity (§5.4): a ring of recent episodes. Only
-    /// a configuration with replay enabled stores any.
+    /// a configuration that replays stores any.
     pub episodic: CapacityPolicy,
-    /// Phase detection (§5.4); `None` disables it.
-    pub phase: Option<PhaseConfig>,
     /// Minimum first-step prediction confidence required to issue
     /// prefetches (§5.2: "systems where the network is the bottleneck
     /// require a prefetcher that is highly selective and confident").
@@ -63,10 +64,12 @@ pub struct ClsConfig {
     /// miss-history bookkeeping is isolated. With `false`, interleaved
     /// streams produce garbage cross-stream deltas.
     pub stream_isolation: bool,
-    /// Observer registry; the prefetcher emits replay-step, phase-
-    /// transition, and periodic epoch-summary events into it. Share
-    /// the same registry with the simulator's config to interleave
-    /// model events with memory events in one stream.
+    /// Observer registry; the prefetcher emits replay-step and
+    /// periodic epoch-summary events into it, and phase-transition
+    /// events under [`ReplayForm::OtherPhases`]. Share the same
+    /// registry with the simulator's config to interleave model events
+    /// with memory events in one stream (`hnp_serve::ModelKind::build`
+    /// does this for every named CLS model).
     pub obs: Registry,
 }
 
@@ -81,7 +84,6 @@ impl Default for ClsConfig {
             replay: ReplayConfig::default(),
             train_every: 4,
             episodic: CapacityPolicy::Ring { capacity: 4096 },
-            phase: Some(PhaseConfig::default()),
             min_confidence: 0.03,
             adaptive: false,
             stream_isolation: true,
@@ -98,7 +100,6 @@ impl ClsConfig {
     pub fn hebbian_only() -> Self {
         Self {
             replay: ReplayConfig::off(),
-            phase: None,
             train_every: 1,
             ..Self::default()
         }
@@ -138,6 +139,7 @@ pub struct ClsPrefetcher {
     /// Learning misses trained on and skipped (§5.1).
     trained: u64,
     skipped: u64,
+    /// Built only under [`ReplayForm::OtherPhases`], its one reader.
     phase: Option<PhaseDetector>,
     tracker: ConfidenceTracker,
     adaptive: Option<AdaptiveGeometry>,
@@ -174,10 +176,14 @@ impl ClsPrefetcher {
         let encoder = Encoder::new(cfg.encoder, vocab.len());
         let cortex = Neocortex::new(&encoder, vocab.len(), &cfg.neocortex);
         let hippo = Hippocampus::new(cfg.episodic);
-        let name = if cfg.replay.enabled {
+        let name = if cfg.replay.per_step > 0 {
             "cls-hebbian".to_string()
         } else {
             "hebbian".to_string()
+        };
+        let phase = match cfg.replay.form {
+            ReplayForm::OtherPhases { window } => Some(PhaseDetector::new(vocab.len(), window)),
+            ReplayForm::Interleaved | ReplayForm::SelfReinforce => None,
         };
         Self {
             vocab,
@@ -186,10 +192,7 @@ impl ClsPrefetcher {
             replay: ReplayScheduler::new(cfg.replay.clone()),
             trained: 0,
             skipped: 0,
-            phase: cfg
-                .phase
-                .clone()
-                .map(|p| PhaseDetector::new(DeltaVocab::new(cfg.delta_range).len(), p)),
+            phase,
             tracker: ConfidenceTracker::new(0.02, 256),
             adaptive: cfg
                 .adaptive
@@ -232,7 +235,8 @@ impl ClsPrefetcher {
         (self.trained, self.skipped)
     }
 
-    /// Current phase id (0 when phase detection is off).
+    /// Current phase id (0 unless the replay form is
+    /// [`ReplayForm::OtherPhases`]).
     pub fn current_phase(&self) -> u64 {
         self.phase.as_ref().map(|p| p.current_phase()).unwrap_or(0)
     }
@@ -268,7 +272,7 @@ impl ClsPrefetcher {
         let phase = self.current_phase();
         // Capture the pre-training recurrent context for the episode;
         // only a stored episode reads it.
-        if self.cfg.replay.enabled {
+        if self.cfg.replay.per_step > 0 {
             self.recurrent.clear();
             self.recurrent
                 .extend_from_slice(self.cortex.network().recurrent_state());
@@ -283,7 +287,7 @@ impl ClsPrefetcher {
             self.cortex.observe(pattern, token)
         };
         self.tracker.record(outcome.confidence, outcome.correct);
-        if !self.cfg.replay.enabled {
+        if self.cfg.replay.per_step == 0 {
             return;
         }
         self.hippo.store_ref(EpisodeRef {
@@ -479,6 +483,18 @@ mod tests {
             ClsPrefetcher::new(ClsConfig::hebbian_only()).name(),
             "hebbian"
         );
+        // No replay volume is no replay: no name, and no episodes.
+        let mut zero = ClsPrefetcher::new(ClsConfig {
+            replay: ReplayConfig {
+                per_step: 0,
+                ..ReplayConfig::default()
+            },
+            ..ClsConfig::small()
+        });
+        assert_eq!(zero.name(), "hebbian");
+        let _ = sim().run(&Pattern::Stride.generate(2000, 0), &mut zero);
+        assert_eq!(zero.episodic().offered(), 0);
+        assert_eq!(zero.replayed(), 0);
     }
 
     #[test]
@@ -632,6 +648,38 @@ mod tests {
     }
 
     #[test]
+    fn phase_detector_runs_only_under_other_phases() {
+        use hnp_obs::Counters;
+        let t = phased::phases(
+            &[
+                (Pattern::PointerChase, 3000),
+                (Pattern::Stride, 3000),
+                (Pattern::PointerChase, 3000),
+            ],
+            7,
+        );
+        let run = |replay: ReplayConfig| {
+            let reg = Registry::new();
+            let counters = Counters::new();
+            reg.attach(counters.clone());
+            let mut p = ClsPrefetcher::new(ClsConfig {
+                replay,
+                obs: reg,
+                ..ClsConfig::small()
+            });
+            let _ = sim().run(&t, &mut p);
+            (p.current_phase(), counters.get("phase_transition"))
+        };
+        // Interleaved replay never reads a phase id, so none is made.
+        assert_eq!(run(ClsConfig::small().replay), (0, 0));
+        let (phase, transitions) = run(ReplayConfig {
+            per_step: 1,
+            form: ReplayForm::OtherPhases { window: 64 },
+        });
+        assert!(phase > 0 && transitions > 0, "{phase} after {transitions}");
+    }
+
+    #[test]
     fn model_events_flow_and_observers_are_inert() {
         use hnp_obs::Counters;
         let t = phased::phases(&[(Pattern::PointerChase, 3000), (Pattern::Stride, 3000)], 7);
@@ -639,7 +687,7 @@ mod tests {
         let cfg = ClsConfig {
             replay: ReplayConfig {
                 per_step: 2,
-                ..ReplayConfig::default()
+                form: ReplayForm::OtherPhases { window: 64 },
             },
             ..ClsConfig::small()
         };
@@ -677,14 +725,23 @@ mod tests {
         // Regression: `page as i64 - last as i64` overflowed on a jump
         // between the halves of the `u64` page space, and the delta
         // `i64::MIN` then reached the phase detector as a token far out
-        // of vocabulary.
-        let mut p = ClsPrefetcher::new(ClsConfig::small());
-        for (tick, page) in [1u64 << 63, 0, 1].into_iter().enumerate() {
-            p.on_miss(&MissEvent {
-                page,
-                tick: tick as u64,
-                stream: 0,
-            });
+        // of vocabulary. Only other-phases replay runs the detector.
+        let other_phases = ClsConfig {
+            replay: ReplayConfig {
+                per_step: 1,
+                form: ReplayForm::OtherPhases { window: 2 },
+            },
+            ..ClsConfig::small()
+        };
+        for cfg in [ClsConfig::small(), other_phases] {
+            let mut p = ClsPrefetcher::new(cfg);
+            for (tick, page) in [1u64 << 63, 0, 1].into_iter().enumerate() {
+                p.on_miss(&MissEvent {
+                    page,
+                    tick: tick as u64,
+                    stream: 0,
+                });
+            }
         }
     }
 }

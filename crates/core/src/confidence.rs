@@ -1,10 +1,12 @@
 //! Confidence and accuracy tracking.
 //!
-//! Used by the training-instance samplers (§5.1: "a more intelligent
-//! sampling process could use confidence measures from the model"),
-//! the hippocampus capacity policies (§5.4), and the availability
-//! protocol (§5.5: "redeployed when the live model's
-//! confidence/accuracy decreases").
+//! Used by the CLS prefetcher's accuracy report and epoch summaries,
+//! and by the availability protocol (§5.5: "redeployed when the live
+//! model's confidence/accuracy decreases"). The rolling accuracy is
+//! [`hnp_memsim::OutcomeWindow`], the window the resilience wrapper
+//! judges prefetch outcomes with.
+
+use hnp_memsim::OutcomeWindow;
 
 /// An exponential moving average of model confidence plus a windowed
 /// accuracy counter.
@@ -12,9 +14,7 @@
 pub struct ConfidenceTracker {
     alpha: f32,
     ema: f32,
-    window: usize,
-    recent: std::collections::VecDeque<bool>,
-    correct_in_window: usize,
+    recent: OutcomeWindow,
 }
 
 impl ConfidenceTracker {
@@ -26,26 +26,17 @@ impl ConfidenceTracker {
     /// Panics if `alpha` is outside `(0, 1]` or `window == 0`.
     pub fn new(alpha: f32, window: usize) -> Self {
         assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-        assert!(window > 0, "window must be positive");
         Self {
             alpha,
             ema: 0.0,
-            window,
-            recent: std::collections::VecDeque::with_capacity(window),
-            correct_in_window: 0,
+            recent: OutcomeWindow::new(window),
         }
     }
 
     /// Records one prediction outcome.
     pub fn record(&mut self, confidence: f32, correct: bool) {
         self.ema = (1.0 - self.alpha) * self.ema + self.alpha * confidence;
-        if self.recent.len() == self.window && self.recent.pop_front() == Some(true) {
-            self.correct_in_window -= 1;
-        }
-        self.recent.push_back(correct);
-        if correct {
-            self.correct_in_window += 1;
-        }
+        self.recent.push(correct);
     }
 
     /// Smoothed confidence.
@@ -54,17 +45,15 @@ impl ConfidenceTracker {
     }
 
     /// Accuracy over the rolling window (0 before any observation).
+    /// The f64 quotient rounds to the f32 one: f64 carries more than
+    /// twice f32's precision.
     pub fn windowed_accuracy(&self) -> f32 {
-        if self.recent.is_empty() {
-            0.0
-        } else {
-            self.correct_in_window as f32 / self.recent.len() as f32
-        }
+        self.recent.accuracy() as f32
     }
 
     /// Observations recorded so far, capped at the window size.
     pub fn window_fill(&self) -> usize {
-        self.recent.len()
+        self.recent.filled()
     }
 }
 

@@ -106,14 +106,13 @@ pub trait EpisodicStore {
     /// Offers an owned episode, moving its vectors in.
     fn store_episode(&mut self, episode: Episode);
     /// Draws up to `k` episodes for replay, preferring phases other
-    /// than `current_phase` when `prefer_other_phases` is set, and
-    /// hands each to `visit` by reference, marking it replayed. Every
-    /// replay form goes through this one draw.
+    /// than `prefer_other_than` when it is set (uniformly otherwise),
+    /// and hands each to `visit` by reference, marking it replayed.
+    /// Every replay form goes through this one draw.
     fn replay_each(
         &mut self,
         k: usize,
-        current_phase: u64,
-        prefer_other_phases: bool,
+        prefer_other_than: Option<u64>,
         rng: &mut StdRng,
         visit: &mut dyn FnMut(EpisodeRef<'_>),
     );
@@ -302,16 +301,14 @@ impl EpisodicStore for Hippocampus {
     fn replay_each(
         &mut self,
         k: usize,
-        current_phase: u64,
-        prefer_other_phases: bool,
+        prefer_other_than: Option<u64>,
         rng: &mut StdRng,
         visit: &mut dyn FnMut(EpisodeRef<'_>),
     ) {
         let mut idx = std::mem::take(&mut self.replay_idx);
-        if prefer_other_phases {
-            self.sample_other_phases(k, current_phase, rng, &mut idx);
-        } else {
-            self.sample(k, rng, &mut idx);
+        match prefer_other_than {
+            Some(current_phase) => self.sample_other_phases(k, current_phase, rng, &mut idx),
+            None => self.sample(k, rng, &mut idx),
         }
         idx.sort_unstable_by(|a, b| b.cmp(a));
         for &i in &idx {
@@ -436,14 +433,11 @@ mod tests {
     fn replayed(
         h: &mut Hippocampus,
         k: usize,
-        phase: u64,
-        prefer_other: bool,
+        prefer_other_than: Option<u64>,
         rng: &mut StdRng,
     ) -> Vec<u64> {
         let mut stamps = Vec::new();
-        h.replay_each(k, phase, prefer_other, rng, &mut |e| {
-            stamps.push(e.stored_at)
-        });
+        h.replay_each(k, prefer_other_than, rng, &mut |e| stamps.push(e.stored_at));
         stamps
     }
 
@@ -478,16 +472,16 @@ mod tests {
             ep(&mut h, &[i as u32], 0, 0.5, i);
         }
         let mut rng = StdRng::seed_from_u64(1);
-        let s = replayed(&mut h, 8, 0, false, &mut rng);
+        let s = replayed(&mut h, 8, None, &mut rng);
         assert_eq!(s.len(), 8);
         let set: std::collections::HashSet<u64> = s.iter().copied().collect();
         assert_eq!(set.len(), 8);
         assert!(s.iter().all(|&i| i < 20));
         // k > n returns everything.
-        assert_eq!(replayed(&mut h, 100, 0, false, &mut rng).len(), 20);
+        assert_eq!(replayed(&mut h, 100, None, &mut rng).len(), 20);
         // Empty store returns nothing.
         let mut empty = Hippocampus::new(CapacityPolicy::Ring { capacity: 64 });
-        assert!(replayed(&mut empty, 5, 0, false, &mut rng).is_empty());
+        assert!(replayed(&mut empty, 5, None, &mut rng).is_empty());
     }
 
     #[test]
@@ -505,7 +499,7 @@ mod tests {
             );
         }
         let mut rng = StdRng::seed_from_u64(2);
-        let s = replayed(&mut h, 3, 2, true, &mut rng);
+        let s = replayed(&mut h, 3, Some(2), &mut rng);
         assert_eq!(s.len(), 3);
         // Phase-1 episodes were stored at steps 0..5.
         assert!(s.iter().all(|&stored_at| stored_at < 5), "{s:?}");
@@ -531,7 +525,7 @@ mod tests {
         assert_eq!(h.offered(), 10);
         let mut rng = StdRng::seed_from_u64(2);
         let mut targets = Vec::new();
-        h.replay_each(3, 0, false, &mut rng, &mut |e| targets.push(e.target));
+        h.replay_each(3, None, &mut rng, &mut |e| targets.push(e.target));
         assert_eq!(targets.len(), 3);
         // Visited in descending index order, and each stored target
         // is its index.
@@ -582,9 +576,10 @@ mod tests {
                         });
                     }
                 } else {
+                    let prefer_other_than = prefer_other.then_some(phase);
                     prop_assert_eq!(
-                        replayed(&mut fast, k, phase, prefer_other, &mut fast_rng),
-                        replayed(&mut reference, k, phase, prefer_other, &mut reference_rng)
+                        replayed(&mut fast, k, prefer_other_than, &mut fast_rng),
+                        replayed(&mut reference, k, prefer_other_than, &mut reference_rng)
                     );
                 }
                 prop_assert_eq!(fast.episodes(), reference.episodes());

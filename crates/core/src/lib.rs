@@ -13,8 +13,10 @@
 //! * [`hippocampus`] — the episodic store (§5.4): a ring of recent
 //!   episodes;
 //! * [`replay`] — the replay scheduler and its forms (§3.2, §5.4):
-//!   interleaved, other-phases, self-reinforcing;
-//! * [`phase`] — online phase detection by clustering (§5.4);
+//!   interleaved, other-phases, self-reinforcing; a positive
+//!   `per_step` is replay on;
+//! * [`phase`] — online phase detection by clustering (§5.4), run only
+//!   under other-phases replay, the one reader of phase ids;
 //! * [`confidence`] — confidence/accuracy tracking;
 //! * [`availability`] — the shadow-model train/redeploy protocol
 //!   (§5.5);

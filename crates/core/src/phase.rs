@@ -16,19 +16,6 @@ const CENTROID_ALPHA: f64 = 0.2;
 /// Maximum tracked phases (oldest merged away beyond this).
 const MAX_PHASES: usize = 16;
 
-/// Configuration of the phase detector.
-#[derive(Debug, Clone)]
-pub struct PhaseConfig {
-    /// Tokens per detection window.
-    pub window: usize,
-}
-
-impl Default for PhaseConfig {
-    fn default() -> Self {
-        Self { window: 64 }
-    }
-}
-
 /// A reported phase transition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct PhaseChange {
@@ -43,7 +30,8 @@ pub(crate) struct PhaseChange {
 /// The online phase detector.
 #[derive(Debug, Clone)]
 pub struct PhaseDetector {
-    cfg: PhaseConfig,
+    /// Tokens per detection window.
+    window: usize,
     vocab_len: usize,
     /// Token counts of the window being filled; normalized in place
     /// when it completes.
@@ -60,13 +48,14 @@ pub struct PhaseDetector {
 }
 
 impl PhaseDetector {
-    /// Creates a detector over a `vocab_len`-token alphabet.
+    /// Creates a detector over a `vocab_len`-token alphabet that
+    /// assigns a phase to every `window` tokens.
     ///
     /// # Panics
     ///
     /// Panics on a zero vocabulary or window.
-    pub fn new(vocab_len: usize, cfg: PhaseConfig) -> Self {
-        assert!(vocab_len > 0 && cfg.window > 0);
+    pub fn new(vocab_len: usize, window: usize) -> Self {
+        assert!(vocab_len > 0 && window > 0);
         Self {
             current_window: vec![0.0; vocab_len],
             filled: 0,
@@ -75,7 +64,7 @@ impl PhaseDetector {
             next_id: 1,
             current_phase: 0,
             vocab_len,
-            cfg,
+            window,
         }
     }
 
@@ -94,7 +83,7 @@ impl PhaseDetector {
         assert!(token < self.vocab_len, "token out of vocabulary");
         self.current_window[token] += 1.0;
         self.filled += 1;
-        if self.filled < self.cfg.window {
+        if self.filled < self.window {
             return None;
         }
         let change = self.assign_window();
@@ -174,13 +163,9 @@ fn cosine(a: &[f64], b: &[f64]) -> f64 {
 mod tests {
     use super::*;
 
-    fn cfg() -> PhaseConfig {
-        PhaseConfig { window: 16 }
-    }
-
     #[test]
     fn detects_distinct_phases_and_recognizes_returns() {
-        let mut d = PhaseDetector::new(8, cfg());
+        let mut d = PhaseDetector::new(8, 16);
         let mut changes = Vec::new();
         // Phase A: token 1 dominates. Phase B: token 5 dominates.
         for _ in 0..64 {
@@ -207,7 +192,7 @@ mod tests {
 
     #[test]
     fn no_change_within_a_stable_phase() {
-        let mut d = PhaseDetector::new(4, cfg());
+        let mut d = PhaseDetector::new(4, 16);
         let mut changes = 0;
         for _ in 0..160 {
             if d.observe(2).is_some() {
@@ -219,7 +204,7 @@ mod tests {
 
     #[test]
     fn mixed_windows_join_nearest_phase() {
-        let mut d = PhaseDetector::new(4, cfg());
+        let mut d = PhaseDetector::new(4, 16);
         for _ in 0..32 {
             d.observe(0);
         }
@@ -235,7 +220,7 @@ mod tests {
     fn phase_budget_is_bounded() {
         // Each one-hot window is orthogonal to every centroid, so each
         // opens a new phase: twice the budget overflows it.
-        let mut d = PhaseDetector::new(2 * MAX_PHASES, PhaseConfig { window: 8 });
+        let mut d = PhaseDetector::new(2 * MAX_PHASES, 8);
         for tok in 0..2 * MAX_PHASES {
             for _ in 0..8 {
                 d.observe(tok);
@@ -247,7 +232,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "token out of vocabulary")]
     fn oov_token_panics() {
-        let mut d = PhaseDetector::new(4, cfg());
+        let mut d = PhaseDetector::new(4, 16);
         d.observe(4);
     }
 }

@@ -23,13 +23,20 @@ use crate::encoder::Encoder;
 use crate::hippocampus::{EpisodeRef, EpisodicStore, Hippocampus};
 use crate::neocortex::Neocortex;
 
-/// The replay variant.
+/// The replay variant. It decides what the CLS computes: only
+/// [`ReplayForm::OtherPhases`] reads phase ids, so only it runs a
+/// [`crate::phase::PhaseDetector`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplayForm {
     /// Uniformly sampled episodes retrained at the scaled rate.
     Interleaved,
-    /// Episodes sampled preferentially from other phases.
-    OtherPhases,
+    /// Episodes sampled preferentially from phases other than the
+    /// current one, as a phase detector over the delta tokens assigns
+    /// them.
+    OtherPhases {
+        /// Delta tokens per detector window.
+        window: usize,
+    },
     /// Train the stored context on the network's own current output.
     SelfReinforce,
 }
@@ -39,12 +46,11 @@ const LR_SCALE: f32 = 0.1;
 /// Episode-sampling seed.
 const SEED: u64 = 0x9e91a;
 
-/// Replay configuration.
+/// Replay configuration. Replay is on when `per_step` is positive.
 #[derive(Debug, Clone)]
 pub struct ReplayConfig {
-    /// Master switch.
-    pub enabled: bool,
-    /// Episodes replayed after each online training step.
+    /// Episodes replayed after each online training step; 0 turns
+    /// replay, and with it the episodic store, off.
     pub per_step: usize,
     /// Replay form.
     pub form: ReplayForm,
@@ -53,7 +59,6 @@ pub struct ReplayConfig {
 impl Default for ReplayConfig {
     fn default() -> Self {
         Self {
-            enabled: true,
             per_step: 1,
             form: ReplayForm::Interleaved,
         }
@@ -64,7 +69,7 @@ impl ReplayConfig {
     /// Replay disabled (the §2.2 interference condition).
     pub fn off() -> Self {
         Self {
-            enabled: false,
+            per_step: 0,
             ..Self::default()
         }
     }
@@ -100,6 +105,7 @@ impl ReplayScheduler {
     /// the default interleaved form allocates nothing. No form reads
     /// the encoder: each trains on the stored pattern. The parameter
     /// stays because perfbench's per-layer probe calls this signature.
+    /// Only [`ReplayForm::OtherPhases`] reads `current_phase`.
     pub fn after_train(
         &mut self,
         cortex: &mut Neocortex,
@@ -107,15 +113,16 @@ impl ReplayScheduler {
         _encoder: &Encoder,
         current_phase: u64,
     ) -> usize {
-        if !self.cfg.enabled || self.cfg.per_step == 0 || store.stored() == 0 {
+        if self.cfg.per_step == 0 || store.stored() == 0 {
             return 0;
         }
         let form = self.cfg.form;
-        let prefer_other = matches!(form, ReplayForm::OtherPhases);
+        let prefer_other_than =
+            matches!(form, ReplayForm::OtherPhases { .. }).then_some(current_phase);
         let scale = LrScale::from_f32(LR_SCALE);
         let mut done = 0usize;
         let mut replay = |episode: EpisodeRef<'_>| match form {
-            ReplayForm::Interleaved | ReplayForm::OtherPhases => {
+            ReplayForm::Interleaved | ReplayForm::OtherPhases { .. } => {
                 cortex.replay_train(episode.pattern, episode.target, scale, episode.recurrent);
                 done += 1;
             }
@@ -130,8 +137,7 @@ impl ReplayScheduler {
         };
         store.replay_each(
             self.cfg.per_step,
-            current_phase,
-            prefer_other,
+            prefer_other_than,
             &mut self.rng,
             &mut replay,
         );
@@ -236,7 +242,6 @@ mod tests {
         let mut sched = ReplayScheduler::new(ReplayConfig {
             form: ReplayForm::SelfReinforce,
             per_step: 3,
-            ..ReplayConfig::default()
         });
         assert_eq!(sched.after_train(&mut cortex, &mut hippo, &encoder, 0), 3);
     }

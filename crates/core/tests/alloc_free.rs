@@ -63,7 +63,7 @@ fn store(h: &mut Hippocampus, i: u64) {
 fn miss(h: &mut Hippocampus, rng: &mut StdRng, i: u64) -> usize {
     store(h, i);
     let mut target = usize::MAX;
-    h.replay_each(1, 0, false, rng, &mut |e| target = e.target);
+    h.replay_each(1, None, rng, &mut |e| target = e.target);
     target
 }
 

@@ -43,5 +43,5 @@ pub use ledger::PrefetchLedger;
 pub use prefetcher::PrefetchFeedback;
 pub use prefetcher::{DemuxPrefetcher, MissEvent, NoPrefetcher, Prefetcher};
 pub use residency::{Access, Admit, Dispatch, EventFold, Residency};
-pub use resilient::{HealthState, ResilientPrefetcher};
+pub use resilient::{HealthState, OutcomeWindow, ResilientPrefetcher};
 pub use sim::{SimConfig, SimReport, Simulator};

@@ -90,41 +90,58 @@ enum Source {
     Fallback,
 }
 
-/// A bounded sliding window of prefetch outcomes.
-#[derive(Debug, Default)]
-struct OutcomeWindow {
+/// A bounded sliding window of outcomes with a running count of the
+/// good ones: the wrapper's per-source prefetch accuracy, and the CLS
+/// model's rolling prediction accuracy (`hnp_core`'s
+/// `ConfidenceTracker`).
+#[derive(Debug, Clone)]
+pub struct OutcomeWindow {
     outcomes: VecDeque<bool>,
     cap: usize,
+    good: usize,
 }
 
 impl OutcomeWindow {
-    fn new(cap: usize) -> Self {
+    /// An empty window of the last `cap` outcomes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cap` is 0.
+    pub fn new(cap: usize) -> Self {
+        assert!(cap > 0, "window must be positive");
         Self {
             outcomes: VecDeque::with_capacity(cap),
             cap,
+            good: 0,
         }
     }
 
-    fn push(&mut self, good: bool) {
-        if self.outcomes.len() == self.cap {
-            self.outcomes.pop_front();
+    /// Records one outcome, forgetting the oldest when full.
+    pub fn push(&mut self, good: bool) {
+        if self.outcomes.len() == self.cap && self.outcomes.pop_front() == Some(true) {
+            self.good -= 1;
         }
         self.outcomes.push_back(good);
+        self.good += usize::from(good);
     }
 
-    fn len(&self) -> usize {
+    /// Outcomes in the window, at most its capacity.
+    pub fn filled(&self) -> usize {
         self.outcomes.len()
     }
 
-    fn accuracy(&self) -> f64 {
+    /// The good share of the window (0 when it is empty).
+    pub fn accuracy(&self) -> f64 {
         if self.outcomes.is_empty() {
             return 0.0;
         }
-        self.outcomes.iter().filter(|&&g| g).count() as f64 / self.outcomes.len() as f64
+        self.good as f64 / self.outcomes.len() as f64
     }
 
-    fn clear(&mut self) {
+    /// Forgets every outcome.
+    pub fn clear(&mut self) {
         self.outcomes.clear();
+        self.good = 0;
     }
 }
 
@@ -279,7 +296,7 @@ impl<P: Prefetcher> ResilientPrefetcher<P> {
         match self.state {
             HealthState::Healthy | HealthState::Throttled => {
                 let w = &self.windows[Source::Inner as usize];
-                if w.len() < MIN_OBSERVATIONS {
+                if w.filled() < MIN_OBSERVATIONS {
                     return;
                 }
                 let acc = w.accuracy();
@@ -301,14 +318,14 @@ impl<P: Prefetcher> ResilientPrefetcher<P> {
             }
             HealthState::Fallback => {
                 let fw = &self.windows[Source::Fallback as usize];
-                if fw.len() >= MIN_OBSERVATIONS && fw.accuracy() < DISABLE_BELOW {
+                if fw.filled() >= MIN_OBSERVATIONS && fw.accuracy() < DISABLE_BELOW {
                     self.transition(HealthState::Disabled);
                     return;
                 }
                 // Recovery is judged on the probe stream only: the
                 // benched model must prove itself before being
                 // re-trusted.
-                if self.probe_window.len() >= MIN_OBSERVATIONS / 2
+                if self.probe_window.filled() >= MIN_OBSERVATIONS / 2
                     && self.probe_window.accuracy() >= RECOVER_ABOVE
                 {
                     self.good_evals += 1;

@@ -61,7 +61,7 @@ impl Counters {
 
 impl Observer for Counters {
     fn on_event(&mut self, ev: &Event) {
-        self.bump(ev.kind().name(), 1);
+        self.bump(ev.name(), 1);
         match *ev {
             Event::Miss { late, stall, .. } => {
                 self.bump(if late { "miss_late" } else { "miss_full" }, 1);
@@ -96,7 +96,6 @@ impl Observer for Counters {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EventKind;
     use crate::observer::Registry;
 
     #[test]
@@ -149,12 +148,12 @@ mod tests {
             hits: 1,
             misses: 2,
         });
-        assert_eq!(c.get(EventKind::Hit.name()), 1);
-        assert_eq!(c.get(EventKind::Miss.name()), 2);
+        assert_eq!(c.get("hit"), 1);
+        assert_eq!(c.get("miss"), 2);
         assert_eq!(c.get("miss_full"), 1);
         assert_eq!(c.get("miss_late"), 1);
         assert_eq!(c.get("stall_ticks"), 140);
-        assert_eq!(c.get(EventKind::Feedback.name()), 4);
+        assert_eq!(c.get("feedback"), 4);
         for key in [
             "feedback_useful",
             "feedback_late",
@@ -163,7 +162,7 @@ mod tests {
         ] {
             assert_eq!(c.get(key), 1, "{key}");
         }
-        assert_eq!(c.get(EventKind::Fault.name()), 5);
+        assert_eq!(c.get("fault"), 5);
         for key in [
             "fault_crash",
             "fault_restart",

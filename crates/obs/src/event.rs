@@ -233,88 +233,6 @@ pub enum Event {
     },
 }
 
-/// Discriminant of an [`Event`], used for counter keys and filters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) enum EventKind {
-    /// [`Event::Hit`].
-    Hit,
-    /// [`Event::Miss`].
-    Miss,
-    /// [`Event::PrefetchIssued`].
-    PrefetchIssued,
-    /// [`Event::PrefetchDropped`].
-    PrefetchDropped,
-    /// [`Event::Feedback`].
-    Feedback,
-    /// [`Event::ReplayStep`].
-    ReplayStep,
-    /// [`Event::PhaseTransition`].
-    PhaseTransition,
-    /// [`Event::Fault`].
-    Fault,
-    /// [`Event::Degradation`].
-    Degradation,
-    /// [`Event::EpochSummary`].
-    EpochSummary,
-    /// [`Event::RunEnd`].
-    RunEnd,
-    /// [`Event::ServeEnqueue`].
-    ServeEnqueue,
-    /// [`Event::ServeShed`].
-    ServeShed,
-    /// [`Event::ServeFlush`].
-    ServeFlush,
-    /// [`Event::ShardEpoch`].
-    ShardEpoch,
-    /// [`Event::Snapshot`].
-    Snapshot,
-}
-
-impl EventKind {
-    /// Every kind, in taxonomy order.
-    #[cfg(test)]
-    const ALL: [EventKind; 16] = [
-        EventKind::Hit,
-        EventKind::Miss,
-        EventKind::PrefetchIssued,
-        EventKind::PrefetchDropped,
-        EventKind::Feedback,
-        EventKind::ReplayStep,
-        EventKind::PhaseTransition,
-        EventKind::Fault,
-        EventKind::Degradation,
-        EventKind::EpochSummary,
-        EventKind::RunEnd,
-        EventKind::ServeEnqueue,
-        EventKind::ServeShed,
-        EventKind::ServeFlush,
-        EventKind::ShardEpoch,
-        EventKind::Snapshot,
-    ];
-
-    /// Stable snake_case name used in exports and counter keys.
-    pub(crate) fn name(self) -> &'static str {
-        match self {
-            EventKind::Hit => "hit",
-            EventKind::Miss => "miss",
-            EventKind::PrefetchIssued => "prefetch_issued",
-            EventKind::PrefetchDropped => "prefetch_dropped",
-            EventKind::Feedback => "feedback",
-            EventKind::ReplayStep => "replay_step",
-            EventKind::PhaseTransition => "phase_transition",
-            EventKind::Fault => "fault",
-            EventKind::Degradation => "degradation",
-            EventKind::EpochSummary => "epoch_summary",
-            EventKind::RunEnd => "run_end",
-            EventKind::ServeEnqueue => "serve_enqueue",
-            EventKind::ServeShed => "serve_shed",
-            EventKind::ServeFlush => "serve_flush",
-            EventKind::ShardEpoch => "shard_epoch",
-            EventKind::Snapshot => "snapshot",
-        }
-    }
-}
-
 /// A single exported field value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Field {
@@ -329,25 +247,26 @@ pub enum Field {
 }
 
 impl Event {
-    /// The event's discriminant.
-    pub(crate) fn kind(&self) -> EventKind {
+    /// Stable snake_case name: the export's `event` field and the
+    /// counter key.
+    pub fn name(&self) -> &'static str {
         match self {
-            Event::Hit { .. } => EventKind::Hit,
-            Event::Miss { .. } => EventKind::Miss,
-            Event::PrefetchIssued { .. } => EventKind::PrefetchIssued,
-            Event::PrefetchDropped { .. } => EventKind::PrefetchDropped,
-            Event::Feedback { .. } => EventKind::Feedback,
-            Event::ReplayStep { .. } => EventKind::ReplayStep,
-            Event::PhaseTransition { .. } => EventKind::PhaseTransition,
-            Event::Fault { .. } => EventKind::Fault,
-            Event::Degradation { .. } => EventKind::Degradation,
-            Event::EpochSummary { .. } => EventKind::EpochSummary,
-            Event::RunEnd { .. } => EventKind::RunEnd,
-            Event::ServeEnqueue { .. } => EventKind::ServeEnqueue,
-            Event::ServeShed { .. } => EventKind::ServeShed,
-            Event::ServeFlush { .. } => EventKind::ServeFlush,
-            Event::ShardEpoch { .. } => EventKind::ShardEpoch,
-            Event::Snapshot { .. } => EventKind::Snapshot,
+            Event::Hit { .. } => "hit",
+            Event::Miss { .. } => "miss",
+            Event::PrefetchIssued { .. } => "prefetch_issued",
+            Event::PrefetchDropped { .. } => "prefetch_dropped",
+            Event::Feedback { .. } => "feedback",
+            Event::ReplayStep { .. } => "replay_step",
+            Event::PhaseTransition { .. } => "phase_transition",
+            Event::Fault { .. } => "fault",
+            Event::Degradation { .. } => "degradation",
+            Event::EpochSummary { .. } => "epoch_summary",
+            Event::RunEnd { .. } => "run_end",
+            Event::ServeEnqueue { .. } => "serve_enqueue",
+            Event::ServeShed { .. } => "serve_shed",
+            Event::ServeFlush { .. } => "serve_flush",
+            Event::ShardEpoch { .. } => "shard_epoch",
+            Event::Snapshot { .. } => "snapshot",
         }
     }
 
@@ -508,18 +427,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kind_names_are_unique_and_snake_case() {
-        let names: Vec<&str> = EventKind::ALL.iter().map(|k| k.name()).collect();
-        let mut dedup = names.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), names.len());
-        assert!(names
-            .iter()
-            .all(|n| n.chars().all(|c| c.is_ascii_lowercase() || c == '_')));
-    }
-
-    #[test]
     fn fields_match_declared_kind() {
         let ev = Event::Miss {
             tick: 7,
@@ -527,7 +434,7 @@ mod tests {
             late: true,
             stall: 3,
         };
-        assert_eq!(ev.kind(), EventKind::Miss);
+        assert_eq!(ev.name(), "miss");
         let fields = ev.fields();
         assert_eq!(fields[0], ("tick", Field::U64(7)));
         assert_eq!(fields[2], ("late", Field::Bool(true)));

@@ -49,7 +49,7 @@ fn push_field(out: &mut String, f: Field) {
 fn event_to_jsonl(ev: &Event) -> String {
     let mut out = String::with_capacity(64);
     out.push_str("{\"event\":\"");
-    json_escape(ev.kind().name(), &mut out);
+    json_escape(ev.name(), &mut out);
     out.push('"');
     for (name, value) in ev.fields() {
         out.push_str(",\"");

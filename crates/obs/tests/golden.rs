@@ -105,6 +105,18 @@ fn jsonl_export_matches_golden() {
 }
 
 #[test]
+fn kind_names_are_unique_and_snake_case() {
+    let names: Vec<&str> = sample_stream().iter().map(Event::name).collect();
+    let mut dedup = names.clone();
+    dedup.sort_unstable();
+    dedup.dedup();
+    assert_eq!(dedup.len(), names.len());
+    assert!(names
+        .iter()
+        .all(|n| n.chars().all(|c| c.is_ascii_lowercase() || c == '_')));
+}
+
+#[test]
 fn golden_jsonl_lines_parse_back() {
     for line in include_str!("golden/events.jsonl").lines() {
         assert!(

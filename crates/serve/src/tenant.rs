@@ -19,6 +19,7 @@ use hnp_hebbian::NetState;
 use hnp_memsim::{
     HealthState, MissEvent, NoPrefetcher, PrefetchFeedback, Prefetcher, ResilientPrefetcher,
 };
+use hnp_obs::Registry;
 use hnp_trace::apps::AppWorkload;
 
 /// Identifies a tenant across the engine, reports, and snapshots.
@@ -107,10 +108,13 @@ impl ModelKind {
 
     /// Builds this model with its default configuration. `seed` seeds
     /// the LSTM and transformer weight init; the CLS kinds do not read
-    /// it.
-    pub fn build(self, seed: u64) -> Box<dyn Prefetcher> {
+    /// it, and emit their replay, phase and epoch events into `obs`.
+    pub fn build(self, seed: u64, obs: &Registry) -> Box<dyn Prefetcher> {
         if let Some(cfg) = self.cls_config() {
-            return Box::new(ClsPrefetcher::new(cfg));
+            return Box::new(ClsPrefetcher::new(ClsConfig {
+                obs: obs.clone(),
+                ..cfg
+            }));
         }
         match self {
             ModelKind::Stride => Box::new(StridePrefetcher::with_config(StrideConfig::default())),
@@ -205,7 +209,7 @@ impl PrefetcherFactory {
                 TenantModel::Cls(Box::new(ResilientPrefetcher::new(ClsPrefetcher::new(cfg))))
             }
             None => TenantModel::Other(Box::new(ResilientPrefetcher::new(
-                spec.model.build(spec.seed),
+                spec.model.build(spec.seed, &Registry::new()),
             ))),
         }
     }
@@ -337,7 +341,7 @@ mod tests {
                 seed: 11,
             };
             let mut served = factory.build(&spec);
-            let mut built = ResilientPrefetcher::new(kind.build(spec.seed));
+            let mut built = ResilientPrefetcher::new(kind.build(spec.seed, &Registry::new()));
             let mut issued = 0;
             for i in 0..200u64 {
                 let miss = MissEvent {
