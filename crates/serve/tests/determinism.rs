@@ -1,6 +1,6 @@
 //! Satellite determinism contract: the serving engine's report,
 //! snapshot archive, and emitted event stream are bit-identical at 1,
-//! 2, and 8 worker threads.
+//! 2, 3, and 8 worker threads (3 splits the 8 shards unevenly).
 
 use hnp_obs::{JsonlExporter, Registry};
 use hnp_serve::{
@@ -62,7 +62,7 @@ fn bit_identical_across_1_2_8_workers() {
     assert!(!events1.is_empty());
     assert!(report1.processed > 0);
     assert!(!archive1.is_empty());
-    for workers in [2, 8] {
+    for workers in [2, 3, 8] {
         let (events, report, archive) = run(workers);
         assert_eq!(report, report1, "report differs at {workers} workers");
         assert_eq!(archive, archive1, "archive differs at {workers} workers");
