@@ -592,9 +592,8 @@ fn cmd_serve_bench(args: &Args) -> Result<(), String> {
             snapshot_interval,
             hash_seed: seed ^ 0x5e44e,
             crashes: crashes.clone(),
-            pred_window: 64,
-            pred_horizon: 256,
             obs,
+            ..ServeConfig::default()
         };
         ServeEngine::new(cfg, registry.clone(), PrefetcherFactory::new())
     };

@@ -1,25 +1,23 @@
-//! The serving engine: a batched, lock-step epoch loop over OS worker
-//! threads (DESIGN.md §11).
+//! The serving engine: plan, serve, merge (DESIGN.md §11).
 //!
-//! Each epoch the main thread ingests arrivals through per-shard
-//! admission control, flushes one bounded batch per shard, and hands
-//! the batches to the workers that own those shards. Workers hold all
-//! live tenant state — models are *constructed inside* the owning
-//! worker from the shared [`PrefetcherFactory`], because prefetcher
-//! configs carry thread-local observer registries and must never
-//! migrate. The epoch barrier (every worker acknowledges before the
-//! next epoch starts) plus shard-ordered merging of results is what
-//! makes the emitted event stream and the final report bit-identical
-//! for any worker count.
+//! 1. **Plan.** The main thread runs admission over the whole request
+//!    stream before any model runs, epoch by epoch: it offers a slice
+//!    of arrivals to the per-shard queues, then flushes one bounded
+//!    batch per shard. Admission reads only the stream and the queue
+//!    depths, so nothing a worker computes can change it.
+//! 2. **Serve.** One scoped OS thread per worker serves its shards'
+//!    batches, crashes and snapshots epoch by epoch, and is joined
+//!    once. Models are *constructed inside* the owning worker from the
+//!    shared [`PrefetcherFactory`]: their configs carry thread-local
+//!    observer registries and must never migrate.
+//! 3. **Merge.** The main thread folds the plan and the workers' logs
+//!    into the report and emits the `hnp-obs` events in a fixed order.
 //!
-//! Observability stays on the main thread: workers return plain
-//! integer payloads and the engine emits `hnp-obs` events from the
-//! merged, shard-ordered view.
+//! Tenant→shard→worker pinning plus that order make the event stream,
+//! the report and the archive bit-identical for any worker count.
 
-use std::collections::BTreeMap;
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
-use std::thread;
+use std::collections::{BTreeMap, VecDeque};
+use std::{panic, thread};
 
 use hnp_memsim::{MissEvent, PrefetchFeedback, PrefetchLedger};
 use hnp_obs::{Event, FaultKind, Registry};
@@ -191,47 +189,131 @@ pub struct ServeOutcome {
     pub archive: BTreeMap<TenantId, Vec<u8>>,
 }
 
-/// Coverage-model knobs shipped to workers.
+/// Coverage-model knobs a worker serves with.
 #[derive(Debug, Clone, Copy)]
 struct CoverageParams {
     window: usize,
     horizon: u64,
 }
 
-/// One epoch of work for a worker: every owned shard's batch (empty
-/// batches included — the acknowledgement is the barrier), crash
-/// directives with optional warm-start blobs, and the snapshot flag.
-struct EpochTask {
-    batches: Vec<(usize, Vec<ServeRequest>)>,
-    crashes: Vec<(TenantId, Option<Vec<u8>>)>,
-    snapshot: bool,
+/// Admission's record of a whole run: flat arrays of stream indices
+/// and counts, never a copy of a request. Indices and depths are
+/// `u32`, which keeps the plan at 8 bytes per request and bounds a run
+/// at 2³² − 1 requests (64 GiB of them).
+struct Plan {
+    shards: usize,
+    /// Arrivals offered per epoch, `shards × flush_per_shard`.
+    ingest: usize,
+    /// Epochs the run takes, excluding the closing snapshot pass.
+    epochs: u64,
+    snapshot_interval: u64,
+    /// Per offered request, in arrival order: the queue depth after
+    /// its enqueue (at least 1), or `0` if it was shed.
+    depths: Vec<u32>,
+    /// Stream indices of the admitted requests in serving order:
+    /// epoch by epoch, shard by shard, FIFO within each batch.
+    order: Vec<u32>,
+    /// Per epoch and shard, epoch-major: the batch flushed and the
+    /// queue length left behind it.
+    batches: Vec<(usize, usize)>,
+    /// The crashes that land, as (epoch, tenant, shard) in ascending
+    /// epoch then tenant order.
+    crashes: Vec<(u64, TenantId, usize)>,
+    /// Per-shard queue totals, ascending shard index.
+    shard_reports: Vec<ShardReport>,
 }
 
-enum ToWorker {
-    Epoch(EpochTask),
-    Finish,
+impl Plan {
+    /// Runs admission epoch by epoch until the stream and every queue
+    /// are drained.
+    fn new(cfg: &ServeConfig, requests: &[ServeRequest]) -> Self {
+        assert!(
+            requests.len() <= u32::MAX as usize,
+            "a run offers at most 2^32 - 1 requests"
+        );
+        let shards = cfg.shards.max(1);
+        let flush = cfg.flush_per_shard.max(1);
+        let ingest = shards * flush;
+        let mut queues: Vec<ShardQueue> = (0..shards)
+            .map(|_| ShardQueue::new(cfg.queue_depth))
+            .collect();
+        // The stream indices behind each queue's pending requests.
+        let mut pending: Vec<VecDeque<u32>> = vec![VecDeque::new(); shards];
+        let mut depths = Vec::with_capacity(requests.len());
+        let mut order = Vec::with_capacity(requests.len());
+        let mut batches = Vec::new();
+        let mut arrivals = requests.iter().enumerate().peekable();
+        while arrivals.peek().is_some() || queues.iter().any(|q| !q.is_empty()) {
+            for (i, req) in arrivals.by_ref().take(ingest) {
+                let sh = shard_of(req.tenant, shards, cfg.hash_seed);
+                depths.push(match queues[sh].offer(*req) {
+                    Offer::Enqueued(depth) => {
+                        pending[sh].push_back(i as u32);
+                        depth as u32
+                    }
+                    Offer::Shed => 0,
+                });
+            }
+            for (queue, pending) in queues.iter_mut().zip(&mut pending) {
+                let n = queue.flush(flush).len();
+                order.extend(pending.drain(..n));
+                batches.push((n, queue.len()));
+            }
+        }
+        let epochs = (batches.len() / shards) as u64;
+        let mut crashes: Vec<(u64, TenantId, usize)> = cfg
+            .crashes
+            .iter()
+            .filter(|&&(epoch, _)| (1..=epochs).contains(&epoch))
+            .map(|&(epoch, t)| (epoch, t, shard_of(t, shards, cfg.hash_seed)))
+            .collect();
+        crashes.sort_unstable();
+        let shard_reports = (0..).zip(&queues).map(|(shard, queue)| {
+            let s = queue.stats();
+            ShardReport {
+                shard,
+                enqueued: s.enqueued,
+                shed: s.shed,
+                flushed: s.flushed,
+            }
+        });
+        Self {
+            shards,
+            ingest,
+            epochs,
+            snapshot_interval: cfg.snapshot_interval,
+            depths,
+            order,
+            batches,
+            crashes,
+            shard_reports: shard_reports.collect(),
+        }
+    }
+
+    /// True when snapshots are taken at the end of `epoch`; the closing
+    /// pass is epoch `epochs + 1`.
+    fn snapshot_due(&self, epoch: u64) -> bool {
+        self.snapshot_interval > 0
+            && (epoch.is_multiple_of(self.snapshot_interval) || epoch > self.epochs)
+    }
 }
 
-/// Per-epoch acknowledgement: snapshots captured and restores
-/// attempted this epoch (tenant, blob bytes, success).
-struct EpochAck {
-    snapshots: Vec<(TenantId, Vec<u8>)>,
-    restores: Vec<(TenantId, u64, bool)>,
-}
+/// A warm-start restored or a snapshot taken: (epoch, `false` for a
+/// restore or `true` for a snapshot, tenant, blob bytes). Sorted, this
+/// is the merge's order: by epoch, restores first, then by tenant.
+type SnapshotEntry = (u64, bool, TenantId, u64);
 
-/// Closing per-tenant totals from one worker.
-struct TenantFinal {
-    tenant: TenantId,
-    requests: u64,
-    covered: u64,
-    issued: u64,
-    expired: u64,
-    health: &'static str,
-}
+/// A tenant's closing totals: requests, covered, issued, expired and
+/// the health-ladder label.
+type TenantFinal = (u64, u64, u64, u64, &'static str);
 
-enum FromWorker {
-    Epoch(EpochAck),
-    Final(Vec<TenantFinal>),
+/// What one worker returns when it is joined.
+#[derive(Default)]
+struct WorkerLog {
+    snapshots: Vec<SnapshotEntry>,
+    /// Latest snapshot of each of the worker's tenants.
+    archive: BTreeMap<TenantId, Vec<u8>>,
+    finals: BTreeMap<TenantId, TenantFinal>,
 }
 
 /// Live per-tenant state, owned by exactly one worker.
@@ -292,88 +374,160 @@ impl TenantState {
     }
 }
 
-fn worker_loop(
-    rx: Receiver<ToWorker>,
-    tx: Sender<FromWorker>,
-    registry: Arc<TenantRegistry>,
+/// Serves worker `w`'s part of the plan: the shards with
+/// `shard % workers == w` and the tenants pinned to them. Each epoch
+/// applies the worker's crashes, serves its batches and takes the due
+/// snapshots. Tenant→shard→worker pinning means the worker's own
+/// archive holds every blob its crashed tenants can warm-start from.
+fn serve_worker(
+    w: usize,
+    workers: usize,
+    plan: &Plan,
+    requests: &[ServeRequest],
+    registry: &TenantRegistry,
     factory: PrefetcherFactory,
     pred: CoverageParams,
-) {
+) -> WorkerLog {
     let mut states: BTreeMap<TenantId, TenantState> = BTreeMap::new();
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            ToWorker::Epoch(task) => {
-                let mut ack = EpochAck {
-                    snapshots: Vec::new(),
-                    restores: Vec::new(),
-                };
-                // Crashes land before the epoch's batches: live state
-                // (hippocampus, prediction window, health) is lost;
-                // the consolidated cortex warm-starts from the blob.
-                for (tenant, blob) in task.crashes {
-                    states.remove(&tenant);
-                    let (Some(blob), Some(spec)) = (blob, registry.get(tenant)) else {
-                        continue;
-                    };
-                    let mut st = TenantState::fresh(factory.build(spec));
-                    let ok = match decode(&blob) {
-                        Ok(snap) if snap.tenant == tenant => st.model.import_net_state(&snap.state),
-                        _ => false,
-                    };
-                    ack.restores.push((tenant, blob.len() as u64, ok));
-                    states.insert(tenant, st);
-                }
-                for (_, batch) in task.batches {
-                    for req in batch {
-                        let Some(spec) = registry.get(req.tenant) else {
-                            continue;
-                        };
-                        let st = states
-                            .entry(req.tenant)
-                            .or_insert_with(|| TenantState::fresh(factory.build(spec)));
-                        st.process(req.page, &pred);
-                    }
-                }
-                if task.snapshot {
-                    // BTreeMap iteration: snapshots leave in tenant
-                    // order within each worker.
-                    for (&tenant, st) in states.iter_mut() {
-                        let (Some(net), Some(spec)) =
-                            (st.model.export_net_state(), registry.get(tenant))
-                        else {
-                            continue;
-                        };
-                        ack.snapshots
-                            .push((tenant, encode(tenant, spec.model, &net)));
-                    }
-                }
-                if tx.send(FromWorker::Epoch(ack)).is_err() {
-                    return;
-                }
+    let mut log = WorkerLog::default();
+    let mut crashes = plan
+        .crashes
+        .iter()
+        .filter(|c| c.2 % workers == w)
+        .peekable();
+    let mut served = 0usize;
+    for epoch in 1..=plan.epochs + 1 {
+        // Crashes land before the epoch's batches: live state
+        // (hippocampus, prediction window, health) is lost; the
+        // consolidated cortex warm-starts from the tenant's last blob.
+        while let Some(&(_, tenant, _)) = crashes.next_if(|c| c.0 == epoch) {
+            states.remove(&tenant);
+            let (Some(blob), Some(spec)) = (log.archive.get(&tenant), registry.get(tenant)) else {
+                continue;
+            };
+            let mut st = TenantState::fresh(factory.build(spec));
+            let snap = decode(blob);
+            if snap.is_ok_and(|s| s.tenant == tenant && st.model.import_net_state(&s.state)) {
+                log.snapshots
+                    .push((epoch, false, tenant, blob.len() as u64));
             }
-            ToWorker::Finish => {
-                let finals = states
-                    .iter()
-                    .map(|(&tenant, st)| TenantFinal {
-                        tenant,
-                        requests: st.requests,
-                        covered: st.covered,
-                        issued: st.issued,
-                        expired: st.expired,
-                        health: st.model.health().label(),
-                    })
-                    .collect();
-                let _ = tx.send(FromWorker::Final(finals));
-                return;
+            states.insert(tenant, st);
+        }
+        let start = (epoch as usize - 1) * plan.shards;
+        let batches = plan.batches.get(start..start + plan.shards).unwrap_or(&[]);
+        for (sh, &(n, _)) in batches.iter().enumerate() {
+            let batch = &plan.order[served..served + n];
+            served += n;
+            if sh % workers != w {
+                continue;
+            }
+            for &i in batch {
+                let req = requests[i as usize];
+                let Some(spec) = registry.get(req.tenant) else {
+                    continue;
+                };
+                states
+                    .entry(req.tenant)
+                    .or_insert_with(|| TenantState::fresh(factory.build(spec)))
+                    .process(req.page, &pred);
+            }
+        }
+        if plan.snapshot_due(epoch) {
+            for (&tenant, st) in states.iter_mut() {
+                let (Some(net), Some(spec)) = (st.model.export_net_state(), registry.get(tenant))
+                else {
+                    continue;
+                };
+                let blob = encode(tenant, spec.model, &net);
+                log.snapshots.push((epoch, true, tenant, blob.len() as u64));
+                log.archive.insert(tenant, blob);
             }
         }
     }
+    for (tenant, st) in states {
+        let health = st.model.health().label();
+        let totals = (st.requests, st.covered, st.issued, st.expired, health);
+        log.finals.insert(tenant, totals);
+    }
+    log
+}
+
+/// Emits the run's events epoch by epoch. Within an epoch: arrivals
+/// (`serve_enqueue` / `serve_shed`) in arrival order, crash `fault`s,
+/// `serve_flush` per non-empty shard, restores then snapshots each by
+/// tenant, and `shard_epoch` per shard. Then the closing snapshots.
+fn emit_events(
+    cfg: &ServeConfig,
+    plan: &Plan,
+    requests: &[ServeRequest],
+    snapshots: &[SnapshotEntry],
+) {
+    let obs = &cfg.obs;
+    let mut arrivals = requests.iter().zip(&plan.depths);
+    let mut crashes = plan.crashes.iter().peekable();
+    let mut snapshots = snapshots.iter().peekable();
+    let mut emit_snapshots = |epoch: u64| {
+        while let Some(&(_, snapshot, tenant, bytes)) = snapshots.next_if(|e| e.0 == epoch) {
+            obs.emit(&Event::Snapshot {
+                epoch,
+                tenant,
+                bytes,
+                restored: !snapshot,
+            });
+        }
+    };
+    for (e, batches) in plan.batches.chunks(plan.shards).enumerate() {
+        let epoch = e as u64 + 1;
+        for (req, &depth) in arrivals.by_ref().take(plan.ingest) {
+            let shard = shard_of(req.tenant, plan.shards, cfg.hash_seed) as u64;
+            obs.emit(&if depth > 0 {
+                Event::ServeEnqueue {
+                    epoch,
+                    tenant: req.tenant,
+                    shard,
+                    depth: depth as u64,
+                }
+            } else {
+                Event::ServeShed {
+                    epoch,
+                    tenant: req.tenant,
+                    shard,
+                }
+            });
+        }
+        while let Some(&(_, _, shard)) = crashes.next_if(|c| c.0 == epoch) {
+            obs.emit(&Event::Fault {
+                tick: epoch,
+                domain: shard as u64,
+                kind: FaultKind::Crash,
+            });
+        }
+        for (shard, &(batch, _)) in batches.iter().enumerate() {
+            if batch > 0 {
+                obs.emit(&Event::ServeFlush {
+                    epoch,
+                    shard: shard as u64,
+                    batch: batch as u64,
+                });
+            }
+        }
+        emit_snapshots(epoch);
+        for (shard, &(processed, queued)) in batches.iter().enumerate() {
+            obs.emit(&Event::ShardEpoch {
+                epoch,
+                shard: shard as u64,
+                processed: processed as u64,
+                queued: queued as u64,
+            });
+        }
+    }
+    emit_snapshots(plan.epochs + 1);
 }
 
 /// The sharded multi-tenant serving engine.
 pub struct ServeEngine {
     cfg: ServeConfig,
-    registry: Arc<TenantRegistry>,
+    registry: TenantRegistry,
     factory: PrefetcherFactory,
 }
 
@@ -383,251 +537,84 @@ impl ServeEngine {
     pub fn new(cfg: ServeConfig, registry: TenantRegistry, factory: PrefetcherFactory) -> Self {
         Self {
             cfg,
-            registry: Arc::new(registry),
+            registry,
             factory,
         }
-    }
-
-    /// The tenant control plane.
-    pub fn registry(&self) -> &TenantRegistry {
-        &self.registry
     }
 
     /// Serves `requests` to completion (every admitted request is
     /// processed; the run ends when the arrival stream and all queues
     /// are drained). Byte-deterministic in the report, the archive,
     /// and the emitted event stream for any worker count.
+    ///
+    /// Three phases: plan admission on this thread, serve the plan on
+    /// one scoped thread per worker (each joined once; a worker's
+    /// panic re-raises here), then merge the workers' logs into the
+    /// event stream and the report.
     pub fn run(&self, requests: &[ServeRequest]) -> ServeOutcome {
-        let shards = self.cfg.shards.max(1);
-        let workers = self.cfg.workers.clamp(1, shards);
-        let flush = self.cfg.flush_per_shard.max(1);
-        let ingest = shards * flush;
+        let plan = Plan::new(&self.cfg, requests);
+        let workers = self.cfg.workers.clamp(1, plan.shards);
         let pred = CoverageParams {
             window: self.cfg.pred_window.max(1),
             horizon: self.cfg.pred_horizon.max(1),
         };
-        let obs = &self.cfg.obs;
-
-        let mut queues: Vec<ShardQueue> = (0..shards)
-            .map(|_| ShardQueue::new(self.cfg.queue_depth))
-            .collect();
-        let mut report = ServeReport {
-            epochs: 0,
-            offered: requests.len() as u64,
-            admitted: 0,
-            shed: 0,
-            processed: 0,
-            crashes: 0,
-            restores: 0,
-            snapshots: 0,
-            tenants: Vec::new(),
-            shards: Vec::new(),
-        };
-        let mut archive: BTreeMap<TenantId, Vec<u8>> = BTreeMap::new();
-        let mut crash_plan = self.cfg.crashes.clone();
-        crash_plan.sort_unstable();
-        let mut tenant_crashes: BTreeMap<TenantId, u64> = BTreeMap::new();
-        let mut finals: BTreeMap<TenantId, TenantFinal> = BTreeMap::new();
-
-        thread::scope(|s| {
-            let mut to_workers: Vec<Sender<ToWorker>> = Vec::with_capacity(workers);
-            let mut from_workers: Vec<Receiver<FromWorker>> = Vec::with_capacity(workers);
-            for _ in 0..workers {
-                let (tx_t, rx_t) = channel::<ToWorker>();
-                let (tx_r, rx_r) = channel::<FromWorker>();
-                let registry = Arc::clone(&self.registry);
-                let factory = self.factory;
-                s.spawn(move || worker_loop(rx_t, tx_r, registry, factory, pred));
-                to_workers.push(tx_t);
-                from_workers.push(rx_r);
-            }
-
-            // Dispatches one epoch task per worker and merges the
-            // shard-ordered acknowledgements into events + report.
-            let run_epoch =
-                |epoch: u64,
-                 per_worker: Vec<EpochTask>,
-                 report: &mut ServeReport,
-                 archive: &mut BTreeMap<TenantId, Vec<u8>>| {
-                    for (w, task) in per_worker.into_iter().enumerate() {
-                        let _ = to_workers[w].send(ToWorker::Epoch(task));
-                    }
-                    let mut snapshots: Vec<(TenantId, Vec<u8>)> = Vec::new();
-                    let mut restores: Vec<(TenantId, u64, bool)> = Vec::new();
-                    for rx in &from_workers {
-                        if let Ok(FromWorker::Epoch(ack)) = rx.recv() {
-                            snapshots.extend(ack.snapshots);
-                            restores.extend(ack.restores);
-                        }
-                    }
-                    restores.sort_unstable_by_key(|&(t, _, _)| t);
-                    for (tenant, bytes, ok) in restores {
-                        if ok {
-                            report.restores += 1;
-                            obs.emit(&Event::Snapshot {
-                                epoch,
-                                tenant,
-                                bytes,
-                                restored: true,
-                            });
-                        }
-                    }
-                    snapshots.sort_unstable_by_key(|&(t, _)| t);
-                    for (tenant, blob) in snapshots {
-                        report.snapshots += 1;
-                        obs.emit(&Event::Snapshot {
-                            epoch,
-                            tenant,
-                            bytes: blob.len() as u64,
-                            restored: false,
-                        });
-                        archive.insert(tenant, blob);
-                    }
-                };
-
-            let mut next = 0usize;
-            let mut epoch: u64 = 0;
-            while next < requests.len() || queues.iter().any(|q| !q.is_empty()) {
-                epoch += 1;
-                // 1. Ingest this epoch's arrivals through admission.
-                let end = (next + ingest).min(requests.len());
-                for req in &requests[next..end] {
-                    let sh = shard_of(req.tenant, shards, self.cfg.hash_seed);
-                    match queues[sh].offer(*req) {
-                        Offer::Enqueued(depth) => {
-                            report.admitted += 1;
-                            obs.emit(&Event::ServeEnqueue {
-                                epoch,
-                                tenant: req.tenant,
-                                shard: sh as u64,
-                                depth: depth as u64,
-                            });
-                        }
-                        Offer::Shed => {
-                            report.shed += 1;
-                            obs.emit(&Event::ServeShed {
-                                epoch,
-                                tenant: req.tenant,
-                                shard: sh as u64,
-                            });
-                        }
-                    }
-                }
-                next = end;
-                // 2. Crash directives scheduled for this epoch.
-                let mut crash_now: Vec<TenantId> = Vec::new();
-                crash_plan.retain(|&(e, t)| {
-                    if e == epoch {
-                        crash_now.push(t);
-                        false
-                    } else {
-                        true
-                    }
-                });
-                crash_now.sort_unstable();
-                for &t in &crash_now {
-                    report.crashes += 1;
-                    *tenant_crashes.entry(t).or_insert(0) += 1;
-                    obs.emit(&Event::Fault {
-                        tick: epoch,
-                        domain: shard_of(t, shards, self.cfg.hash_seed) as u64,
-                        kind: FaultKind::Crash,
-                    });
-                }
-                // 3. Flush one batch per shard and dispatch.
-                let interval = self.cfg.snapshot_interval;
-                let snapshot_due = interval > 0 && epoch.is_multiple_of(interval);
-                let mut per_worker: Vec<EpochTask> = (0..workers)
-                    .map(|_| EpochTask {
-                        batches: Vec::new(),
-                        crashes: Vec::new(),
-                        snapshot: snapshot_due,
+        let (plan_ref, registry, factory) = (&plan, &self.registry, self.factory);
+        let logs: Vec<WorkerLog> = thread::scope(|s| {
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
+                    s.spawn(move || {
+                        serve_worker(w, workers, plan_ref, requests, registry, factory, pred)
                     })
-                    .collect();
-                let mut batch_sizes = vec![0u64; shards];
-                for (sh, queue) in queues.iter_mut().enumerate() {
-                    let batch = queue.flush(flush);
-                    batch_sizes[sh] = batch.len() as u64;
-                    if !batch.is_empty() {
-                        obs.emit(&Event::ServeFlush {
-                            epoch,
-                            shard: sh as u64,
-                            batch: batch.len() as u64,
-                        });
-                    }
-                    per_worker[sh % workers].batches.push((sh, batch));
-                }
-                for t in crash_now {
-                    let sh = shard_of(t, shards, self.cfg.hash_seed);
-                    per_worker[sh % workers]
-                        .crashes
-                        .push((t, archive.get(&t).cloned()));
-                }
-                run_epoch(epoch, per_worker, &mut report, &mut archive);
-                // 4. Close the epoch per shard, in shard order.
-                for (sh, queue) in queues.iter().enumerate() {
-                    report.processed += batch_sizes[sh];
-                    obs.emit(&Event::ShardEpoch {
-                        epoch,
-                        shard: sh as u64,
-                        processed: batch_sizes[sh],
-                        queued: queue.len() as u64,
-                    });
-                }
-                report.epochs = epoch;
-            }
-            // Closing snapshot pass: one extra barrier with no
-            // batches, so the archive holds every tenant's final
-            // cortex for warm-starting the next run.
-            if self.cfg.snapshot_interval > 0 {
-                let per_worker: Vec<EpochTask> = (0..workers)
-                    .map(|_| EpochTask {
-                        batches: Vec::new(),
-                        crashes: Vec::new(),
-                        snapshot: true,
-                    })
-                    .collect();
-                run_epoch(epoch + 1, per_worker, &mut report, &mut archive);
-            }
-            for tx in &to_workers {
-                let _ = tx.send(ToWorker::Finish);
-            }
-            for rx in &from_workers {
-                if let Ok(FromWorker::Final(list)) = rx.recv() {
-                    for f in list {
-                        finals.insert(f.tenant, f);
-                    }
-                }
-            }
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| panic::resume_unwind(p)))
+                .collect()
         });
 
-        for spec in self.registry.iter() {
-            let sh = shard_of(spec.id, shards, self.cfg.hash_seed) as u64;
-            let (requests, covered, issued, expired, health) = match finals.get(&spec.id) {
-                Some(f) => (f.requests, f.covered, f.issued, f.expired, f.health),
-                None => (0, 0, 0, 0, "healthy"),
-            };
-            report.tenants.push(TenantReport {
+        let mut snapshots: Vec<SnapshotEntry> = Vec::new();
+        let mut archive: BTreeMap<TenantId, Vec<u8>> = BTreeMap::new();
+        let mut finals: BTreeMap<TenantId, TenantFinal> = BTreeMap::new();
+        for log in logs {
+            snapshots.extend(log.snapshots);
+            archive.extend(log.archive);
+            finals.extend(log.finals);
+        }
+        snapshots.sort_unstable();
+        emit_events(&self.cfg, &plan, requests, &snapshots);
+
+        let restores = snapshots.iter().filter(|e| !e.1).count() as u64;
+        let shard_total = |f: fn(&ShardReport) -> u64| plan.shard_reports.iter().map(f).sum();
+        let tenants = self.registry.iter().map(|spec| {
+            let (requests, covered, issued, expired, health) = finals
+                .get(&spec.id)
+                .copied()
+                .unwrap_or((0, 0, 0, 0, "healthy"));
+            TenantReport {
                 tenant: spec.id,
-                shard: sh,
+                shard: shard_of(spec.id, plan.shards, self.cfg.hash_seed) as u64,
                 model: spec.model.label().to_string(),
                 requests,
                 covered,
                 issued,
                 expired,
                 health: health.to_string(),
-                crashes: tenant_crashes.get(&spec.id).copied().unwrap_or(0),
-            });
-        }
-        for (sh, queue) in queues.iter().enumerate() {
-            let s = queue.stats();
-            report.shards.push(ShardReport {
-                shard: sh as u64,
-                enqueued: s.enqueued,
-                shed: s.shed,
-                flushed: s.flushed,
-            });
-        }
+                crashes: plan.crashes.iter().filter(|c| c.1 == spec.id).count() as u64,
+            }
+        });
+        let report = ServeReport {
+            epochs: plan.epochs,
+            offered: requests.len() as u64,
+            admitted: shard_total(|s| s.enqueued),
+            shed: shard_total(|s| s.shed),
+            processed: shard_total(|s| s.flushed),
+            crashes: plan.crashes.len() as u64,
+            restores,
+            snapshots: snapshots.len() as u64 - restores,
+            tenants: tenants.collect(),
+            shards: plan.shard_reports,
+        };
         ServeOutcome { report, archive }
     }
 }
