@@ -39,11 +39,11 @@ fn main() {
             threads,
             ..LstmConfig::paper_table2()
         });
-        net.train_step(1, 2);
+        net.train_step(1, 2, 0.05);
         let mut row = format!("{label:<22}");
         for steps in [1usize, 2, 4, 8] {
             let ns = timing::time_ns(5, iters, || {
-                std::hint::black_box(net.rollout(1, steps));
+                std::hint::black_box(net.rollout_top_k_with_confidence(1, steps, 1));
             });
             row.push_str(&format!(" {:>6.1}", ns / 1000.0));
             if threads == 1 && steps == 1 {
@@ -54,7 +54,7 @@ fn main() {
     }
     {
         let mut fp = LstmNetwork::new(LstmConfig::paper_table2());
-        fp.train_step(1, 2);
+        fp.train_step(1, 2, 0.05);
         let q = QuantizedLstm::from_network(&fp);
         let mut row = format!("{:<22}", "lstm-int8-1t");
         for steps in [1usize, 2, 4, 8] {

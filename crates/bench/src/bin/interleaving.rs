@@ -42,7 +42,6 @@ fn run_lstm(a: &[usize], b: &[usize], chunk: Option<usize>, steps: usize, vocab_
         vocab: vocab_len,
         embed_dim: 32,
         hidden: 64,
-        learning_rate: 0.2,
         ..LstmConfig::default()
     });
     let ex = |t: &[usize], i: usize| -> (usize, usize) {

@@ -49,47 +49,43 @@ impl WindowModel for TransformerNetwork {
     }
 }
 
-/// Experiment parameters.
+/// BPTT window (and transformer context) of the windowed models'
+/// training examples.
+const WINDOW: usize = 4;
+/// Phase 1 stops once mean confidence on the pattern reaches this.
+const TARGET_CONFIDENCE: f32 = 0.9;
+/// Replay learning-rate scale (the paper's 0.1x).
+const REPLAY_LR_SCALE: f32 = 0.1;
+/// Base learning rate of the windowed models.
+const LEARNING_RATE: f32 = 0.2;
+/// Delta-vocabulary half-range.
+const DELTA_RANGE: i64 = 64;
+/// Seed of the pattern traces, the sampling RNGs and the weights.
+const SEED: u64 = 0xf13;
+
+/// Experiment scale.
 #[derive(Debug, Clone)]
 pub struct Fig3Options {
     /// Accesses generated per pattern (the paper uses 1000).
     pub pattern_len: usize,
-    /// BPTT window for LSTM training examples.
-    pub window: usize,
     /// Maximum epochs of phase-1 training.
     pub max_epochs_a: usize,
-    /// Phase-1 stops once mean confidence on the pattern reaches this.
-    pub target_confidence: f32,
     /// Online steps on the second pattern.
     pub steps_b: usize,
     /// Confidence is sampled every this many steps.
     pub sample_every: usize,
-    /// Replay learning-rate scale (the paper's 0.1x).
-    pub replay_lr_scale: f32,
-    /// Base learning rate for the LSTM.
-    pub learning_rate: f32,
-    /// Delta-vocabulary half-range.
-    pub delta_range: i64,
     /// Elements per pattern (cycle length of the Table-1 generators).
     pub elements: usize,
-    /// RNG seed.
-    pub seed: u64,
 }
 
 impl Default for Fig3Options {
     fn default() -> Self {
         Self {
             pattern_len: 1000,
-            window: 4,
             max_epochs_a: 60,
-            target_confidence: 0.9,
             steps_b: 4000,
             sample_every: 125,
-            replay_lr_scale: 0.1,
-            learning_rate: 0.2,
-            delta_range: 64,
             elements: 64,
-            seed: 0xf13,
         }
     }
 }
@@ -204,25 +200,19 @@ fn run_window_model(
     replay: bool,
     opts: &Fig3Options,
 ) -> Fig3Series {
-    let vocab = DeltaVocab::new(opts.delta_range);
-    let tokens_a = pattern_tokens_with(old, opts.pattern_len, opts.seed, &vocab, opts.elements);
-    let tokens_b = pattern_tokens_with(
-        new,
-        opts.pattern_len,
-        opts.seed ^ 0xb,
-        &vocab,
-        opts.elements,
-    );
-    let mut rng = StdRng::seed_from_u64(opts.seed ^ 0x57a7);
-    let w = opts.window;
+    let vocab = DeltaVocab::new(DELTA_RANGE);
+    let tokens_a = pattern_tokens_with(old, opts.pattern_len, SEED, &vocab, opts.elements);
+    let tokens_b = pattern_tokens_with(new, opts.pattern_len, SEED ^ 0xb, &vocab, opts.elements);
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0x57a7);
+    let w = WINDOW;
     // Phase 1: learn the old pattern to confidence.
     let mut conf_a = 0.0;
     for _ in 0..opts.max_epochs_a {
         for s in 0..tokens_a.len() - w {
-            net.train(&tokens_a[s..s + w], tokens_a[s + w], opts.learning_rate);
+            net.train(&tokens_a[s..s + w], tokens_a[s + w], LEARNING_RATE);
         }
         conf_a = mean_confidence(net, &tokens_a, w, 64, &mut rng);
-        if conf_a >= opts.target_confidence {
+        if conf_a >= TARGET_CONFIDENCE {
             break;
         }
     }
@@ -232,13 +222,13 @@ fn run_window_model(
     let a_examples = tokens_a.len() - w;
     for step in 0..opts.steps_b {
         let s = step % b_examples;
-        net.train(&tokens_b[s..s + w], tokens_b[s + w], opts.learning_rate);
+        net.train(&tokens_b[s..s + w], tokens_b[s + w], LEARNING_RATE);
         if replay {
             let r = rng.gen_range(0..a_examples);
             net.train(
                 &tokens_a[r..r + w],
                 tokens_a[r + w],
-                opts.learning_rate * opts.replay_lr_scale,
+                LEARNING_RATE * REPLAY_LR_SCALE,
             );
         }
         if step % opts.sample_every == 0 || step + 1 == opts.steps_b {
@@ -259,15 +249,13 @@ fn run_window_model(
 
 /// Runs the LSTM condition for one pattern pair.
 pub fn run_lstm(old: Pattern, new: Pattern, replay: bool, opts: &Fig3Options) -> Fig3Series {
-    let vocab = DeltaVocab::new(opts.delta_range);
+    let vocab = DeltaVocab::new(DELTA_RANGE);
     let mut net = LstmNetwork::new(LstmConfig {
         vocab: vocab.len(),
         embed_dim: 32,
         hidden: 64,
-        learning_rate: opts.learning_rate,
-        grad_clip: 1.0,
         threads: 1,
-        seed: opts.seed,
+        seed: SEED,
     });
     run_window_model(&mut net, "lstm", old, new, replay, opts)
 }
@@ -275,16 +263,14 @@ pub fn run_lstm(old: Pattern, new: Pattern, replay: bool, opts: &Fig3Options) ->
 /// Runs the transformer condition for one pattern pair (the other
 /// prior-DL family; same protocol).
 pub fn run_transformer(old: Pattern, new: Pattern, replay: bool, opts: &Fig3Options) -> Fig3Series {
-    let vocab = DeltaVocab::new(opts.delta_range);
+    let vocab = DeltaVocab::new(DELTA_RANGE);
     let mut net = TransformerNetwork::new(TransformerConfig {
         vocab: vocab.len(),
         dim: 32,
         heads: 2,
         ff: 64,
-        window: opts.window,
-        learning_rate: opts.learning_rate,
-        grad_clip: 1.0,
-        seed: opts.seed,
+        window: WINDOW,
+        seed: SEED,
     });
     run_window_model(&mut net, "transformer", old, new, replay, opts)
 }
@@ -316,16 +302,10 @@ fn hebbian_mean_confidence(net: &mut HebbianNetwork, tokens: &[usize]) -> f32 {
 /// each stored episode's recurrent context (see
 /// `hnp_core::hippocampus`).
 pub fn run_hebbian(old: Pattern, new: Pattern, replay: bool, opts: &Fig3Options) -> Fig3Series {
-    let vocab = DeltaVocab::new(opts.delta_range);
-    let tokens_a = pattern_tokens_with(old, opts.pattern_len, opts.seed, &vocab, opts.elements);
-    let tokens_b = pattern_tokens_with(
-        new,
-        opts.pattern_len,
-        opts.seed ^ 0xb,
-        &vocab,
-        opts.elements,
-    );
-    let mut rng = StdRng::seed_from_u64(opts.seed ^ 0x5eb);
+    let vocab = DeltaVocab::new(DELTA_RANGE);
+    let tokens_a = pattern_tokens_with(old, opts.pattern_len, SEED, &vocab, opts.elements);
+    let tokens_b = pattern_tokens_with(new, opts.pattern_len, SEED ^ 0xb, &vocab, opts.elements);
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0x5eb);
     let mut net = HebbianNetwork::new(HebbianConfig {
         pattern_bits: vocab.len(),
         outputs: vocab.len(),
@@ -334,7 +314,7 @@ pub fn run_hebbian(old: Pattern, new: Pattern, replay: bool, opts: &Fig3Options)
         connectivity: 0.125,
         hidden_active: 100,
         recurrent_sample: 16,
-        seed: opts.seed,
+        seed: SEED,
         ..HebbianConfig::paper_table2()
     });
     // Phase 1 with episode recording: (pattern token, recurrent, target).
@@ -349,7 +329,7 @@ pub fn run_hebbian(old: Pattern, new: Pattern, replay: bool, opts: &Fig3Options)
             }
         }
         conf_a = hebbian_mean_confidence(&mut net, &tokens_a);
-        if conf_a >= opts.target_confidence {
+        if conf_a >= TARGET_CONFIDENCE {
             break;
         }
     }
@@ -363,12 +343,7 @@ pub fn run_hebbian(old: Pattern, new: Pattern, replay: bool, opts: &Fig3Options)
             let (ex, erec, ey) = episodes[rng.gen_range(0..episodes.len())].clone();
             let saved = net.recurrent_state().to_vec();
             net.set_recurrent_state(&erec);
-            net.train_step_opts(
-                &[ex as u32],
-                ey,
-                LrScale::from_f32(opts.replay_lr_scale),
-                false,
-            );
+            net.train_step_opts(&[ex as u32], ey, LrScale::from_f32(REPLAY_LR_SCALE), false);
             net.set_recurrent_state(&saved);
         }
         if step % opts.sample_every == 0 || step + 1 == opts.steps_b {
@@ -398,7 +373,6 @@ mod tests {
             steps_b: 800,
             sample_every: 200,
             elements: 16,
-            ..Fig3Options::default()
         }
     }
 

@@ -42,7 +42,6 @@ impl Default for NeocortexConfig {
 /// feeds it.
 pub struct Neocortex {
     net: HebbianNetwork,
-    vocab_len: usize,
     /// Prediction scratch: the token history a rollout extends, and
     /// its first pattern.
     rolling: Vec<usize>,
@@ -65,15 +64,9 @@ impl Neocortex {
         });
         Self {
             net,
-            vocab_len,
             rolling: Vec::new(),
             pattern: Vec::new(),
         }
-    }
-
-    /// Token-vocabulary size.
-    pub fn vocab_len(&self) -> usize {
-        self.vocab_len
     }
 
     /// The underlying network.

@@ -353,9 +353,9 @@ const ITEM_KINDS: &[&str] = &[
 /// Qualifiers that may sit between `pub` and the item keyword.
 const ITEM_QUALIFIERS: &[&str] = &["const", "unsafe", "async", "extern"];
 
-/// The name of the item a `pub` token at `i` opens, if it is a plain
-/// `pub` (not `pub(crate)`) item of one of [`ITEM_KINDS`].
-fn pub_item_name(toks: &[Tok], i: usize) -> Option<&Tok> {
+/// The keyword and name of the item a `pub` token at `i` opens, if it
+/// is a plain `pub` (not `pub(crate)`) item of one of [`ITEM_KINDS`].
+fn pub_item_name(toks: &[Tok], i: usize) -> Option<(&str, &Tok)> {
     let is_any = |t: &Tok, words: &[&str]| words.iter().any(|w| t.is_ident(w));
     let mut j = i + 1;
     // Skip `const fn`, `unsafe fn`, `extern "C" fn`; `const NAME` stops.
@@ -368,20 +368,37 @@ fn pub_item_name(toks: &[Tok], i: usize) -> Option<&Tok> {
     }) {
         j += 1;
     }
-    if !is_any(toks.get(j)?, ITEM_KINDS) {
+    let kind = toks.get(j)?;
+    if !is_any(kind, ITEM_KINDS) {
         return None;
     }
-    toks.get(j + 1).filter(|n| n.kind == TokKind::Ident)
+    let name = toks.get(j + 1).filter(|n| n.kind == TokKind::Ident)?;
+    Some((kind.text.as_str(), name))
 }
 
-/// The identifiers `lexed` uses outside `#[cfg(test)]` code, outside
+/// The identifiers one file uses outside `#[cfg(test)]` code, outside
 /// re-export statements (`pub use …;`), which name an item without
 /// using it, and other than the name an item definition declares
 /// (`fn tiny`, `struct Window`).
-fn used_idents(lexed: &LexOutput) -> BTreeSet<&str> {
+struct Uses<'a> {
+    /// Every such identifier: a use of a type, const or static.
+    named: BTreeSet<&'a str>,
+    /// Those that are called or named by path: followed by `(` or a
+    /// turbofish `::<`, or preceded by `::`. Only these use a `fn`, so
+    /// a `threads` local or a `self.dim` field does not hide a
+    /// `pub fn threads` or `pub fn dim`.
+    called: BTreeSet<&'a str>,
+}
+
+/// Collects the [`Uses`] of one lexed file.
+fn used_idents(lexed: &LexOutput) -> Uses<'_> {
     let toks = &lexed.tokens;
     let in_test = test_spans(toks);
-    let mut idents = BTreeSet::new();
+    let punct = |k: usize, ch: char| toks.get(k).is_some_and(|t| t.is_punct(ch));
+    let mut uses = Uses {
+        named: BTreeSet::new(),
+        called: BTreeSet::new(),
+    };
     let mut in_reexport = false;
     for (i, t) in toks.iter().enumerate() {
         if in_reexport {
@@ -411,14 +428,21 @@ fn used_idents(lexed: &LexOutput) -> BTreeSet<&str> {
             && ITEM_KINDS.iter().any(|k| toks[i - 1].is_ident(k))
             && !(i > 1 && toks[i - 2].is_punct('*'));
         if !in_test[i] && t.kind == TokKind::Ident && !defines {
-            idents.insert(t.text.as_str());
+            uses.named.insert(t.text.as_str());
+            let called = punct(i + 1, '(')
+                || punct(i + 1, ':') && punct(i + 2, ':') && punct(i + 3, '<')
+                || i >= 2 && punct(i - 1, ':') && punct(i - 2, ':');
+            if called {
+                uses.called.insert(t.text.as_str());
+            }
         }
     }
-    idents
+    uses
 }
 
 /// Flags each `pub` item of a library file whose name no *other*
-/// file that can see the item uses as an identifier (HNP05). A file
+/// file that can see the item uses (HNP05): a `fn` must be called or
+/// named by path there, any other item named at all. A file
 /// sees the items of its own crate and of the crates its manifest's
 /// `[dependencies]` list, so a same-named item elsewhere cannot hide
 /// an unused one. Uses inside `#[cfg(test)]` code and re-exports do
@@ -426,7 +450,7 @@ fn used_idents(lexed: &LexOutput) -> BTreeSet<&str> {
 /// its own file uses should be private; one nothing outside tests uses
 /// should be deleted.
 pub(crate) fn check_unused_pub(files: &[SourceFile], out: &mut Vec<Finding>) {
-    let used: Vec<BTreeSet<&str>> = files.iter().map(|f| used_idents(&f.lexed)).collect();
+    let used: Vec<Uses> = files.iter().map(|f| used_idents(&f.lexed)).collect();
     for (me, file) in files.iter().enumerate().filter(|(_, f)| f.library) {
         let sees_me = |f: &SourceFile| f.krate == file.krate || f.deps.contains(&file.krate);
         let toks = &file.lexed.tokens;
@@ -435,10 +459,15 @@ pub(crate) fn check_unused_pub(files: &[SourceFile], out: &mut Vec<Finding>) {
             if in_test[i] || !t.is_ident("pub") {
                 continue;
             }
-            let Some(name) = pub_item_name(toks, i) else {
+            let Some((kind, name)) = pub_item_name(toks, i) else {
                 continue;
             };
-            let elsewhere = used.iter().enumerate().any(|(other, idents)| {
+            let elsewhere = used.iter().enumerate().any(|(other, uses)| {
+                let idents = if kind == "fn" {
+                    &uses.called
+                } else {
+                    &uses.named
+                };
                 other != me && sees_me(&files[other]) && idents.contains(name.text.as_str())
             });
             if !elsewhere {

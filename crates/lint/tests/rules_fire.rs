@@ -204,3 +204,51 @@ fn unused_pub_is_not_hidden_by_a_same_named_item_in_another_crate() {
     let findings = unused_pub(&root);
     assert!(findings.is_empty(), "{findings:?}");
 }
+
+/// An accessor whose name is also a common local or field name.
+const SLICER: &str = "\
+pub struct Slicer { threads: usize }
+impl Slicer {
+    pub fn new(threads: usize) -> Self { Slicer { threads } }
+    pub fn threads(&self) -> usize { self.threads }
+}
+";
+
+#[test]
+fn unused_pub_fn_is_not_hidden_by_a_same_named_local_or_field() {
+    let files = |example| {
+        [
+            ("crates/trace/src/lib.rs", "pub mod slicer;\n"),
+            ("crates/trace/src/slicer.rs", SLICER),
+            ("examples/demo.rs", example),
+        ]
+    };
+    // `threads` is a local and a field here, never a call: a `fn` is
+    // used only where it is called or named by path.
+    let root = fixture(
+        "hnp05_fn_local",
+        &files(
+            "use hnp_trace::slicer::Slicer;\nstruct Pool { threads: usize }\nfn main() { let threads = 2; let p = Pool { threads }; let _ = Slicer::new(p.threads); }\n",
+        ),
+    );
+    let findings = unused_pub(&root);
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(findings[0].file, "crates/trace/src/slicer.rs");
+    assert_eq!(findings[0].line, 4);
+    assert!(findings[0].message.contains("`threads`"));
+
+    // A method call or a path uses it.
+    for (name, example) in [
+        (
+            "hnp05_fn_call",
+            "use hnp_trace::slicer::Slicer;\nfn main() { let s = Slicer::new(2); let _ = s.threads(); }\n",
+        ),
+        (
+            "hnp05_fn_path",
+            "use hnp_trace::slicer::Slicer;\nfn main() { let _ = (Slicer::new, Slicer::threads); }\n",
+        ),
+    ] {
+        let findings = unused_pub(&fixture(name, &files(example)));
+        assert!(findings.is_empty(), "{name}: {findings:?}");
+    }
+}

@@ -174,11 +174,6 @@ impl DemuxPrefetcher {
             name: format!("demux({name})"),
         }
     }
-
-    /// Number of stream-private sub-prefetchers instantiated so far.
-    pub fn streams(&self) -> usize {
-        self.subs.len()
-    }
 }
 
 impl Prefetcher for DemuxPrefetcher {
@@ -256,7 +251,7 @@ mod tests {
             });
             assert_eq!(out, vec![page + 1]);
         }
-        assert_eq!(d.streams(), 3);
+        assert_eq!(d.subs.len(), 3);
         assert_eq!(d.name(), "demux(counting)");
     }
 }

@@ -242,11 +242,6 @@ impl<P: Prefetcher> ResilientPrefetcher<P> {
         self.state
     }
 
-    /// The wrapped prefetcher.
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
-
     /// Mutable access to the wrapped prefetcher — the serving layer's
     /// snapshot/restore path reaches the model state through this.
     /// Health accounting is untouched; callers mutating model state

@@ -25,16 +25,6 @@ impl Embedding {
         }
     }
 
-    /// Vocabulary size.
-    pub fn vocab(&self) -> usize {
-        self.weights.rows()
-    }
-
-    /// Embedding dimension.
-    pub fn dim(&self) -> usize {
-        self.weights.cols()
-    }
-
     /// The embedding vector for `token`.
     ///
     /// # Panics
@@ -87,7 +77,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let e = Embedding::new(16, 8, &mut rng);
         assert_eq!(e.lookup(0).len(), 8);
-        assert_eq!(e.vocab(), 16);
         assert_eq!(e.param_count(), 128);
     }
 

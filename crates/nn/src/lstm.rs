@@ -6,21 +6,28 @@
 //! It mirrors the "compressed to ~1 MB / ~170 k parameters" deployment
 //! model the paper measures in Fig. 2 and Table 2.
 //!
+//! Every entry point takes its learning rate. `train_step` advances the
+//! online state by one token (a zero rate only advances it);
+//! `train_window`, `train_batch` and `eval_window` run one private
+//! window pass from a zero state; `rollout_top_k_with_confidence` is
+//! the one rollout. Gradients are clipped per element at 1.0.
+//!
 //! Gate layout in all `4H`-row weight matrices is `[i, f, g, o]`
 //! (input, forget, candidate, output).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::activations::{
-    argmax, sigmoid, sigmoid_deriv_from_output, tanh, tanh_deriv_from_output, top_k,
-};
+use crate::activations::{sigmoid, sigmoid_deriv_from_output, tanh, tanh_deriv_from_output, top_k};
 use crate::embedding::Embedding;
 use crate::init;
 use crate::loss::{softmax_cross_entropy, softmax_cross_entropy_grad, SoftmaxLoss};
 use crate::matrix::Matrix;
 use crate::ops::OpCounts;
 use crate::parallel::ThreadSlicer;
+
+/// Per-element gradient clip applied before every update.
+const GRAD_CLIP: f32 = 1.0;
 
 /// Hyper-parameters of the LSTM prefetch model.
 #[derive(Debug, Clone)]
@@ -31,10 +38,6 @@ pub struct LstmConfig {
     pub embed_dim: usize,
     /// Hidden-state width.
     pub hidden: usize,
-    /// Learning rate for online SGD.
-    pub learning_rate: f32,
-    /// Per-element gradient clip.
-    pub grad_clip: f32,
     /// Worker threads used in forward matrix-vector products (Fig. 2's
     /// one-vs-two-thread comparison). `1` means fully sequential.
     pub threads: usize,
@@ -48,8 +51,6 @@ impl Default for LstmConfig {
             vocab: 512,
             embed_dim: 64,
             hidden: 128,
-            learning_rate: 0.05,
-            grad_clip: 1.0,
             threads: 1,
             seed: 0x5eed,
         }
@@ -195,11 +196,6 @@ impl LstmNetwork {
         self.state = LstmState::zeros(self.cfg.hidden);
     }
 
-    /// A copy of the current online recurrent state.
-    pub fn state(&self) -> LstmState {
-        self.state.clone()
-    }
-
     /// One LSTM cell evaluation from `(h_prev, c_prev)` consuming
     /// `token`; returns the cache needed for backward.
     fn cell_forward(&self, token: usize, h_prev: &[f32], c_prev: &[f32]) -> StepCache {
@@ -247,44 +243,14 @@ impl LstmNetwork {
         logits
     }
 
-    /// Advances the online state by consuming `token` and returns the
-    /// probability distribution over the next token.
-    pub fn infer_advance(&mut self, token: usize) -> Vec<f32> {
-        let cache = self.cell_forward(token, &self.state.h, &self.state.c);
-        self.state.h = cache.h.clone();
-        self.state.c = cache.c.clone();
-        let mut logits = self.project(&cache.h);
-        crate::activations::softmax_in_place(&mut logits);
-        logits
-    }
-
     /// Multi-step rollout: starting from the current online state,
     /// consumes `token` and then autoregressively feeds back its own
-    /// argmax prediction, producing `steps` future-token predictions.
+    /// top-1 prediction. Returns the `width` most probable tokens at
+    /// each of `steps` steps, and the softmax probability of the first
+    /// step's top prediction, for confidence-gated issuing (§5.2).
     ///
     /// This is the "number of future predictions" axis of Fig. 2; the
     /// cost is inherently sequential, one cell evaluation per step.
-    pub fn rollout(&self, token: usize, steps: usize) -> Vec<usize> {
-        let mut preds = Vec::with_capacity(steps);
-        let mut h = self.state.h.clone();
-        let mut c = self.state.c.clone();
-        let mut tok = token;
-        for _ in 0..steps {
-            let cache = self.cell_forward(tok, &h, &c);
-            let logits = self.project(&cache.h);
-            let Some(p) = argmax(&logits) else { break };
-            preds.push(p);
-            h = cache.h;
-            c = cache.c;
-            tok = p;
-        }
-        preds
-    }
-
-    /// Like [`rollout`](Self::rollout) but returns the `width` most
-    /// probable tokens at each step (feeding back the top-1), and the
-    /// softmax probability of the first step's top prediction, for
-    /// confidence-gated issuing (§5.2).
     pub fn rollout_top_k_with_confidence(
         &self,
         token: usize,
@@ -314,18 +280,17 @@ impl LstmNetwork {
         (preds, first_conf)
     }
 
-    /// One online training step: consume `token`, predict, compute the
-    /// loss against `target`, backpropagate (truncated at this step:
-    /// the carried state is treated as constant), and apply SGD.
+    /// One online training step at learning rate `lr`: consume
+    /// `token`, predict, compute the loss against `target`,
+    /// backpropagate (truncated at this step: the carried state is
+    /// treated as constant), and apply SGD. At `lr == 0.0` the step
+    /// only advances the online state.
     ///
     /// Returns the loss/confidence of the pre-update prediction.
-    pub fn train_step(&mut self, token: usize, target: usize) -> SoftmaxLoss {
+    pub fn train_step(&mut self, token: usize, target: usize, lr: f32) -> SoftmaxLoss {
         let cache = self.cell_forward(token, &self.state.h, &self.state.c);
-        let logits = self.project(&cache.h);
-        let loss = softmax_cross_entropy(&logits, target);
-        let dlogits = softmax_cross_entropy_grad(&loss.probs, target);
-        self.backward_through(std::slice::from_ref(&cache), &dlogits);
-        self.apply_grads(self.cfg.learning_rate);
+        let loss = self.accumulate(std::slice::from_ref(&cache), target);
+        self.apply_grads(lr);
         self.state.h = cache.h;
         self.state.c = cache.c;
         loss
@@ -340,19 +305,8 @@ impl LstmNetwork {
     /// Panics if `tokens` is empty.
     pub fn train_window(&mut self, tokens: &[usize], target: usize, lr: f32) -> SoftmaxLoss {
         assert!(!tokens.is_empty(), "empty training window");
-        let mut caches = Vec::with_capacity(tokens.len());
-        let mut h = vec![0.0; self.cfg.hidden];
-        let mut c = vec![0.0; self.cfg.hidden];
-        for &t in tokens {
-            let cache = self.cell_forward(t, &h, &c);
-            h = cache.h.clone();
-            c = cache.c.clone();
-            caches.push(cache);
-        }
-        let logits = self.project(&h);
-        let loss = softmax_cross_entropy(&logits, target);
-        let dlogits = softmax_cross_entropy_grad(&loss.probs, target);
-        self.backward_through(&caches, &dlogits);
+        let caches = self.forward_window(tokens);
+        let loss = self.accumulate(&caches, target);
         self.apply_grads(lr);
         loss
     }
@@ -367,20 +321,8 @@ impl LstmNetwork {
         let mut total = 0.0;
         for (tokens, target) in examples {
             assert!(!tokens.is_empty(), "empty training window");
-            let mut caches = Vec::with_capacity(tokens.len());
-            let mut h = vec![0.0; self.cfg.hidden];
-            let mut c = vec![0.0; self.cfg.hidden];
-            for &t in tokens {
-                let cache = self.cell_forward(t, &h, &c);
-                h = cache.h.clone();
-                c = cache.c.clone();
-                caches.push(cache);
-            }
-            let logits = self.project(&h);
-            let loss = softmax_cross_entropy(&logits, *target);
-            total += loss.loss;
-            let dlogits = softmax_cross_entropy_grad(&loss.probs, *target);
-            self.backward_through(&caches, &dlogits);
+            let caches = self.forward_window(tokens);
+            total += self.accumulate(&caches, *target).loss;
         }
         self.apply_grads(lr / examples.len() as f32);
         total / examples.len() as f32
@@ -536,29 +478,40 @@ impl LstmNetwork {
     /// window without learning or disturbing the online state.
     pub fn eval_window(&self, tokens: &[usize], target: usize) -> SoftmaxLoss {
         assert!(!tokens.is_empty(), "empty evaluation window");
-        let mut h = vec![0.0; self.cfg.hidden];
-        let mut c = vec![0.0; self.cfg.hidden];
-        for &t in tokens {
-            let cache = self.cell_forward(t, &h, &c);
-            h = cache.h;
-            c = cache.c;
-        }
-        let logits = self.project(&h);
-        softmax_cross_entropy(&logits, target)
+        let caches = self.forward_window(tokens);
+        softmax_cross_entropy(&self.project(&caches[caches.len() - 1].h), target)
     }
 
-    /// Backpropagates `dlogits` (at the final step) through the cached
-    /// steps, accumulating parameter gradients.
-    fn backward_through(&mut self, caches: &[StepCache], dlogits: &[f32]) {
+    /// Runs the cell over `tokens` from a zero state, each step fed
+    /// the previous step's `h`/`c`; returns every step's cache.
+    fn forward_window(&self, tokens: &[usize]) -> Vec<StepCache> {
+        let zeros = vec![0.0; self.cfg.hidden];
+        let mut caches: Vec<StepCache> = Vec::with_capacity(tokens.len());
+        for &t in tokens {
+            let (h, c) = caches
+                .last()
+                .map_or((&zeros, &zeros), |prev| (&prev.h, &prev.c));
+            let cache = self.cell_forward(t, h, c);
+            caches.push(cache);
+        }
+        caches
+    }
+
+    /// Projects the last cached step, scores it against `target`, and
+    /// backpropagates the loss through every cached step, accumulating
+    /// parameter gradients. `caches` must not be empty.
+    fn accumulate(&mut self, caches: &[StepCache], target: usize) -> SoftmaxLoss {
         let hdim = self.cfg.hidden;
-        let Some(last) = caches.last() else { return };
+        let last = &caches[caches.len() - 1];
+        let loss = softmax_cross_entropy(&self.project(&last.h), target);
+        let dlogits = softmax_cross_entropy_grad(&loss.probs, target);
         // Projection layer.
-        self.gw_out.rank1_acc(1.0, dlogits, &last.h);
+        self.gw_out.rank1_acc(1.0, &dlogits, &last.h);
         for (g, &d) in self.gb_out.iter_mut().zip(dlogits.iter()) {
             *g += d;
         }
         let mut dh = vec![0.0; hdim];
-        self.w_out.matvec_t_acc(dlogits, &mut dh);
+        self.w_out.matvec_t_acc(&dlogits, &mut dh);
         let mut dc = vec![0.0; hdim];
         // Walk the steps backwards.
         for cache in caches.iter().rev() {
@@ -588,12 +541,13 @@ impl LstmNetwork {
             dh = vec![0.0; hdim];
             self.w_h.matvec_t_acc(&dz, &mut dh);
         }
+        loss
     }
 
     /// Applies and clears accumulated gradients with per-element
     /// clipping.
     fn apply_grads(&mut self, lr: f32) {
-        let clip = self.cfg.grad_clip;
+        let clip = GRAD_CLIP;
         self.gw_x.clip(clip);
         self.gw_h.clip(clip);
         self.gw_out.clip(clip);
@@ -638,7 +592,6 @@ mod tests {
                 vocab: 12,
                 embed_dim: 6,
                 hidden: 10,
-                learning_rate: 0.1,
                 ..Self::default()
             }
         }
@@ -655,7 +608,7 @@ mod tests {
             for w in 0..cycle.len() {
                 let token = cycle[w];
                 let target = cycle[(w + 1) % cycle.len()];
-                let l = net.train_step(token, target);
+                let l = net.train_step(token, target, 0.1);
                 if epoch > 250 {
                     last_conf = l.confidence;
                 }
@@ -673,15 +626,32 @@ mod tests {
         let cycle = [1usize, 4, 2, 7];
         for _ in 0..400 {
             for w in 0..cycle.len() {
-                net.train_step(cycle[w], cycle[(w + 1) % cycle.len()]);
+                net.train_step(cycle[w], cycle[(w + 1) % cycle.len()], 0.1);
             }
         }
         // Warm the state on most of a cycle, then roll out.
-        for &t in &cycle[..3] {
-            net.infer_advance(t);
+        for w in 0..3 {
+            net.train_step(cycle[w], cycle[w + 1], 0.0);
         }
-        let preds = net.rollout(cycle[3], 4);
-        assert_eq!(preds, vec![1, 4, 2, 7]);
+        let (preds, _) = net.rollout_top_k_with_confidence(cycle[3], 4, 1);
+        assert_eq!(preds, vec![vec![1], vec![4], vec![2], vec![7]]);
+    }
+
+    /// A zero-rate step changes no weight but consumes its token.
+    #[test]
+    fn zero_rate_step_only_advances_the_state() {
+        let bits = |net: &LstmNetwork| -> Vec<u32> {
+            let l = net.eval_window(&[3, 1, 4], 2);
+            l.probs.iter().map(|p| p.to_bits()).collect()
+        };
+        let mut net = LstmNetwork::new(LstmConfig::tiny());
+        let mut fresh = LstmNetwork::new(LstmConfig::tiny());
+        let before = bits(&net);
+        net.train_step(3, 1, 0.0);
+        assert_eq!(bits(&net), before, "a zero-rate step moved a weight");
+        let next = net.train_step(1, 4, 0.0).probs;
+        let from_zero = fresh.train_step(1, 4, 0.0).probs;
+        assert_ne!(next, from_zero, "the step did not advance the state");
     }
 
     /// Finite-difference gradient check on every tensor through a
@@ -692,44 +662,22 @@ mod tests {
             vocab: 6,
             embed_dim: 4,
             hidden: 5,
-            learning_rate: 0.0,
-            grad_clip: 1e9,
             threads: 1,
             seed: 42,
         };
         let tokens = vec![1usize, 3, 2];
         let target = 4usize;
 
-        // Analytic gradients.
+        // Analytic gradients (accumulated, never clipped or applied).
         let mut net = LstmNetwork::new(cfg.clone());
-        let mut caches = Vec::new();
-        let mut h = vec![0.0; cfg.hidden];
-        let mut c = vec![0.0; cfg.hidden];
-        for &t in &tokens {
-            let cache = net.cell_forward(t, &h, &c);
-            h = cache.h.clone();
-            c = cache.c.clone();
-            caches.push(cache);
-        }
-        let logits = net.project(&h);
-        let loss = softmax_cross_entropy(&logits, target);
-        let dlogits = softmax_cross_entropy_grad(&loss.probs, target);
-        net.backward_through(&caches, &dlogits);
+        let caches = net.forward_window(&tokens);
+        net.accumulate(&caches, target);
         let gw_x = net.gw_x.clone();
         let gw_h = net.gw_h.clone();
         let gw_out = net.gw_out.clone();
         let gb = net.gb.clone();
 
-        let eval = |net: &LstmNetwork| -> f32 {
-            let mut h = vec![0.0; cfg.hidden];
-            let mut c = vec![0.0; cfg.hidden];
-            for &t in &tokens {
-                let cache = net.cell_forward(t, &h, &c);
-                h = cache.h;
-                c = cache.c;
-            }
-            softmax_cross_entropy(&net.project(&h), target).loss
-        };
+        let eval = |net: &LstmNetwork| -> f32 { net.eval_window(&tokens, target).loss };
 
         let eps = 1e-3;
         // Spot-check a spread of coordinates in each tensor.
@@ -805,21 +753,13 @@ mod tests {
     }
 
     #[test]
-    fn infer_advance_consumes_the_token() {
-        let mut net = LstmNetwork::new(LstmConfig::tiny());
-        let s0 = net.state();
-        let _ = net.infer_advance(3);
-        assert_ne!(net.state(), s0);
-    }
-
-    #[test]
     fn two_thread_forward_matches_single_thread() {
         let mut cfg = LstmConfig::tiny();
         cfg.threads = 2;
         let mut net2 = LstmNetwork::new(cfg);
         let mut net1 = LstmNetwork::new(LstmConfig::tiny());
-        let p1 = net1.infer_advance(5);
-        let p2 = net2.infer_advance(5);
+        let p1 = net1.train_step(5, 6, 0.0).probs;
+        let p2 = net2.train_step(5, 6, 0.0).probs;
         for (a, b) in p1.iter().zip(p2.iter()) {
             assert!((a - b).abs() < 1e-6);
         }

@@ -136,11 +136,6 @@ impl Matrix {
         }
     }
 
-    /// Multiplies every element by `alpha`.
-    pub fn scale(&mut self, alpha: f32) {
-        self.data.iter_mut().for_each(|x| *x *= alpha);
-    }
-
     /// Returns the transpose as a new matrix.
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
@@ -253,11 +248,6 @@ impl Matrix {
                 *w += coef * bv;
             }
         }
-    }
-
-    /// Frobenius norm.
-    pub fn norm(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
     }
 
     /// Clips every element into `[-limit, limit]`.

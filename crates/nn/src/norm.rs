@@ -34,11 +34,6 @@ impl RmsNorm {
         }
     }
 
-    /// Width.
-    pub fn dim(&self) -> usize {
-        self.gain.len()
-    }
-
     /// Parameter count.
     pub fn param_count(&self) -> usize {
         self.gain.len()

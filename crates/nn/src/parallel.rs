@@ -28,11 +28,6 @@ impl ThreadSlicer {
         Self { threads }
     }
 
-    /// Configured worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// `out += m * x`, split by row blocks across the configured
     /// threads. Falls back to the sequential kernel for one thread or
     /// small matrices.

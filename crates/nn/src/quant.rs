@@ -8,7 +8,7 @@
 //! symmetrically per row ahead of time; activations are quantized per
 //! vector at run time; accumulation is `i32`.
 
-use crate::activations::{argmax, sigmoid, softmax_in_place, tanh};
+use crate::activations::{argmax, sigmoid, tanh};
 use crate::lstm::{LstmNetwork, LstmState};
 use crate::matrix::Matrix;
 
@@ -133,27 +133,6 @@ impl QuantizedLstm {
             + 4 * (self.b.len() + self.b_out.len())
     }
 
-    /// Resets the recurrent state.
-    pub fn reset_state(&mut self) {
-        self.state = LstmState::zeros(self.hidden);
-    }
-
-    /// Consumes `token`, advances the state, and returns the
-    /// post-softmax distribution over the next token.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `token` is out of vocabulary.
-    pub fn infer_advance(&mut self, token: usize) -> Vec<f32> {
-        let (h, c) = (self.state.h.clone(), self.state.c.clone());
-        let (h_new, c_new, logits) = self.cell_forward(token, &h, &c);
-        self.state.h = h_new;
-        self.state.c = c_new;
-        let mut probs = logits;
-        softmax_in_place(&mut probs);
-        probs
-    }
-
     /// Autoregressive rollout of `steps` future predictions (Fig. 2's
     /// x-axis) without disturbing the online state.
     pub fn rollout(&self, token: usize, steps: usize) -> Vec<usize> {
@@ -203,7 +182,22 @@ impl QuantizedLstm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::activations::softmax_in_place;
     use crate::lstm::LstmConfig;
+
+    impl QuantizedLstm {
+        /// Consumes `token`, advances the state, and returns the
+        /// post-softmax distribution over the next token.
+        fn infer_advance(&mut self, token: usize) -> Vec<f32> {
+            let (h, c) = (self.state.h.clone(), self.state.c.clone());
+            let (h_new, c_new, logits) = self.cell_forward(token, &h, &c);
+            self.state.h = h_new;
+            self.state.c = c_new;
+            let mut probs = logits;
+            softmax_in_place(&mut probs);
+            probs
+        }
+    }
 
     #[test]
     fn quantization_roundtrip_error_is_small() {
@@ -247,7 +241,7 @@ mod tests {
         for _ in 0..300 {
             net.reset_state();
             for w in 0..cycle.len() {
-                net.train_step(cycle[w], cycle[(w + 1) % cycle.len()]);
+                net.train_step(cycle[w], cycle[(w + 1) % cycle.len()], 0.1);
             }
         }
         let mut q = QuantizedLstm::from_network(&net);
@@ -256,8 +250,8 @@ mod tests {
         let mut agree = 0;
         let mut total = 0;
         for _ in 0..3 {
-            for &tok in &cycle {
-                let pf = net.infer_advance(tok);
+            for (w, &tok) in cycle.iter().enumerate() {
+                let pf = net.train_step(tok, cycle[(w + 1) % cycle.len()], 0.0).probs;
                 let pq = q.infer_advance(tok);
                 let af = crate::activations::argmax(&pf).unwrap();
                 let aq = crate::activations::argmax(&pq).unwrap();

@@ -6,7 +6,9 @@
 //! residuals), learned positional embeddings, and a projection over
 //! the delta vocabulary. The API mirrors [`LstmNetwork`]'s windowed
 //! training so the Fig.-3 protocol and the prefetcher wrapper apply
-//! unchanged.
+//! unchanged: `train_window` takes its learning rate, gradients are
+//! clipped per element at 1.0, and `rollout_top_k_with_confidence` is
+//! the one rollout.
 //!
 //! [`LstmNetwork`]: crate::lstm::LstmNetwork
 
@@ -19,6 +21,9 @@ use crate::init;
 use crate::loss::{softmax_cross_entropy, softmax_cross_entropy_grad, SoftmaxLoss};
 use crate::matrix::Matrix;
 use crate::norm::{RmsNorm, RmsNormCache};
+
+/// Per-element gradient clip applied before every update.
+const GRAD_CLIP: f32 = 1.0;
 
 /// Transformer hyper-parameters.
 #[derive(Debug, Clone)]
@@ -33,10 +38,6 @@ pub struct TransformerConfig {
     pub ff: usize,
     /// Context window (sequence length).
     pub window: usize,
-    /// Learning rate.
-    pub learning_rate: f32,
-    /// Per-element gradient clip.
-    pub grad_clip: f32,
     /// Init seed.
     pub seed: u64,
 }
@@ -49,8 +50,6 @@ impl Default for TransformerConfig {
             heads: 2,
             ff: 96,
             window: 8,
-            learning_rate: 0.05,
-            grad_clip: 1.0,
             seed: 0x7f0,
         }
     }
@@ -81,10 +80,8 @@ pub struct TransformerNetwork {
 /// Forward cache for one window.
 struct ForwardCache {
     tokens: Vec<usize>,
-    x0: Matrix,
     n1_caches: Vec<RmsNormCache>,
     attn_cache: AttentionCache,
-    x1: Matrix,
     n2_caches: Vec<RmsNormCache>,
     n2: Matrix,
     /// Pre-activation MLP hidden, `S x ff`.
@@ -170,7 +167,7 @@ impl TransformerNetwork {
             n1_caches.push(cache);
         }
         let (a, attn_cache) = self.attn.forward(&n1);
-        let mut x1 = x0.clone();
+        let mut x1 = x0;
         x1.add_assign(&a);
         // Pre-norm MLP with residual.
         let mut n2 = Matrix::zeros(s, d);
@@ -184,17 +181,15 @@ impl TransformerNetwork {
         let mut r = z.clone();
         r.as_mut_slice().iter_mut().for_each(|v| *v = v.max(0.0));
         let f = r.matmul(&self.w2);
-        let mut x2 = x1.clone();
+        let mut x2 = x1;
         x2.add_assign(&f);
         // Project the last position.
         let mut logits = self.b_out.clone();
         self.w_out.matvec_acc(x2.row(s - 1), &mut logits);
         ForwardCache {
             tokens: tokens.to_vec(),
-            x0,
             n1_caches,
             attn_cache,
-            x1,
             n2_caches,
             n2,
             z,
@@ -312,12 +307,10 @@ impl TransformerNetwork {
                 self.gpos[(i, c)] += dx0[(i, c)];
             }
         }
-        let _ = &cache.x0;
-        let _ = &cache.x1;
     }
 
     fn apply_grads(&mut self, lr: f32) {
-        let clip = self.cfg.grad_clip;
+        let clip = GRAD_CLIP;
         self.embedding.apply_grads(lr, clip);
         self.gpos.clip(clip);
         self.pos.axpy(-lr, &self.gpos);
@@ -353,7 +346,6 @@ mod tests {
                 heads: 2,
                 ff: 32,
                 window: 4,
-                learning_rate: 0.1,
                 ..Self::default()
             }
         }
@@ -404,8 +396,6 @@ mod tests {
             heads: 2,
             ff: 12,
             window: 3,
-            learning_rate: 0.0,
-            grad_clip: 1e9,
             seed: 9,
         };
         let tokens = vec![1usize, 3, 2];

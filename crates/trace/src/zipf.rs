@@ -35,11 +35,6 @@ impl Zipf {
         Self { cdf }
     }
 
-    /// Support size.
-    pub fn n(&self) -> usize {
-        self.cdf.len()
-    }
-
     /// Samples a rank in `0..n` (0 is the most popular).
     pub fn sample(&self, rng: &mut impl Rng) -> usize {
         let u: f64 = rng.gen();

@@ -40,7 +40,6 @@ fn run(replay: bool) {
         vocab: vocab.len(),
         embed_dim: 32,
         hidden: 64,
-        learning_rate: lr,
         ..LstmConfig::default()
     });
     // Phase 1: learn pattern A (stride).

@@ -66,7 +66,6 @@ fn lstm_catastrophic_interference() {
         vocab: vocab.len(),
         embed_dim: 32,
         hidden: 64,
-        learning_rate: 0.2,
         ..LstmConfig::default()
     });
     let conf = |net: &LstmNetwork, t: &[usize]| -> f32 {
@@ -115,7 +114,6 @@ fn replay_prevents_interference() {
         vocab: vocab.len(),
         embed_dim: 32,
         hidden: 64,
-        learning_rate: 0.2,
         ..LstmConfig::default()
     });
     for _ in 0..12 {

@@ -94,7 +94,6 @@ proptest! {
             vocab: 12,
             embed_dim: 6,
             hidden: 10,
-            learning_rate: 0.1,
             ..LstmConfig::default()
         });
         let mut tf = TransformerNetwork::new(TransformerConfig {
@@ -103,7 +102,6 @@ proptest! {
             heads: 2,
             ff: 32,
             window: 4,
-            learning_rate: 0.1,
             ..TransformerConfig::default()
         });
         for w in tokens.windows(5) {
